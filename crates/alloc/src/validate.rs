@@ -18,12 +18,23 @@
 //! invalidated when the guarding predicate is redefined.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use rfh_analysis::RegSet;
 use rfh_isa::access::{AccessKind, AccessPlan, AccessSlot, Datapath, Place};
-use rfh_isa::{InstrRef, Kernel, PredGuard, Reg, Width};
+use rfh_isa::{InstrRef, Instruction, Kernel, PredGuard, Reg, Width};
 
 use crate::config::{AllocConfig, LrfMode};
+
+/// An instruction's position and text as error messages quote them,
+/// rendered only when an error is actually reported.
+struct Loc<'a>(InstrRef, &'a Instruction);
+
+impl fmt::Display for Loc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} `{}`", self.0, self.1)
+    }
+}
 
 /// Symbolic contents of one upper-level entry: which register word it
 /// mirrors, and under which guard the mirroring holds (`None`: on every
@@ -187,7 +198,7 @@ pub fn validate_placements(kernel: &Kernel, config: &AllocConfig) -> Result<(), 
         for (pos, at) in strand.iter().enumerate() {
             let instr = kernel.instr(*at);
             let plan = &plans[at.block.index()][at.index];
-            let loc = format!("{} `{}`", at, instr);
+            let loc = Loc(*at, instr);
 
             // ---- in-state ----
             let mut state: Option<State> = None;

@@ -1125,6 +1125,20 @@ fn collect_landmarks(kernel: &Kernel) -> Vec<i32> {
 /// Loops converge through widening (interval bounds escape to ±∞ after a
 /// few visits); an iteration cap backstops pathological CFGs by falling
 /// back to the trivially sound top state.
+///
+/// Each sweep visits the blocks in layout order but interprets only the
+/// *dirty* ones: blocks whose entry state was first set or changed by a
+/// join, or whose divergence flag flipped, since they were last
+/// interpreted. Skipping a clean block is exact, not an approximation.
+/// Interpreting a block and refining its out-edges are pure functions of
+/// its entry state and divergence flag, so a clean block would reproduce
+/// its previous out-edge states, and would mark only divergence flags it
+/// already set. Joining such a state into a successor again changes
+/// nothing: once `join_from(e)` has run, a later `join_from(e)` returns
+/// `false`, with or without widening, whatever other states were joined
+/// in between. The sweep count, the widening counters, and every fact
+/// are therefore the same as when every block is re-interpreted on every
+/// sweep.
 pub fn analyze(kernel: &Kernel, ctx: AbsCtx) -> AbsResults {
     let nb = kernel.blocks.len();
     let mut results = AbsResults {
@@ -1148,6 +1162,13 @@ pub fn analyze(kernel: &Kernel, ctx: AbsCtx) -> AbsResults {
     let mut in_env: Vec<Option<Env>> = vec![None; nb];
     in_env[entry.index()] = Some(Env::top(nr, np));
     let mut divergent = vec![false; nb];
+    // Blocks whose entry state or divergence flag changed since they were
+    // last interpreted (see the doc comment for why skipping the rest is
+    // exact).
+    let mut dirty = vec![false; nb];
+    dirty[entry.index()] = true;
+    // Divergence regions depend only on the CFG: computed once per block.
+    let mut regions: Vec<Option<Vec<usize>>> = vec![None; nb];
     let mut visits = vec![0u32; nb];
     const WIDEN_AFTER: u32 = 4;
     let max_iters = 64 + 16 * nb;
@@ -1158,16 +1179,23 @@ pub fn analyze(kernel: &Kernel, ctx: AbsCtx) -> AbsResults {
         iters += 1;
         stable = true;
         for bi in 0..nb {
+            if !dirty[bi] {
+                continue;
+            }
             let Some(env0) = in_env[bi].clone() else {
                 continue;
             };
+            dirty[bi] = false;
             let id = BlockId::new(bi as u32);
             let mut env = env0;
             run_block(kernel, ctx, id, &mut env, divergent[bi], None);
             if branch_diverges(kernel, id, &env) {
-                for r in divergence_region(kernel, &pdom, id) {
+                let region =
+                    regions[bi].get_or_insert_with(|| divergence_region(kernel, &pdom, id));
+                for &r in region.iter() {
                     if !divergent[r] {
                         divergent[r] = true;
+                        dirty[r] = true;
                         stable = false;
                     }
                 }
@@ -1181,11 +1209,13 @@ pub fn analyze(kernel: &Kernel, ctx: AbsCtx) -> AbsResults {
                     None => {
                         in_env[si] = Some(e);
                         visits[si] += 1;
+                        dirty[si] = true;
                         stable = false;
                     }
                     Some(cur) => {
                         if cur.join_from(&e, visits[si] >= WIDEN_AFTER, &landmarks) {
                             visits[si] += 1;
+                            dirty[si] = true;
                             stable = false;
                         }
                     }
@@ -1341,6 +1371,7 @@ pub mod last_use {
 mod tests {
     use super::*;
     use rfh_isa::parse_kernel;
+    use rfh_testkit::prelude::*;
 
     fn at(b: u32, i: usize) -> InstrRef {
         InstrRef {
@@ -1580,6 +1611,47 @@ BB3:
     }
 
     #[test]
+    fn late_divergence_reaches_blocks_with_unchanged_entry_state() {
+        // The loop branch at BB1 is uniform on the first sweep and turns
+        // divergent once the backedge brings in a tid-dependent r2. BB3 is
+        // deep in its region: BB2 overwrites everything that changed, so
+        // BB3's entry state is the same on both sweeps and only its
+        // divergence flag flips. It must still be re-interpreted, or the
+        // constant it writes would reach the join as warp-uniform.
+        let k = parse_kernel(
+            "
+.kernel late
+BB0:
+  mov r1, %tid.x
+  mov r2, %ctaid.x
+  mov r6, 9
+BB1:
+  setp.lt p0 r2, 1
+  @p0 bra BB4
+BB2:
+  mov r2, r1
+  setp.lt p0 r2, 5
+BB3:
+  mov r6, 9
+BB4:
+  mov r7, r6
+  iadd r2 r2, r1
+  setp.lt p1 r2, 100
+  @p1 bra BB1
+BB5:
+  st.global r2, r7
+  exit
+",
+        )
+        .unwrap();
+        let r = analyze(&k, ctx256());
+        assert!(!r.fact(at(1, 1)).guard.unwrap().uniform);
+        let joined = r.fact(at(4, 0)).srcs[0];
+        assert!(!joined.uniform, "{joined:?}");
+        assert_eq!(joined.as_const(), Some(9));
+    }
+
+    #[test]
     fn guarded_exit_filters_survivors() {
         let k = parse_kernel(
             "
@@ -1736,6 +1808,75 @@ BB0:
         // The read of r3 at index 6 crosses the long-latency strand split
         // before it (consumer of r4): no coverage across strands.
         assert!(!hints.covered.contains_key(&(at(0, 6), 0)));
+    }
+
+    /// Interval bounds worth drawing: the extremes, zero, and small
+    /// values on both sides, so joins both grow and keep bounds.
+    const BOUNDS: [i32; 9] = [i32::MIN, -100, -7, -1, 0, 1, 7, 100, i32::MAX];
+
+    fn arb_absval() -> impl Strategy<Value = AbsVal> {
+        (
+            0..BOUNDS.len(),
+            0..BOUNDS.len(),
+            rfh_testkit::option::of((-2i32..3, -40i32..40)),
+            any::<bool>(),
+        )
+            .prop_map(|(a, b, affine, uniform)| AbsVal {
+                lo: BOUNDS[a.min(b)],
+                hi: BOUNDS[a.max(b)],
+                affine,
+                uniform,
+            })
+    }
+
+    fn arb_predabs() -> impl Strategy<Value = PredAbs> {
+        (any::<bool>(), rfh_testkit::option::of(any::<bool>()))
+            .prop_map(|(uniform, known)| PredAbs { uniform, known })
+    }
+
+    /// Three environments of equal shape, built column by column.
+    fn arb_envs() -> impl Strategy<Value = (Env, Env, Env)> {
+        (
+            rfh_testkit::collection::vec((arb_absval(), arb_absval(), arb_absval()), 1..6),
+            rfh_testkit::collection::vec((arb_predabs(), arb_predabs(), arb_predabs()), 1..4),
+        )
+            .prop_map(|(regs, preds)| {
+                let env = |i: usize| Env {
+                    regs: regs.iter().map(|r| [r.0, r.1, r.2][i]).collect(),
+                    preds: preds.iter().map(|p| [p.0, p.1, p.2][i]).collect(),
+                };
+                (env(0), env(1), env(2))
+            })
+    }
+
+    fn arb_landmarks() -> impl Strategy<Value = Vec<i32>> {
+        rfh_testkit::collection::vec(-150i32..150, 0..6).prop_map(|mut v| {
+            v.sort_unstable();
+            v.dedup();
+            v
+        })
+    }
+
+    prop! {
+        /// The invariant that lets `analyze` skip clean blocks: joining
+        /// the same state a second time changes nothing, with or without
+        /// widening, even when other states were joined in between.
+        fn repeated_join_is_a_no_op(
+            envs in arb_envs(),
+            widen in any::<bool>(),
+            widen_between in any::<bool>(),
+            landmarks in arb_landmarks(),
+        ) {
+            let (mut cur, e, other) = envs;
+            cur.join_from(&e, widen, &landmarks);
+            let settled = cur.clone();
+            prop_assert!(!cur.join_from(&e, widen, &landmarks), "second join changed {settled:?}");
+            prop_assert_eq!(&cur, &settled);
+            cur.join_from(&other, widen_between, &landmarks);
+            let grown = cur.clone();
+            prop_assert!(!cur.join_from(&e, widen, &landmarks), "re-join after growth changed {grown:?}");
+            prop_assert!(!cur.join_from(&e, !widen, &landmarks), "re-join changed {grown:?}");
+        }
     }
 
     #[test]

@@ -184,7 +184,6 @@ pub fn strand_values_opts(
     let strand = info.strand(sid);
     let nodes = &strand.instrs;
     let pos_of: HashMap<InstrRef, usize> = nodes.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-    let preds = kernel.predecessors();
 
     let mut instances: Vec<ValueInstance> = Vec::new();
     // Defining instruction -> instance id, for covered-read attachment.
@@ -224,7 +223,7 @@ pub fn strand_values_opts(
             // backward branch (a loop whose header starts this strand);
             // values flowing around the backedge are inter-strand and
             // arrive as live-ins.
-            for p in &preds[at.block.index()] {
+            for p in &info.preds[at.block.index()] {
                 let pb = kernel.block(*p);
                 let term = InstrRef {
                     block: *p,

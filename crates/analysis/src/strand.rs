@@ -106,6 +106,10 @@ pub struct StrandInfo {
     pub strands: Vec<Strand>,
     /// Strand id per instruction: `map[block][index]`.
     instr_map: Vec<Vec<u32>>,
+    /// CFG predecessors per block, built once while marking: the per-strand
+    /// passes ([`strand_canonical`], [`crate::defuse::strand_values`]) read
+    /// them here instead of rebuilding them for every strand.
+    pub(crate) preds: Vec<Vec<BlockId>>,
 }
 
 impl StrandInfo {
@@ -362,7 +366,11 @@ pub fn mark_strands_opts(kernel: &mut Kernel, opts: StrandOpts) -> StrandInfo {
         }
     }
 
-    StrandInfo { strands, instr_map }
+    StrandInfo {
+        strands,
+        instr_map,
+        preds,
+    }
 }
 
 #[cfg(test)]
@@ -659,7 +667,6 @@ pub fn strand_canonical(
     let strand = info.strand(sid);
     let nodes = &strand.instrs;
     let pos_of: HashMap<InstrRef, usize> = nodes.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-    let preds = kernel.predecessors();
     let blocks = strand.blocks();
     let local: HashMap<BlockId, usize> = blocks.iter().enumerate().map(|(i, b)| (*b, i)).collect();
 
@@ -699,7 +706,7 @@ pub fn strand_canonical(
                 None => external_entry = true, // mid-block strand start
             }
         } else {
-            for p in &preds[at.block.index()] {
+            for p in &info.preds[at.block.index()] {
                 let pb = kernel.block(*p);
                 let term = InstrRef {
                     block: *p,

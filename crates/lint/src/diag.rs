@@ -182,12 +182,12 @@ impl Diagnostic {
 
     /// Deterministic ordering key: program order first (block, then
     /// block-level findings before instruction findings), then code.
-    pub(crate) fn sort_key(&self) -> (u32, usize, Code, String) {
+    pub(crate) fn sort_key(&self) -> (u32, usize, Code, &str) {
         (
             self.block.index() as u32,
             self.instr.map_or(0, |i| i + 1),
             self.code,
-            self.message.clone(),
+            &self.message,
         )
     }
 }

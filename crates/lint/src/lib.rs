@@ -107,7 +107,7 @@ pub fn lint_kernel(kernel: &Kernel, options: &LintOptions) -> Vec<Diagnostic> {
     place::check(kernel, &options.alloc, &mut diags);
     pressure::check(&marked, &info, &options.alloc, &absres, &mut diags);
     value::check(kernel, &absres, options.shared_words, &mut diags);
-    diags.sort_by_key(|a| a.sort_key());
+    diags.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     diags.dedup();
     diags
 }

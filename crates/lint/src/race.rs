@@ -25,7 +25,7 @@
 //!   note-severity "unverifiable index" finding, so a silent may-alias
 //!   assumption is visible in the report.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use rfh_analysis::absint::AbsResults;
 use rfh_analysis::DomTree;
@@ -42,82 +42,101 @@ enum Addr {
 
 const MAX_RESOLVE_DEPTH: usize = 16;
 
-/// Resolves the value of `reg` as seen by the instruction at `at`,
-/// following unguarded definitions backward within the block and, failing
-/// that, a unique unguarded definition elsewhere in the kernel.
-fn resolve_reg(kernel: &Kernel, at: InstrRef, reg: Reg, depth: usize) -> Addr {
-    if depth == 0 {
-        return Addr::Unknown;
-    }
-    let block = kernel.block(at.block);
-    for index in (0..at.index).rev() {
-        let instr = &block.instrs[index];
-        if instr.def_regs().any(|r| r == reg) {
-            if instr.guard.is_some() {
-                return Addr::Unknown;
+/// Resolves register values to address forms within one kernel.
+struct Resolver<'k> {
+    kernel: &'k Kernel,
+    /// Per register, its defining instruction when the kernel defines it
+    /// exactly once (`None`: defined more than once). Gathered once per
+    /// check for the "unique definition anywhere" fallback.
+    sole_def: HashMap<Reg, Option<InstrRef>>,
+}
+
+impl<'k> Resolver<'k> {
+    fn new(kernel: &'k Kernel) -> Self {
+        let mut sole_def: HashMap<Reg, Option<InstrRef>> = HashMap::new();
+        for (at, instr) in kernel.iter_instrs() {
+            for r in instr.def_regs() {
+                sole_def
+                    .entry(r)
+                    .and_modify(|d| *d = None)
+                    .or_insert(Some(at));
             }
-            return eval_def(
-                kernel,
-                InstrRef {
-                    block: at.block,
-                    index,
-                },
-                reg,
-                depth,
-            );
+        }
+        Resolver { kernel, sole_def }
+    }
+
+    /// Resolves the value of `reg` as seen by the instruction at `at`,
+    /// following unguarded definitions backward within the block and,
+    /// failing that, a unique unguarded definition elsewhere in the kernel.
+    fn resolve_reg(&self, at: InstrRef, reg: Reg, depth: usize) -> Addr {
+        if depth == 0 {
+            return Addr::Unknown;
+        }
+        let block = self.kernel.block(at.block);
+        for index in (0..at.index).rev() {
+            let instr = &block.instrs[index];
+            if instr.def_regs().any(|r| r == reg) {
+                if instr.guard.is_some() {
+                    return Addr::Unknown;
+                }
+                return self.eval_def(
+                    InstrRef {
+                        block: at.block,
+                        index,
+                    },
+                    reg,
+                    depth,
+                );
+            }
+        }
+        // Not defined earlier in this block: usable only if the kernel has
+        // exactly one unguarded definition of the register anywhere.
+        let Some(Some(def_at)) = self.sole_def.get(&reg).copied() else {
+            return Addr::Unknown;
+        };
+        if self.kernel.instr(def_at).guard.is_some() {
+            return Addr::Unknown;
+        }
+        self.eval_def(def_at, reg, depth)
+    }
+
+    /// Evaluates the definition at `def_at` (known to define `reg`).
+    fn eval_def(&self, def_at: InstrRef, reg: Reg, depth: usize) -> Addr {
+        let instr = self.kernel.instr(def_at);
+        // Only the low word of a wide definition has a simple value.
+        if instr.dst.map(|d| d.reg) != Some(reg) {
+            return Addr::Unknown;
+        }
+        let operand = |slot: usize| -> Addr { self.eval_operand(def_at, slot, depth - 1) };
+        match instr.op {
+            Opcode::Mov => operand(0),
+            Opcode::IAdd => add(operand(0), operand(1), 1),
+            Opcode::ISub => add(operand(0), operand(1), -1),
+            Opcode::IMul => mul(operand(0), operand(1)),
+            Opcode::Shl => match (operand(0), operand(1)) {
+                (a, Addr::Affine { coef: 0, off: sh }) if (0..31).contains(&sh) => mul(
+                    a,
+                    Addr::Affine {
+                        coef: 0,
+                        off: 1 << sh,
+                    },
+                ),
+                _ => Addr::Unknown,
+            },
+            _ => Addr::Unknown,
         }
     }
-    // Not defined earlier in this block: usable only if the kernel has
-    // exactly one unguarded definition of the register anywhere.
-    let mut defs = kernel
-        .iter_instrs()
-        .filter(|(_, i)| i.def_regs().any(|r| r == reg));
-    let (def_at, def) = match (defs.next(), defs.next()) {
-        (Some(d), None) => d,
-        _ => return Addr::Unknown,
-    };
-    if def.guard.is_some() {
-        return Addr::Unknown;
-    }
-    eval_def(kernel, def_at, reg, depth)
-}
 
-/// Evaluates the definition at `def_at` (known to define `reg`).
-fn eval_def(kernel: &Kernel, def_at: InstrRef, reg: Reg, depth: usize) -> Addr {
-    let instr = kernel.instr(def_at);
-    // Only the low word of a wide definition has a simple value.
-    if instr.dst.map(|d| d.reg) != Some(reg) {
-        return Addr::Unknown;
-    }
-    let operand = |slot: usize| -> Addr { eval_operand(kernel, def_at, slot, depth - 1) };
-    match instr.op {
-        Opcode::Mov => operand(0),
-        Opcode::IAdd => add(operand(0), operand(1), 1),
-        Opcode::ISub => add(operand(0), operand(1), -1),
-        Opcode::IMul => mul(operand(0), operand(1)),
-        Opcode::Shl => match (operand(0), operand(1)) {
-            (a, Addr::Affine { coef: 0, off: sh }) if (0..31).contains(&sh) => mul(
-                a,
-                Addr::Affine {
-                    coef: 0,
-                    off: 1 << sh,
-                },
-            ),
+    fn eval_operand(&self, at: InstrRef, slot: usize, depth: usize) -> Addr {
+        match self.kernel.instr(at).srcs.get(slot) {
+            Some(Operand::Imm(v)) => Addr::Affine {
+                coef: 0,
+                off: *v as i64,
+            },
+            Some(Operand::Special(Special::TidX)) => Addr::Affine { coef: 1, off: 0 },
+            Some(Operand::Reg(r)) => self.resolve_reg(at, *r, depth),
             _ => Addr::Unknown,
-        },
-        _ => Addr::Unknown,
-    }
-}
-
-fn eval_operand(kernel: &Kernel, at: InstrRef, slot: usize, depth: usize) -> Addr {
-    match kernel.instr(at).srcs.get(slot) {
-        Some(Operand::Imm(v)) => Addr::Affine {
-            coef: 0,
-            off: *v as i64,
-        },
-        Some(Operand::Special(Special::TidX)) => Addr::Affine { coef: 1, off: 0 },
-        Some(Operand::Reg(r)) => resolve_reg(kernel, at, *r, depth),
-        _ => Addr::Unknown,
+        }
     }
 }
 
@@ -143,11 +162,14 @@ fn mul(a: Addr, b: Addr) -> Addr {
 }
 
 /// One shared-memory access.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Access {
     at: InstrRef,
     is_store: bool,
     addr: Addr,
+    /// The instruction's printed form, rendered once for every message
+    /// that quotes it.
+    text: String,
 }
 
 /// Can threads collide at these two address forms? (`self_pair`: the two
@@ -215,6 +237,7 @@ fn interval_from(kernel: &Kernel, start: InstrRef) -> Vec<InstrRef> {
 
 /// Runs the check, appending RFH-L005 findings to `diags`.
 pub(crate) fn check(kernel: &Kernel, dom: &DomTree, res: &AbsResults, diags: &mut Vec<Diagnostic>) {
+    let resolver = Resolver::new(kernel);
     let accesses: Vec<Access> = kernel
         .iter_instrs()
         .filter(|(at, _)| dom.is_reachable(at.block))
@@ -228,10 +251,11 @@ pub(crate) fn check(kernel: &Kernel, dom: &DomTree, res: &AbsResults, diags: &mu
                 at,
                 is_store,
                 addr: match i.srcs.first() {
-                    Some(Operand::Reg(r)) => resolve_reg(kernel, at, *r, MAX_RESOLVE_DEPTH),
+                    Some(Operand::Reg(r)) => resolver.resolve_reg(at, *r, MAX_RESOLVE_DEPTH),
                     Some(other) => eval_const_operand(*other),
                     None => Addr::Unknown,
                 },
+                text: i.to_string(),
             })
         })
         .collect();
@@ -255,7 +279,7 @@ pub(crate) fn check(kernel: &Kernel, dom: &DomTree, res: &AbsResults, diags: &mu
             format!(
                 "shared-memory access `{}` has an unverifiable (non-affine) index{range}: \
                  the race analysis treats it as may-alias with every other shared access",
-                kernel.instr(a.at)
+                a.text
             ),
         ));
     }
@@ -288,7 +312,7 @@ pub(crate) fn check(kernel: &Kernel, dom: &DomTree, res: &AbsResults, diags: &mu
 
     let mut reported: BTreeSet<(InstrRef, InstrRef)> = BTreeSet::new();
     for start in starts {
-        let interval = interval_from(kernel, start);
+        let interval: HashSet<InstrRef> = interval_from(kernel, start).into_iter().collect();
         let here: Vec<&Access> = accesses
             .iter()
             .filter(|a| interval.contains(&a.at))
@@ -321,15 +345,13 @@ pub(crate) fn check(kernel: &Kernel, dom: &DomTree, res: &AbsResults, diags: &mu
                     format!(
                         "shared-memory store `{}` may race with itself across threads \
                          (address not provably thread-private, no intervening barrier)",
-                        kernel.instr(store.at)
+                        store.text
                     )
                 } else {
                     format!(
                         "shared-memory store `{}` may race with the access `{}` at {} \
                          (no intervening barrier proves the threads disjoint)",
-                        kernel.instr(store.at),
-                        kernel.instr(other.at),
-                        other.at
+                        store.text, other.text, other.at
                     )
                 };
                 diags.push(Diagnostic::at(Code::SharedRace, store.at, msg));

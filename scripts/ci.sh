@@ -14,8 +14,9 @@ echo "==> cargo clippy (-D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
-# --workspace is load-bearing: a bare root build does not relink member
-# binaries (e.g. `repro`), and the smoke below must run the fresh one.
+# The smokes below run member binaries (e.g. `repro`), so every member
+# must be built; `--workspace` says so explicitly, on top of the root
+# manifest's `default-members`.
 cargo build --release --offline --workspace
 
 echo "==> cargo test"
@@ -118,6 +119,12 @@ set -e
 RFH_JOBS=2 ./target/release/lint_report > "$artifacts/lint_report.txt"
 cmp results/lint_report.txt "$artifacts/lint_report.txt"
 echo "lint report byte-identical under RFH_JOBS=2"
+# Large-kernel pin: absint facts, allocations (hints off and on) and lint
+# diagnostics of the 48 seeded compile_large-shaped kernels, digested per
+# kernel. The test writes its fresh digest under target/tmp.
+cargo test -q --offline --test large_kernels > /dev/null
+cmp results/large_kernels_digest.txt target/tmp/large_kernels_digest.txt
+echo "large-kernel digest byte-identical"
 
 echo "==> trace smoke + golden structured trace"
 # The structured trace exporter must be deterministic at any pool size:
