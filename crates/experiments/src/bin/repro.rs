@@ -1,8 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--csv <dir>] [--bench-json <path>] [--exec-bench-json <path>]
-//!       [--timing-bench-json <path>] [--jobs N] [experiment...]
+//! repro [--csv <dir>] [--jobs N] [experiment...]
 //!
 //! experiments:
 //!   table1 table2 table3 table4   the paper's input tables
@@ -17,10 +16,8 @@
 //!   limit                         §7 limit study
 //!   ablation                      design-choice ablations
 //!   characterize                  workload characterization table
-//!   exec-bench                    executor throughput, SoA vs reference
-//!   timing-bench                  timing-model throughput, staged vs reference + SM scaling
 //!   hints                         last-use allocation hints, off vs on
-//!   all                           everything except the benches and hints (default)
+//!   all                           everything except hints (default)
 //! ```
 //!
 //! All experiments share one [`ExperimentCtx`], so baselines, allocated
@@ -29,38 +26,23 @@
 //! same sweep printed by `fig13`. Cells fan out over the `RFH_JOBS` pool;
 //! output (including every CSV) is byte-identical at any job count.
 //!
-//! `--bench-json <path>` writes per-experiment wall times as JSON
-//! (schema `rfh-repro-bench-v1`).
-//!
 //! `hints` is excluded from `all` because it measures the non-default
 //! `--hints` allocation path, and `repro all` must keep regenerating the
 //! committed default-path goldens byte-for-byte.
 //!
-//! `exec-bench` is the other experiment excluded from `all`: it reports
-//! wall-clock executor throughput (SoA engine vs the frozen reference
-//! oracle), which is machine-dependent, and `repro all` output must stay
-//! byte-identical across runs for the determinism tests.
-//! `--exec-bench-json <path>` additionally writes its result as JSON
-//! (schema `rfh-exec-bench-v1`); `RFH_EXEC_BENCH_REPS` overrides the
-//! timed repetition count (default 5).
-//!
-//! `timing-bench` follows the same rules for the cycle-level timing
-//! model: staged vs reference traces/sec plus the multi-SM scaling
-//! curve, wall-clock and therefore excluded from `all`.
-//! `--timing-bench-json <path>` writes the `rfh-timing-bench-v1`
-//! document (committed as `BENCH_timing.json`); `RFH_TIMING_BENCH_REPS`
-//! overrides the repetition count (default 5).
+//! Wall-clock measurements live in the standalone benchmark, see
+//! `rfhbench/README.md`.
 
 use std::time::Instant;
 
 use rfh_experiments::{
-    ablation, characterize, encoding, exec_bench, fig11, fig12, fig13, fig14, fig15, fig2, hints,
-    limit, perf, tables, timing_bench, ExperimentCtx,
+    ablation, characterize, encoding, fig11, fig12, fig13, fig14, fig15, fig2, hints, limit, perf,
+    tables, ExperimentCtx,
 };
 
 /// Reports an I/O failure on a user-supplied path and exits with the
-/// toolchain's I/O code (1) — bad `--csv`/`--bench-json` destinations are
-/// operator input, not toolchain bugs, so they must not panic.
+/// toolchain's I/O code (1) — a bad `--csv` destination is operator
+/// input, not a toolchain bug, so it must not panic.
 fn io_fail(what: &str, path: &str, e: std::io::Error) -> ! {
     eprintln!("repro: cannot {what} {path}: {e}");
     std::process::exit(1);
@@ -82,12 +64,6 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--csv <dir>` additionally writes each experiment's data as CSV.
     let csv_dir = take_flag(&mut args, "--csv");
-    // `--bench-json <path>` records per-experiment wall times.
-    let bench_json = take_flag(&mut args, "--bench-json");
-    // `--exec-bench-json <path>` records the exec-bench result as JSON.
-    let exec_bench_json = take_flag(&mut args, "--exec-bench-json");
-    // `--timing-bench-json <path>` records the timing-bench result.
-    let timing_bench_json = take_flag(&mut args, "--timing-bench-json");
     // `--jobs N` overrides the `RFH_JOBS` pool knob; it shares the knob
     // parser, so a malformed value warns loudly and falls back instead of
     // silently diverging from the env-var behavior.
@@ -140,8 +116,6 @@ fn main() {
     let mut fig13_sweep = |ctx: &ExperimentCtx| -> fig13::Fig13 {
         fig13_cached.get_or_insert_with(|| fig13::run(ctx)).clone()
     };
-    let mut timings: Vec<(String, f64)> = Vec::new();
-    let overall = Instant::now();
     for exp in wanted {
         let start = Instant::now();
         let output = match exp {
@@ -211,32 +185,6 @@ fn main() {
                 characterize::print(&r)
             }
             "hints" => hints::print(&hints::run(&workloads)),
-            "exec-bench" => {
-                let reps = rfh_testkit::env::usize_knob("RFH_EXEC_BENCH_REPS")
-                    .unwrap_or(5)
-                    .max(1);
-                let b = exec_bench::run(&workloads, reps);
-                if let Some(path) = &exec_bench_json {
-                    if let Err(e) = std::fs::write(path, exec_bench::json(&b)) {
-                        io_fail("write", path, e);
-                    }
-                    eprintln!("[wrote {path}]");
-                }
-                exec_bench::print(&b)
-            }
-            "timing-bench" => {
-                let reps = rfh_testkit::env::usize_knob("RFH_TIMING_BENCH_REPS")
-                    .unwrap_or(5)
-                    .max(1);
-                let b = timing_bench::run(&workloads, reps);
-                if let Some(path) = &timing_bench_json {
-                    if let Err(e) = std::fs::write(path, timing_bench::json(&b)) {
-                        io_fail("write", path, e);
-                    }
-                    eprintln!("[wrote {path}]");
-                }
-                timing_bench::print(&b)
-            }
             other => {
                 eprintln!("unknown experiment `{other}` (try: repro all)");
                 std::process::exit(2);
@@ -245,23 +193,5 @@ fn main() {
         println!("{output}");
         let secs = start.elapsed().as_secs_f64();
         eprintln!("[{exp} took {secs:.1}s]\n");
-        timings.push((exp.to_string(), secs));
-    }
-    if let Some(path) = &bench_json {
-        let total = overall.elapsed().as_secs_f64();
-        let experiments: Vec<String> = timings
-            .iter()
-            .map(|(name, secs)| format!("    {{\"name\": \"{name}\", \"seconds\": {secs:.3}}}"))
-            .collect();
-        let json = format!(
-            "{{\n  \"schema\": \"rfh-repro-bench-v1\",\n  \"jobs\": {},\n  \
-             \"total_seconds\": {total:.3},\n  \"experiments\": [\n{}\n  ]\n}}\n",
-            rfh_testkit::pool::jobs(),
-            experiments.join(",\n")
-        );
-        if let Err(e) = std::fs::write(path, json) {
-            io_fail("write", path, e);
-        }
-        eprintln!("[wrote {path}]");
     }
 }

@@ -251,9 +251,6 @@ pub struct ReplayEntry {
     pub name: String,
     /// `Ok(cached)` or the failure rendered as a string.
     pub outcome: Result<bool, String>,
-    /// Round-trip latency of the final (successful or failing) attempt
-    /// chain, in microseconds.
-    pub micros: u64,
 }
 
 /// Aggregate result of `rfhc client --replay-workloads`.
@@ -286,54 +283,6 @@ impl ReplayReport {
     pub fn failed(&self) -> usize {
         self.entries.len() - self.ok()
     }
-
-    /// Renders the `rfhd-bench-v1` JSON document.
-    pub fn bench_json(&self) -> String {
-        let lat_sum: u64 = self.entries.iter().map(|e| e.micros).sum();
-        let mut lats: Vec<u64> = self.entries.iter().map(|e| e.micros).collect();
-        lats.sort_unstable();
-        let pct = |p: usize| -> u64 {
-            if lats.is_empty() {
-                0
-            } else {
-                lats[(lats.len() - 1) * p / 100]
-            }
-        };
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"rfhd-bench-v1\",\n");
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("  \"requests\": {},\n", self.entries.len()));
-        out.push_str(&format!("  \"ok\": {},\n", self.ok()));
-        out.push_str(&format!("  \"cached\": {},\n", self.cached()));
-        out.push_str(&format!("  \"failed\": {},\n", self.failed()));
-        out.push_str(&format!("  \"wall_ms\": {},\n", self.wall_ms));
-        out.push_str(&format!(
-            "  \"latency_us\": {{\"mean\": {}, \"p50\": {}, \"p90\": {}, \"max\": {}}},\n",
-            lat_sum / (self.entries.len().max(1) as u64),
-            pct(50),
-            pct(90),
-            pct(100)
-        ));
-        out.push_str("  \"failures\": [");
-        let mut first = true;
-        for e in &self.entries {
-            if let Err(why) = &e.outcome {
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                out.push_str(
-                    &Json::Obj(vec![
-                        ("workload".into(), Json::str(&e.name)),
-                        ("error".into(), Json::str(why)),
-                    ])
-                    .render(),
-                );
-            }
-        }
-        out.push_str("]\n}\n");
-        out
-    }
 }
 
 /// Replays every benchmark workload against a live daemon, `rounds`
@@ -362,7 +311,6 @@ pub fn replay_workloads(
             policy.seed =
                 policy.seed ^ crate::cache::fnv1a(name.as_bytes()) ^ ((round as u64) << 32);
             let mut client = Client::new(endpoint.clone(), policy);
-            let t0 = Instant::now();
             let outcome = client.request(vec![
                 ("op".to_string(), Json::str("simulate")),
                 ("workload".to_string(), Json::str(name)),
@@ -373,7 +321,6 @@ pub fn replay_workloads(
                     Ok((_, cached)) => Ok(cached),
                     Err(e) => Err(e.to_string()),
                 },
-                micros: t0.elapsed().as_micros() as u64,
             }
         });
         entries.extend(round_entries);
@@ -405,10 +352,6 @@ pub struct EditReplayEntry {
     /// Whether the kernel had an editable immediate (kernels without one
     /// are re-submitted verbatim; the edited round is then all hits).
     pub edited: bool,
-    /// Cold-round latency in microseconds.
-    pub cold_micros: u64,
-    /// Edited-round latency in microseconds.
-    pub edit_micros: u64,
     /// The failure, if either round failed.
     pub error: Option<String>,
 }
@@ -442,47 +385,6 @@ impl EditReplayReport {
                     && e.edit_hits + e.edit_misses == e.strands
             })
             .count()
-    }
-
-    /// Renders the `rfhd-edit-bench-v1` JSON document: the before/after
-    /// of incremental re-allocation under a single-strand edit.
-    pub fn bench_json(&self) -> String {
-        let sum = |f: fn(&EditReplayEntry) -> u64| -> u64 { self.entries.iter().map(f).sum() };
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"rfhd-edit-bench-v1\",\n");
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("  \"workloads\": {},\n", self.entries.len()));
-        out.push_str(&format!("  \"failed\": {},\n", self.failed()));
-        out.push_str(&format!("  \"fully_spliced\": {},\n", self.fully_spliced()));
-        out.push_str(&format!("  \"strands\": {},\n", sum(|e| e.strands)));
-        out.push_str(&format!("  \"cold_misses\": {},\n", sum(|e| e.cold_misses)));
-        out.push_str(&format!("  \"edit_hits\": {},\n", sum(|e| e.edit_hits)));
-        out.push_str(&format!("  \"edit_misses\": {},\n", sum(|e| e.edit_misses)));
-        out.push_str(&format!(
-            "  \"cold_us\": {}, \"edit_us\": {},\n",
-            sum(|e| e.cold_micros),
-            sum(|e| e.edit_micros)
-        ));
-        out.push_str(&format!("  \"wall_ms\": {},\n", self.wall_ms));
-        out.push_str("  \"failures\": [");
-        let mut first = true;
-        for e in &self.entries {
-            if let Some(why) = &e.error {
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                out.push_str(
-                    &Json::Obj(vec![
-                        ("workload".into(), Json::str(&e.name)),
-                        ("error".into(), Json::str(why)),
-                    ])
-                    .render(),
-                );
-            }
-        }
-        out.push_str("]\n}\n");
-        out
     }
 }
 
@@ -532,32 +434,25 @@ pub fn edit_replay(endpoint: &Endpoint, jobs: usize, retry: RetryPolicy) -> Edit
             edit_hits: 0,
             edit_misses: 0,
             edited: false,
-            cold_micros: 0,
-            edit_micros: 0,
             error: None,
         };
         let run = |client: &mut Client, kernel: &rfh_isa::Kernel| {
             let text = rfh_isa::printer::print_kernel(kernel);
-            let t0 = Instant::now();
-            let outcome = client.request(vec![
-                ("op".to_string(), Json::str("allocate")),
-                ("kernel".to_string(), Json::str(&text)),
-            ]);
-            let micros = t0.elapsed().as_micros() as u64;
-            match outcome {
-                Ok((payload, _)) => Ok((payload, micros)),
-                Err(e) => Err(e.to_string()),
-            }
+            client
+                .request(vec![
+                    ("op".to_string(), Json::str("allocate")),
+                    ("kernel".to_string(), Json::str(&text)),
+                ])
+                .map(|(payload, _)| payload)
+                .map_err(|e| e.to_string())
         };
         let cold_edit = (|| -> Result<(), String> {
-            let (cold, cold_us) = run(&mut client, &w.kernel)?;
-            entry.cold_micros = cold_us;
+            let cold = run(&mut client, &w.kernel)?;
             entry.strands = strand_counter(&cold, "strands")?;
             entry.cold_misses = strand_counter(&cold, "strand_misses")?;
             let mut edited = w.kernel.clone();
             entry.edited = edit_one_immediate(&mut edited);
-            let (warm, edit_us) = run(&mut client, &edited)?;
-            entry.edit_micros = edit_us;
+            let warm = run(&mut client, &edited)?;
             entry.edit_hits = strand_counter(&warm, "strand_hits")?;
             entry.edit_misses = strand_counter(&warm, "strand_misses")?;
             Ok(())

@@ -22,7 +22,7 @@ use rfh_alloc::{
 use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::{IsaError, Kernel};
 use rfh_sim::counts::SwCounter;
-use rfh_sim::exec::{execute_with_engine, Engine, ExecMode, Launch};
+use rfh_sim::exec::{execute_with, ExecMode, Launch};
 use rfh_sim::machine::MachineConfig;
 use rfh_sim::mem::GlobalMemory;
 use rfh_sim::timing::{simulate_timing, TimingConfig, TraceCapture};
@@ -144,8 +144,6 @@ pub struct Request {
     pub budget_cycles: Option<u64>,
     /// Active-warp count for the timing op's two-level scheduler.
     pub active_warps: usize,
-    /// Executor engine.
-    pub engine: Engine,
 }
 
 impl Request {
@@ -173,7 +171,7 @@ impl Request {
         canon.push('\0');
         canon.push_str(&format!(
             "orf={} lrf={:?} partial={} readop={} base={} ctas={} threads={} \
-             binst={:?} bcyc={:?} active={} engine={}",
+             binst={:?} bcyc={:?} active={}",
             self.config.orf_entries,
             self.config.lrf,
             self.config.partial_ranges,
@@ -184,7 +182,6 @@ impl Request {
             self.budget_instructions,
             self.budget_cycles,
             self.active_warps,
-            engine_name(self.engine),
         ));
         canon
     }
@@ -231,14 +228,6 @@ fn allocate_via(
 
 fn usage(msg: impl Into<String>) -> ErrorFrame {
     ErrorFrame::new(ErrorKind::Usage, msg)
-}
-
-/// The wire name of an engine (inverse of [`Engine::from_name`]).
-pub fn engine_name(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Soa => "soa",
-        Engine::Reference => "reference",
-    }
 }
 
 /// Decodes a parsed request document into a [`Request`].
@@ -325,12 +314,6 @@ pub fn decode_request(doc: &Json) -> Result<Request, ErrorFrame> {
                 .ok_or_else(|| usage(format!("`{field}` must be an integer in 1..=4096"))),
         }
     };
-    let engine = match doc.get("engine").and_then(Json::as_str) {
-        None => Engine::default(),
-        Some(name) => Engine::from_name(name)
-            .ok_or_else(|| usage(format!("`engine` `{name}` not soa|reference")))?,
-    };
-
     Ok(Request {
         id,
         op,
@@ -343,7 +326,6 @@ pub fn decode_request(doc: &Json) -> Result<Request, ErrorFrame> {
         budget_instructions: doc.get("budget_instructions").and_then(Json::as_u64),
         budget_cycles: doc.get("budget_cycles").and_then(Json::as_u64),
         active_warps: geometry("active_warps", 8)?,
-        engine,
     })
 }
 
@@ -554,13 +536,12 @@ pub fn handle_with(
             machine.max_warp_instructions = budgets.max_warp_instructions;
             let mut counter = SwCounter::default();
             let mut mem = r.memory.clone();
-            let report = execute_with_engine(
+            let report = execute_with(
                 &kernel,
                 &r.launch,
                 &mut mem,
                 mode,
                 &machine,
-                req.engine,
                 &mut [&mut counter],
             )
             .map_err(|e| ErrorFrame::new(ErrorKind::Exec, e.to_string()))?;
@@ -604,13 +585,12 @@ pub fn handle_with(
             machine.max_warp_instructions = budgets.max_warp_instructions;
             let mut cap = TraceCapture::new(machine.clone(), r.launch.threads_per_cta);
             let mut mem = r.memory.clone();
-            execute_with_engine(
+            execute_with(
                 &kernel,
                 &r.launch,
                 &mut mem,
                 mode,
                 &machine,
-                req.engine,
                 &mut [&mut cap],
             )
             .map_err(|e| ErrorFrame::new(ErrorKind::Exec, e.to_string()))?;
@@ -633,13 +613,12 @@ pub fn handle_with(
             machine.max_warp_instructions = budgets.max_warp_instructions;
             let mut exporter = TraceExporter::new(&kernel);
             let mut mem = r.memory.clone();
-            execute_with_engine(
+            execute_with(
                 &kernel,
                 &r.launch,
                 &mut mem,
                 mode,
                 &machine,
-                req.engine,
                 &mut [&mut exporter],
             )
             .map_err(|e| ErrorFrame::new(ErrorKind::Exec, e.to_string()))?;

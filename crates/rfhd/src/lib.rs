@@ -1,3 +1,8 @@
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::panic, clippy::unreachable, clippy::todo)
+)]
+
 //! `rfh-rfhd` — the fault-tolerant compile-service daemon.
 //!
 //! `rfhc serve` keeps a process resident with the full pipeline warm —

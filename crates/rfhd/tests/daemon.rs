@@ -122,6 +122,29 @@ fn tcp_round_trip_mix_cache_and_shutdown() {
 }
 
 #[test]
+fn engine_field_is_ignored_and_shares_the_result_cache_entry() {
+    // The wire carries no engine selector: an `engine` field is an
+    // unknown field like any other, so it neither changes the result nor
+    // splits the result-cache key.
+    let handle = spawn_tcp(|_| {});
+    let mut c = client(&handle.endpoint);
+    let plain = vec![
+        ("op".to_string(), Json::str("simulate")),
+        ("workload".to_string(), Json::str("vectoradd")),
+    ];
+    let (first, cached) = c.request(plain.clone()).expect("simulate");
+    assert!(!cached, "first run computes");
+    for engine in ["reference", "turbo"] {
+        let mut tagged = plain.clone();
+        tagged.push(("engine".to_string(), Json::str(engine)));
+        let (again, cached) = c.request(tagged).expect("simulate with engine");
+        assert!(cached, "engine={engine}: served from the same cache entry");
+        assert_eq!(again, first, "engine={engine}");
+    }
+    shutdown_and_join(handle);
+}
+
+#[test]
 fn unix_socket_round_trip() {
     let dir = std::env::temp_dir().join(format!("rfhd-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");

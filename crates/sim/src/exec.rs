@@ -97,7 +97,7 @@ pub enum ExecMode {
 /// Both engines implement identical semantics (the differential
 /// conformance suite enforces it); they differ in speed and in role. New
 /// code should use [`Engine::Soa`]; the oracle exists for differential
-/// testing and for benchmarking the speedup.
+/// testing only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
     /// The warp-batched structure-of-arrays executor (the default).
@@ -105,25 +105,6 @@ pub enum Engine {
     Soa,
     /// The frozen per-thread reference interpreter ([`reference`]).
     Reference,
-}
-
-impl Engine {
-    /// Parses an engine name as accepted by `rfhc trace --engine`.
-    pub fn from_name(name: &str) -> Option<Engine> {
-        match name {
-            "soa" => Some(Engine::Soa),
-            "reference" => Some(Engine::Reference),
-            _ => None,
-        }
-    }
-
-    /// The name accepted by [`Engine::from_name`].
-    pub const fn name(self) -> &'static str {
-        match self {
-            Engine::Soa => "soa",
-            Engine::Reference => "reference",
-        }
-    }
 }
 
 /// Aggregate execution statistics.

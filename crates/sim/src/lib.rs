@@ -1,4 +1,8 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::panic, clippy::unreachable, clippy::todo)
+)]
 
 //! # rfh-sim — single-SM GPU simulator
 //!

@@ -62,8 +62,7 @@ pub const DEFAULT_MAX_CYCLES: u64 = 1_000_000_000;
 /// Which timing engine replays the traces.
 ///
 /// Production code should use [`Engine::Staged`]; the frozen reference
-/// engine exists for differential testing and for reproducing any
-/// divergence from the command line.
+/// engine exists for differential testing only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The stage-combinator engine (the default).
@@ -71,25 +70,6 @@ pub enum Engine {
     Staged,
     /// The frozen pre-refactor engine ([`reference`]), the oracle.
     Reference,
-}
-
-impl Engine {
-    /// Parses an engine name as accepted by `rfhc timing --engine`.
-    pub fn from_name(name: &str) -> Option<Engine> {
-        match name {
-            "staged" => Some(Engine::Staged),
-            "reference" => Some(Engine::Reference),
-            _ => None,
-        }
-    }
-
-    /// The name accepted by [`Engine::from_name`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Staged => "staged",
-            Engine::Reference => "reference",
-        }
-    }
 }
 
 /// The latency class a [`ConfigError::ZeroLatency`] names.

@@ -311,17 +311,6 @@ fn engines_agree_on_captured_workloads() {
 }
 
 #[test]
-fn engine_names_round_trip() {
-    assert_eq!(Engine::from_name("staged"), Some(Engine::Staged));
-    assert_eq!(Engine::from_name("reference"), Some(Engine::Reference));
-    assert_eq!(Engine::from_name("fast"), None);
-    assert_eq!(Engine::default(), Engine::Staged);
-    for e in [Engine::Staged, Engine::Reference] {
-        assert_eq!(Engine::from_name(e.name()), Some(e));
-    }
-}
-
-#[test]
 fn zero_active_warps_is_a_config_error() {
     let traces = vec![vec![alu_op(0, 0)]];
     for engine in [Engine::Staged, Engine::Reference] {

@@ -1,7 +1,7 @@
 //! Environment-variable knob parsing, in one place.
 //!
 //! Every runtime knob of the test/experiment infrastructure (`RFH_JOBS`,
-//! `RFH_CHAOS_CASES`, `RFH_TESTKIT_SEED`, `RFH_BENCH_*`) is read through
+//! `RFH_CHAOS_CASES`, `RFH_TESTKIT_SEED`, `RFH_TESTKIT_CASES`) is read through
 //! these helpers. The contract, uniform across all knobs:
 //!
 //! * an **unset** variable falls back to the caller's default silently;

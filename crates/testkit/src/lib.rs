@@ -15,15 +15,12 @@
 //!   [`prop_oneof!`](crate::prop_oneof), [`strategy::collection::vec`],
 //!   [`strategy::option::of`]) with greedy input shrinking and
 //!   fixed-seed reproduction via `RFH_TESTKIT_SEED`;
-//! * [`bench`] — a wall-clock micro-benchmark harness mirroring the
-//!   `criterion` API the benches use, with JSON output for baseline
-//!   tracking;
 //! * [`pool`] — a scoped thread pool ([`pool::par_map`]) used by the
 //!   experiment engine and the chaos harness to fan sweeps out across
 //!   cores (`RFH_JOBS` knob) while keeping results in input order, so
 //!   parallel runs stay byte-identical to serial ones;
 //! * [`env`] — the single home for environment-variable knob parsing
-//!   (`RFH_JOBS`, `RFH_CHAOS_CASES`, `RFH_TESTKIT_SEED`, `RFH_BENCH_*`):
+//!   (`RFH_JOBS`, `RFH_CHAOS_CASES`, `RFH_TESTKIT_SEED`, `RFH_TESTKIT_CASES`):
 //!   malformed values warn loudly with the offending string instead of
 //!   silently falling back or panicking;
 //! * [`corpus`] — the kernel-text corpus shared by the parser fuzz tests
@@ -31,7 +28,6 @@
 //!
 //! See `docs/TESTING.md` at the repository root for the workflow guide.
 
-pub mod bench;
 pub mod corpus;
 pub mod env;
 pub mod pool;

@@ -15,8 +15,7 @@
 //!      [--deny-warnings] [--jobs N] <kernel.rfasm | ->
 //! rfhc trace [--orf N] [--lrf none|unified|split] [--no-partial]
 //!      [--no-readop] [--hints] [--baseline] [--json | --chrome | --profile]
-//!      [--ctas N] [--threads N] [--engine soa|reference] [--jobs N]
-//!      <kernel.rfasm | ->
+//!      [--ctas N] [--threads N] [--jobs N] <kernel.rfasm | ->
 //! ```
 //!
 //! `--hints` feeds the allocator compiler-assisted last-use hints from the
@@ -25,22 +24,15 @@
 //! same-guard MRF safety copies. `--deny-warnings` makes `rfhc lint` exit
 //! with the lint error code on *any* finding, notes included.
 //!
-//! `--engine` selects the executor: the warp-batched SoA engine (the
-//! default) or the frozen reference interpreter it is differentially
-//! tested against. Both produce byte-identical traces; the flag exists so
-//! any divergence can be reproduced from the command line.
-//!
 //! The `timing` subcommand replays a captured instruction trace through
 //! the cycle-level two-level-scheduler model (`rfh::sim::timing`) across
 //! `--sms N` SM contexts sharing a contended memory model, and prints the
-//! per-SM and chip-level results. Its own `--engine staged|reference`
-//! flag picks between the stage-combinator engine (the default) and the
-//! frozen reference oracle; both produce identical results, and the
-//! output is byte-identical at any `--jobs` count.
+//! per-SM and chip-level results; the output is byte-identical at any
+//! `--jobs` count.
 //!
 //! The `serve` subcommand runs the compile-service daemon (`rfh-rfhd`) in
 //! the foreground; `client` drives it — one request, or the
-//! `--replay-workloads` load generator with `--bench-json` output.
+//! `--replay-workloads` / `--edit-replay` load generators.
 //!
 //! Exit codes are stable per error class (see `docs/ROBUSTNESS.md`):
 //! 0 success, 1 I/O, 2 usage, 3 parse error, 4 invalid kernel, 5 bad
@@ -62,18 +54,15 @@ const USAGE: &str = "usage: rfhc [--orf N] [--lrf none|unified|split] [--no-part
      [--jobs N] <kernel.rfasm | ->\n\
        rfhc trace [--orf N] [--lrf none|unified|split] [--no-partial] [--no-readop] \
      [--hints] [--baseline]\n\
-             [--json | --chrome | --profile] [--ctas N] [--threads N] \
-     [--engine soa|reference] [--jobs N]\n\
+             [--json | --chrome | --profile] [--ctas N] [--threads N] [--jobs N]\n\
              <kernel.rfasm | ->\n\
-       rfhc timing [--sms N] [--engine staged|reference] [--active N | --single-level] \
-     [--greedy]\n\
+       rfhc timing [--sms N] [--active N | --single-level] [--greedy]\n\
              [--uncontended] [--ctas N] [--threads N] [--jobs N] \
      (--workload NAME | <kernel.rfasm | ->)\n\
        rfhc serve (--tcp HOST:PORT | --unix PATH) [--workers N]\n\
        rfhc client (--tcp HOST:PORT | --unix PATH) [--op OP] [--workload NAME] \
      [--timeout-ms N]\n\
-             [--replay-workloads [--jobs N] [--rounds N] [--bench-json PATH]] \
-     [--edit-replay]\n\
+             [--replay-workloads [--jobs N] [--rounds N]] [--edit-replay]\n\
              [--malformed-probe] [<kernel.rfasm | ->]";
 
 fn usage(msg: &str) -> RfhError {
@@ -303,7 +292,6 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
     let mut format = TraceFormat::Json;
     let mut ctas: usize = 1;
     let mut threads: usize = 64;
-    let mut engine = rfh::sim::Engine::default();
     let mut input: Option<String> = None;
 
     while let Some(arg) = args.next() {
@@ -346,13 +334,6 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
                     .filter(|&n: &usize| n >= 1)
                     .ok_or_else(|| usage("--threads needs a positive integer"))?;
             }
-            "--engine" => {
-                engine = args
-                    .next()
-                    .as_deref()
-                    .and_then(rfh::sim::Engine::from_name)
-                    .ok_or_else(|| usage("--engine needs soa|reference"))?;
-            }
             "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
             "--help" | "-h" => return Err(usage("")),
             "-" if input.is_none() => input = Some("-".into()),
@@ -384,15 +365,7 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
     let launch = rfh::sim::Launch::new(ctas, threads);
     let mut mem = rfh::sim::GlobalMemory::new(1 << 16);
     let machine = rfh::sim::MachineConfig::paper();
-    rfh::sim::execute_with_engine(
-        &kernel,
-        &launch,
-        &mut mem,
-        mode,
-        &machine,
-        engine,
-        &mut [&mut fan],
-    )?;
+    rfh::sim::exec::execute_with(&kernel, &launch, &mut mem, mode, &machine, &mut [&mut fan])?;
 
     match format {
         TraceFormat::Json => print!("{}", exporter.json_lines()),
@@ -421,10 +394,9 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
 fn timing_main(
     mut args: std::iter::Peekable<impl Iterator<Item = String>>,
 ) -> Result<(), RfhError> {
-    use rfh::sim::timing::{Engine, MemoryModel, MultiSmConfig, TimingConfig, TraceCapture};
+    use rfh::sim::timing::{MemoryModel, MultiSmConfig, TimingConfig, TraceCapture};
 
     let mut sms: usize = 1;
-    let mut engine = Engine::default();
     let mut active: usize = 8;
     let mut single_level = false;
     let mut greedy = false;
@@ -442,13 +414,6 @@ fn timing_main(
                     .and_then(|n| n.parse().ok())
                     .filter(|&n: &usize| n >= 1)
                     .ok_or_else(|| usage("--sms needs a positive integer"))?;
-            }
-            "--engine" => {
-                engine = args
-                    .next()
-                    .as_deref()
-                    .and_then(Engine::from_name)
-                    .ok_or_else(|| usage("--engine needs staged|reference"))?;
             }
             "--active" => {
                 active = args
@@ -534,7 +499,7 @@ fn timing_main(
     if greedy {
         per_sm = per_sm.with_policy(rfh::sim::SchedPolicy::Greedy);
     }
-    let mut config = MultiSmConfig::new(sms, per_sm).with_engine(engine);
+    let mut config = MultiSmConfig::new(sms, per_sm);
     if uncontended {
         config = config.with_memory(MemoryModel::uncontended());
     }
@@ -561,11 +526,9 @@ fn timing_main(
         result.ipc()
     );
     eprintln!(
-        "rfhc timing: {name} — {} warp(s) in {} CTA(s) across {sms} SM(s), \
-         engine {}, chip IPC {:.4}",
+        "rfhc timing: {name} — {} warp(s) in {} CTA(s) across {sms} SM(s), chip IPC {:.4}",
         cap.traces.len(),
         launch.ctas,
-        engine.name(),
         result.ipc()
     );
     Ok(())
@@ -670,7 +633,6 @@ fn client_main(
     let mut malformed = false;
     let mut rounds: usize = 2;
     let mut jobs: usize = rfh_testkit::pool::jobs();
-    let mut bench_json: Option<String> = None;
 
     while let Some(arg) = args.next() {
         if parse_endpoint_flag(&arg, &mut args, &mut endpoint)? {
@@ -705,12 +667,6 @@ fn client_main(
                 let raw = args.next().ok_or_else(|| usage("--jobs needs a value"))?;
                 jobs = rfh_testkit::env::parse_positive_usize("--jobs", &raw)
                     .ok_or_else(|| usage("--jobs needs a positive integer"))?;
-            }
-            "--bench-json" => {
-                bench_json = Some(
-                    args.next()
-                        .ok_or_else(|| usage("--bench-json needs a path"))?,
-                )
             }
             "--help" | "-h" => return Err(usage("")),
             "-" if input.is_none() => input = Some("-".into()),
@@ -751,14 +707,6 @@ fn client_main(
             report.cached(),
             report.failed()
         );
-        if let Some(path) = bench_json.clone() {
-            let rendered = report.bench_json();
-            if path == "-" {
-                print!("{rendered}");
-            } else {
-                std::fs::write(&path, rendered).map_err(|source| RfhError::Io { path, source })?;
-            }
-        }
         if report.failed() > 0 {
             return Err(RfhError::Daemon {
                 message: format!("{} replay request(s) failed", report.failed()),
@@ -772,10 +720,8 @@ fn client_main(
 
     if edit {
         // The before/after of incremental allocation: allocate every
-        // workload cold, edit one immediate (one strand), allocate
-        // again; the daemon's strand cache must splice every unchanged
-        // strand. Appends to --bench-json so a replay doc written above
-        // (or by an earlier run) is kept alongside.
+        // workload cold, edit one immediate (one strand), allocate again;
+        // the daemon's strand cache must splice every unchanged strand.
         let report = rfh::rfhd::edit_replay(&endpoint, jobs, rfh::rfhd::RetryPolicy::default());
         eprintln!(
             "rfhc client: edit-replayed {} workload(s) with {} job(s) in {} ms — \
@@ -791,24 +737,6 @@ fn client_main(
             report.entries.iter().map(|e| e.edit_hits).sum::<u64>(),
             report.entries.iter().map(|e| e.edit_misses).sum::<u64>(),
         );
-        if let Some(path) = bench_json {
-            let rendered = report.bench_json();
-            if path == "-" {
-                print!("{rendered}");
-            } else {
-                use std::io::Write as _;
-                let mut f = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)
-                    .map_err(|source| RfhError::Io {
-                        path: path.clone(),
-                        source,
-                    })?;
-                f.write_all(rendered.as_bytes())
-                    .map_err(|source| RfhError::Io { path, source })?;
-            }
-        }
         if report.failed() > 0 {
             return Err(RfhError::Daemon {
                 message: format!("{} edit-replay workload(s) failed", report.failed()),

@@ -95,37 +95,6 @@ fn sms_one_is_byte_identical_to_the_single_sm_path() {
 }
 
 #[test]
-fn both_cli_engines_produce_identical_output() {
-    let staged = rfhc_with_jobs(
-        &[
-            "timing",
-            "--workload",
-            "reduction",
-            "--sms",
-            "2",
-            "--engine",
-            "staged",
-        ],
-        "4",
-    );
-    let reference = rfhc_with_jobs(
-        &[
-            "timing",
-            "--workload",
-            "reduction",
-            "--sms",
-            "2",
-            "--engine",
-            "reference",
-        ],
-        "4",
-    );
-    assert_eq!(staged.status.code(), Some(0));
-    assert_eq!(reference.status.code(), Some(0));
-    assert_eq!(staged.stdout, reference.stdout);
-}
-
-#[test]
 fn invalid_timing_configs_exit_with_the_timing_code() {
     // active == 0 trips up-front config validation (exit 7, the timing
     // error class), not a panic and not silent degenerate scheduling.
@@ -149,10 +118,5 @@ fn timing_usage_errors_exit_with_the_usage_code() {
     let out = rfhc_with_jobs(&["timing", "--sms", "0", "--workload", "vectoradd"], "1");
     assert_eq!(out.status.code(), Some(2));
     let out = rfhc_with_jobs(&["timing", "--workload", "no-such-workload"], "1");
-    assert_eq!(out.status.code(), Some(2));
-    let out = rfhc_with_jobs(
-        &["timing", "--workload", "vectoradd", "--engine", "warp9"],
-        "1",
-    );
     assert_eq!(out.status.code(), Some(2));
 }
