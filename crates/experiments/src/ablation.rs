@@ -27,15 +27,9 @@ pub struct AblationRow {
     pub energy: f64,
 }
 
-/// One cell of the ablation matrix: a variant × workload pair.
-#[derive(Clone, Copy)]
-enum Cell {
-    Sw(AllocConfig, usize),
-    Hw(RfcConfig, usize),
-}
-
-/// Runs the ablation matrix. The (variant × workload) cells run in
-/// parallel over the `RFH_JOBS` pool; the best configuration and the HW
+/// Runs the ablation matrix. The SW (variant × workload) cells run in
+/// parallel over the `RFH_JOBS` pool, and both HW variants of a workload
+/// come from one batched execution; the best configuration and the HW
 /// baseline come from the shared context cache.
 ///
 /// # Panics
@@ -91,34 +85,35 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<AblationRow> {
         ),
     ];
 
-    let names: Vec<&str> = sw_variants
-        .iter()
-        .map(|(n, _)| *n)
-        .chain(hw_variants.iter().map(|(n, _)| *n))
-        .collect();
-    let cells: Vec<Cell> = sw_variants
-        .iter()
-        .flat_map(|&(_, cfg)| (0..n).map(move |i| Cell::Sw(cfg, i)))
-        .chain(
-            hw_variants
-                .iter()
-                .flat_map(|&(_, cfg)| (0..n).map(move |i| Cell::Hw(cfg, i))),
-        )
-        .collect();
-    let energies: Vec<f64> = par_map(&cells, |cell| match *cell {
-        Cell::Sw(cfg, i) => ctx.sw_normalized(i, &cfg),
-        Cell::Hw(cfg, i) => {
-            normalized_energy(&ctx.hw_counts(i, &cfg), &ctx.baseline(i), ctx.model(), 6)
-        }
+    let idx: Vec<usize> = (0..n).collect();
+    let hw_cfgs: Vec<RfcConfig> = hw_variants.iter().map(|&(_, cfg)| cfg).collect();
+    let hw_energies: Vec<Vec<f64>> = par_map(&idx, |&i| {
+        let base = ctx.baseline(i);
+        ctx.hw_counts_many(i, &hw_cfgs)
+            .iter()
+            .map(|c| normalized_energy(c, &base, ctx.model(), 6))
+            .collect()
     });
-    names
+    let cells: Vec<(AllocConfig, usize)> = sw_variants
         .iter()
-        .zip(energies.chunks(n))
-        .map(|(name, per_variant)| AblationRow {
-            name: (*name).into(),
+        .flat_map(|&(_, cfg)| (0..n).map(move |i| (cfg, i)))
+        .collect();
+    let sw_energies: Vec<f64> = par_map(&cells, |&(cfg, i)| ctx.sw_normalized(i, &cfg));
+    let sw_rows = sw_variants
+        .iter()
+        .zip(sw_energies.chunks(n))
+        .map(|(&(name, _), per_variant)| AblationRow {
+            name: name.into(),
             energy: mean(per_variant),
-        })
-        .collect()
+        });
+    let hw_rows = hw_variants
+        .iter()
+        .enumerate()
+        .map(|(v, &(name, _))| AblationRow {
+            name: name.into(),
+            energy: mean(&hw_energies.iter().map(|e| e[v]).collect::<Vec<_>>()),
+        });
+    sw_rows.chain(hw_rows).collect()
 }
 
 /// Renders the ablation table, with deltas against the best configuration.

@@ -1,6 +1,5 @@
 //! The shared experiment context: one workload set, one energy model, and
-//! memoized per-cell results, so no baseline run, allocation, or counted
-//! execution is ever performed twice in one process.
+//! memoized per-cell results.
 //!
 //! Every figure of the evaluation sweeps some cross-product of
 //! (workload × configuration), and the cross-products overlap heavily —
@@ -11,24 +10,35 @@
 //! * baseline access counts per workload,
 //! * allocated kernels per (workload, [`AllocConfig`]),
 //! * hierarchy-faithful SW access counts per (workload, [`AllocConfig`]),
+//!   kept per strand (a [`StrandCounter`](rfh_sim::counts::StrandCounter)
+//!   run, whose sum is what a `SwCounter` counts) so the §7 per-strand
+//!   oracle reads the same cell as every other SW experiment,
 //! * HW cache access counts per (workload, [`RfcConfig`]),
 //!
 //! in unbounded [`rfh_rfhd::cache::Store`]s — the same memoization
 //! component behind the daemon's kernel cache — so the experiment modules
 //! can fan cells out across [`rfh_testkit::pool::par_map`] workers and
-//! share one cache with hit/miss statistics for free. All cached
-//! quantities are deterministic functions of their key; concurrent
-//! computation of the same key is benign (first writer wins, results are
-//! identical).
+//! share one cache with hit/miss statistics for free.
+//!
+//! The execution contract: each baseline is one baseline-mode run, each
+//! SW cell is one hierarchy run of its own allocated kernel, and each
+//! [`ExperimentCtx::hw_counts_many`] batch is one baseline-mode run that
+//! counts every not-yet-cached HW configuration at once (the HW configs
+//! only change how the same dynamic instruction stream is counted). Every
+//! run is verified against the workload's host reference;
+//! [`ExperimentCtx::executions`] counts them. All cached quantities are
+//! deterministic functions of their key; concurrent computation of the
+//! same key is benign (first writer wins, results are identical) but
+//! executes twice, so the experiments request each cell from one pool
+//! item.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rfh_alloc::AllocConfig;
 use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::Kernel;
 use rfh_rfhd::cache::{CacheStats, Store};
-use rfh_sim::counts::SwCounter;
-use rfh_sim::exec::ExecMode;
 use rfh_sim::rfc::RfcConfig;
 use rfh_workloads::Workload;
 
@@ -40,8 +50,16 @@ pub struct ExperimentCtx<'w> {
     model: EnergyModel,
     baselines: Vec<OnceLock<AccessCounts>>,
     kernels: Store<(usize, AllocConfig), Arc<Kernel>>,
-    sw: Store<(usize, AllocConfig), AccessCounts>,
+    sw: Store<(usize, AllocConfig), SwCell>,
     hw: Store<(usize, RfcConfig), AccessCounts>,
+    executions: AtomicU64,
+}
+
+/// One SW cell: the per-strand counts of one hierarchy run and their sum.
+#[derive(Clone)]
+struct SwCell {
+    total: AccessCounts,
+    per_strand: Arc<[AccessCounts]>,
 }
 
 impl<'w> ExperimentCtx<'w> {
@@ -54,6 +72,7 @@ impl<'w> ExperimentCtx<'w> {
             kernels: Store::unbounded(),
             sw: Store::unbounded(),
             hw: Store::unbounded(),
+            executions: AtomicU64::new(0),
         }
     }
 
@@ -74,7 +93,10 @@ impl<'w> ExperimentCtx<'w> {
     ///
     /// As for [`runner::baseline_counts`]; also if `i` is out of range.
     pub fn baseline(&self, i: usize) -> AccessCounts {
-        *self.baselines[i].get_or_init(|| runner::baseline_counts(&self.workloads[i]))
+        *self.baselines[i].get_or_init(|| {
+            self.executions.fetch_add(1, Ordering::Relaxed);
+            runner::baseline_counts(&self.workloads[i])
+        })
     }
 
     /// The kernel of workload `i` allocated under `cfg` (with this
@@ -97,32 +119,89 @@ impl<'w> ExperimentCtx<'w> {
     }
 
     /// Hierarchy-faithful SW access counts of workload `i` under `cfg`,
-    /// memoized per (workload, config). Uses [`Self::allocated`], so the
-    /// allocation itself is also shared.
+    /// memoized per (workload, config): the sum of
+    /// [`Self::sw_strand_counts`], equal to a `SwCounter` over the same
+    /// run. Uses [`Self::allocated`], so the allocation itself is also
+    /// shared.
     ///
     /// # Panics
     ///
     /// As for [`runner::sw_counts`].
     pub fn sw_counts(&self, i: usize, cfg: &AllocConfig) -> AccessCounts {
+        self.sw_cell(i, cfg).total
+    }
+
+    /// The per-strand counts behind [`Self::sw_counts`] (indexed by strand
+    /// of the allocated kernel), from the same memoized run.
+    ///
+    /// # Panics
+    ///
+    /// As for [`runner::sw_counts`].
+    pub fn sw_strand_counts(&self, i: usize, cfg: &AllocConfig) -> Arc<[AccessCounts]> {
+        self.sw_cell(i, cfg).per_strand
+    }
+
+    fn sw_cell(&self, i: usize, cfg: &AllocConfig) -> SwCell {
         self.sw.get_or_insert_with((i, *cfg), || {
             let kernel = self.allocated(i, cfg);
-            let w = &self.workloads[i];
-            let mut counter = SwCounter::default();
-            w.run_and_verify(ExecMode::Hierarchy(*cfg), &kernel, &mut [&mut counter])
-                .unwrap_or_else(|e| panic!("sw run failed: {e}"));
-            counter.counts()
+            self.executions.fetch_add(1, Ordering::Relaxed);
+            let counter = runner::strand_counter(&self.workloads[i], &kernel, cfg);
+            SwCell {
+                total: counter.total(),
+                per_strand: counter.per_strand().into(),
+            }
         })
     }
 
     /// Hardware-cache access counts of workload `i` under `cfg`, memoized
-    /// per (workload, config).
+    /// per (workload, config): [`Self::hw_counts_many`] of one config.
     ///
     /// # Panics
     ///
     /// As for [`runner::hw_counts`].
     pub fn hw_counts(&self, i: usize, cfg: &RfcConfig) -> AccessCounts {
-        self.hw
-            .get_or_insert_with((i, *cfg), || runner::hw_counts(&self.workloads[i], cfg))
+        self.hw_counts_many(i, std::slice::from_ref(cfg))[0]
+    }
+
+    /// Hardware-cache access counts of workload `i` under each of `cfgs`,
+    /// in `cfgs` order. The configs not yet cached (deduplicated) are
+    /// counted together by one verified execution
+    /// ([`runner::hw_counts_many`]); cached ones cost no execution.
+    ///
+    /// # Panics
+    ///
+    /// As for [`runner::hw_counts`].
+    pub fn hw_counts_many(&self, i: usize, cfgs: &[RfcConfig]) -> Vec<AccessCounts> {
+        let mut out: Vec<Option<AccessCounts>> =
+            cfgs.iter().map(|cfg| self.hw.get(&(i, *cfg))).collect();
+        let mut missing: Vec<RfcConfig> = Vec::new();
+        for (cfg, found) in cfgs.iter().zip(&out) {
+            if found.is_none() && !missing.contains(cfg) {
+                missing.push(*cfg);
+            }
+        }
+        if !missing.is_empty() {
+            self.executions.fetch_add(1, Ordering::Relaxed);
+            let fresh = runner::hw_counts_many(&self.workloads[i], &missing);
+            for (cfg, counts) in missing.iter().zip(fresh) {
+                let counts = self.hw.insert((i, *cfg), counts);
+                for (want, slot) in cfgs.iter().zip(out.iter_mut()) {
+                    if want == cfg {
+                        *slot = Some(counts);
+                    }
+                }
+            }
+        }
+        out.into_iter()
+            .map(|c| c.expect("every config is cached or freshly counted"))
+            .collect()
+    }
+
+    /// Verified executions this context has performed to fill its cells:
+    /// one per baseline, one per SW cell, one per HW batch. An observation
+    /// of how much work the sweeps shared, like [`Self::cache_stats`].
+    pub fn executions(&self) -> u64 {
+        self.executions.load(Ordering::Relaxed)
     }
 
     /// Per-benchmark normalized energy of SW counts against the memoized
@@ -194,6 +273,122 @@ mod tests {
         assert!(hits.windows(2).all(|p| p[0] == p[1]));
         let [_, sw, _] = ctx.cache_stats();
         assert_eq!(sw.entries, 1, "sixteen lookups share one cell");
+    }
+
+    /// The 18 distinct HW configurations `repro all` counts: two-level and
+    /// three-level at 1–8 entries, flush-at-backedge, allocate-on-read-miss.
+    fn figure_rfc_configs() -> Vec<RfcConfig> {
+        let mut cfgs: Vec<RfcConfig> = (1..=8)
+            .flat_map(|e| [RfcConfig::two_level(e), RfcConfig::three_level(e)])
+            .collect();
+        cfgs.push(RfcConfig {
+            flush_on_backward_branch: true,
+            ..RfcConfig::two_level(6)
+        });
+        cfgs.push(RfcConfig {
+            allocate_on_read_miss: true,
+            ..RfcConfig::two_level(6)
+        });
+        cfgs
+    }
+
+    #[test]
+    fn batched_hw_counts_equal_per_config_runs() {
+        let ws: Vec<Workload> = ["vectoradd", "mandelbrot", "needle"]
+            .iter()
+            .map(|n| rfh_workloads::by_name(n).unwrap())
+            .collect();
+        let ctx = ExperimentCtx::new(&ws);
+        let cfgs = figure_rfc_configs();
+        // Cache two configs first, then ask for all 18 with both cached
+        // ones and a duplicate in the request: one more run, same counts.
+        let mut request = vec![cfgs[5], cfgs[5]];
+        request.extend(&cfgs);
+        request.push(cfgs[17]);
+        for (i, w) in ws.iter().enumerate() {
+            let separate: Vec<AccessCounts> =
+                cfgs.iter().map(|c| runner::hw_counts(w, c)).collect();
+            assert_eq!(runner::hw_counts_many(w, &cfgs), separate);
+
+            assert_eq!(ctx.hw_counts(i, &cfgs[5]), separate[5]);
+            assert_eq!(ctx.hw_counts(i, &cfgs[12]), separate[12]);
+            let before = ctx.executions();
+            let batched = ctx.hw_counts_many(i, &request);
+            assert_eq!(
+                ctx.executions(),
+                before + 1,
+                "one run for 16 missing configs"
+            );
+            let want: Vec<AccessCounts> = request
+                .iter()
+                .map(|c| separate[cfgs.iter().position(|x| x == c).unwrap()])
+                .collect();
+            assert_eq!(batched, want, "{}", w.name);
+            // Everything is cached now.
+            assert_eq!(ctx.hw_counts_many(i, &request), want);
+            assert_eq!(ctx.executions(), before + 1);
+        }
+        assert!(runner::hw_counts_many(&ws[0], &[]).is_empty());
+        let [_, _, hw] = ctx.cache_stats();
+        assert_eq!(hw.entries, ws.len() * cfgs.len());
+    }
+
+    #[test]
+    fn sw_cells_equal_fresh_sw_counter_runs() {
+        let ws = workloads();
+        let ctx = ExperimentCtx::new(&ws);
+        let cfgs = [
+            AllocConfig::two_level(1),
+            AllocConfig::two_level(4),
+            AllocConfig::three_level(3, true),
+            AllocConfig::three_level(8, false),
+            AllocConfig {
+                ideal_no_deschedule_split: true,
+                ..AllocConfig::three_level(3, true)
+            },
+        ];
+        for (i, w) in ws.iter().enumerate() {
+            for cfg in &cfgs {
+                let fresh = runner::sw_counts(w, cfg, ctx.model());
+                assert_eq!(ctx.sw_counts(i, cfg), fresh, "{} {cfg:?}", w.name);
+                let per_strand = ctx.sw_strand_counts(i, cfg);
+                let sum = per_strand
+                    .iter()
+                    .fold(AccessCounts::default(), |a, b| a + *b);
+                assert_eq!(sum, fresh, "per-strand counts sum to the SwCounter total");
+            }
+        }
+        assert_eq!(ctx.executions(), (ws.len() * cfgs.len()) as u64);
+    }
+
+    #[test]
+    fn fig11_counts_each_workload_hw_sweep_in_one_run() {
+        let ws: Vec<Workload> = ["vectoradd", "scalarprod", "mandelbrot", "needle"]
+            .iter()
+            .map(|n| rfh_workloads::by_name(n).unwrap())
+            .collect();
+        let ctx = ExperimentCtx::new(&ws);
+        crate::fig11::run(&ctx);
+        // 4 baselines + 4 HW batches of eight sizes + 32 SW cells (one HW
+        // run per size would make it 68).
+        assert_eq!(ctx.executions(), 40);
+    }
+
+    #[test]
+    fn repro_sweeps_execute_each_cell_once() {
+        let ws = workloads();
+        let ctx = ExperimentCtx::new(&ws);
+        crate::fig11::run(&ctx);
+        crate::fig12::run(&ctx);
+        crate::fig13::run(&ctx);
+        crate::fig13::split_vs_unified(&ctx, 3);
+        crate::fig14::run(&ctx);
+        crate::fig15::run(&ctx);
+        crate::limit::run(&ctx);
+        crate::ablation::run(&ctx);
+        // Per workload: 1 baseline, 4 HW batches (fig11, fig12, limit's
+        // flush variant, ablation's read-miss variant), 22 SW cells.
+        assert_eq!(ctx.executions(), 27 * ws.len() as u64);
     }
 
     #[test]

@@ -67,23 +67,28 @@ fn fold(per_bench: &[(AccessCounts, AccessCounts)], entries: usize) -> Breakdown
     }
 }
 
-/// Runs the three-level sweep. The (entries × workload) cells run in
-/// parallel over the `RFH_JOBS` pool with a fixed fold order.
+/// Runs the three-level sweep. Each workload's eight HW sizes are
+/// counted by one batched execution; the (entries × workload) SW cells
+/// run in parallel over the `RFH_JOBS` pool with a fixed fold order.
 ///
 /// # Panics
 ///
 /// Panics if any workload fails to execute or verify.
 pub fn run(ctx: &ExperimentCtx) -> Fig12 {
     let n = ctx.workloads().len();
+    let idx: Vec<usize> = (0..n).collect();
+    let hw_cfgs: Vec<RfcConfig> = (1..=8usize).map(RfcConfig::three_level).collect();
+    let hw_counted: Vec<(Vec<AccessCounts>, AccessCounts)> = par_map(&idx, |&i| {
+        (ctx.hw_counts_many(i, &hw_cfgs), ctx.baseline(i))
+    });
     let cells: Vec<(usize, usize)> = (1..=8usize)
         .flat_map(|entries| (0..n).map(move |i| (entries, i)))
         .collect();
     let counted: Vec<(AccessCounts, AccessCounts, AccessCounts)> =
         par_map(&cells, |&(entries, i)| {
-            let b = ctx.baseline(i);
-            let hw = ctx.hw_counts(i, &RfcConfig::three_level(entries));
+            let (hw, b) = &hw_counted[i];
             let sw = ctx.sw_counts(i, &AllocConfig::three_level(entries, true));
-            (hw, sw, b)
+            (hw[entries - 1], sw, *b)
         });
     let mut hw = Vec::new();
     let mut sw = Vec::new();

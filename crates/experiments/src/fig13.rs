@@ -7,6 +7,7 @@
 //! entries); the SW three-level design is the overall winner.
 
 use rfh_alloc::AllocConfig;
+use rfh_energy::AccessCounts;
 use rfh_sim::rfc::RfcConfig;
 use rfh_testkit::pool::par_map;
 
@@ -49,7 +50,9 @@ impl Fig13 {
     }
 }
 
-/// Runs the energy sweep. The (entries × workload) cells — each covering
+/// Runs the energy sweep. Each workload's sixteen HW configurations come
+/// from one [`ExperimentCtx::hw_counts_many`] batch (cache hits after
+/// `fig11` and `fig12`); the (entries × workload) cells — each covering
 /// all four schemes — run in parallel over the `RFH_JOBS` pool with a
 /// fixed fold order.
 ///
@@ -58,17 +61,26 @@ impl Fig13 {
 /// Panics if any workload fails to execute or verify.
 pub fn run(ctx: &ExperimentCtx) -> Fig13 {
     let n = ctx.workloads().len();
+    let idx: Vec<usize> = (0..n).collect();
+    let hw_cfgs: Vec<RfcConfig> = (1..=8usize)
+        .flat_map(|entries| {
+            [
+                RfcConfig::two_level(entries),
+                RfcConfig::three_level(entries),
+            ]
+        })
+        .collect();
+    let hw_counted: Vec<Vec<AccessCounts>> = par_map(&idx, |&i| ctx.hw_counts_many(i, &hw_cfgs));
     let cells: Vec<(usize, usize)> = (1..=8usize)
         .flat_map(|entries| (0..n).map(move |i| (entries, i)))
         .collect();
     let norms: Vec<[f64; 4]> = par_map(&cells, |&(entries, i)| {
         let b = ctx.baseline(i);
         let model = ctx.model();
-        let hw = ctx.hw_counts(i, &RfcConfig::two_level(entries));
-        let hw3 = ctx.hw_counts(i, &RfcConfig::three_level(entries));
+        let hw = &hw_counted[i][2 * (entries - 1)..];
         [
-            normalized_energy(&hw, &b, model, entries),
-            normalized_energy(&hw3, &b, model, entries),
+            normalized_energy(&hw[0], &b, model, entries),
+            normalized_energy(&hw[1], &b, model, entries),
             ctx.sw_normalized(i, &AllocConfig::two_level(entries)),
             ctx.sw_normalized(i, &AllocConfig::three_level(entries, true)),
         ]

@@ -8,8 +8,9 @@
 //! produced."
 
 use rfh_sim::exec::ExecMode;
-use rfh_sim::usage::UsageStats;
-use rfh_workloads::{suite_of, Suite};
+use rfh_sim::usage::{LifetimeHistogram, ReadHistogram, UsageStats};
+use rfh_testkit::pool::par_map;
+use rfh_workloads::Suite;
 
 use crate::report::{pct, Table};
 
@@ -26,37 +27,48 @@ pub struct SuiteUsage {
     pub read_once_within3: f64,
 }
 
-/// Runs the usage analysis for every suite.
+/// Runs the usage analysis for every suite. The workloads fan out over
+/// the `RFH_JOBS` pool, one [`UsageStats`] each, and their histograms are
+/// summed per suite in suite order (integer sums: output is identical at
+/// any job count).
 ///
 /// # Panics
 ///
 /// Panics if any workload fails to execute or verify.
 pub fn run() -> Vec<SuiteUsage> {
+    let workloads = rfh_workloads::all();
+    let per_workload: Vec<(ReadHistogram, LifetimeHistogram)> = par_map(&workloads, |w| {
+        let mut stats = UsageStats::default();
+        w.run_and_verify(ExecMode::Baseline, &w.kernel, &mut [&mut stats])
+            .unwrap_or_else(|e| panic!("{e}"));
+        (stats.reads, stats.lifetimes)
+    });
     Suite::ALL
         .iter()
         .map(|&suite| {
-            let mut stats = UsageStats::default();
-            for w in suite_of(suite) {
-                w.run_and_verify(ExecMode::Baseline, &w.kernel, &mut [&mut stats])
-                    .unwrap_or_else(|e| panic!("{e}"));
+            let mut reads = ReadHistogram::default();
+            let mut lifetimes = LifetimeHistogram::default();
+            for (w, (r, l)) in workloads.iter().zip(&per_workload) {
+                if w.suite == suite {
+                    reads += *r;
+                    lifetimes += *l;
+                }
             }
-            let total = stats.reads.total().max(1) as f64;
+            let total = reads.total().max(1) as f64;
             let read_fracs = [
-                stats.reads.read0 as f64 / total,
-                stats.reads.read1 as f64 / total,
-                stats.reads.read2 as f64 / total,
-                stats.reads.read_more as f64 / total,
+                reads.read0 as f64 / total,
+                reads.read1 as f64 / total,
+                reads.read2 as f64 / total,
+                reads.read_more as f64 / total,
             ];
-            let lt = stats.lifetimes.total().max(1) as f64;
+            let lt = lifetimes.total().max(1) as f64;
             let life_fracs = [
-                stats.lifetimes.life1 as f64 / lt,
-                stats.lifetimes.life2 as f64 / lt,
-                stats.lifetimes.life3 as f64 / lt,
-                stats.lifetimes.life_more as f64 / lt,
+                lifetimes.life1 as f64 / lt,
+                lifetimes.life2 as f64 / lt,
+                lifetimes.life3 as f64 / lt,
+                lifetimes.life_more as f64 / lt,
             ];
-            let within3 = (stats.lifetimes.life1 + stats.lifetimes.life2 + stats.lifetimes.life3)
-                as f64
-                / total;
+            let within3 = (lifetimes.life1 + lifetimes.life2 + lifetimes.life3) as f64 / total;
             SuiteUsage {
                 suite,
                 read_fracs,

@@ -32,8 +32,13 @@
 //! shared [`ctx::ExperimentCtx`] that caches baseline counts, allocated
 //! kernels, and counted executions per (workload, config), and fans the
 //! remaining independent sweep cells out over `rfh_testkit::pool::par_map`
-//! (`RFH_JOBS` controls the worker count). Results are folded in input
-//! order, so output is byte-identical for any `RFH_JOBS` value.
+//! (`RFH_JOBS` controls the worker count). Each baseline is one
+//! baseline-mode run; each batch of HW cache configurations is one
+//! baseline-mode run with one counter per configuration
+//! ([`runner::hw_counts_many`]); each SW cell is one hierarchy run of its
+//! own allocated kernel, whose per-strand counts also feed the §7 oracle.
+//! Every run is verified. Results are folded in input order, so output is
+//! byte-identical for any `RFH_JOBS` value.
 
 pub mod ablation;
 pub mod characterize;

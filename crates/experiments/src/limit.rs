@@ -19,16 +19,16 @@
 //!   never-flush idealization in which LRF/ORF contents survive
 //!   descheduling (paper: 8%).
 
+use std::sync::Arc;
+
 use rfh_alloc::AllocConfig;
 use rfh_energy::{AccessCounts, EnergyModel};
-use rfh_sim::counts::StrandCounter;
-use rfh_sim::exec::ExecMode;
 use rfh_sim::rfc::RfcConfig;
 use rfh_testkit::pool::par_map;
 
 use crate::ctx::ExperimentCtx;
 use crate::report::{pct, Table};
-use crate::runner::{mean, normalized_energy};
+use crate::runner::{self, mean, normalized_energy};
 
 /// Per-strand oracle (§7 "variable allocation of ORF resources"): allocate
 /// the kernel once per ORF size, count accesses per strand, and let every
@@ -37,8 +37,8 @@ use crate::runner::{mean, normalized_energy};
 /// per warp exactly as requested.
 ///
 /// Allocation decisions depend on the energy model, so only the context's
-/// own model may reuse the shared kernel cache; the 6-warp variant
-/// allocates fresh.
+/// own model reads the shared per-strand SW cells; the 6-warp variant
+/// allocates and executes its own kernels.
 fn per_strand_oracle(
     ctx: &ExperimentCtx,
     i: usize,
@@ -46,22 +46,18 @@ fn per_strand_oracle(
     model: &EnergyModel,
 ) -> f64 {
     let w = &ctx.workloads()[i];
-    let mut per_k: Vec<Vec<AccessCounts>> = Vec::new();
-    for k in 1..=8usize {
-        let cfg = AllocConfig::three_level(k, true);
-        let kernel = if model == ctx.model() {
-            ctx.allocated(i, &cfg)
-        } else {
+    let per_k: Vec<Arc<[AccessCounts]>> = (1..=8usize)
+        .map(|k| {
+            let cfg = AllocConfig::three_level(k, true);
+            if model == ctx.model() {
+                return ctx.sw_strand_counts(i, &cfg);
+            }
             let mut kernel = w.kernel.clone();
             rfh_alloc::allocate(&mut kernel, &cfg, model)
                 .unwrap_or_else(|e| panic!("allocation failed: {e}"));
-            std::sync::Arc::new(kernel)
-        };
-        let mut counter = StrandCounter::new(&kernel);
-        w.run_and_verify(ExecMode::Hierarchy(cfg), &kernel, &mut [&mut counter])
-            .unwrap_or_else(|e| panic!("{e}"));
-        per_k.push(counter.per_strand().to_vec());
-    }
+            runner::strand_counter(w, &kernel, &cfg).per_strand().into()
+        })
+        .collect();
     let strands = per_k[0].len();
     debug_assert!(per_k.iter().all(|v| v.len() == strands));
     let total: f64 = (0..strands)
@@ -157,15 +153,13 @@ pub fn run(ctx: &ExperimentCtx) -> LimitStudy {
     let rows: Vec<[f64; 10]> = par_map(&idx, |&i| {
         let base = ctx.baseline(i);
 
-        // Backward-branch variants of the HW cache.
-        let keep = ctx.hw_counts(i, &RfcConfig::two_level(6));
-        let flush = ctx.hw_counts(
-            i,
-            &RfcConfig {
-                flush_on_backward_branch: true,
-                ..RfcConfig::two_level(6)
-            },
-        );
+        // Backward-branch variants of the HW cache, counted by one run.
+        let flush_cfg = RfcConfig {
+            flush_on_backward_branch: true,
+            ..RfcConfig::two_level(6)
+        };
+        let hw = ctx.hw_counts_many(i, &[RfcConfig::two_level(6), flush_cfg]);
+        let (keep, flush) = (hw[0], hw[1]);
         let nf_cfg = AllocConfig {
             ideal_no_deschedule_split: true,
             ..AllocConfig::three_level(3, true)

@@ -29,9 +29,11 @@ fn run_repro(jobs: &str, dir: &PathBuf, experiments: &[&str]) -> String {
 
 #[test]
 fn csv_output_is_byte_identical_across_job_counts() {
-    // A cross-section of the engine: a (entries × workload) sweep, the
-    // breakdown fold, and the shared fig13 sweep feeding `encoding`.
-    let experiments = ["fig11", "fig14", "encoding"];
+    // A cross-section of the engine: a (entries × workload) sweep with
+    // batched HW counting, the breakdown fold, the shared fig13 sweep
+    // feeding `encoding`, the per-workload fig2 fan-out, the limit study's
+    // per-strand SW cells, and ablation's batched HW variants.
+    let experiments = ["fig11", "fig14", "encoding", "fig2", "limit", "ablation"];
     let base = std::env::temp_dir().join(format!("rfh-determinism-{}", std::process::id()));
     let dir1 = base.join("jobs1");
     let dir8 = base.join("jobs8");
@@ -53,6 +55,6 @@ fn csv_output_is_byte_identical_across_job_counts() {
         );
         compared += 1;
     }
-    assert!(compared >= 2, "expected at least two CSVs, got {compared}");
+    assert!(compared >= 5, "expected at least five CSVs, got {compared}");
     std::fs::remove_dir_all(&base).ok();
 }

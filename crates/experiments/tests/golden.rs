@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 
-use rfh_experiments::{csv, fig11, fig12, fig2, ExperimentCtx};
+use rfh_experiments::{ablation, csv, fig11, fig12, fig2, limit, ExperimentCtx};
 
 fn golden(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -77,4 +77,18 @@ fn fig12_three_level_breakdown_matches_golden() {
     let ws = rfh_workloads::all();
     let ctx = ExperimentCtx::new(&ws);
     assert_csv_matches("fig12.csv", &csv::fig12_csv(&fig12::run(&ctx)));
+}
+
+#[test]
+fn limit_study_matches_golden() {
+    let ws = rfh_workloads::all();
+    let ctx = ExperimentCtx::new(&ws);
+    assert_csv_matches("limit.csv", &csv::limit_csv(&limit::run(&ctx)));
+}
+
+#[test]
+fn ablation_matches_golden() {
+    let ws = rfh_workloads::all();
+    let ctx = ExperimentCtx::new(&ws);
+    assert_csv_matches("ablation.csv", &csv::ablation_csv(&ablation::run(&ctx)));
 }

@@ -180,7 +180,9 @@ impl StrandCounter {
         &self.counts
     }
 
-    /// Sum over all strands (equals what [`SwCounter`] would report).
+    /// Sum over all strands. Both counters fold every executed access plan
+    /// exactly once, so this equals what a [`SwCounter`] observing the same
+    /// run reports.
     pub fn total(&self) -> AccessCounts {
         self.counts
             .iter()

@@ -13,7 +13,7 @@
 //! (compare against RFC contents persisting around loops) and
 //! `flush_on_deschedule: false` (the idealized never-flush experiment).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use rfh_energy::AccessCounts;
 use rfh_isa::access::{AccessSlot, Datapath};
@@ -73,8 +73,9 @@ struct WarpRfc {
     fifo: VecDeque<Line>,
     lrf: Option<Line>,
     /// Registers holding results of long-latency operations still "in
-    /// flight" since the last deschedule point.
-    pending: HashSet<u16>,
+    /// flight" since the last deschedule point, without duplicates (a
+    /// handful at most, so a list beats hashing).
+    pending: Vec<u16>,
 }
 
 /// Counts hierarchy accesses under hardware caching.
@@ -82,12 +83,16 @@ struct WarpRfc {
 pub struct HwCounter {
     cfg: RfcConfig,
     counts: AccessCounts,
-    warps: HashMap<usize, WarpRfc>,
-    /// Registers ever consumed by the shared datapath. The HW LRF is not
-    /// reachable from the shared units, so the compiler steers such values
-    /// into the RFC instead (§6.2: "the compiler ensures that values
-    /// accessed by the shared units will be available in the RFC or MRF").
-    shared_regs: HashSet<u16>,
+    /// Per-warp cache state, indexed by the executor's dense global warp
+    /// id (`cta * warps_per_cta + warp_in_cta`); an entry is reset when its
+    /// warp finishes.
+    warps: Vec<WarpRfc>,
+    /// Registers ever consumed by the shared datapath, indexed by register
+    /// number. The HW LRF is not reachable from the shared units, so the
+    /// compiler steers such values into the RFC instead (§6.2: "the
+    /// compiler ensures that values accessed by the shared units will be
+    /// available in the RFC or MRF").
+    shared_regs: Vec<bool>,
     /// Number of deschedule (flush) events observed.
     pub deschedules: u64,
 }
@@ -96,18 +101,18 @@ impl HwCounter {
     /// Creates a counter for the given cache configuration and kernel (the
     /// kernel is scanned for registers with shared-datapath consumers).
     pub fn new(cfg: RfcConfig, kernel: &rfh_isa::Kernel) -> Self {
-        let mut shared_regs = HashSet::new();
+        let mut shared_regs = vec![false; usize::from(kernel.num_regs())];
         for (_, i) in kernel.iter_instrs() {
             if i.op.unit().is_shared() {
                 for (_, r) in i.reg_srcs() {
-                    shared_regs.insert(r.index());
+                    shared_regs[usize::from(r.index())] = true;
                 }
             }
         }
         HwCounter {
             cfg,
             counts: AccessCounts::default(),
-            warps: HashMap::new(),
+            warps: Vec::new(),
             shared_regs,
             deschedules: 0,
         }
@@ -175,7 +180,10 @@ impl TraceSink for HwCounter {
     fn on_instr(&mut self, event: &InstrEvent<'_>) {
         let instr = event.instr;
         let plan = event.plan;
-        let state = self.warps.entry(event.warp).or_default();
+        if event.warp >= self.warps.len() {
+            self.warps.resize_with(event.warp + 1, WarpRfc::default);
+        }
+        let state = &mut self.warps[event.warp];
         let counts = &mut self.counts;
 
         // ---- deschedule detection (two-level scheduler) ----
@@ -240,16 +248,20 @@ impl TraceSink for HwCounter {
             if state.lrf.map(|l| l.reg == reg).unwrap_or(false) {
                 state.lrf = None;
             }
-            state.pending.remove(&reg);
+            state.pending.retain(|&p| p != reg);
 
             if instr.op.is_long_latency() {
                 // The result arrives after the warp was descheduled and
                 // is deposited directly in the MRF.
                 counts.mrf_write += 1;
-                state.pending.insert(reg);
+                state.pending.push(reg);
             } else if self.cfg.hw_lrf
                 && instr.op.unit() == Unit::Alu
-                && !self.shared_regs.contains(&reg)
+                && !self
+                    .shared_regs
+                    .get(usize::from(reg))
+                    .copied()
+                    .unwrap_or(false)
             {
                 counts.lrf_write += 1;
                 if let Some(old) = state.lrf.replace(Line {
@@ -277,7 +289,9 @@ impl TraceSink for HwCounter {
 
     fn on_warp_done(&mut self, warp: usize) {
         // Values at thread exit are dead: no flush traffic.
-        self.warps.remove(&warp);
+        if let Some(state) = self.warps.get_mut(warp) {
+            *state = WarpRfc::default();
+        }
     }
 }
 
@@ -288,6 +302,10 @@ mod tests {
     use crate::mem::GlobalMemory;
 
     fn run(text: &str, cfg: RfcConfig) -> (AccessCounts, u64) {
+        run_launch(text, cfg, &Launch::new(1, 32))
+    }
+
+    fn run_launch(text: &str, cfg: RfcConfig, launch: &Launch) -> (AccessCounts, u64) {
         let mut kernel = rfh_isa::parse_kernel(text).unwrap();
         // Liveness (dead_after) annotation, as the compiler provides in \[11\].
         let lv = rfh_analysis::Liveness::compute(&kernel);
@@ -296,7 +314,7 @@ mod tests {
         let mut hw = HwCounter::new(cfg, &kernel);
         execute(
             &kernel,
-            &Launch::new(1, 32),
+            launch,
             &mut mem,
             ExecMode::Baseline,
             &mut [&mut hw],
@@ -325,6 +343,28 @@ BB0:
         assert_eq!(c.mrf_read, 0);
         // Dead values (liveness-elided) never write back.
         assert_eq!(c.mrf_write, 0);
+    }
+
+    #[test]
+    fn warps_of_every_cta_keep_independent_state() {
+        // Six warps over three CTAs (dense warp ids 0–5) each count exactly
+        // what one warp alone counts: no state leaks between warps.
+        let text = "
+.kernel ds
+BB0:
+  mov r0, %tid.x
+  iadd r1 r0, 1
+  ld.global r2 r0
+  iadd r3 r2, r1
+  st.global r0, r3
+  exit
+";
+        for cfg in [RfcConfig::two_level(1), RfcConfig::three_level(6)] {
+            let (one, d1) = run(text, cfg);
+            let (six, d6) = run_launch(text, cfg, &Launch::new(3, 64));
+            assert_eq!(six, one + one + one + one + one + one);
+            assert_eq!(d6, 6 * d1);
+        }
     }
 
     #[test]

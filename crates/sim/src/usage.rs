@@ -7,7 +7,7 @@
 //! 50% of all values are read once within three instructions of being
 //! produced.
 
-use std::collections::HashMap;
+use std::ops::AddAssign;
 
 use crate::sink::{InstrEvent, TraceSink};
 
@@ -22,6 +22,15 @@ pub struct ReadHistogram {
     pub read2: u64,
     /// Values read three or more times.
     pub read_more: u64,
+}
+
+impl AddAssign for ReadHistogram {
+    fn add_assign(&mut self, other: Self) {
+        self.read0 += other.read0;
+        self.read1 += other.read1;
+        self.read2 += other.read2;
+        self.read_more += other.read_more;
+    }
 }
 
 impl ReadHistogram {
@@ -49,6 +58,15 @@ pub struct LifetimeHistogram {
     pub life_more: u64,
 }
 
+impl AddAssign for LifetimeHistogram {
+    fn add_assign(&mut self, other: Self) {
+        self.life1 += other.life1;
+        self.life2 += other.life2;
+        self.life3 += other.life3;
+        self.life_more += other.life_more;
+    }
+}
+
 impl LifetimeHistogram {
     /// Total read-once values.
     pub fn total(&self) -> u64 {
@@ -73,13 +91,16 @@ struct ValueTrack {
 #[derive(Debug, Default)]
 struct WarpTrack {
     step: u64,
-    values: HashMap<u16, ValueTrack>,
+    /// The live value of each register word, indexed by register number.
+    values: Vec<Option<ValueTrack>>,
 }
 
 /// Collects Figure 2 statistics from the instruction trace.
 #[derive(Debug, Default)]
 pub struct UsageStats {
-    warps: HashMap<usize, WarpTrack>,
+    /// Per-warp tracking state, indexed by the executor's dense global
+    /// warp id; an entry is reset when its warp finishes.
+    warps: Vec<WarpTrack>,
     /// Read-count distribution over all produced values.
     pub reads: ReadHistogram,
     /// Lifetime distribution over read-once values.
@@ -117,14 +138,17 @@ impl UsageStats {
 
 impl TraceSink for UsageStats {
     fn on_instr(&mut self, event: &InstrEvent<'_>) {
-        let mut track = self.warps.remove(&event.warp).unwrap_or_default();
+        if event.warp >= self.warps.len() {
+            self.warps.resize_with(event.warp + 1, WarpTrack::default);
+        }
+        let mut track = std::mem::take(&mut self.warps[event.warp]);
         track.step += 1;
         let step = track.step;
         let shared = event.instr.op.unit().is_shared();
         let plan = event.plan;
 
         for a in plan.reads() {
-            if let Some(v) = track.values.get_mut(&a.reg.index()) {
+            if let Some(Some(v)) = track.values.get_mut(usize::from(a.reg.index())) {
                 v.reads += 1;
                 v.last_read_step = step;
                 v.any_shared_read |= shared;
@@ -133,33 +157,31 @@ impl TraceSink for UsageStats {
 
         // A 64-bit value is one value occupying two registers; both written
         // words get the same track and overwrite-finalize independently.
-        let mut finalized: Vec<ValueTrack> = Vec::new();
         for r in plan.written_words() {
-            if let Some(old) = track.values.remove(&r.index()) {
-                finalized.push(old);
+            let r = usize::from(r.index());
+            if let Some(old) = track.values.get_mut(r).and_then(Option::take) {
+                self.finalize(old);
             }
         }
-        for old in finalized {
-            self.finalize(old);
-        }
         for r in plan.written_words() {
-            track.values.insert(
-                r.index(),
-                ValueTrack {
-                    def_step: step,
-                    reads: 0,
-                    last_read_step: step,
-                    any_shared_read: false,
-                    produced_on_shared: shared,
-                },
-            );
+            let r = usize::from(r.index());
+            if r >= track.values.len() {
+                track.values.resize(r + 1, None);
+            }
+            track.values[r] = Some(ValueTrack {
+                def_step: step,
+                reads: 0,
+                last_read_step: step,
+                any_shared_read: false,
+                produced_on_shared: shared,
+            });
         }
-        self.warps.insert(event.warp, track);
+        self.warps[event.warp] = track;
     }
 
     fn on_warp_done(&mut self, warp: usize) {
-        if let Some(track) = self.warps.remove(&warp) {
-            for (_, v) in track.values {
+        if let Some(track) = self.warps.get_mut(warp).map(std::mem::take) {
+            for v in track.values.into_iter().flatten() {
                 self.finalize(v);
             }
         }

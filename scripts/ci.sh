@@ -57,7 +57,15 @@ RFH_JOBS=2 ./target/release/repro --csv "$artifacts/csv" all > "$artifacts/repro
 for f in results/*.csv; do
     cmp "$f" "$artifacts/csv/$(basename "$f")"
 done
-echo "repro goldens byte-identical under RFH_JOBS=2"
+# The serial pool must agree too. The printed tables (encoding, the
+# split-vs-unified line) have no CSV golden, so stdout is compared with
+# the two-worker run.
+RFH_JOBS=1 ./target/release/repro --csv "$artifacts/csv-jobs1" all > "$artifacts/repro.jobs1.txt"
+for f in results/*.csv; do
+    cmp "$f" "$artifacts/csv-jobs1/$(basename "$f")"
+done
+cmp "$artifacts/repro.txt" "$artifacts/repro.jobs1.txt"
+echo "repro goldens byte-identical under RFH_JOBS=1 and RFH_JOBS=2"
 
 echo "==> multi-SM smoke (rfhc timing across SM counts)"
 # `rfhc timing --sms N` must produce byte-identical stdout under a serial
