@@ -27,10 +27,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rfh_alloc::{allocate, allocate_with_hints, validate_placements, AllocConfig};
 use rfh_analysis::absint::{self, last_use};
 use rfh_analysis::strand::mark_strands;
-use rfh_energy::EnergyModel;
+use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::{InstrRef, Kernel, Operand};
 use rfh_sim::counts::SwCounter;
-use rfh_sim::exec::{execute_with, execute_with_engine, Engine, ExecMode};
+use rfh_sim::exec::{execute_with, execute_with_engine, replay, Engine, ExecMode, StreamRecorder};
 use rfh_sim::machine::MachineConfig;
 use rfh_sim::sink::{InstrEvent, TraceSink};
 use rfh_testkit::pool::{par_map, par_map_with_jobs};
@@ -467,6 +467,100 @@ pub fn run_place_layer(
         }))
     });
     fold_cases(&seeds, outcomes, "placement")
+}
+
+/// Fuzzes the *replay* placement check ([`rfh_sim::exec::replay`]) with
+/// the placement mutants of [`run_place_layer`]. The workload's baseline
+/// run is recorded once; every mutant is then executed hierarchy-faithfully
+/// (and verified against the host reference) and replayed from the
+/// recording, and two one-directional invariants must hold:
+///
+/// * replay is at least as strict as execution: every mutant execution
+///   rejects (an error or a failed verify), replay rejects too;
+/// * replay is no stricter than the placement validator: every mutant
+///   `validate_placements` accepts, replay accepts.
+///
+/// A mutant both accept must also count identically. The report's
+/// `rejected` counts replay rejections, `identical` the mutants both
+/// accept, and `flagged` the mutants only replay rejects — the stale but
+/// equal reads final memory cannot see.
+///
+/// # Errors
+///
+/// Returns a replayable description of the first violation: a panic, a
+/// mutant replay accepts that execution rejects, a validator-accepted
+/// mutant replay rejects, or accepted counts that differ.
+pub fn run_replay_layer(
+    w: &Workload,
+    cfg: &AllocConfig,
+    cases: usize,
+    base_seed: u64,
+) -> Result<ChaosReport, String> {
+    let mut allocated = w.kernel.clone();
+    allocate(&mut allocated, cfg, &EnergyModel::paper())
+        .map_err(|e| format!("seed kernel failed to allocate: {e}"))?;
+    let machine = bounded_machine();
+    let mut recorder = StreamRecorder::new(&w.kernel);
+    let mut mem = w.memory.clone();
+    execute_with(
+        &w.kernel,
+        &w.launch,
+        &mut mem,
+        ExecMode::Baseline,
+        &machine,
+        &mut [&mut recorder],
+    )
+    .map_err(|e| format!("seed kernel failed to execute: {e}"))?;
+    let stream = recorder.finish();
+
+    let seeds = case_seeds(base_seed, cases);
+    let outcomes = par_map(&seeds, |&seed| {
+        catch_unwind(AssertUnwindSafe(|| -> Result<CaseOutcome, String> {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut mutant = allocated.clone();
+            place::mutate_placements(&mut mutant, cfg.orf_entries, &mut rng);
+            if mutant == allocated {
+                return Ok(CaseOutcome::Unchanged);
+            }
+            let mode = ExecMode::Hierarchy(*cfg);
+            let mut mem = w.memory.clone();
+            let mut executed = SwCounter::default();
+            let execution = execute_with(
+                &mutant,
+                &w.launch,
+                &mut mem,
+                mode,
+                &machine,
+                &mut [&mut executed],
+            )
+            .map_err(|e| e.to_string())
+            .and_then(|_| (w.verify)(&w.memory, &mem));
+            let mut replayed = AccessCounts::default();
+            let replay = replay(
+                &mutant,
+                &stream,
+                mode,
+                &machine,
+                SwCounter::default,
+                |c, warps| replayed += c.counts() * warps,
+            );
+            let validated = validate_placements(&mutant, cfg);
+            match (execution, replay) {
+                (Err(e), Ok(())) => Err(format!("replay accepted a mutant execution rejects: {e}")),
+                (_, Err(e)) if validated.is_ok() => Err(format!(
+                    "replay rejected a mutant the placement validator accepts: {e}"
+                )),
+                (Err(_), Err(_)) => Ok(CaseOutcome::Rejected),
+                (Ok(()), Err(_)) => Ok(CaseOutcome::Flagged),
+                (Ok(()), Ok(())) if replayed == executed.counts() => Ok(CaseOutcome::Identical),
+                (Ok(()), Ok(())) => Err(format!(
+                    "replayed counts {replayed:?} differ from executed {:?}",
+                    executed.counts()
+                )),
+            }
+        }))
+    });
+    fold_cases(&seeds, outcomes, "replay")
 }
 
 /// Fuzzes the `rfhd` wire protocol against a **live in-process daemon**:

@@ -69,6 +69,12 @@
 //! the `TimingResult`, malformed ones must produce field-for-field
 //! identical structured errors, deadlock snapshots included.
 //!
+//! A ninth layer ([`harness::run_replay_layer`]) turns the placement
+//! mutants on *replay*, which counts allocated kernels from one recorded
+//! baseline stream and checks every operand read with a value-free tag
+//! model: replay must reject every mutant hierarchy execution rejects,
+//! and must accept every mutant the placement validator accepts.
+//!
 //! Every case derives its RNG seed from a base seed via SplitMix64, so a
 //! failure report pinpoints one replayable case. Set `RFH_TESTKIT_SEED`
 //! to override the base seed and `RFH_CHAOS_CASES` to scale the case
@@ -84,6 +90,6 @@ pub mod wire;
 
 pub use harness::{
     cases_from_env, run_absint_layer, run_byte_layer, run_exec_differential_layer, run_ir_layer,
-    run_lint_layer, run_place_layer, run_protocol_layer, run_timing_layer, seed_from_env,
-    ChaosReport,
+    run_lint_layer, run_place_layer, run_protocol_layer, run_replay_layer, run_timing_layer,
+    seed_from_env, ChaosReport,
 };

@@ -11,7 +11,7 @@
 use rfh_alloc::AllocConfig;
 use rfh_chaos::{
     cases_from_env, run_absint_layer, run_byte_layer, run_exec_differential_layer, run_ir_layer,
-    run_lint_layer, run_place_layer, seed_from_env,
+    run_lint_layer, run_place_layer, run_replay_layer, seed_from_env,
 };
 use rfh_workloads::Workload;
 
@@ -173,6 +173,34 @@ fn exec_differential_layer_holds_on_a_divergent_kernel() {
     .expect("executor engines diverged on a divergent-kernel mutant");
     assert_eq!(report.cases, cases, "{report}");
     assert!(report.identical + report.structured > 0, "{report}");
+}
+
+#[test]
+fn replay_layer_is_as_strict_as_execution_and_as_lenient_as_the_validator() {
+    // Loops, divergence, a barrier kernel and every hierarchy shape:
+    // replay must reject whatever hierarchy execution rejects, and accept
+    // whatever the placement validator accepts.
+    let cells = [
+        ("vectoradd", cfg()),
+        ("scalarprod", AllocConfig::two_level(3)),
+        ("mandelbrot", AllocConfig::three_level(2, false)),
+        ("reduction", AllocConfig::three_level(4, true)),
+    ];
+    let cases = cases_from_env(1000).div_ceil(cells.len());
+    let mut rejected = 0;
+    for (k, (name, cfg)) in cells.into_iter().enumerate() {
+        let report = run_replay_layer(
+            &workload(name),
+            &cfg,
+            cases,
+            seed_from_env(0x2E91_0010 + k as u64),
+        )
+        .unwrap_or_else(|e| panic!("{name}: replay layer violated: {e}"));
+        assert_eq!(report.cases, cases, "{name}: {report}");
+        assert!(report.identical > 0, "{name}: {report}");
+        rejected += report.rejected;
+    }
+    assert!(rejected > 0, "placement damage should often be rejected");
 }
 
 #[test]

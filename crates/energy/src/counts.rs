@@ -1,7 +1,7 @@
 //! Access counts and energy accounting.
 
 use std::fmt;
-use std::ops::{Add, AddAssign};
+use std::ops::{Add, AddAssign, Mul};
 
 use rfh_isa::access::{AccessKind, AccessPlan, Datapath, Place, RegAccess};
 use rfh_isa::Level;
@@ -112,6 +112,25 @@ impl AddAssign for AccessCounts {
         self.orf_write_shared += rhs.orf_write_shared;
         self.lrf_read += rhs.lrf_read;
         self.lrf_write += rhs.lrf_write;
+    }
+}
+
+/// Every count multiplied by `n`: the counts of `n` identical, independent
+/// repetitions (e.g. `n` warps issuing one instruction trace).
+impl Mul<u64> for AccessCounts {
+    type Output = AccessCounts;
+
+    fn mul(self, n: u64) -> AccessCounts {
+        AccessCounts {
+            mrf_read: self.mrf_read * n,
+            mrf_write: self.mrf_write * n,
+            orf_read_private: self.orf_read_private * n,
+            orf_read_shared: self.orf_read_shared * n,
+            orf_write_private: self.orf_write_private * n,
+            orf_write_shared: self.orf_write_shared * n,
+            lrf_read: self.lrf_read * n,
+            lrf_write: self.lrf_write * n,
+        }
     }
 }
 
@@ -253,6 +272,17 @@ mod tests {
         assert_eq!(a.lrf_write, 5);
         let c = a + b;
         assert_eq!(c.mrf_read, 5);
+    }
+
+    #[test]
+    fn scaling_equals_repeated_addition() {
+        let a = AccessCounts {
+            mrf_read: 3,
+            orf_read_shared: 1,
+            lrf_write: 2,
+            ..Default::default()
+        };
+        assert_eq!(a * 3, a + a + a);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct AblationRow {
 
 /// Runs the ablation matrix. The SW (variant × workload) cells run in
 /// parallel over the `RFH_JOBS` pool, and both HW variants of a workload
-/// come from one batched execution; the best configuration and the HW
+/// come from one batched replay; the best configuration and the HW
 /// baseline come from the shared context cache.
 ///
 /// # Panics

@@ -7,12 +7,12 @@
 //! `AllocConfig::three_level(k, true)` cells, and every experiment needs
 //! each workload's single-level baseline. [`ExperimentCtx`] caches
 //!
-//! * baseline access counts per workload,
-//! * allocated kernels per (workload, [`AllocConfig`]),
-//! * hierarchy-faithful SW access counts per (workload, [`AllocConfig`]),
-//!   kept per strand (a [`StrandCounter`](rfh_sim::counts::StrandCounter)
-//!   run, whose sum is what a `SwCounter` counts) so the §7 per-strand
-//!   oracle reads the same cell as every other SW experiment,
+//! * per workload, the baseline access counts and the recorded baseline
+//!   instruction [`Stream`],
+//! * SW access counts per (workload, [`AllocConfig`]), kept per strand (a
+//!   [`StrandCounter`] replay, whose sum is what a `SwCounter` counts) so
+//!   the §7 per-strand oracle reads the same cell as every other SW
+//!   experiment,
 //! * HW cache access counts per (workload, [`RfcConfig`]),
 //!
 //! in unbounded [`rfh_rfhd::cache::Store`]s — the same memoization
@@ -20,26 +20,36 @@
 //! can fan cells out across [`rfh_testkit::pool::par_map`] workers and
 //! share one cache with hit/miss statistics for free.
 //!
-//! The execution contract: each baseline is one baseline-mode run, each
-//! SW cell is one hierarchy run of its own allocated kernel, and each
-//! [`ExperimentCtx::hw_counts_many`] batch is one baseline-mode run that
-//! counts every not-yet-cached HW configuration at once (the HW configs
-//! only change how the same dynamic instruction stream is counted). Every
-//! run is verified against the workload's host reference;
-//! [`ExperimentCtx::executions`] counts them. All cached quantities are
-//! deterministic functions of their key; concurrent computation of the
-//! same key is benign (first writer wins, results are identical) but
-//! executes twice, so the experiments request each cell from one pool
-//! item.
+//! The execution contract: each workload is **executed once**. Its
+//! baseline cell is one baseline-mode run, verified against the host
+//! reference, that also records the run's distinct per-warp traces.
+//! Allocation only annotates instructions, so every other cell issues the
+//! same dynamic stream and is counted by [`replay`]ing it:
+//!
+//! * a SW cell allocates a copy of the kernel, replays it in hierarchy
+//!   mode, where the tag model checks that every operand read sees its
+//!   register's current definition, and then drops the kernel;
+//! * an [`ExperimentCtx::hw_counts_many`] batch replays the
+//!   dead-annotated kernel once with one [`HwCounter`] per
+//!   not-yet-cached configuration.
+//!
+//! [`ExperimentCtx::executions`] counts the real executions. All cached
+//! quantities are deterministic functions of their key; concurrent
+//! computation of the same key is benign (first writer wins, results are
+//! identical) but does the work twice, so the experiments request each
+//! cell from one pool item.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rfh_alloc::AllocConfig;
 use rfh_energy::{AccessCounts, EnergyModel};
-use rfh_isa::Kernel;
 use rfh_rfhd::cache::{CacheStats, Store};
-use rfh_sim::rfc::RfcConfig;
+use rfh_sim::counts::{StrandCounter, SwCounter};
+use rfh_sim::exec::{replay, ExecMode, Stream, StreamRecorder};
+use rfh_sim::machine::MachineConfig;
+use rfh_sim::rfc::{HwCounter, RfcConfig};
+use rfh_sim::sink::{InstrEvent, TraceSink};
 use rfh_workloads::Workload;
 
 use crate::runner;
@@ -48,18 +58,35 @@ use crate::runner;
 pub struct ExperimentCtx<'w> {
     workloads: &'w [Workload],
     model: EnergyModel,
-    baselines: Vec<OnceLock<AccessCounts>>,
-    kernels: Store<(usize, AllocConfig), Arc<Kernel>>,
+    baselines: Vec<OnceLock<(AccessCounts, Stream)>>,
     sw: Store<(usize, AllocConfig), SwCell>,
     hw: Store<(usize, RfcConfig), AccessCounts>,
     executions: AtomicU64,
 }
 
-/// One SW cell: the per-strand counts of one hierarchy run and their sum.
+/// One SW cell: the per-strand counts of one replay and their sum.
 #[derive(Clone)]
 struct SwCell {
     total: AccessCounts,
     per_strand: Arc<[AccessCounts]>,
+}
+
+/// One HW batch: a counter per configuration, observing the same trace.
+#[derive(Clone)]
+struct HwBatch(Vec<HwCounter>);
+
+impl TraceSink for HwBatch {
+    fn on_instr(&mut self, event: &InstrEvent<'_>) {
+        for c in &mut self.0 {
+            c.on_instr(event);
+        }
+    }
+
+    fn on_warp_done(&mut self, warp: usize) {
+        for c in &mut self.0 {
+            c.on_warp_done(warp);
+        }
+    }
 }
 
 impl<'w> ExperimentCtx<'w> {
@@ -69,7 +96,6 @@ impl<'w> ExperimentCtx<'w> {
             workloads,
             model: EnergyModel::paper(),
             baselines: workloads.iter().map(|_| OnceLock::new()).collect(),
-            kernels: Store::unbounded(),
             sw: Store::unbounded(),
             hw: Store::unbounded(),
             executions: AtomicU64::new(0),
@@ -86,71 +112,103 @@ impl<'w> ExperimentCtx<'w> {
         &self.model
     }
 
-    /// Single-level baseline access counts of workload `i`, computed on
-    /// first use and shared by every subsequent caller (and thread).
+    /// The baseline cell of workload `i`: one verified baseline-mode run,
+    /// counted and recorded on first use and shared by every subsequent
+    /// caller (and thread).
+    fn baseline_cell(&self, i: usize) -> &(AccessCounts, Stream) {
+        self.baselines[i].get_or_init(|| {
+            self.executions.fetch_add(1, Ordering::Relaxed);
+            let w = &self.workloads[i];
+            let mut counter = SwCounter::default();
+            let mut recorder = StreamRecorder::new(&w.kernel);
+            w.run_and_verify(
+                ExecMode::Baseline,
+                &w.kernel,
+                &mut [&mut counter, &mut recorder],
+            )
+            .unwrap_or_else(|e| panic!("baseline run failed: {e}"));
+            (counter.counts(), recorder.finish())
+        })
+    }
+
+    /// Single-level baseline access counts of workload `i`, equal to
+    /// [`runner::baseline_counts`].
     ///
     /// # Panics
     ///
     /// As for [`runner::baseline_counts`]; also if `i` is out of range.
     pub fn baseline(&self, i: usize) -> AccessCounts {
-        *self.baselines[i].get_or_init(|| {
-            self.executions.fetch_add(1, Ordering::Relaxed);
-            runner::baseline_counts(&self.workloads[i])
-        })
+        self.baseline_cell(i).0
     }
 
-    /// The kernel of workload `i` allocated under `cfg` (with this
-    /// context's model), memoized per (workload, config).
-    ///
-    /// # Panics
-    ///
-    /// Panics if allocation fails — a toolchain bug, as for
+    /// SW access counts of workload `i` under `cfg`, memoized per
+    /// (workload, config): the sum of [`Self::sw_strand_counts`], equal to
     /// [`runner::sw_counts`].
-    pub fn allocated(&self, i: usize, cfg: &AllocConfig) -> Arc<Kernel> {
-        // The store runs the computation outside its lock, so a slow
-        // allocation does not serialize the pool; a concurrent duplicate
-        // is benign (the allocator is deterministic, first insert wins).
-        self.kernels.get_or_insert_with((i, *cfg), || {
-            let mut kernel = self.workloads[i].kernel.clone();
-            rfh_alloc::allocate(&mut kernel, cfg, &self.model)
-                .unwrap_or_else(|e| panic!("allocation failed: {e}"));
-            Arc::new(kernel)
-        })
-    }
-
-    /// Hierarchy-faithful SW access counts of workload `i` under `cfg`,
-    /// memoized per (workload, config): the sum of
-    /// [`Self::sw_strand_counts`], equal to a `SwCounter` over the same
-    /// run. Uses [`Self::allocated`], so the allocation itself is also
-    /// shared.
     ///
     /// # Panics
     ///
-    /// As for [`runner::sw_counts`].
+    /// If allocation fails, or if the replay rejects a placement — both
+    /// toolchain bugs.
     pub fn sw_counts(&self, i: usize, cfg: &AllocConfig) -> AccessCounts {
         self.sw_cell(i, cfg).total
     }
 
     /// The per-strand counts behind [`Self::sw_counts`] (indexed by strand
-    /// of the allocated kernel), from the same memoized run.
+    /// of the allocated kernel), from the same memoized replay.
     ///
     /// # Panics
     ///
-    /// As for [`runner::sw_counts`].
+    /// As for [`Self::sw_counts`].
     pub fn sw_strand_counts(&self, i: usize, cfg: &AllocConfig) -> Arc<[AccessCounts]> {
         self.sw_cell(i, cfg).per_strand
     }
 
     fn sw_cell(&self, i: usize, cfg: &AllocConfig) -> SwCell {
         self.sw.get_or_insert_with((i, *cfg), || {
-            let kernel = self.allocated(i, cfg);
-            self.executions.fetch_add(1, Ordering::Relaxed);
-            let counter = runner::strand_counter(&self.workloads[i], &kernel, cfg);
+            let per_strand = self.replay_strand_counts(i, cfg, &self.model);
             SwCell {
-                total: counter.total(),
-                per_strand: counter.per_strand().into(),
+                total: per_strand
+                    .iter()
+                    .fold(AccessCounts::default(), |a, b| a + *b),
+                per_strand: per_strand.into(),
             }
         })
+    }
+
+    /// Per-strand SW counts of workload `i` allocated under `cfg` with
+    /// `model`, by a tag-checked hierarchy-mode replay of the recorded
+    /// baseline stream. Not memoized: the allocated kernel is dropped on
+    /// return.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Self::sw_counts`].
+    pub(crate) fn replay_strand_counts(
+        &self,
+        i: usize,
+        cfg: &AllocConfig,
+        model: &EnergyModel,
+    ) -> Vec<AccessCounts> {
+        let w = &self.workloads[i];
+        let mut kernel = w.kernel.clone();
+        rfh_alloc::allocate(&mut kernel, cfg, model)
+            .unwrap_or_else(|e| panic!("allocation failed: {e}"));
+        let counter = StrandCounter::new(&kernel);
+        let mut per_strand = vec![AccessCounts::default(); counter.per_strand().len()];
+        replay(
+            &kernel,
+            &self.baseline_cell(i).1,
+            ExecMode::Hierarchy(*cfg),
+            &MachineConfig::paper(),
+            || counter.clone(),
+            |c, warps| {
+                for (sum, s) in per_strand.iter_mut().zip(c.per_strand()) {
+                    *sum += *s * warps;
+                }
+            },
+        )
+        .unwrap_or_else(|e| panic!("{}: sw replay failed: {e}", w.name));
+        per_strand
     }
 
     /// Hardware-cache access counts of workload `i` under `cfg`, memoized
@@ -158,19 +216,20 @@ impl<'w> ExperimentCtx<'w> {
     ///
     /// # Panics
     ///
-    /// As for [`runner::hw_counts`].
+    /// As for [`Self::hw_counts_many`].
     pub fn hw_counts(&self, i: usize, cfg: &RfcConfig) -> AccessCounts {
         self.hw_counts_many(i, std::slice::from_ref(cfg))[0]
     }
 
     /// Hardware-cache access counts of workload `i` under each of `cfgs`,
-    /// in `cfgs` order. The configs not yet cached (deduplicated) are
-    /// counted together by one verified execution
-    /// ([`runner::hw_counts_many`]); cached ones cost no execution.
+    /// in `cfgs` order, each equal to [`runner::hw_counts`]. The configs
+    /// not yet cached (deduplicated) are counted together by one
+    /// baseline-mode replay of the dead-annotated kernel; cached ones cost
+    /// nothing.
     ///
     /// # Panics
     ///
-    /// As for [`runner::hw_counts`].
+    /// As for [`runner::baseline_counts`].
     pub fn hw_counts_many(&self, i: usize, cfgs: &[RfcConfig]) -> Vec<AccessCounts> {
         let mut out: Vec<Option<AccessCounts>> =
             cfgs.iter().map(|cfg| self.hw.get(&(i, *cfg))).collect();
@@ -181,8 +240,7 @@ impl<'w> ExperimentCtx<'w> {
             }
         }
         if !missing.is_empty() {
-            self.executions.fetch_add(1, Ordering::Relaxed);
-            let fresh = runner::hw_counts_many(&self.workloads[i], &missing);
+            let fresh = self.replay_hw_counts(i, &missing);
             for (cfg, counts) in missing.iter().zip(fresh) {
                 let counts = self.hw.insert((i, *cfg), counts);
                 for (want, slot) in cfgs.iter().zip(out.iter_mut()) {
@@ -197,9 +255,31 @@ impl<'w> ExperimentCtx<'w> {
             .collect()
     }
 
-    /// Verified executions this context has performed to fill its cells:
-    /// one per baseline, one per SW cell, one per HW batch. An observation
-    /// of how much work the sweeps shared, like [`Self::cache_stats`].
+    fn replay_hw_counts(&self, i: usize, cfgs: &[RfcConfig]) -> Vec<AccessCounts> {
+        let w = &self.workloads[i];
+        let kernel = runner::dead_annotated(&w.kernel);
+        let batch = HwBatch(cfgs.iter().map(|c| HwCounter::new(*c, &kernel)).collect());
+        let mut totals = vec![AccessCounts::default(); cfgs.len()];
+        replay(
+            &kernel,
+            &self.baseline_cell(i).1,
+            ExecMode::Baseline,
+            &MachineConfig::paper(),
+            || batch.clone(),
+            |b, warps| {
+                for (sum, c) in totals.iter_mut().zip(&b.0) {
+                    *sum += c.counts() * warps;
+                }
+            },
+        )
+        .unwrap_or_else(|e| panic!("{}: hw replay failed: {e}", w.name));
+        totals
+    }
+
+    /// Verified executions this context has performed: one baseline run
+    /// per workload touched, however many cells were replayed from it. An
+    /// observation of how much work the sweeps shared, like
+    /// [`Self::cache_stats`].
     pub fn executions(&self) -> u64 {
         self.executions.load(Ordering::Relaxed)
     }
@@ -220,11 +300,11 @@ impl<'w> ExperimentCtx<'w> {
         )
     }
 
-    /// Snapshots of the three cell caches' counters, in the order
-    /// (allocated kernels, SW counts, HW counts) — observability into how
-    /// much sharing a sweep actually got.
-    pub fn cache_stats(&self) -> [CacheStats; 3] {
-        [self.kernels.stats(), self.sw.stats(), self.hw.stats()]
+    /// Snapshots of the two cell caches' counters, in the order (SW
+    /// counts, HW counts) — observability into how much sharing a sweep
+    /// actually got.
+    pub fn cache_stats(&self) -> [CacheStats; 2] {
+        [self.sw.stats(), self.hw.stats()]
     }
 }
 
@@ -234,10 +314,19 @@ mod tests {
     use rfh_testkit::pool::par_map;
 
     fn workloads() -> Vec<Workload> {
-        ["vectoradd", "scalarprod"]
+        by_names(&["vectoradd", "scalarprod"])
+    }
+
+    fn by_names(names: &[&str]) -> Vec<Workload> {
+        names
             .iter()
             .map(|n| rfh_workloads::by_name(n).unwrap())
             .collect()
+    }
+
+    /// Workloads with divergent warps and distinct per-warp traces.
+    fn divergent() -> Vec<Workload> {
+        by_names(&["mandelbrot", "reduction", "histogram", "sobolqrng"])
     }
 
     #[test]
@@ -257,8 +346,7 @@ mod tests {
             assert_eq!(ctx.baseline(i), ctx.baseline(i));
             assert_eq!(ctx.sw_counts(i, &cfg), ctx.sw_counts(i, &cfg));
         }
-        let [kernels, sw, _hw] = ctx.cache_stats();
-        assert_eq!(kernels.entries, ws.len(), "one allocation per workload");
+        let [sw, _hw] = ctx.cache_stats();
         assert!(sw.hits >= ws.len() as u64, "second lookups hit the cache");
         assert_eq!(sw.entries, ws.len());
     }
@@ -271,7 +359,7 @@ mod tests {
         let hits: Vec<(AccessCounts, AccessCounts)> =
             par_map(&[0usize; 16], |_| (ctx.baseline(0), ctx.sw_counts(0, &cfg)));
         assert!(hits.windows(2).all(|p| p[0] == p[1]));
-        let [_, sw, _] = ctx.cache_stats();
+        let [sw, _] = ctx.cache_stats();
         assert_eq!(sw.entries, 1, "sixteen lookups share one cell");
     }
 
@@ -292,33 +380,37 @@ mod tests {
         cfgs
     }
 
+    /// 18 SW configurations: two-level and split three-level at 1–8
+    /// entries, unified three-level at 3, and ideal-no-deschedule.
+    fn figure_alloc_configs() -> Vec<AllocConfig> {
+        let mut cfgs: Vec<AllocConfig> = (1..=8)
+            .flat_map(|e| [AllocConfig::two_level(e), AllocConfig::three_level(e, true)])
+            .collect();
+        cfgs.push(AllocConfig::three_level(3, false));
+        cfgs.push(AllocConfig {
+            ideal_no_deschedule_split: true,
+            ..AllocConfig::three_level(3, true)
+        });
+        cfgs
+    }
+
     #[test]
     fn batched_hw_counts_equal_per_config_runs() {
-        let ws: Vec<Workload> = ["vectoradd", "mandelbrot", "needle"]
-            .iter()
-            .map(|n| rfh_workloads::by_name(n).unwrap())
-            .collect();
+        let mut ws = by_names(&["vectoradd", "needle"]);
+        ws.extend(divergent());
         let ctx = ExperimentCtx::new(&ws);
         let cfgs = figure_rfc_configs();
         // Cache two configs first, then ask for all 18 with both cached
-        // ones and a duplicate in the request: one more run, same counts.
+        // ones and a duplicate in the request: same counts, no execution.
         let mut request = vec![cfgs[5], cfgs[5]];
         request.extend(&cfgs);
         request.push(cfgs[17]);
         for (i, w) in ws.iter().enumerate() {
             let separate: Vec<AccessCounts> =
                 cfgs.iter().map(|c| runner::hw_counts(w, c)).collect();
-            assert_eq!(runner::hw_counts_many(w, &cfgs), separate);
-
             assert_eq!(ctx.hw_counts(i, &cfgs[5]), separate[5]);
             assert_eq!(ctx.hw_counts(i, &cfgs[12]), separate[12]);
-            let before = ctx.executions();
             let batched = ctx.hw_counts_many(i, &request);
-            assert_eq!(
-                ctx.executions(),
-                before + 1,
-                "one run for 16 missing configs"
-            );
             let want: Vec<AccessCounts> = request
                 .iter()
                 .map(|c| separate[cfgs.iter().position(|x| x == c).unwrap()])
@@ -326,52 +418,77 @@ mod tests {
             assert_eq!(batched, want, "{}", w.name);
             // Everything is cached now.
             assert_eq!(ctx.hw_counts_many(i, &request), want);
-            assert_eq!(ctx.executions(), before + 1);
         }
-        assert!(runner::hw_counts_many(&ws[0], &[]).is_empty());
-        let [_, _, hw] = ctx.cache_stats();
+        assert_eq!(ctx.executions(), ws.len() as u64, "one run per workload");
+        let [_, hw] = ctx.cache_stats();
         assert_eq!(hw.entries, ws.len() * cfgs.len());
     }
 
     #[test]
-    fn sw_cells_equal_fresh_sw_counter_runs() {
-        let ws = workloads();
-        let ctx = ExperimentCtx::new(&ws);
-        let cfgs = [
-            AllocConfig::two_level(1),
-            AllocConfig::two_level(4),
-            AllocConfig::three_level(3, true),
-            AllocConfig::three_level(8, false),
-            AllocConfig {
-                ideal_no_deschedule_split: true,
-                ..AllocConfig::three_level(3, true)
-            },
+    fn suite_warps_collapse_to_their_distinct_traces() {
+        // Every other workload's 32 warps issue one trace; sobolqrng's
+        // warps are all distinct.
+        const MULTI: [(&str, usize); 7] = [
+            ("reduction", 6),
+            ("histogram", 15),
+            ("sobelfilter", 3),
+            ("hotspot", 3),
+            ("srad", 3),
+            ("mandelbrot", 17),
+            ("sobolqrng", 32),
         ];
+        let ws = rfh_workloads::all();
+        let ctx = ExperimentCtx::new(&ws);
+        let (mut traces, mut warps, mut issued, mut replayed) = (0, 0, 0, 0);
         for (i, w) in ws.iter().enumerate() {
-            for cfg in &cfgs {
-                let fresh = runner::sw_counts(w, cfg, ctx.model());
-                assert_eq!(ctx.sw_counts(i, cfg), fresh, "{} {cfg:?}", w.name);
-                let per_strand = ctx.sw_strand_counts(i, cfg);
-                let sum = per_strand
-                    .iter()
-                    .fold(AccessCounts::default(), |a, b| a + *b);
-                assert_eq!(sum, fresh, "per-strand counts sum to the SwCounter total");
+            let stream = &ctx.baseline_cell(i).1;
+            let want = MULTI
+                .iter()
+                .find(|(name, _)| *name == w.name)
+                .map_or(1, |&(_, n)| n);
+            assert_eq!(stream.distinct_traces(), want, "{}", w.name);
+            assert_eq!(stream.warps(), 32, "{}", w.name);
+            traces += stream.distinct_traces();
+            warps += stream.warps();
+            issued += stream.warp_instructions();
+            replayed += stream.replayed_instructions();
+        }
+        assert_eq!((ws.len(), warps, traces), (35, 1120, 107));
+        assert_eq!((issued, replayed), (181_301, 16_962));
+    }
+
+    #[test]
+    fn sw_cells_equal_fresh_sw_counter_runs() {
+        let mut ws = workloads();
+        ws.extend(divergent());
+        let ctx = ExperimentCtx::new(&ws);
+        for (i, w) in ws.iter().enumerate() {
+            for cfg in figure_alloc_configs() {
+                let mut kernel = w.kernel.clone();
+                rfh_alloc::allocate(&mut kernel, &cfg, ctx.model()).unwrap();
+                let mut executed = StrandCounter::new(&kernel);
+                w.run_and_verify(ExecMode::Hierarchy(cfg), &kernel, &mut [&mut executed])
+                    .unwrap();
+                assert_eq!(
+                    &*ctx.sw_strand_counts(i, &cfg),
+                    executed.per_strand(),
+                    "{} {cfg:?}",
+                    w.name
+                );
+                assert_eq!(ctx.sw_counts(i, &cfg), executed.total());
             }
         }
-        assert_eq!(ctx.executions(), (ws.len() * cfgs.len()) as u64);
+        assert_eq!(ctx.executions(), ws.len() as u64, "one run per workload");
     }
 
     #[test]
     fn fig11_counts_each_workload_hw_sweep_in_one_run() {
-        let ws: Vec<Workload> = ["vectoradd", "scalarprod", "mandelbrot", "needle"]
-            .iter()
-            .map(|n| rfh_workloads::by_name(n).unwrap())
-            .collect();
+        let ws = by_names(&["vectoradd", "scalarprod", "mandelbrot", "needle"]);
         let ctx = ExperimentCtx::new(&ws);
         crate::fig11::run(&ctx);
-        // 4 baselines + 4 HW batches of eight sizes + 32 SW cells (one HW
-        // run per size would make it 68).
-        assert_eq!(ctx.executions(), 40);
+        // One baseline run per workload; the HW batch and the eight SW
+        // cells replay it.
+        assert_eq!(ctx.executions(), 4);
     }
 
     #[test]
@@ -386,18 +503,12 @@ mod tests {
         crate::fig15::run(&ctx);
         crate::limit::run(&ctx);
         crate::ablation::run(&ctx);
-        // Per workload: 1 baseline, 4 HW batches (fig11, fig12, limit's
-        // flush variant, ablation's read-miss variant), 22 SW cells.
-        assert_eq!(ctx.executions(), 27 * ws.len() as u64);
-    }
-
-    #[test]
-    fn allocated_kernels_are_shared() {
-        let ws = workloads();
-        let ctx = ExperimentCtx::new(&ws);
-        let cfg = AllocConfig::three_level(3, true);
-        let a = ctx.allocated(0, &cfg);
-        let b = ctx.allocated(0, &cfg);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must share the kernel");
+        // Per workload: 1 baseline run. Its 22 SW cells, 4 HW batches
+        // (fig11, fig12, limit's flush variant, ablation's read-miss
+        // variant) and limit's 8 cells under the 6-warp model replay it.
+        assert_eq!(ctx.executions(), ws.len() as u64);
+        let [sw, hw] = ctx.cache_stats();
+        assert_eq!(sw.entries, 22 * ws.len());
+        assert_eq!(hw.entries, 18 * ws.len());
     }
 }

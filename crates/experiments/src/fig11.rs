@@ -85,9 +85,9 @@ fn fold(per_bench: &[(AccessCounts, AccessCounts)], entries: usize) -> Breakdown
 
 /// Runs the sweep over the context's workloads (use
 /// `ExperimentCtx::new(&rfh_workloads::all())` to reproduce the figure).
-/// Each workload's eight HW sizes are counted by one batched execution;
-/// the (entries × workload) SW cells run in parallel over the `RFH_JOBS`
-/// pool. The fold order is fixed, so output is identical at any job count.
+/// Each workload's eight HW sizes are counted by one batched replay of
+/// its recorded baseline run; the (entries × workload) SW cells run in
+/// parallel over the `RFH_JOBS` pool. The fold order is fixed, so output is identical at any job count.
 ///
 /// # Panics
 ///

@@ -68,7 +68,7 @@ fn fold(per_bench: &[(AccessCounts, AccessCounts)], entries: usize) -> Breakdown
 }
 
 /// Runs the three-level sweep. Each workload's eight HW sizes are
-/// counted by one batched execution; the (entries × workload) SW cells
+/// counted by one batched replay; the (entries × workload) SW cells
 /// run in parallel over the `RFH_JOBS` pool with a fixed fold order.
 ///
 /// # Panics

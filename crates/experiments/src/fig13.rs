@@ -104,7 +104,7 @@ pub fn run(ctx: &ExperimentCtx) -> Fig13 {
 
 /// Also used by §6.4: the split-vs-unified LRF comparison at one size.
 /// Baselines and the split-LRF cells come from the shared context cache,
-/// so nothing already computed by [`run`] executes again.
+/// so nothing already computed by [`run`] is counted again.
 ///
 /// # Panics
 ///

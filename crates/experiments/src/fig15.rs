@@ -26,7 +26,7 @@ pub struct BenchEnergy {
 /// Runs the best configuration on every workload, in parallel over the
 /// `RFH_JOBS` pool. Baselines and the best-configuration cells come from
 /// the shared context cache, so a benchmark already counted by another
-/// experiment is never executed twice.
+/// experiment is never counted twice.
 ///
 /// # Panics
 ///

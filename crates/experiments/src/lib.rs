@@ -23,22 +23,22 @@
 //! | [`characterize`] | workload characterization (instruction mix, divergence, strands) |
 //! | [`hints`] | last-use allocation hints: accesses/energy, `--hints` off vs on (not in `repro all`) |
 //!
-//! All experiments execute every workload to completion (the paper's
-//! methodology, §5.1) and *verify each run against the workload's host
-//! reference*, so a counting result is never produced from a mis-executed
-//! program.
+//! All experiments count full program executions (the paper's
+//! methodology, §5.1), and every execution is *verified against the
+//! workload's host reference*, so a counting result is never produced
+//! from a mis-executed program.
 //!
 //! The experiment engine is **parallel and memoized**: each `run` takes a
-//! shared [`ctx::ExperimentCtx`] that caches baseline counts, allocated
-//! kernels, and counted executions per (workload, config), and fans the
-//! remaining independent sweep cells out over `rfh_testkit::pool::par_map`
-//! (`RFH_JOBS` controls the worker count). Each baseline is one
-//! baseline-mode run; each batch of HW cache configurations is one
-//! baseline-mode run with one counter per configuration
-//! ([`runner::hw_counts_many`]); each SW cell is one hierarchy run of its
-//! own allocated kernel, whose per-strand counts also feed the §7 oracle.
-//! Every run is verified. Results are folded in input order, so output is
-//! byte-identical for any `RFH_JOBS` value.
+//! shared [`ctx::ExperimentCtx`] that caches baseline counts and counted
+//! cells per (workload, config), and fans the remaining independent sweep
+//! cells out over `rfh_testkit::pool::par_map` (`RFH_JOBS` controls the
+//! worker count). Each workload executes once: its verified baseline run
+//! also records its distinct per-warp instruction traces, and every HW
+//! batch and SW cell is counted by replaying that record
+//! (`rfh_sim::exec::replay`), with every operand read of an allocated
+//! kernel checked by a value-free tag model. The SW cells' per-strand
+//! counts also feed the §7 oracle. Results are folded in input order, so
+//! output is byte-identical for any `RFH_JOBS` value.
 
 pub mod ablation;
 pub mod characterize;

@@ -28,7 +28,7 @@ use rfh_testkit::pool::par_map;
 
 use crate::ctx::ExperimentCtx;
 use crate::report::{pct, Table};
-use crate::runner::{self, mean, normalized_energy};
+use crate::runner::{mean, normalized_energy};
 
 /// Per-strand oracle (§7 "variable allocation of ORF resources"): allocate
 /// the kernel once per ORF size, count accesses per strand, and let every
@@ -38,24 +38,22 @@ use crate::runner::{self, mean, normalized_energy};
 ///
 /// Allocation decisions depend on the energy model, so only the context's
 /// own model reads the shared per-strand SW cells; the 6-warp variant
-/// allocates and executes its own kernels.
+/// allocates its own kernels and replays the context's recorded baseline
+/// stream against them.
 fn per_strand_oracle(
     ctx: &ExperimentCtx,
     i: usize,
     base: &AccessCounts,
     model: &EnergyModel,
 ) -> f64 {
-    let w = &ctx.workloads()[i];
     let per_k: Vec<Arc<[AccessCounts]>> = (1..=8usize)
         .map(|k| {
             let cfg = AllocConfig::three_level(k, true);
             if model == ctx.model() {
-                return ctx.sw_strand_counts(i, &cfg);
+                ctx.sw_strand_counts(i, &cfg)
+            } else {
+                ctx.replay_strand_counts(i, &cfg, model).into()
             }
-            let mut kernel = w.kernel.clone();
-            rfh_alloc::allocate(&mut kernel, &cfg, model)
-                .unwrap_or_else(|e| panic!("allocation failed: {e}"));
-            runner::strand_counter(w, &kernel, &cfg).per_strand().into()
         })
         .collect();
     let strands = per_k[0].len();

@@ -4,10 +4,9 @@
 use rfh_alloc::AllocConfig;
 use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::Kernel;
-use rfh_sim::counts::{StrandCounter, SwCounter};
+use rfh_sim::counts::SwCounter;
 use rfh_sim::exec::ExecMode;
 use rfh_sim::rfc::{HwCounter, RfcConfig};
-use rfh_sim::sink::TraceSink;
 use rfh_workloads::Workload;
 
 /// Access counts of the single-level baseline (every operand in the MRF).
@@ -27,6 +26,10 @@ pub fn baseline_counts(w: &Workload) -> AccessCounts {
 /// hierarchy-faithful execution (operands actually flow through the
 /// modeled ORF/LRF and the run is verified end-to-end).
 ///
+/// [`ExperimentCtx`](crate::ExperimentCtx) replays its SW cells instead
+/// of executing them; this is the execution oracle those replays are
+/// tested against.
+///
 /// # Panics
 ///
 /// As for [`baseline_counts`].
@@ -40,56 +43,32 @@ pub fn sw_counts(w: &Workload, cfg: &AllocConfig, model: &EnergyModel) -> Access
     counter.counts()
 }
 
-/// Counts the accesses of a `kernel` already allocated under `cfg` per
-/// strand, from one verified hierarchy-faithful execution. The counter's
-/// [`StrandCounter::total`] equals what a [`SwCounter`] counts for the same
-/// run.
-///
-/// # Panics
-///
-/// As for [`baseline_counts`].
-pub fn strand_counter(w: &Workload, kernel: &Kernel, cfg: &AllocConfig) -> StrandCounter {
-    let mut counter = StrandCounter::new(kernel);
-    w.run_and_verify(ExecMode::Hierarchy(*cfg), kernel, &mut [&mut counter])
-        .unwrap_or_else(|e| panic!("sw run failed: {e}"));
-    counter
+/// A copy of `kernel` carrying the static-liveness (`dead_after`)
+/// annotations the hardware cache scheme requires.
+pub(crate) fn dead_annotated(kernel: &Kernel) -> Kernel {
+    let mut kernel = kernel.clone();
+    let lv = rfh_analysis::Liveness::compute(&kernel);
+    rfh_analysis::liveness::annotate_dead(&mut kernel, &lv);
+    kernel
 }
 
 /// Counts accesses under the hardware-managed cache baseline (with the
-/// static-liveness annotations the HW scheme requires).
+/// static-liveness annotations the HW scheme requires), from one verified
+/// baseline-mode execution.
+///
+/// [`ExperimentCtx`](crate::ExperimentCtx) replays its HW cells instead
+/// of executing them; this is the execution oracle those replays are
+/// tested against.
 ///
 /// # Panics
 ///
 /// As for [`baseline_counts`].
 pub fn hw_counts(w: &Workload, cfg: &RfcConfig) -> AccessCounts {
-    hw_counts_many(w, std::slice::from_ref(cfg))[0]
-}
-
-/// Counts accesses under every cache configuration in `cfgs` from one
-/// verified baseline-mode execution: the configurations only change how
-/// the accesses of one dynamic instruction stream are counted, so one
-/// [`HwCounter`] per configuration observes the same run. Returns the
-/// counts in `cfgs` order, each equal to [`hw_counts`] of that config;
-/// an empty `cfgs` executes nothing.
-///
-/// # Panics
-///
-/// As for [`baseline_counts`].
-pub fn hw_counts_many(w: &Workload, cfgs: &[RfcConfig]) -> Vec<AccessCounts> {
-    if cfgs.is_empty() {
-        return Vec::new();
-    }
-    let mut kernel = w.kernel.clone();
-    let lv = rfh_analysis::Liveness::compute(&kernel);
-    rfh_analysis::liveness::annotate_dead(&mut kernel, &lv);
-    let mut counters: Vec<HwCounter> = cfgs.iter().map(|c| HwCounter::new(*c, &kernel)).collect();
-    let mut sinks: Vec<&mut dyn TraceSink> = counters
-        .iter_mut()
-        .map(|c| c as &mut dyn TraceSink)
-        .collect();
-    w.run_and_verify(ExecMode::Baseline, &kernel, &mut sinks)
+    let kernel = dead_annotated(&w.kernel);
+    let mut counter = HwCounter::new(*cfg, &kernel);
+    w.run_and_verify(ExecMode::Baseline, &kernel, &mut [&mut counter])
         .unwrap_or_else(|e| panic!("hw run failed: {e}"));
-    counters.iter().map(HwCounter::counts).collect()
+    counter.counts()
 }
 
 /// Per-benchmark normalized energy: `energy(scheme) / energy(baseline)`.

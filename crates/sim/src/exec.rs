@@ -10,11 +10,20 @@
 //!   register file (the MRF);
 //! * [`ExecMode::Hierarchy`] — operands move through modeled ORF/LRF
 //!   storage exactly as the placement annotations dictate, and the upper
-//!   levels are **poisoned at every strand boundary**. A kernel whose
-//!   placements are wrong (a read crossing a strand, a missing MRF copy, a
-//!   clobbered entry) computes wrong values and produces wrong memory
-//!   output, so comparing final memory against a baseline run is an
-//!   end-to-end proof of allocation correctness.
+//!   levels are **poisoned after every strand-ending instruction**,
+//!   branches, exits and barriers included. A kernel whose placements are
+//!   wrong (a read crossing a strand, a missing MRF copy, a clobbered
+//!   entry) computes wrong values and produces wrong memory output, so
+//!   comparing final memory against a baseline run is an end-to-end check
+//!   of allocation correctness — short of a stale value that happens to be
+//!   equal.
+//!
+//! [`replay`] closes that gap and skips the re-execution: a
+//! [`StreamRecorder`] records one verified baseline run's distinct
+//! per-warp traces, and replaying the [`Stream`] against an allocated
+//! kernel of the same shape counts it without executing it, while a
+//! value-free tag model checks that every operand read sees its
+//! register's current definition.
 //!
 //! Two engines implement those semantics:
 //!
@@ -44,7 +53,10 @@ use crate::mem::GlobalMemory;
 use crate::sink::TraceSink;
 
 pub mod reference;
+mod replay;
 mod soa;
+
+pub use replay::{replay, Stream, StreamRecorder};
 
 /// A kernel launch: grid geometry, parameters, and shared memory size.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -303,6 +315,23 @@ fn check_placements(kernel: &Kernel, cfg: &AllocConfig) -> Result<(), ExecError>
     Ok(())
 }
 
+/// Validation and placement range checking, shared by both engines and by
+/// [`replay`], so each sees only structurally valid kernels with in-range
+/// annotations and rejects the rest with identical errors.
+fn check_launchable(kernel: &Kernel, mode: &ExecMode) -> Result<(), ExecError> {
+    rfh_isa::validate(kernel).map_err(|e| ExecError::Unsupported {
+        what: format!("invalid kernel: {e}"),
+        at: InstrRef {
+            block: rfh_isa::BlockId::new(0),
+            index: 0,
+        },
+    })?;
+    if let ExecMode::Hierarchy(cfg) = mode {
+        check_placements(kernel, cfg)?;
+    }
+    Ok(())
+}
+
 /// Why a warp yielded back to the CTA scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -375,16 +404,7 @@ pub fn execute_with_engine(
     engine: Engine,
     sinks: &mut [&mut dyn TraceSink],
 ) -> Result<ExecReport, ExecError> {
-    rfh_isa::validate(kernel).map_err(|e| ExecError::Unsupported {
-        what: format!("invalid kernel: {e}"),
-        at: InstrRef {
-            block: rfh_isa::BlockId::new(0),
-            index: 0,
-        },
-    })?;
-    if let ExecMode::Hierarchy(cfg) = &mode {
-        check_placements(kernel, cfg)?;
-    }
+    check_launchable(kernel, &mode)?;
     match engine {
         Engine::Soa => soa::run(kernel, launch, memory, mode, machine, sinks),
         Engine::Reference => reference::run(kernel, launch, memory, mode, machine, sinks),
@@ -515,6 +535,63 @@ mod tests {
             "r3 = old ORF0 (r1 = 5) + r2 = 3; a pre-read fill would give 6, \
              a post-writeback fill would store 3"
         );
+    }
+
+    /// A counting loop whose placements carry r1 in ORF0 across the
+    /// strand-ending branches into and around the loop, under
+    /// `two_level(3)`: the placement validator rejects it ("ORF0 holds
+    /// None"), and execution must too, because the upper levels are
+    /// poisoned at every strand end.
+    pub(crate) fn orf_carried_across_backedge() -> (Kernel, AllocConfig) {
+        let mut kernel = rfh_isa::parse_kernel(
+            ".kernel loopy\nBB0:\n  mov r0, %tid.x\n  mov r1, 0\n  bra BB1\nBB1:\n  \
+             iadd r1 r1, 1\n  setp.lt p0 r1, 4\n  @p0 bra BB1\nBB2:\n  st.global r0, r1\n  exit\n",
+        )
+        .unwrap();
+        rfh_analysis::strand::mark_strands(&mut kernel);
+        let at = |block: u32, index: usize| InstrRef {
+            block: rfh_isa::BlockId::new(block),
+            index,
+        };
+        let orf0 = WriteLoc::Orf {
+            entry: 0,
+            also_mrf: true,
+        };
+        kernel.instr_mut(at(0, 1)).write_loc = orf0;
+        kernel.instr_mut(at(1, 0)).read_locs[0] = ReadLoc::Orf(0);
+        kernel.instr_mut(at(1, 0)).write_loc = orf0;
+        (kernel, AllocConfig::two_level(3))
+    }
+
+    #[test]
+    fn strand_ending_branches_poison_the_upper_levels() {
+        let (kernel, cfg) = orf_carried_across_backedge();
+        assert!(kernel
+            .iter_instrs()
+            .filter(|(_, i)| i.op == Opcode::Bra)
+            .all(|(_, i)| i.ends_strand));
+        assert!(rfh_alloc::validate_placements(&kernel, &cfg).is_err());
+        // The poisoned ORF0 read makes r1 huge and negative, so the loop
+        // never exits: the budget stops it in both engines.
+        let mut machine = MachineConfig::paper();
+        machine.max_warp_instructions = 1000;
+        for engine in [Engine::Soa, Engine::Reference] {
+            let mut mem = GlobalMemory::new(32);
+            let err = execute_with_engine(
+                &kernel,
+                &Launch::new(1, 32),
+                &mut mem,
+                ExecMode::Hierarchy(cfg),
+                &machine,
+                engine,
+                &mut [],
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ExecError::InstructionBudget { .. }),
+                "{engine:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -427,6 +427,9 @@ fn run_warp_until(
                         }
                     }
                 }
+                if matches!(ctx.mode, ExecMode::Hierarchy(_)) && instr.ends_strand {
+                    state.poison_upper();
+                }
                 continue;
             }
             Opcode::Exit => {
@@ -435,6 +438,9 @@ fn run_warp_until(
                     stack.pop();
                 } else {
                     tok.pc = normalize(kernel, (block, index + 1));
+                }
+                if matches!(ctx.mode, ExecMode::Hierarchy(_)) && instr.ends_strand {
+                    state.poison_upper();
                 }
                 continue;
             }

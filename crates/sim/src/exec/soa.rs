@@ -45,7 +45,7 @@ use crate::sink::{InstrEvent, TraceSink};
 
 /// One pre-decoded source operand.
 #[derive(Debug, Clone, Copy)]
-enum SrcOp {
+pub(super) enum SrcOp {
     /// Absent operand slot (reads as zero, matching the reference
     /// interpreter's implicit zero for missing B/C operands).
     Zero,
@@ -66,11 +66,11 @@ enum SrcOp {
 /// ever appears in `lo`, so the upper word is dropped at the LRF and
 /// reaches the MRF only through an `also_mrf` copy.
 #[derive(Debug, Clone, Copy, Default)]
-struct DstPlan {
-    lo: [u32; 2],
-    n_lo: u8,
-    hi: [u32; 2],
-    n_hi: u8,
+pub(super) struct DstPlan {
+    pub(super) lo: [u32; 2],
+    pub(super) n_lo: u8,
+    pub(super) hi: [u32; 2],
+    pub(super) n_hi: u8,
     wide: bool,
 }
 
@@ -89,18 +89,18 @@ impl DstPlan {
 /// A pre-decoded read-operand fill (§4.4): copy the MRF row at `reg_off`
 /// into the ORF row at `orf_off` after the instruction executes.
 #[derive(Debug, Clone, Copy)]
-struct Fill {
-    orf_off: u32,
-    reg_off: u32,
+pub(super) struct Fill {
+    pub(super) orf_off: u32,
+    pub(super) reg_off: u32,
     /// Whether the instruction's own destination write covers the filled
     /// entry — static per instruction, so the runtime collision rule
     /// (destination wins on executing lanes) is a pre-computed flag.
-    covered_by_dst: bool,
+    pub(super) covered_by_dst: bool,
 }
 
 /// The dispatch class of a decoded instruction.
 #[derive(Debug, Clone, Copy)]
-enum OpKind {
+pub(super) enum OpKind {
     /// Default-datapath ALU op, evaluated by [`eval_alu`]. `ok` is
     /// pre-classified at decode ([`eval_alu`] returns `None` purely by
     /// opcode), so the lane loop never tests the `Option` — the
@@ -135,34 +135,45 @@ enum OpKind {
 
 /// One instruction, lowered for dispatch.
 #[derive(Debug, Clone)]
-struct DecodedOp<'k> {
-    kind: OpKind,
+pub(super) struct DecodedOp<'k> {
+    pub(super) kind: OpKind,
     op: Opcode,
-    at: InstrRef,
-    instr: &'k Instruction,
+    pub(super) at: InstrRef,
+    pub(super) instr: &'k Instruction,
     guard: Option<(usize, bool)>,
-    srcs: [SrcOp; 3],
-    dst: DstPlan,
-    fills: Vec<Fill>,
-    ends_strand: bool,
+    pub(super) srcs: [SrcOp; 3],
+    pub(super) dst: DstPlan,
+    pub(super) fills: Vec<Fill>,
+    pub(super) ends_strand: bool,
     /// Resolved once here; handed to every sink by reference.
-    plan: AccessPlan,
+    pub(super) plan: AccessPlan,
 }
 
 /// The decoded kernel: a flat op table plus the slab geometry shared by
 /// every warp of the launch.
-struct DecodedKernel<'k> {
-    ops: Vec<DecodedOp<'k>>,
+pub(super) struct DecodedKernel<'k> {
+    pub(super) ops: Vec<DecodedOp<'k>>,
     num_preds: usize,
-    slab_len: usize,
+    pub(super) slab_len: usize,
     /// Start of the ORF+LRF region — everything from here up is poisoned
     /// at strand boundaries.
-    upper_base: usize,
-    hierarchy: bool,
-    width: usize,
+    pub(super) upper_base: usize,
+    pub(super) hierarchy: bool,
+    pub(super) width: usize,
 }
 
-fn decode<'k>(
+impl DecodedKernel<'_> {
+    /// Poisons the upper levels after `op` when it ends a strand in
+    /// hierarchy mode — at *every* strand end, branches and exits included.
+    #[inline]
+    pub(super) fn end_strand(&self, op: &DecodedOp<'_>, data: &mut [u32]) {
+        if self.hierarchy && op.ends_strand {
+            data[self.upper_base..].fill(POISON);
+        }
+    }
+}
+
+pub(super) fn decode<'k>(
     kernel: &'k Kernel,
     mode: &ExecMode,
     ipdom: &DomTree,
@@ -608,6 +619,7 @@ fn step_warp(
                         }
                     }
                 }
+                dk.end_strand(op, data);
                 continue;
             }
             OpKind::Exit => {
@@ -617,14 +629,13 @@ fn step_warp(
                 } else {
                     tok.pc += 1;
                 }
+                dk.end_strand(op, data);
                 continue;
             }
             OpKind::Bar => {
                 // Yield to the CTA scheduler: every warp of the CTA
                 // reaches this barrier before any proceeds past it.
-                if dk.hierarchy && op.ends_strand {
-                    data[dk.upper_base..].fill(POISON);
-                }
+                dk.end_strand(op, data);
                 tok.pc += 1;
                 return Ok(Phase::Barrier);
             }
@@ -820,9 +831,7 @@ fn step_warp(
         }
 
         // Strand boundaries invalidate the upper levels.
-        if dk.hierarchy && op.ends_strand {
-            data[dk.upper_base..].fill(POISON);
-        }
+        dk.end_strand(op, data);
 
         tok.pc += 1;
     }

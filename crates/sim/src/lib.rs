@@ -17,7 +17,9 @@
 //!   *hierarchy-faithful* mode: operand values actually move through
 //!   modeled ORF/LRF storage according to the compiler's placements, and
 //!   upper levels are poisoned at strand boundaries — so a mis-allocated
-//!   kernel produces wrong results instead of silently passing;
+//!   kernel produces wrong results instead of silently passing — plus a
+//!   replay of one recorded baseline stream against allocated kernels,
+//!   whose tag model rejects every read of a stale or poisoned entry;
 //! * [`sink`] — the instruction-trace observer interface, including the
 //!   [`FanoutSink`] combinator for composing observer stacks;
 //! * [`counts`] — access counting for software-managed hierarchies;

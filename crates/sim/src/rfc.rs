@@ -68,7 +68,7 @@ struct Line {
     dead: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct WarpRfc {
     fifo: VecDeque<Line>,
     lrf: Option<Line>,
@@ -79,7 +79,7 @@ struct WarpRfc {
 }
 
 /// Counts hierarchy accesses under hardware caching.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HwCounter {
     cfg: RfcConfig,
     counts: AccessCounts,

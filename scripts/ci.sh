@@ -38,6 +38,14 @@ RFH_JOBS=1 RFH_EXEC_DIFF_CASES=100 cargo test -q --offline --test exec_different
 RFH_JOBS=8 RFH_EXEC_DIFF_CASES=100 cargo test -q --offline --test exec_differential
 echo "exec differential suite green under RFH_JOBS=1 and RFH_JOBS=8"
 
+echo "==> replay smoke (tag-checked replay vs hierarchy execution)"
+# Replay must reject every placement mutant hierarchy execution rejects
+# and accept every mutant the placement validator accepts, serially and
+# with 8 workers; the full budget runs in `cargo test` above.
+RFH_JOBS=1 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy replay_layer
+RFH_JOBS=8 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy replay_layer
+echo "replay layer green under RFH_JOBS=1 and RFH_JOBS=8"
+
 echo "==> timing differential smoke (staged engine vs frozen reference engine)"
 # Same contract for the timing-model pair: the full 600-case sweep runs
 # in `cargo test` above; these bounded runs pin job-count invariance of
