@@ -993,9 +993,9 @@ pub fn run_absint_layer(
 /// trace set and its scheduler config ([`crate::trace`]): reordered ops,
 /// perturbed latency classes, scrambled dependences, truncated warp
 /// streams, unbalanced barriers, and degenerate configs. Every mutant
-/// replays through both the staged engine and the frozen reference
-/// oracle; the contract is exact agreement on the full `Result` —
-/// identical `TimingResult`s on survivors (**identical**), identical
+/// replays through both the flat engine (`simulate_timing`) and the
+/// frozen reference oracle; the contract is exact agreement on the full
+/// `Result` — identical `TimingResult`s on survivors (**identical**), identical
 /// structured errors on malformed inputs (**rejected** for up-front
 /// config errors, **structured** for deadlocks and budget trips), and no
 /// panics or hangs anywhere.
@@ -1006,10 +1006,7 @@ pub fn run_absint_layer(
 /// accept/reject asymmetry between the engines, or any divergence in
 /// results or error values (the deadlock snapshot included).
 pub fn run_timing_layer(w: &Workload, cases: usize, base_seed: u64) -> Result<ChaosReport, String> {
-    use rfh_sim::timing::{
-        simulate_timing_with_engine, Engine as TimingEngine, TimingConfig, TimingError,
-        TraceCapture,
-    };
+    use rfh_sim::timing::{reference, simulate_timing, TimingConfig, TimingError, TraceCapture};
 
     // Capture the workload's trace once; every case mutates a clone.
     let machine = MachineConfig::paper();
@@ -1038,18 +1035,16 @@ pub fn run_timing_layer(w: &Workload, cases: usize, base_seed: u64) -> Result<Ch
                 return Ok(CaseOutcome::Unchanged);
             }
             let cta_of = |wi: usize| wi / warps_per_cta;
-            let staged =
-                simulate_timing_with_engine(&traces, &cta_of, &config, TimingEngine::Staged);
-            let reference =
-                simulate_timing_with_engine(&traces, &cta_of, &config, TimingEngine::Reference);
-            match (staged, reference) {
-                (Ok(s), Ok(r)) => {
-                    if s == r {
+            let flat = simulate_timing(&traces, &cta_of, &config);
+            let oracle = reference::simulate(&traces, &cta_of, &config);
+            match (flat, oracle) {
+                (Ok(f), Ok(r)) => {
+                    if f == r {
                         Ok(CaseOutcome::Identical)
                     } else {
                         Err(format!(
                             "engines accepted the mutant with different results: \
-                             staged {s:?} vs reference {r:?}"
+                             flat {f:?} vs reference {r:?}"
                         ))
                     }
                 }
@@ -1057,7 +1052,7 @@ pub fn run_timing_layer(w: &Workload, cases: usize, base_seed: u64) -> Result<Ch
                     if a != b {
                         Err(format!(
                             "engines rejected the mutant with different errors: \
-                             staged `{a}` vs reference `{b}`"
+                             flat `{a}` vs reference `{b}`"
                         ))
                     } else if matches!(a, TimingError::Config(_)) {
                         Ok(CaseOutcome::Rejected)
@@ -1065,12 +1060,12 @@ pub fn run_timing_layer(w: &Workload, cases: usize, base_seed: u64) -> Result<Ch
                         Ok(CaseOutcome::Structured)
                     }
                 }
-                (Ok(s), Err(e)) => Err(format!(
-                    "reference-only failure on a mutant the staged engine \
-                     accepted ({s:?}): {e}"
+                (Ok(f), Err(e)) => Err(format!(
+                    "reference-only failure on a mutant the flat engine \
+                     accepted ({f:?}): {e}"
                 )),
                 (Err(e), Ok(r)) => Err(format!(
-                    "staged-only failure on a mutant the reference engine \
+                    "flat-only failure on a mutant the reference engine \
                      accepted ({r:?}): {e}"
                 )),
             }

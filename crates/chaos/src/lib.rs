@@ -64,7 +64,7 @@
 //! timing traces* and their scheduler configs ([`trace`]) — reordered
 //! ops, perturbed latency classes, scrambled dependences, truncated warp
 //! streams, unbalanced barriers, degenerate configs — and replays every
-//! mutant through both timing engines (the staged combinator engine and
+//! mutant through both timing engines (the flat per-cycle loop and
 //! the frozen reference oracle): surviving traces must agree exactly on
 //! the `TimingResult`, malformed ones must produce field-for-field
 //! identical structured errors, deadlock snapshots included.

@@ -5,19 +5,19 @@
 //! the [`TimingConfig`] they replay under — the way [`crate::ir`]
 //! corrupts kernels. The timing chaos layer
 //! ([`crate::harness::run_timing_layer`]) drives every mutant through
-//! *both* timing engines: surviving traces must produce identical
-//! results, malformed ones (unbalanced barriers, degenerate configs,
-//! starved budgets) must produce identical structured errors.
+//! both the flat engine and its frozen oracle: surviving traces must
+//! produce identical results, malformed ones (unbalanced barriers,
+//! degenerate configs, starved budgets) must produce identical
+//! structured errors.
 //!
 //! Mutation kinds: reordered ops, perturbed latency classes (including
 //! long-flag flips that move an op between the deschedule and
 //! wait-in-place paths), scrambled operand registers, duplicated and
 //! dropped ops, truncated and emptied warp streams, inserted and removed
 //! barriers, and config corruptions (zero/oversized active sets, zeroed
-//! latency classes, starved cycle budgets, policy and bank-geometry
-//! flips).
+//! latency classes, starved cycle budgets, policy flips).
 
-use rfh_sim::timing::{BankPolicy, SchedPolicy, TimingConfig, TraceOp};
+use rfh_sim::timing::{SchedPolicy, TimingConfig, TraceOp};
 use rfh_testkit::prelude::*;
 
 use rfh_isa::Unit;
@@ -206,8 +206,7 @@ fn corrupt_active_set(config: &mut TimingConfig, rng: &mut SmallRng) {
 }
 
 /// Corrupts other config knobs: zeroed latency classes (rejected),
-/// starved cycle budgets (structured budget errors), policy flips and
-/// bank-geometry faults.
+/// starved cycle budgets (structured budget errors) and policy flips.
 fn corrupt_config(config: &mut TimingConfig, rng: &mut SmallRng) {
     match rng.gen_range(0..8u32) {
         0 => config.machine.alu_latency = 0,
@@ -216,18 +215,7 @@ fn corrupt_config(config: &mut TimingConfig, rng: &mut SmallRng) {
         3 => config.max_cycles = rng.gen_range(0..=200),
         4 => config.policy = SchedPolicy::Greedy,
         5 => config.policy = SchedPolicy::RoundRobin,
-        6 => {
-            // Degenerate bank geometry: both engines reject it with the
-            // same structured error. (A *valid* arbitrated MRF is a
-            // staged-only feature and deliberately out of scope for the
-            // cross-engine layer — the reference oracle predates banks.)
-            let (banks, depth) = if rng.gen::<bool>() {
-                (0, rng.gen_range(0..=4))
-            } else {
-                (rng.gen_range(1..=8), 0)
-            };
-            config.bank_policy = BankPolicy::Arbitrated { banks, depth };
-        }
+        6 => config.machine.sfu_latency = 0,
         _ => config.machine.shared_issue_cycles = rng.gen_range(0..=16),
     }
 }

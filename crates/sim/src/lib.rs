@@ -30,12 +30,10 @@
 //!   \[11\] (FIFO, allocate-on-miss, static-liveness writeback elision,
 //!   flush on deschedule), in two- and three-level variants;
 //! * [`usage`] — dynamic register value usage statistics (Figure 2);
-//! * [`timing`] — a cycle-level model of the two-level warp scheduler
-//!   verifying the no-performance-loss claim, recomposed from
-//!   latency-insensitive stage combinators ([`timing::stage`]) with the
-//!   original engine frozen as a differential oracle
-//!   ([`timing::reference`]), and scaled to N SMs sharing a memory model
-//!   ([`timing::multi_sm`]).
+//! * [`timing`] — a cycle-level model of the two-level warp scheduler on
+//!   one SM with an ideal MRF, verifying the no-performance-loss claim:
+//!   one flat per-cycle loop, with the original engine frozen as a
+//!   test-only differential oracle.
 //!
 //! ## Example
 //!
@@ -79,10 +77,8 @@ pub use profile::EnergyProfiler;
 pub use rfc::{HwCounter, RfcConfig};
 pub use sink::{FanoutSink, TraceSink};
 pub use timing::{
-    simulate_multi_sm, simulate_timing, simulate_timing_with_engine, BankPolicy, ConfigError,
-    DeadlockSnapshot, Engine as TimingEngine, LatencyClass, MemoryModel, MultiSmConfig,
-    MultiSmResult, SchedPolicy, SmResult, TimingConfig, TimingError, TimingResult, WarpSnapshot,
-    DEFAULT_MAX_CYCLES,
+    simulate_timing, ConfigError, DeadlockSnapshot, LatencyClass, SchedPolicy, TimingConfig,
+    TimingError, TimingResult, WarpSnapshot, DEFAULT_MAX_CYCLES,
 };
 pub use trace::TraceExporter;
 pub use usage::UsageStats;

@@ -19,23 +19,12 @@
 //! * idle-cycle fast-forwarding, so long DRAM stalls cost simulation time
 //!   proportional to events, not cycles.
 //!
-//! Two engines implement those semantics:
-//!
-//! * [`Engine::Staged`] (the default) — the scheduler recomposed from the
-//!   latency-insensitive stage vocabulary in [`stage`] (valid/ready
-//!   handshakes, FIFOs, skid buffers, round-robin and priority arbiters,
-//!   fixed-latency pipes, credit-based flow control), so bank
-//!   arbitration, operand buffering, and the scheduler policy are
-//!   swappable parts instead of hand-woven loops;
-//! * [`Engine::Reference`] — the original bespoke engine, frozen in
-//!   [`reference`] as the differential oracle the staged engine is
-//!   conformance-tested against (`tests/timing_differential.rs` and the
-//!   chaos `run_timing_layer`).
-//!
-//! [`multi_sm`] scales the model beyond one SM: CTAs distribute
-//! round-robin across N SM contexts that share a [`MemoryModel`], and the
-//! SMs simulate in parallel over the `RFH_JOBS` pool with input-order
-//! folding, so results are identical at any job count.
+//! The model is one SM (the paper's Table 2 machine) with an infinitely
+//! ported MRF: operand reads never stall, as in the paper's §6
+//! argument. One flat per-cycle loop (`sched`) is the shipped engine;
+//! the original hand-woven loop stays frozen in `reference` as the
+//! test-only oracle that `tests/timing_differential.rs` and the chaos
+//! `run_timing_layer` hold it to.
 
 use std::error::Error;
 use std::fmt;
@@ -45,12 +34,9 @@ use rfh_isa::Unit;
 use crate::machine::MachineConfig;
 use crate::sink::{InstrEvent, TraceSink};
 
-pub mod multi_sm;
+#[doc(hidden)]
 pub mod reference;
-pub mod stage;
-mod staged;
-
-pub use multi_sm::{simulate_multi_sm, MemoryModel, MultiSmConfig, MultiSmResult, SmResult};
+mod sched;
 
 /// Default cycle budget for a timing simulation ([`TimingConfig::max_cycles`]).
 ///
@@ -58,19 +44,6 @@ pub use multi_sm::{simulate_multi_sm, MemoryModel, MultiSmConfig, MultiSmResult,
 /// under ten million cycles) while still bounding a runaway simulation to
 /// seconds of wall time thanks to idle-cycle fast-forwarding.
 pub const DEFAULT_MAX_CYCLES: u64 = 1_000_000_000;
-
-/// Which timing engine replays the traces.
-///
-/// Production code should use [`Engine::Staged`]; the frozen reference
-/// engine exists for differential testing only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The stage-combinator engine (the default).
-    #[default]
-    Staged,
-    /// The frozen pre-refactor engine ([`reference`]), the oracle.
-    Reference,
-}
 
 /// The latency class a [`ConfigError::ZeroLatency`] names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +74,7 @@ impl fmt::Display for LatencyClass {
 }
 
 /// A structurally invalid [`TimingConfig`], rejected up front by
-/// [`simulate_timing_with_engine`] instead of producing silently
+/// [`simulate_timing`] instead of producing silently
 /// degenerate schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
@@ -121,19 +94,6 @@ pub enum ConfigError {
         /// The offending latency class.
         class: LatencyClass,
     },
-    /// A bank-arbitrated MRF with zero banks or zero operand-buffer
-    /// depth.
-    BankGeometry {
-        /// Configured bank count.
-        banks: usize,
-        /// Configured per-bank operand-buffer depth.
-        depth: usize,
-    },
-    /// The frozen reference engine predates bank modeling and cannot
-    /// honor a non-ideal [`BankPolicy`].
-    BankPolicyUnsupported,
-    /// A multi-SM simulation with zero SMs.
-    ZeroSms,
 }
 
 impl fmt::Display for ConfigError {
@@ -149,17 +109,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroLatency { class } => {
                 write!(f, "{class} latency of 0 cycles models no hardware class")
             }
-            ConfigError::BankGeometry { banks, depth } => write!(
-                f,
-                "bank-arbitrated MRF needs at least 1 bank and depth-1 operand \
-                 buffers (got {banks} banks, depth {depth})"
-            ),
-            ConfigError::BankPolicyUnsupported => write!(
-                f,
-                "the reference engine predates bank modeling; use the staged \
-                 engine for a bank-arbitrated MRF"
-            ),
-            ConfigError::ZeroSms => write!(f, "multi-SM simulation needs at least 1 SM"),
         }
     }
 }
@@ -350,28 +299,6 @@ pub enum SchedPolicy {
     Greedy,
 }
 
-/// MRF read-port model of the staged engine's operand-collection stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BankPolicy {
-    /// Infinitely ported MRF: operand reads never stall. This is the
-    /// reference engine's (and the paper's §6 model's) behavior, and the
-    /// only policy the differential suite runs.
-    #[default]
-    Ideal,
-    /// Single-ported banks with one read grant per bank per cycle:
-    /// same-bank operand reads serialize through per-bank operand-buffer
-    /// FIFOs, delaying issue (staged engine only). Unlocks the
-    /// bank-contention-sensitive techniques of the related work
-    /// (GREENER, compiler-assisted RFC replacement).
-    Arbitrated {
-        /// Number of MRF banks (registers interleave as `reg % banks`).
-        banks: usize,
-        /// Operand-buffer entries per bank; a full buffer back-pressures
-        /// issue until a pending read drains.
-        depth: usize,
-    },
-}
-
 /// Timing simulation configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimingConfig {
@@ -384,9 +311,6 @@ pub struct TimingConfig {
     pub two_level: bool,
     /// Warp selection policy.
     pub policy: SchedPolicy,
-    /// MRF read-port model (staged engine only; the reference engine
-    /// rejects anything but [`BankPolicy::Ideal`]).
-    pub bank_policy: BankPolicy,
     /// Cycle budget: the simulation aborts with
     /// [`TimingError::CycleBudget`] once `now` exceeds this. Defaults to
     /// [`DEFAULT_MAX_CYCLES`].
@@ -401,7 +325,6 @@ impl TimingConfig {
             active_warps: active,
             two_level: true,
             policy: SchedPolicy::RoundRobin,
-            bank_policy: BankPolicy::Ideal,
             max_cycles: DEFAULT_MAX_CYCLES,
         }
     }
@@ -413,7 +336,6 @@ impl TimingConfig {
             active_warps: usize::MAX,
             two_level: false,
             policy: SchedPolicy::RoundRobin,
-            bank_policy: BankPolicy::Ideal,
             max_cycles: DEFAULT_MAX_CYCLES,
         }
     }
@@ -424,28 +346,21 @@ impl TimingConfig {
         self
     }
 
-    /// Selects an MRF read-port model.
-    pub fn with_bank_policy(mut self, bank_policy: BankPolicy) -> Self {
-        self.bank_policy = bank_policy;
-        self
-    }
-
     /// Overrides the cycle budget.
     pub fn with_max_cycles(mut self, max_cycles: u64) -> Self {
         self.max_cycles = max_cycles;
         self
     }
 
-    /// Rejects structurally invalid configurations up front, so both
-    /// engines fail identically (and loudly) instead of producing
-    /// silently degenerate schedules.
+    /// Rejects structurally invalid configurations up front, so the
+    /// engine and its oracle fail identically (and loudly) instead of
+    /// producing silently degenerate schedules.
     ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] found: a zero or over-resident
-    /// active set (two-level only), a zero latency class, or a bank
-    /// policy the selected engine cannot honor.
-    pub fn validate(&self, engine: Engine) -> Result<(), ConfigError> {
+    /// active set (two-level only) or a zero latency class.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.two_level {
             if self.active_warps == 0 {
                 return Err(ConfigError::ZeroActiveWarps);
@@ -467,17 +382,6 @@ impl TimingConfig {
         for (latency, class) in classes {
             if latency == 0 {
                 return Err(ConfigError::ZeroLatency { class });
-            }
-        }
-        match self.bank_policy {
-            BankPolicy::Ideal => {}
-            BankPolicy::Arbitrated { banks, depth } => {
-                if banks == 0 || depth == 0 {
-                    return Err(ConfigError::BankGeometry { banks, depth });
-                }
-                if engine == Engine::Reference {
-                    return Err(ConfigError::BankPolicyUnsupported);
-                }
             }
         }
         Ok(())
@@ -504,7 +408,7 @@ impl TimingResult {
 
 /// Cycles until the sources of `traces[warp][pc]` are ready, per the
 /// given per-register ready times — the `pending_latency` of a
-/// [`WarpSnapshot`]. Shared by both engines so their deadlock snapshots
+/// [`WarpSnapshot`]. Shared with the oracle so their deadlock snapshots
 /// are field-for-field identical.
 pub(crate) fn pending_latency(
     traces: &[Vec<TraceOp>],
@@ -527,9 +431,7 @@ pub(crate) fn pending_latency(
         .unwrap_or(0)
 }
 
-/// Replays captured traces through the two-level scheduler on the default
-/// [`Engine::Staged`]; use [`simulate_timing_with_engine`] to pick the
-/// engine explicitly.
+/// Replays captured traces through the two-level scheduler.
 ///
 /// `cta_of` maps warp index → CTA (for barrier scoping); use
 /// [`TraceCapture::cta_of`].
@@ -548,27 +450,8 @@ pub fn simulate_timing(
     cta_of: &dyn Fn(usize) -> usize,
     config: &TimingConfig,
 ) -> Result<TimingResult, TimingError> {
-    simulate_timing_with_engine(traces, cta_of, config, Engine::default())
-}
-
-/// [`simulate_timing`] on an explicitly chosen [`Engine`].
-///
-/// # Errors
-///
-/// As [`simulate_timing`]; both engines return field-for-field identical
-/// errors on the same input (pinned by the differential suite and the
-/// chaos trace layer).
-pub fn simulate_timing_with_engine(
-    traces: &[Vec<TraceOp>],
-    cta_of: &dyn Fn(usize) -> usize,
-    config: &TimingConfig,
-    engine: Engine,
-) -> Result<TimingResult, TimingError> {
-    config.validate(engine).map_err(TimingError::Config)?;
-    match engine {
-        Engine::Staged => staged::run(traces, cta_of, config),
-        Engine::Reference => reference::run(traces, cta_of, config),
-    }
+    config.validate().map_err(TimingError::Config)?;
+    sched::run(traces, cta_of, config)
 }
 
 #[cfg(test)]

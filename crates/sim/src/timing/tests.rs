@@ -1,7 +1,7 @@
 //! Unit tests for the timing module: the original `timing.rs` suite
-//! (now exercising the staged default engine through the public API)
-//! plus engine dispatch, config validation, deadlock snapshots, and the
-//! bank-arbitrated MRF policy.
+//! (exercising the flat engine through the public API) plus config
+//! validation, deadlock snapshots, and spot checks against the frozen
+//! oracle.
 
 use super::*;
 use crate::exec::{execute, execute_with, ExecMode, Launch};
@@ -207,13 +207,15 @@ fn deadlock_error_carries_a_per_warp_snapshot() {
     // Same barrier mismatch as above: warp 0 is stuck at its barrier
     // (pc 1: the barrier issued), warp 1 retired and must not appear.
     let traces = vec![vec![bar_op(), alu_op(0, 0)], vec![alu_op(1, 1)]];
-    for engine in [Engine::Staged, Engine::Reference] {
-        let err = simulate_timing_with_engine(&traces, &|_| 0, &TimingConfig::two_level(8), engine)
-            .unwrap_err();
+    let cfg = TimingConfig::two_level(8);
+    for err in [
+        simulate_timing(&traces, &|_| 0, &cfg).unwrap_err(),
+        reference::simulate(&traces, &|_| 0, &cfg).unwrap_err(),
+    ] {
         let TimingError::Deadlock { snapshot, .. } = &err else {
             panic!("expected deadlock, got {err}");
         };
-        assert_eq!(snapshot.warps.len(), 1, "{engine:?}");
+        assert_eq!(snapshot.warps.len(), 1);
         let w = snapshot.warps[0];
         assert_eq!(w.warp, 0);
         assert_eq!(w.cta, 0);
@@ -234,17 +236,10 @@ fn deadlock_snapshots_are_identical_across_engines() {
         vec![bar_op(), alu_op(0, 0), alu_op(0, 0)],
         vec![bar_op(), bar_op(), alu_op(1, 1)],
     ];
-    let staged =
-        simulate_timing_with_engine(&traces, &|_| 0, &TimingConfig::two_level(8), Engine::Staged)
-            .unwrap_err();
-    let reference = simulate_timing_with_engine(
-        &traces,
-        &|_| 0,
-        &TimingConfig::two_level(8),
-        Engine::Reference,
-    )
-    .unwrap_err();
-    assert_eq!(staged, reference);
+    let cfg = TimingConfig::two_level(8);
+    let flat = simulate_timing(&traces, &|_| 0, &cfg).unwrap_err();
+    let oracle = reference::simulate(&traces, &|_| 0, &cfg).unwrap_err();
+    assert_eq!(flat, oracle);
 }
 
 #[test]
@@ -297,15 +292,9 @@ fn engines_agree_on_captured_workloads() {
             TimingConfig::two_level(8),
             TimingConfig::two_level(2).with_policy(SchedPolicy::Greedy),
         ] {
-            let staged =
-                simulate_timing_with_engine(&cap.traces, &|w| cap.cta_of(w), &cfg, Engine::Staged);
-            let reference = simulate_timing_with_engine(
-                &cap.traces,
-                &|w| cap.cta_of(w),
-                &cfg,
-                Engine::Reference,
-            );
-            assert_eq!(staged, reference, "{cfg:?}");
+            let flat = simulate_timing(&cap.traces, &|w| cap.cta_of(w), &cfg);
+            let oracle = reference::simulate(&cap.traces, &|w| cap.cta_of(w), &cfg);
+            assert_eq!(flat, oracle, "{cfg:?}");
         }
     }
 }
@@ -313,9 +302,11 @@ fn engines_agree_on_captured_workloads() {
 #[test]
 fn zero_active_warps_is_a_config_error() {
     let traces = vec![vec![alu_op(0, 0)]];
-    for engine in [Engine::Staged, Engine::Reference] {
-        let err = simulate_timing_with_engine(&traces, &|_| 0, &TimingConfig::two_level(0), engine)
-            .unwrap_err();
+    let cfg = TimingConfig::two_level(0);
+    for err in [
+        simulate_timing(&traces, &|_| 0, &cfg).unwrap_err(),
+        reference::simulate(&traces, &|_| 0, &cfg).unwrap_err(),
+    ] {
         assert_eq!(err, TimingError::Config(ConfigError::ZeroActiveWarps));
     }
 }
@@ -354,99 +345,6 @@ fn zero_latency_classes_are_config_errors() {
         let err = simulate_timing(&traces, &|_| 0, &cfg).unwrap_err();
         assert_eq!(err, TimingError::Config(ConfigError::ZeroLatency { class }));
     }
-}
-
-#[test]
-fn degenerate_bank_geometry_is_a_config_error() {
-    let traces = vec![vec![alu_op(0, 0)]];
-    for (banks, depth) in [(0, 4), (8, 0), (0, 0)] {
-        let cfg =
-            TimingConfig::two_level(8).with_bank_policy(BankPolicy::Arbitrated { banks, depth });
-        let err = simulate_timing(&traces, &|_| 0, &cfg).unwrap_err();
-        assert_eq!(
-            err,
-            TimingError::Config(ConfigError::BankGeometry { banks, depth })
-        );
-    }
-}
-
-#[test]
-fn reference_engine_rejects_bank_arbitration() {
-    let traces = vec![vec![alu_op(0, 0)]];
-    let cfg =
-        TimingConfig::two_level(8).with_bank_policy(BankPolicy::Arbitrated { banks: 8, depth: 4 });
-    let err = simulate_timing_with_engine(&traces, &|_| 0, &cfg, Engine::Reference).unwrap_err();
-    assert_eq!(err, TimingError::Config(ConfigError::BankPolicyUnsupported));
-    // The staged engine accepts the same config.
-    assert!(simulate_timing(&traces, &|_| 0, &cfg).is_ok());
-}
-
-/// An op whose three sources all land in MRF bank 0 of a 4-bank MRF.
-fn conflicted_op(dst: u16) -> TraceOp {
-    TraceOp {
-        latency: 8,
-        unit: Unit::Alu,
-        long: false,
-        barrier: false,
-        dsts: [Some(dst), None],
-        srcs: [Some(0), Some(4), Some(8)],
-    }
-}
-
-#[test]
-fn bank_conflicts_slow_dependent_chains() {
-    // A dependent chain of ops that each read bank 0 three times: read
-    // serialization adds 2 cycles of result latency per op.
-    let chain: Vec<TraceOp> = (0..50).map(|_| conflicted_op(0)).collect();
-    let ideal = simulate_timing(
-        std::slice::from_ref(&chain),
-        &|_| 0,
-        &TimingConfig::single_level(),
-    )
-    .unwrap();
-    let banked = simulate_timing(
-        &[chain],
-        &|_| 0,
-        &TimingConfig::single_level()
-            .with_bank_policy(BankPolicy::Arbitrated { banks: 4, depth: 4 }),
-    )
-    .unwrap();
-    assert_eq!(ideal.instructions, banked.instructions);
-    assert!(
-        banked.cycles > ideal.cycles,
-        "banked {} vs ideal {}",
-        banked.cycles,
-        ideal.cycles
-    );
-}
-
-#[test]
-fn conflict_free_reads_match_the_ideal_mrf() {
-    // Each op reads one register per distinct bank: no serialization,
-    // so the arbitrated MRF costs nothing.
-    let op = TraceOp {
-        latency: 8,
-        unit: Unit::Alu,
-        long: false,
-        barrier: false,
-        dsts: [Some(0), None],
-        srcs: [Some(0), Some(1), Some(2)],
-    };
-    let chain: Vec<TraceOp> = (0..50).map(|_| op).collect();
-    let ideal = simulate_timing(
-        std::slice::from_ref(&chain),
-        &|_| 0,
-        &TimingConfig::single_level(),
-    )
-    .unwrap();
-    let banked = simulate_timing(
-        &[chain],
-        &|_| 0,
-        &TimingConfig::single_level()
-            .with_bank_policy(BankPolicy::Arbitrated { banks: 4, depth: 4 }),
-    )
-    .unwrap();
-    assert_eq!(ideal, banked);
 }
 
 mod policy_tests {

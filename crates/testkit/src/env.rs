@@ -13,11 +13,6 @@
 //!   seeds printed in failure reports (`seed 0x…`) can be pasted back
 //!   into `RFH_TESTKIT_SEED` verbatim.
 
-/// Reads a string-valued knob. Never warns: any present value is valid.
-pub fn string(name: &str) -> Option<String> {
-    std::env::var(name).ok()
-}
-
 /// Parses a raw integer string under the knob grammar (decimal or
 /// `0x`-prefixed hex, `_` separators allowed), warning loudly on a
 /// malformed value and falling back to `None`.
@@ -103,7 +98,7 @@ mod tests {
     #[test]
     fn unset_is_none() {
         assert_eq!(u64_knob("RFH_TEST_ENV_UNSET"), None);
-        assert_eq!(string("RFH_TEST_ENV_UNSET"), None);
+        assert_eq!(usize_knob("RFH_TEST_ENV_UNSET"), None);
     }
 
     #[test]
@@ -131,12 +126,6 @@ mod tests {
         std::env::set_var("RFH_TEST_ENV_ZERO", "0");
         assert_eq!(usize_knob("RFH_TEST_ENV_ZERO"), Some(0));
         assert_eq!(positive_usize_knob("RFH_TEST_ENV_ZERO"), None);
-    }
-
-    #[test]
-    fn string_passes_through() {
-        std::env::set_var("RFH_TEST_ENV_STR", "/tmp/out.json");
-        assert_eq!(string("RFH_TEST_ENV_STR"), Some("/tmp/out.json".into()));
     }
 
     #[test]

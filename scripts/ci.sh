@@ -46,13 +46,21 @@ RFH_JOBS=1 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trich
 RFH_JOBS=8 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy replay_layer
 echo "replay layer green under RFH_JOBS=1 and RFH_JOBS=8"
 
-echo "==> timing differential smoke (staged engine vs frozen reference engine)"
+echo "==> timing differential smoke (flat engine vs frozen reference)"
 # Same contract for the timing-model pair: the full 600-case sweep runs
 # in `cargo test` above; these bounded runs pin job-count invariance of
 # the 35-workload grid and the generated-trace generator.
 RFH_JOBS=1 RFH_TIMING_DIFF_CASES=100 cargo test -q --offline --test timing_differential
 RFH_JOBS=8 RFH_TIMING_DIFF_CASES=100 cargo test -q --offline --test timing_differential
 echo "timing differential suite green under RFH_JOBS=1 and RFH_JOBS=8"
+
+echo "==> timing chaos smoke (mutated traces and configs on both engines)"
+# Seeded trace and config mutants must replay identically on the flat
+# engine and the frozen reference, or fail with identical structured
+# errors, serially and with 8 workers.
+RFH_JOBS=1 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy timing_layer
+RFH_JOBS=8 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy timing_layer
+echo "timing layer green under RFH_JOBS=1 and RFH_JOBS=8"
 
 echo "==> repro smoke (parallel run must reproduce the committed goldens)"
 # Regenerate the golden CSVs with two pool workers and diff byte-for-byte
@@ -74,18 +82,6 @@ for f in results/*.csv; do
 done
 cmp "$artifacts/repro.txt" "$artifacts/repro.jobs1.txt"
 echo "repro goldens byte-identical under RFH_JOBS=1 and RFH_JOBS=2"
-
-echo "==> multi-SM smoke (rfhc timing across SM counts)"
-# `rfhc timing --sms N` must produce byte-identical stdout under a serial
-# pool and an 8-worker pool (SM results fold in SM order).
-for sms in 1 4; do
-    RFH_JOBS=1 ./target/release/rfhc timing --workload vectoradd --sms "$sms" \
-        > "$artifacts/timing_sms$sms.txt" 2> /dev/null
-    RFH_JOBS=8 ./target/release/rfhc timing --workload vectoradd --sms "$sms" \
-        > "$artifacts/timing_sms$sms.jobs8.txt" 2> /dev/null
-    cmp "$artifacts/timing_sms$sms.txt" "$artifacts/timing_sms$sms.jobs8.txt"
-done
-echo "multi-SM runs byte-identical across job counts"
 
 echo "==> lint smoke + golden diagnostics report"
 # The analyzer must accept the repo's own kernels: `rfhc lint` on a known

@@ -25,10 +25,9 @@
 //! with the lint error code on *any* finding, notes included.
 //!
 //! The `timing` subcommand replays a captured instruction trace through
-//! the cycle-level two-level-scheduler model (`rfh::sim::timing`) across
-//! `--sms N` SM contexts sharing a contended memory model, and prints the
-//! per-SM and chip-level results; the output is byte-identical at any
-//! `--jobs` count.
+//! the cycle-level two-level-scheduler model of one SM
+//! (`rfh::sim::timing`) and prints cycles, instructions, deschedules and
+//! IPC.
 //!
 //! The `serve` subcommand runs the compile-service daemon (`rfh-rfhd`) in
 //! the foreground; `client` drives it — one request, or the
@@ -56,9 +55,8 @@ const USAGE: &str = "usage: rfhc [--orf N] [--lrf none|unified|split] [--no-part
      [--hints] [--baseline]\n\
              [--json | --chrome | --profile] [--ctas N] [--threads N] [--jobs N]\n\
              <kernel.rfasm | ->\n\
-       rfhc timing [--sms N] [--active N | --single-level] [--greedy]\n\
-             [--uncontended] [--ctas N] [--threads N] [--jobs N] \
-     (--workload NAME | <kernel.rfasm | ->)\n\
+       rfhc timing [--active N | --single-level] [--greedy]\n\
+             (--workload NAME | [--ctas N] [--threads N] <kernel.rfasm | ->)\n\
        rfhc serve (--tcp HOST:PORT | --unix PATH) [--workers N]\n\
        rfhc client (--tcp HOST:PORT | --unix PATH) [--op OP] [--workload NAME] \
      [--timeout-ms N]\n\
@@ -382,74 +380,59 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
 }
 
 /// The `rfhc timing` subcommand: capture a baseline instruction trace
-/// and replay it through the cycle-level scheduler model across `--sms`
-/// SM contexts.
+/// and replay it through the cycle-level scheduler model.
 ///
 /// The kernel comes from `--workload NAME` (a paper-suite workload with
-/// its own launch geometry and memory image) or a kernel file; the
-/// per-SM result table goes to stdout and a chip-level summary to
-/// stderr. SMs simulate in parallel over the worker pool with results
-/// folded in SM order, so the output is byte-identical at any `--jobs`
-/// count.
+/// its own launch geometry and memory image) or a kernel file launched
+/// as `--ctas` × `--threads`; the result goes to stdout as one line and a
+/// summary to stderr.
 fn timing_main(
     mut args: std::iter::Peekable<impl Iterator<Item = String>>,
 ) -> Result<(), RfhError> {
-    use rfh::sim::timing::{MemoryModel, MultiSmConfig, TimingConfig, TraceCapture};
+    use rfh::sim::timing::{simulate_timing, TimingConfig, TraceCapture};
 
-    let mut sms: usize = 1;
-    let mut active: usize = 8;
+    fn positive(value: Option<String>, flag: &str) -> Result<usize, RfhError> {
+        value
+            .and_then(|n| n.parse().ok())
+            .filter(|&n: &usize| n >= 1)
+            .ok_or_else(|| usage(&format!("{flag} needs a positive integer")))
+    }
+
+    let mut active: Option<usize> = None;
     let mut single_level = false;
     let mut greedy = false;
-    let mut uncontended = false;
-    let mut ctas: usize = 1;
-    let mut threads: usize = 64;
+    let mut ctas: Option<usize> = None;
+    let mut threads: Option<usize> = None;
     let mut workload: Option<String> = None;
     let mut input: Option<String> = None;
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--sms" => {
-                sms = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| usage("--sms needs a positive integer"))?;
-            }
             "--active" => {
-                active = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .ok_or_else(|| usage("--active needs an integer value"))?;
+                active = Some(
+                    args.next()
+                        .and_then(|n| n.parse().ok())
+                        .ok_or_else(|| usage("--active needs an integer value"))?,
+                )
             }
             "--single-level" => single_level = true,
             "--greedy" => greedy = true,
-            "--uncontended" => uncontended = true,
-            "--ctas" => {
-                ctas = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| usage("--ctas needs a positive integer"))?;
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| usage("--threads needs a positive integer"))?;
-            }
+            "--ctas" => ctas = Some(positive(args.next(), "--ctas")?),
+            "--threads" => threads = Some(positive(args.next(), "--threads")?),
             "--workload" => {
                 workload = Some(
                     args.next()
                         .ok_or_else(|| usage("--workload needs a name"))?,
                 )
             }
-            "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
             "--help" | "-h" => return Err(usage("")),
             "-" if input.is_none() => input = Some("-".into()),
             other if input.is_none() && !other.starts_with('-') => input = Some(other.into()),
             other => return Err(usage(&format!("unrecognized argument `{other}`"))),
         }
+    }
+    if single_level && active.is_some() {
+        return Err(usage("--active and --single-level are mutually exclusive"));
     }
 
     // The trace source: a paper-suite workload (own launch geometry and
@@ -458,6 +441,11 @@ fn timing_main(
     let (name, kernel, launch, mut mem) = match (&workload, &input) {
         (Some(_), Some(_)) => {
             return Err(usage("--workload and a kernel file are mutually exclusive"))
+        }
+        (Some(_), None) if ctas.is_some() || threads.is_some() => {
+            return Err(usage(
+                "--ctas and --threads apply to a kernel file; a workload has its own launch",
+            ))
         }
         (Some(name), None) => {
             let w = rfh::workloads::by_name(name).ok_or_else(|| {
@@ -474,7 +462,7 @@ fn timing_main(
             (
                 path.clone(),
                 kernel,
-                rfh::sim::Launch::new(ctas, threads),
+                rfh::sim::Launch::new(ctas.unwrap_or(1), threads.unwrap_or(64)),
                 rfh::sim::GlobalMemory::new(1 << 16),
             )
         }
@@ -491,42 +479,25 @@ fn timing_main(
         &mut [&mut cap],
     )?;
 
-    let mut per_sm = if single_level {
+    let mut config = if single_level {
         TimingConfig::single_level()
     } else {
-        TimingConfig::two_level(active)
+        TimingConfig::two_level(active.unwrap_or(8))
     };
     if greedy {
-        per_sm = per_sm.with_policy(rfh::sim::SchedPolicy::Greedy);
-    }
-    let mut config = MultiSmConfig::new(sms, per_sm);
-    if uncontended {
-        config = config.with_memory(MemoryModel::uncontended());
+        config = config.with_policy(rfh::sim::SchedPolicy::Greedy);
     }
 
-    let result = rfh::sim::timing::simulate_multi_sm(&cap.traces, &|w| cap.cta_of(w), &config)?;
-    for s in &result.per_sm {
-        println!(
-            "sm {}: ctas {} warps {} cycles {} instructions {} deschedules {} ipc {:.4}",
-            s.sm,
-            s.ctas,
-            s.warps,
-            s.result.cycles,
-            s.result.instructions,
-            s.result.deschedules,
-            s.result.ipc()
-        );
-    }
+    let result = simulate_timing(&cap.traces, &|w| cap.cta_of(w), &config)?;
     println!(
-        "total: sms {} cycles {} instructions {} deschedules {} ipc {:.4}",
-        sms,
-        result.cycles(),
-        result.instructions(),
-        result.deschedules(),
+        "cycles {} instructions {} deschedules {} ipc {:.4}",
+        result.cycles,
+        result.instructions,
+        result.deschedules,
         result.ipc()
     );
     eprintln!(
-        "rfhc timing: {name} — {} warp(s) in {} CTA(s) across {sms} SM(s), chip IPC {:.4}",
+        "rfhc timing: {name} — {} warp(s) in {} CTA(s), IPC {:.4}",
         cap.traces.len(),
         launch.ctas,
         result.ipc()

@@ -569,3 +569,102 @@ fn client_timeout_flag_bounds_a_runaway_kernel() {
     let served = child.wait_with_output().expect("wait rfhc serve");
     assert_eq!(served.status.code(), Some(0), "{served:?}");
 }
+
+#[test]
+fn timing_stdout_matches_the_library_path() {
+    // Capture the same workload through the library and render its
+    // result exactly as the CLI does.
+    use rfh::sim::exec::{execute_with, ExecMode};
+    use rfh::sim::timing::{simulate_timing, TimingConfig, TraceCapture};
+    use rfh::sim::MachineConfig;
+
+    let w = rfh::workloads::by_name("reduction").expect("known workload");
+    let machine = MachineConfig::paper();
+    let mut cap = TraceCapture::new(machine.clone(), w.launch.threads_per_cta);
+    let mut mem = w.memory.clone();
+    execute_with(
+        &w.kernel,
+        &w.launch,
+        &mut mem,
+        ExecMode::Baseline,
+        &machine,
+        &mut [&mut cap],
+    )
+    .expect("trace capture");
+    let r = simulate_timing(
+        &cap.traces,
+        &|wi| cap.cta_of(wi),
+        &TimingConfig::two_level(8),
+    )
+    .expect("timing simulation");
+    let expected = format!(
+        "cycles {} instructions {} deschedules {} ipc {:.4}\n",
+        r.cycles,
+        r.instructions,
+        r.deschedules,
+        r.ipc()
+    );
+
+    let out = rfhc(&["timing", "--workload", "reduction"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+}
+
+#[test]
+fn invalid_timing_configs_exit_with_the_timing_code() {
+    // active == 0 trips up-front config validation (exit 7, the timing
+    // error class), not a panic and not silent degenerate scheduling.
+    let out = rfhc(&["timing", "--workload", "vectoradd", "--active", "0"]);
+    assert_eq!(out.status.code(), Some(7));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("active"), "stderr: {err}");
+
+    // An oversized active set is the other half of the same contract.
+    let out = rfhc(&["timing", "--workload", "vectoradd", "--active", "999"]);
+    assert_eq!(out.status.code(), Some(7));
+}
+
+#[test]
+fn timing_usage_errors_exit_with_the_usage_code() {
+    for args in [
+        &["timing"][..],
+        &["timing", "--workload", "no-such-workload"],
+        &["timing", "--workload", "vectoradd", "--sms", "1"],
+        &["timing", "--workload", "vectoradd", "--uncontended"],
+        &["timing", "--workload", "vectoradd", "--jobs", "2"],
+    ] {
+        let out = rfhc(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
+}
+
+#[test]
+fn timing_workload_rejects_launch_flags() {
+    // A workload brings its own launch geometry; `--ctas`/`--threads`
+    // would be silently ignored, so they are refused instead.
+    for extra in [
+        &["--ctas", "2"][..],
+        &["--threads", "32"],
+        &["--ctas", "2", "--threads", "32"],
+    ] {
+        let mut args = vec!["timing", "--workload", "vectoradd"];
+        args.extend_from_slice(extra);
+        let out = rfhc(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
+fn timing_active_and_single_level_are_exclusive() {
+    let out = rfhc(&[
+        "timing",
+        "--workload",
+        "vectoradd",
+        "--single-level",
+        "--active",
+        "4",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
+}

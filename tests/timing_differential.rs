@@ -1,5 +1,6 @@
-//! Differential conformance: the staged timing engine against the frozen
-//! reference oracle (`rfh::sim::timing::reference`).
+//! Differential conformance: the flat timing engine
+//! (`rfh::sim::timing::simulate_timing`) against the frozen reference
+//! oracle (`rfh::sim::timing::reference::simulate`).
 //!
 //! Every case replays the same trace set through both engines and demands
 //! exact agreement on the full `Result`: identical [`TimingResult`]s
@@ -26,8 +27,7 @@
 use rfh::sim::exec::{execute_with, ExecMode};
 use rfh::sim::machine::MachineConfig;
 use rfh::sim::timing::{
-    simulate_multi_sm, simulate_timing_with_engine, Engine, MultiSmConfig, SchedPolicy,
-    TimingConfig, TraceCapture, TraceOp,
+    reference, simulate_timing, SchedPolicy, TimingConfig, TraceCapture, TraceOp,
 };
 use rfh_testkit::pool::par_map;
 use rfh_testkit::prelude::*;
@@ -40,21 +40,21 @@ fn check_agreement(
     cta_of: &dyn Fn(usize) -> usize,
     config: &TimingConfig,
 ) -> Result<(), String> {
-    let staged = simulate_timing_with_engine(traces, cta_of, config, Engine::Staged);
-    let reference = simulate_timing_with_engine(traces, cta_of, config, Engine::Reference);
-    match (&staged, &reference) {
-        _ if staged == reference => Ok(()),
-        (Ok(s), Ok(r)) => Err(format!(
-            "{label}: results diverge: staged {s:?} vs reference {r:?}"
+    let flat = simulate_timing(traces, cta_of, config);
+    let oracle = reference::simulate(traces, cta_of, config);
+    match (&flat, &oracle) {
+        _ if flat == oracle => Ok(()),
+        (Ok(f), Ok(r)) => Err(format!(
+            "{label}: results diverge: flat {f:?} vs reference {r:?}"
         )),
-        (Err(s), Err(r)) => Err(format!(
-            "{label}: errors diverge: staged `{s}` vs reference `{r}`"
+        (Err(f), Err(r)) => Err(format!(
+            "{label}: errors diverge: flat `{f}` vs reference `{r}`"
         )),
-        (Ok(s), Err(r)) => Err(format!(
-            "{label}: staged succeeded ({s:?}) but reference failed: {r}"
+        (Ok(f), Err(r)) => Err(format!(
+            "{label}: flat succeeded ({f:?}) but reference failed: {r}"
         )),
-        (Err(s), Ok(r)) => Err(format!(
-            "{label}: staged failed ({s}) but reference succeeded ({r:?})"
+        (Err(f), Ok(r)) => Err(format!(
+            "{label}: flat failed ({f}) but reference succeeded ({r:?})"
         )),
     }
 }
@@ -240,32 +240,11 @@ fn generated_case(seed: u64) -> Result<(), String> {
         config = config.with_max_cycles(rng.gen_range(50..=2000));
     }
 
-    check_agreement(&format!("gen seed {seed:#018x}"), &traces, &cta_of, &config)?;
-
-    // The same case distributed across SMs: per-SM engine runs must also
-    // agree (results and errors) on every SM slice.
-    let sms = rng.gen_range(1..=3usize);
-    let staged = simulate_multi_sm(
-        &traces,
-        &cta_of,
-        &MultiSmConfig::new(sms, config.clone()).with_engine(Engine::Staged),
-    );
-    let reference = simulate_multi_sm(
-        &traces,
-        &cta_of,
-        &MultiSmConfig::new(sms, config).with_engine(Engine::Reference),
-    );
-    if staged != reference {
-        return Err(format!(
-            "gen seed {seed:#018x}: multi-SM ({sms}) diverges: staged {staged:?} vs reference {reference:?}"
-        ));
-    }
-    Ok(())
+    check_agreement(&format!("gen seed {seed:#018x}"), &traces, &cta_of, &config)
 }
 
 /// The generator sweep: 600 seeded trace sets (per
-/// `RFH_TIMING_DIFF_CASES`), each replayed on both engines single-SM and
-/// multi-SM.
+/// `RFH_TIMING_DIFF_CASES`), each replayed on both engines.
 #[test]
 fn generated_traces_agree_on_both_engines() {
     let base = base_seed();
