@@ -17,9 +17,9 @@
 //! exact same guard — the shape the last-use hint pass produces — and
 //! invalidated when the guarding predicate is redefined.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use rfh_analysis::strand::walk_segments;
 use rfh_analysis::RegSet;
 use rfh_isa::access::{AccessKind, AccessPlan, AccessSlot, Datapath, Place};
 use rfh_isa::{InstrRef, Instruction, Kernel, PredGuard, Reg, Width};
@@ -87,158 +87,157 @@ fn entry_serves(entry: Option<Entry>, reg: Reg, guard: Option<PredGuard>) -> boo
     entry.is_some_and(|en| en.reg == reg && (en.guard.is_none() || en.guard == guard))
 }
 
-/// Splits a kernel into strands using the `ends_strand` bits already on the
-/// instructions (set by `rfh-analysis::strand::mark_strands`).
-fn segments(kernel: &Kernel) -> Vec<Vec<InstrRef>> {
-    let mut out = Vec::new();
-    let mut cur = Vec::new();
-    for (at, i) in kernel.iter_instrs() {
-        cur.push(at);
-        if i.ends_strand {
-            out.push(std::mem::take(&mut cur));
-        }
+/// Visits every MRF read (the MRF half of a fill included) that may
+/// observe a *stale* MRF copy: a register whose latest definition on some
+/// path was written only to an upper level.
+///
+/// Forward may-be-stale dataflow over blocks, solved with one gen/kill
+/// pair per block: a write that skips the MRF makes its words stale, an
+/// unguarded MRF write makes them fresh, and a guarded MRF write leaves
+/// them as they were.
+///
+/// # Errors
+///
+/// Stops at, and returns, the first error `visit` returns.
+pub fn stale_mrf_reads<E>(
+    kernel: &Kernel,
+    mut visit: impl FnMut(InstrRef, &Instruction, Reg) -> Result<(), E>,
+) -> Result<(), E> {
+    // Each instruction resolved once: the registers it reads from the MRF
+    // and the words it writes, flattened, and whether those words become
+    // stale (`Some(true)`) or fresh (`Some(false)`).
+    let mut plan = AccessPlan::new();
+    let (mut reads, mut words) = (Vec::new(), Vec::new());
+    let mut facts: Vec<(usize, usize, Option<bool>)> = Vec::with_capacity(kernel.instr_count());
+    for (_, i) in kernel.iter_instrs() {
+        plan.resolve_into(i);
+        reads.extend(
+            plan.reads()
+                .filter(|a| a.place == Place::Mrf)
+                .map(|a| a.reg),
+        );
+        words.extend_from_slice(plan.written_words());
+        let stale = if plan.writes_mrf() {
+            i.guard.is_none().then_some(false)
+        } else {
+            Some(true)
+        };
+        facts.push((reads.len(), words.len(), stale));
     }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
-}
-
-/// Whole-kernel check that no MRF read can observe a *stale* MRF copy —
-/// i.e. a register whose latest definition on some path was written only
-/// to an upper level. Forward may-be-stale dataflow over blocks.
-fn validate_mrf_freshness(kernel: &Kernel, plans: &[Vec<AccessPlan>]) -> Result<(), String> {
-    let n = kernel.blocks.len();
-    let num_regs = kernel.num_regs();
-    let mut stale_in = vec![RegSet::new(num_regs); n];
-    let preds = kernel.predecessors();
-
-    let transfer = |stale: &mut RegSet,
-                    b: &rfh_isa::BasicBlock,
-                    check: bool|
-     -> Result<(), String> {
-        for (idx, (i, plan)) in b.instrs.iter().zip(&plans[b.id.index()]).enumerate() {
-            if check {
-                // An MRF-served read (including the MRF half of a fill) of
-                // a may-be-stale register is the bug this pass exists for.
-                for a in plan.reads() {
-                    if a.place == Place::Mrf && stale.contains(a.reg) {
-                        return Err(format!(
-                            "{}[{idx}] `{i}`: MRF read of {} may observe a stale copy                                  (an earlier definition skipped the MRF write)",
-                            b.id, a.reg
-                        ));
-                    }
-                }
-            }
-            let writes_mrf = plan.writes_mrf();
-            for r in plan.written_words() {
-                if writes_mrf {
-                    if i.guard.is_none() {
-                        stale.remove(*r);
-                    }
-                    // A guarded MRF write leaves the staleness as-is.
-                } else {
-                    stale.insert(*r);
-                }
-            }
-        }
-        Ok(())
+    // The MRF reads, written words and effect of flat instruction `f`.
+    let fact = |f: usize| {
+        let (r0, w0) = f
+            .checked_sub(1)
+            .map_or((0, 0), |p| (facts[p].0, facts[p].1));
+        let (r1, w1, stale) = facts[f];
+        (&reads[r0..r1], &words[w0..w1], stale)
     };
+    let num_regs = reads
+        .iter()
+        .chain(&words)
+        .map(|r| r.index() + 1)
+        .max()
+        .unwrap_or(0);
 
-    // Fixpoint (may-be-stale is a union/forward problem).
+    let n = kernel.blocks.len();
+    let mut gen = vec![RegSet::new(num_regs); n];
+    let mut kill = vec![RegSet::new(num_regs); n];
+    let mut f = 0;
+    for b in &kernel.blocks {
+        let (g, k) = (&mut gen[b.id.index()], &mut kill[b.id.index()]);
+        for _ in &b.instrs {
+            let (_, written, stale) = fact(f);
+            f += 1;
+            for r in written {
+                match stale {
+                    Some(true) => {
+                        g.insert(*r);
+                        k.remove(*r);
+                    }
+                    Some(false) => {
+                        k.insert(*r);
+                        g.remove(*r);
+                    }
+                    None => {}
+                }
+            }
+        }
+    }
+
+    let preds = kernel.predecessors();
+    let mut stale_in = vec![RegSet::new(num_regs); n];
+    let mut stale_out = gen.clone();
+    let mut inn = RegSet::new(num_regs);
     let mut changed = true;
     while changed {
         changed = false;
-        for b in &kernel.blocks {
-            let mut inn = RegSet::new(num_regs);
-            for p in &preds[b.id.index()] {
-                let mut out = stale_in[p.index()].clone();
-                transfer(&mut out, kernel.block(*p), false)?;
-                inn.union_with(&out);
+        for b in 0..n {
+            inn.clear();
+            for p in &preds[b] {
+                inn.union_with(&stale_out[p.index()]);
             }
-            if inn != stale_in[b.id.index()] {
-                stale_in[b.id.index()] = inn;
+            if inn != stale_in[b] {
+                std::mem::swap(&mut inn, &mut stale_in[b]);
+                let out = &mut stale_out[b];
+                out.clear();
+                out.union_with(&stale_in[b]);
+                out.subtract(&kill[b]);
+                out.union_with(&gen[b]);
                 changed = true;
             }
         }
     }
-    // Final checking pass.
-    for b in &kernel.blocks {
-        let mut stale = stale_in[b.id.index()].clone();
-        transfer(&mut stale, b, true)?;
+
+    let mut f = 0;
+    for (b, stale) in kernel.blocks.iter().zip(&mut stale_in) {
+        for (index, i) in b.instrs.iter().enumerate() {
+            let (mrf_reads, written, stale_now) = fact(f);
+            f += 1;
+            for r in mrf_reads {
+                if stale.contains(*r) {
+                    visit(InstrRef { block: b.id, index }, i, *r)?;
+                }
+            }
+            for r in written {
+                match stale_now {
+                    Some(true) => stale.insert(*r),
+                    Some(false) => stale.remove(*r),
+                    None => false,
+                };
+            }
+        }
     }
     Ok(())
 }
 
 /// Checks every placement annotation in `kernel` for consistency.
 ///
-/// Two passes: a per-strand symbolic walk proving every upper-level read
-/// finds the value its annotation names, and a whole-kernel freshness
-/// check proving no MRF read can observe a register whose MRF copy was
-/// skipped (the freshness dataflow).
+/// Two passes: a whole-kernel freshness check proving no MRF read can
+/// observe a register whose MRF copy was skipped ([`stale_mrf_reads`]),
+/// and a per-strand symbolic walk ([`walk_segments`]) proving
+/// every upper-level read finds the value its annotation names.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first inconsistency found.
 pub fn validate_placements(kernel: &Kernel, config: &AllocConfig) -> Result<(), String> {
-    // Resolve every instruction's access plan once up front; the freshness
-    // fixpoint re-walks blocks many times and the strand walk reuses them.
-    let plans: Vec<Vec<AccessPlan>> = kernel
-        .blocks
-        .iter()
-        .map(|b| b.instrs.iter().map(AccessPlan::resolve).collect())
-        .collect();
-    validate_mrf_freshness(kernel, &plans)?;
-    let preds = kernel.predecessors();
-    for strand in segments(kernel) {
-        let pos_of: HashMap<InstrRef, usize> =
-            strand.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-        let mut out_states: Vec<State> = Vec::with_capacity(strand.len());
-
-        for (pos, at) in strand.iter().enumerate() {
-            let instr = kernel.instr(*at);
-            let plan = &plans[at.block.index()][at.index];
-            let loc = Loc(*at, instr);
-
-            // ---- in-state ----
-            let mut state: Option<State> = None;
-            let meet_in = |state: &mut Option<State>, s: &State| match state {
-                None => *state = Some(s.clone()),
-                Some(cur) => cur.meet(s),
-            };
-            let mut external = false;
-            if at.index > 0 {
-                let prev = InstrRef {
-                    block: at.block,
-                    index: at.index - 1,
-                };
-                match pos_of.get(&prev) {
-                    Some(p) => meet_in(&mut state, &out_states[*p]),
-                    None => external = true,
-                }
-            } else {
-                for p in &preds[at.block.index()] {
-                    let pb = kernel.block(*p);
-                    let term = InstrRef {
-                        block: *p,
-                        index: pb.instrs.len() - 1,
-                    };
-                    match pos_of.get(&term) {
-                        // Later positions are the strand's own closing
-                        // backedge: inter-strand, upper levels invalid.
-                        Some(t) if *t < pos => meet_in(&mut state, &out_states[*t]),
-                        _ => external = true,
-                    }
-                }
-            }
-            let mut state = match (state, external) {
-                (Some(s), false) => s,
-                (Some(mut s), true) => {
-                    s.meet(&State::empty(config));
-                    s
-                }
-                (None, _) => State::empty(config),
-            };
+    // An MRF-served read of a may-be-stale register is the bug the
+    // freshness dataflow exists for.
+    stale_mrf_reads(kernel, |at, i, reg| {
+        Err(format!(
+            "{}[{}] `{i}`: MRF read of {reg} may observe a stale copy                                  (an earlier definition skipped the MRF write)",
+            at.block, at.index
+        ))
+    })?;
+    let mut plan = AccessPlan::new();
+    walk_segments(
+        kernel,
+        || State::empty(config),
+        State::meet,
+        |at, state| {
+            let instr = kernel.instr(at);
+            plan.resolve_into(instr);
+            let loc = Loc(at, instr);
 
             // ---- reads ----
             let mut fills: Vec<(usize, Reg)> = Vec::new();
@@ -408,11 +407,9 @@ pub fn validate_placements(kernel: &Kernel, config: &AllocConfig) -> Result<(), 
                     }
                 }
             }
-
-            out_states.push(state);
-        }
-    }
-    Ok(())
+            Ok(())
+        },
+    )
 }
 
 #[cfg(test)]

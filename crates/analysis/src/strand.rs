@@ -104,8 +104,11 @@ impl Strand {
 pub struct StrandInfo {
     /// All strands in layout order.
     pub strands: Vec<Strand>,
-    /// Strand id per instruction: `map[block][index]`.
-    instr_map: Vec<Vec<u32>>,
+    /// Strand id per instruction, indexed by flat layout position.
+    instr_map: Vec<u32>,
+    /// Flat layout position of each block's first instruction (see
+    /// [`block_starts`]).
+    block_start: Vec<usize>,
     /// CFG predecessors per block, built once while marking: the per-strand
     /// passes ([`strand_canonical`], [`crate::defuse::strand_values`]) read
     /// them here instead of rebuilding them for every strand.
@@ -117,9 +120,35 @@ impl StrandInfo {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is out of range.
+    /// Panics if `at` lies past the kernel's last instruction.
     pub fn strand_of(&self, at: InstrRef) -> StrandId {
-        StrandId(self.instr_map[at.block.index()][at.index])
+        StrandId(self.instr_map[self.flat(at)])
+    }
+
+    /// The flat layout position of the instruction at `at`: its index in
+    /// the kernel's layout-order instruction sequence. A strand is a
+    /// contiguous run of that sequence, so an instruction's position in
+    /// its strand is `flat(at) - flat(strand.instrs[0])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at.block` is out of range.
+    fn flat(&self, at: InstrRef) -> usize {
+        self.block_start[at.block.index()] + at.index
+    }
+
+    /// The position of `at` within strand `sid` (0-based, layout order),
+    /// or `None` when `at` lies outside that strand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sid` or `at.block` is out of range.
+    pub(crate) fn pos_in(&self, sid: StrandId, at: InstrRef) -> Option<usize> {
+        let instrs = &self.strand(sid).instrs;
+        let start = self.flat(*instrs.first()?);
+        self.flat(at)
+            .checked_sub(start)
+            .filter(|p| *p < instrs.len())
     }
 
     /// The strand with the given id.
@@ -325,11 +354,6 @@ pub fn mark_strands_opts(kernel: &mut Kernel, opts: StrandOpts) -> StrandInfo {
 
     // Segment layout-ordered instructions into strands.
     let mut strands: Vec<Strand> = Vec::new();
-    let mut instr_map: Vec<Vec<u32>> = kernel
-        .blocks
-        .iter()
-        .map(|b| vec![0; b.instrs.len()])
-        .collect();
     let mut current: Vec<InstrRef> = Vec::new();
     let close = |current: &mut Vec<InstrRef>, strands: &mut Vec<Strand>, reason: EndReason| {
         if current.is_empty() {
@@ -360,17 +384,32 @@ pub fn mark_strands_opts(kernel: &mut Kernel, opts: StrandOpts) -> StrandInfo {
     }
     close(&mut current, &mut strands, EndReason::KernelEnd);
 
-    for s in &strands {
-        for r in &s.instrs {
-            instr_map[r.block.index()][r.index] = s.id.0;
-        }
-    }
-
+    let instr_map = strands
+        .iter()
+        .flat_map(|s| std::iter::repeat_n(s.id.0, s.instrs.len()))
+        .collect();
     StrandInfo {
         strands,
         instr_map,
+        block_start: block_starts(kernel),
         preds,
     }
+}
+
+/// The flat layout position of every block's first instruction: block `b`
+/// covers positions `starts[b]..starts[b] + len(b)` of the kernel's
+/// layout-order instruction sequence.
+fn block_starts(kernel: &Kernel) -> Vec<usize> {
+    let mut total = 0;
+    kernel
+        .blocks
+        .iter()
+        .map(|b| {
+            let start = total;
+            total += b.instrs.len();
+            start
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -615,6 +654,82 @@ pub fn segment_ids(kernel: &Kernel) -> Vec<Vec<u32>> {
     map
 }
 
+/// Walks every strand delimited by the `ends_strand` bits already on the
+/// kernel, in layout order, threading one symbolic state through each
+/// strand's forward-edge subgraph and updating it in place: `step` sees
+/// each instruction with its in-state and turns it into the out-state.
+///
+/// A strand, and every path entering one from outside, starts from
+/// `entry()`. Inside a block the in-state is the previous instruction's
+/// out-state. At a block entry it is the `meet` of the out-states of the
+/// in-strand predecessors' terminators; when any predecessor lies outside
+/// the strand, or at a later position (the strand's own closing backward
+/// branch), the block starts from `entry()` instead. Terminator
+/// out-states are copied only when a later, non-adjacent block may join
+/// them.
+///
+/// # Errors
+///
+/// Stops at, and returns, the first error `step` returns.
+pub fn walk_segments<S: Clone, E>(
+    kernel: &Kernel,
+    entry: impl Fn() -> S,
+    meet: impl Fn(&mut S, &S),
+    mut step: impl FnMut(InstrRef, &mut S) -> Result<(), E>,
+) -> Result<(), E> {
+    let starts = block_starts(kernel);
+    let preds = kernel.predecessors();
+    let term = |b: BlockId| starts[b.index()] + kernel.block(b).instrs.len() - 1;
+    // Flat position of the current strand's first instruction.
+    let mut first = 0;
+    let mut state = entry();
+    // Kept terminator out-states of the current strand, by flat position.
+    let mut kept: Vec<(usize, S)> = Vec::new();
+    for b in &kernel.blocks {
+        for (index, instr) in b.instrs.iter().enumerate() {
+            let at = InstrRef { block: b.id, index };
+            let flat = starts[b.id.index()] + index;
+            if index == 0 && flat > first {
+                let from: Vec<usize> = preds[b.id.index()].iter().map(|p| term(*p)).collect();
+                if from.is_empty() || from.iter().any(|t| *t < first || *t >= flat) {
+                    state = entry();
+                } else if from.iter().any(|t| *t + 1 != flat) {
+                    let mut met: Option<S> = None;
+                    for t in from {
+                        let out = if t + 1 == flat {
+                            &state
+                        } else {
+                            let i = kept
+                                .binary_search_by_key(&t, |(p, _)| *p)
+                                .expect("non-adjacent predecessor states are kept");
+                            &kept[i].1
+                        };
+                        match &mut met {
+                            None => met = Some(out.clone()),
+                            Some(m) => meet(m, out),
+                        }
+                    }
+                    state = met.unwrap_or_else(&entry);
+                }
+            }
+            step(at, &mut state)?;
+            if instr.ends_strand {
+                first = flat + 1;
+                state = entry();
+                kept.clear();
+            } else if index + 1 == b.instrs.len()
+                && kernel
+                    .successors(b.id)
+                    .iter()
+                    .any(|s| starts[s.index()] > flat + 1)
+            {
+                kept.push((flat, state.clone()));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Number of strands implied by the `ends_strand` bits (segments in layout
 /// order; a trailing unterminated run counts as one).
 pub fn segment_count(kernel: &Kernel) -> usize {
@@ -666,7 +781,7 @@ pub fn strand_canonical(
 ) -> String {
     let strand = info.strand(sid);
     let nodes = &strand.instrs;
-    let pos_of: HashMap<InstrRef, usize> = nodes.iter().enumerate().map(|(i, r)| (*r, i)).collect();
+    let pos_of = |at: InstrRef| info.pos_in(sid, at);
     let blocks = strand.blocks();
     let local: HashMap<BlockId, usize> = blocks.iter().enumerate().map(|(i, b)| (*b, i)).collect();
 
@@ -701,8 +816,8 @@ pub fn strand_canonical(
                 block: at.block,
                 index: at.index - 1,
             };
-            match pos_of.get(&prev) {
-                Some(p) => ps.push(*p),
+            match pos_of(prev) {
+                Some(p) => ps.push(p),
                 None => external_entry = true, // mid-block strand start
             }
         } else {
@@ -712,8 +827,8 @@ pub fn strand_canonical(
                     block: *p,
                     index: pb.instrs.len() - 1,
                 };
-                match pos_of.get(&term) {
-                    Some(t) if *t < pos => ps.push(*t),
+                match pos_of(term) {
+                    Some(t) if t < pos => ps.push(t),
                     _ => external_entry = true,
                 }
             }
@@ -734,14 +849,14 @@ pub fn strand_canonical(
                 block: at.block,
                 index: at.index + 1,
             };
-            if !pos_of.contains_key(&next) {
+            if pos_of(next).is_none() {
                 let live = liveness.live_after(kernel, *at);
                 exit_live.extend(strand_defs.iter().copied().filter(|r| live.contains(*r)));
             }
         } else {
             for s in kernel.successors(at.block) {
                 let first = InstrRef { block: s, index: 0 };
-                let internal = matches!(pos_of.get(&first), Some(p) if *p > pos);
+                let internal = matches!(pos_of(first), Some(p) if p > pos);
                 if !internal {
                     let live = &liveness.live_in[s.index()];
                     exit_live.extend(strand_defs.iter().copied().filter(|r| live.contains(*r)));
@@ -1037,5 +1152,90 @@ BB3:
                 "{at}"
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod walk_tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+    use rfh_isa::parse_kernel;
+
+    /// The in-state `walk_segments` hands each instruction, with the state
+    /// "flat positions executed on every path since the strand began".
+    fn in_states(kernel: &Kernel) -> Vec<BTreeSet<usize>> {
+        let starts = block_starts(kernel);
+        let mut seen = Vec::new();
+        let Ok(()) = walk_segments(
+            kernel,
+            BTreeSet::new,
+            |a: &mut BTreeSet<usize>, b| a.retain(|p| b.contains(p)),
+            |at, state| -> Result<(), std::convert::Infallible> {
+                seen.push(state.clone());
+                state.insert(starts[at.block.index()] + at.index);
+                Ok(())
+            },
+        );
+        seen
+    }
+
+    const HAMMOCK: &str = "
+.kernel h
+BB0:
+  mov r0, %tid.x
+  setp.lt p0 r0, 16
+  @p0 bra BB2
+BB1:
+  iadd r1 r0, 1
+BB2:
+  iadd r2 r0, 2
+  exit
+";
+
+    #[test]
+    fn join_meets_kept_and_adjacent_predecessors() {
+        let k = parse_kernel(HAMMOCK).unwrap();
+        let s = in_states(&k);
+        assert_eq!(s[3], BTreeSet::from([0, 1, 2]), "BB1 continues BB0");
+        assert_eq!(s[4], BTreeSet::from([0, 1, 2]), "BB2 meets BB0 and BB1");
+        assert_eq!(s[5], BTreeSet::from([0, 1, 2, 4]));
+    }
+
+    #[test]
+    fn entry_from_outside_the_strand_resets() {
+        let mut k = parse_kernel(HAMMOCK).unwrap();
+        // BB0 ends a strand: BB2 is entered both from BB1 (inside) and
+        // from BB0 (outside), and a mid-block strand start resets too.
+        k.blocks[0].instrs[2].ends_strand = true;
+        k.blocks[0].instrs[0].ends_strand = true;
+        let s = in_states(&k);
+        assert_eq!(s[1], BTreeSet::new(), "mid-block strand start");
+        assert_eq!(s[3], BTreeSet::new(), "BB1 starts a strand");
+        assert_eq!(s[4], BTreeSet::new(), "BB0 lies outside BB2's strand");
+    }
+
+    #[test]
+    fn own_backedge_resets_the_header() {
+        let k = parse_kernel(
+            "
+.kernel l
+BB0:
+  mov r0, 0
+BB1:
+  iadd r0 r0, 1
+  setp.lt p0 r0, 8
+  @p0 bra BB1
+BB2:
+  exit
+",
+        )
+        .unwrap();
+        // No bits set: one strand, so BB1 is entered by BB0 (adjacent)
+        // and by its own later terminator.
+        let s = in_states(&k);
+        assert_eq!(s[1], BTreeSet::new(), "the backedge enters from later");
+        assert_eq!(s[2], BTreeSet::from([1]));
+        assert_eq!(s[4], BTreeSet::from([1, 2, 3]), "BB2 continues BB1");
     }
 }

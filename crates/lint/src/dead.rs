@@ -9,12 +9,17 @@
 //! result is elided.
 
 use rfh_analysis::{DomTree, Liveness};
-use rfh_isa::Kernel;
+use rfh_isa::{InstrRef, Kernel};
 
 use crate::diag::{Code, Diagnostic};
 
 /// Runs both checks, appending findings to `diags`.
-pub(crate) fn check(kernel: &Kernel, dom: &DomTree, diags: &mut Vec<Diagnostic>) {
+pub(crate) fn check(
+    kernel: &Kernel,
+    dom: &DomTree,
+    liveness: &Liveness,
+    diags: &mut Vec<Diagnostic>,
+) {
     for block in &kernel.blocks {
         if !dom.is_reachable(block.id) {
             diags.push(Diagnostic::at_block(
@@ -25,21 +30,35 @@ pub(crate) fn check(kernel: &Kernel, dom: &DomTree, diags: &mut Vec<Diagnostic>)
         }
     }
 
-    let liveness = Liveness::compute(kernel);
-    for (at, instr) in kernel.iter_instrs() {
-        if !dom.is_reachable(at.block) {
+    // One backward walk per block from its live-out set: before each
+    // instruction is stepped over, `live` holds the registers live after it.
+    for block in &kernel.blocks {
+        if !dom.is_reachable(block.id) {
             continue; // dead because unreachable: RFH-L002 already says so
         }
-        let Some(dst) = instr.dst else {
-            continue;
-        };
-        let live = liveness.live_after(kernel, at);
-        if dst.regs().all(|r| !live.contains(r)) {
-            diags.push(Diagnostic::at(
-                Code::DeadDef,
-                at,
-                format!("definition of {} is never read (`{instr}`)", dst.reg),
-            ));
+        let mut live = liveness.live_out[block.id.index()].clone();
+        for (index, instr) in block.instrs.iter().enumerate().rev() {
+            if let Some(dst) = instr.dst {
+                if dst.regs().all(|r| !live.contains(r)) {
+                    diags.push(Diagnostic::at(
+                        Code::DeadDef,
+                        InstrRef {
+                            block: block.id,
+                            index,
+                        },
+                        format!("definition of {} is never read (`{instr}`)", dst.reg),
+                    ));
+                }
+            }
+            // Guarded defs are weak: the old value survives a false guard.
+            if instr.guard.is_none() {
+                for r in instr.def_regs() {
+                    live.remove(r);
+                }
+            }
+            for (_, r) in instr.reg_srcs() {
+                live.insert(r);
+            }
         }
     }
 }

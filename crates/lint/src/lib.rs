@@ -44,7 +44,7 @@
 
 use rfh_analysis::absint::{self, AbsCtx};
 use rfh_analysis::strand::mark_strands;
-use rfh_analysis::DomTree;
+use rfh_analysis::{DomTree, Liveness};
 use rfh_isa::Kernel;
 
 mod barrier;
@@ -104,12 +104,22 @@ pub fn lint_kernel(kernel: &Kernel, options: &LintOptions) -> Vec<Diagnostic> {
     let mut marked = kernel.clone();
     let info = mark_strands(&mut marked);
     let absres = absint::analyze(&marked, AbsCtx::default());
+    // Liveness ignores the `ends_strand` bits, so one run serves both the
+    // dead-def check on `kernel` and the pressure check on `marked`.
+    let liveness = Liveness::compute(kernel);
     undef::check(kernel, &dom, &mut diags);
-    dead::check(kernel, &dom, &mut diags);
+    dead::check(kernel, &dom, &liveness, &mut diags);
     barrier::check(kernel, &dom, &mut diags);
     race::check(kernel, &dom, &absres, &mut diags);
     place::check(kernel, &options.alloc, &mut diags);
-    pressure::check(&marked, &info, &options.alloc, &absres, &mut diags);
+    pressure::check(
+        &marked,
+        &info,
+        &liveness,
+        &options.alloc,
+        &absres,
+        &mut diags,
+    );
     value::check(kernel, &absres, options.shared_words, &mut diags);
     diags.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     diags.dedup();

@@ -19,12 +19,13 @@
 //! instructions; an unallocated kernel (all placements MRF) passes
 //! trivially.
 
-use std::collections::HashMap;
+use std::convert::Infallible;
 
+use rfh_alloc::validate::stale_mrf_reads;
 use rfh_alloc::{AllocConfig, LrfMode};
-use rfh_analysis::RegSet;
+use rfh_analysis::strand::walk_segments;
 use rfh_isa::access::{AccessKind, AccessPlan, AccessSlot, Datapath, Place};
-use rfh_isa::{InstrRef, Kernel, Reg, Width};
+use rfh_isa::{Kernel, Reg, Width};
 
 use crate::diag::{Code, Diagnostic};
 
@@ -61,141 +62,29 @@ impl State {
     }
 }
 
-/// Splits the kernel into strands on the existing `ends_strand` bits.
-fn segments(kernel: &Kernel) -> Vec<Vec<InstrRef>> {
-    let mut out = Vec::new();
-    let mut cur = Vec::new();
-    for (at, i) in kernel.iter_instrs() {
-        cur.push(at);
-        if i.ends_strand {
-            out.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
-}
-
-/// MRF freshness: flags every MRF read that may observe a register whose
-/// latest definition on some path skipped the MRF write.
-fn check_mrf_freshness(kernel: &Kernel, diags: &mut Vec<Diagnostic>) {
-    let n = kernel.blocks.len();
-    let num_regs = kernel.num_regs();
-    let mut stale_in = vec![RegSet::new(num_regs); n];
-    let preds = kernel.predecessors();
-
-    let transfer =
-        |stale: &mut RegSet, b: &rfh_isa::BasicBlock, diags: Option<&mut Vec<Diagnostic>>| {
-            let mut diags = diags;
-            let mut plan = AccessPlan::new();
-            for (idx, i) in b.instrs.iter().enumerate() {
-                plan.resolve_into(i);
-                if let Some(out) = diags.as_deref_mut() {
-                    for a in plan.reads() {
-                        if a.place == Place::Mrf && stale.contains(a.reg) {
-                            out.push(Diagnostic::at(
-                                Code::OrfConflict,
-                                InstrRef {
-                                    block: b.id,
-                                    index: idx,
-                                },
-                                format!(
-                                    "MRF read of {} may observe a stale copy — an earlier \
-                                     definition skipped the MRF write (`{i}`)",
-                                    a.reg
-                                ),
-                            ));
-                        }
-                    }
-                }
-                let writes_mrf = plan.writes_mrf();
-                for r in plan.written_words() {
-                    if writes_mrf {
-                        if i.guard.is_none() {
-                            stale.remove(*r);
-                        }
-                    } else {
-                        stale.insert(*r);
-                    }
-                }
-            }
-        };
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in &kernel.blocks {
-            let mut inn = RegSet::new(num_regs);
-            for p in &preds[b.id.index()] {
-                let mut out = stale_in[p.index()].clone();
-                transfer(&mut out, kernel.block(*p), None);
-                inn.union_with(&out);
-            }
-            if inn != stale_in[b.id.index()] {
-                stale_in[b.id.index()] = inn;
-                changed = true;
-            }
-        }
-    }
-    for b in &kernel.blocks {
-        let mut stale = stale_in[b.id.index()].clone();
-        transfer(&mut stale, b, Some(diags));
-    }
-}
-
 /// Runs the check, appending RFH-L006/RFH-L007 findings to `diags`.
 pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagnostic>) {
-    check_mrf_freshness(kernel, diags);
-    let preds = kernel.predecessors();
-    for strand in segments(kernel) {
-        let pos_of: HashMap<InstrRef, usize> =
-            strand.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-        let mut out_states: Vec<State> = Vec::with_capacity(strand.len());
-
-        for (pos, at) in strand.iter().enumerate() {
-            let instr = kernel.instr(*at);
-            let plan = AccessPlan::resolve(instr);
-
-            // ---- in-state ----
-            let mut state: Option<State> = None;
-            let meet_in = |state: &mut Option<State>, s: &State| match state {
-                None => *state = Some(s.clone()),
-                Some(cur) => cur.meet(s),
-            };
-            let mut external = false;
-            if at.index > 0 {
-                let prev = InstrRef {
-                    block: at.block,
-                    index: at.index - 1,
-                };
-                match pos_of.get(&prev) {
-                    Some(p) => meet_in(&mut state, &out_states[*p]),
-                    None => external = true,
-                }
-            } else {
-                for p in &preds[at.block.index()] {
-                    let pb = kernel.block(*p);
-                    let term = InstrRef {
-                        block: *p,
-                        index: pb.instrs.len() - 1,
-                    };
-                    match pos_of.get(&term) {
-                        // Later positions are the strand's own closing
-                        // backedge: inter-strand, upper levels invalid.
-                        Some(t) if *t < pos => meet_in(&mut state, &out_states[*t]),
-                        _ => external = true,
-                    }
-                }
-            }
-            let mut state = match (state, external) {
-                (Some(s), false) => s,
-                (Some(mut s), true) => {
-                    s.meet(&State::empty(config));
-                    s
-                }
-                (None, _) => State::empty(config),
-            };
+    // MRF freshness: every MRF read that may observe a register whose
+    // latest definition on some path skipped the MRF write.
+    let Ok(()) = stale_mrf_reads(kernel, |at, i, reg| -> Result<(), Infallible> {
+        diags.push(Diagnostic::at(
+            Code::OrfConflict,
+            at,
+            format!(
+                "MRF read of {reg} may observe a stale copy — an earlier \
+                 definition skipped the MRF write (`{i}`)"
+            ),
+        ));
+        Ok(())
+    });
+    let mut plan = AccessPlan::new();
+    let Ok(()) = walk_segments(
+        kernel,
+        || State::empty(config),
+        State::meet,
+        |at, state| -> Result<(), Infallible> {
+            let instr = kernel.instr(at);
+            plan.resolve_into(instr);
 
             // ---- reads ----
             let mut fills: Vec<(usize, Reg)> = Vec::new();
@@ -211,7 +100,7 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                         if e >= config.orf_entries {
                             diags.push(Diagnostic::at(
                                 Code::OrfConflict,
-                                *at,
+                                at,
                                 format!("fill entry ORF{e} out of range (`{instr}`)"),
                             ));
                         } else {
@@ -224,13 +113,13 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                         if e >= config.orf_entries {
                             diags.push(Diagnostic::at(
                                 Code::OrfConflict,
-                                *at,
+                                at,
                                 format!("read entry ORF{e} out of range (`{instr}`)"),
                             ));
                         } else if state.orf[e] != Some(reg) {
                             diags.push(Diagnostic::at(
                                 Code::OrfConflict,
-                                *at,
+                                at,
                                 format!(
                                     "ORF{e} holds {} but the read expects {reg} (`{instr}`)",
                                     describe(state.orf[e])
@@ -242,7 +131,7 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                         if !config.lrf.enabled() {
                             diags.push(Diagnostic::at(
                                 Code::LrfMisuse,
-                                *at,
+                                at,
                                 format!("LRF read but no LRF configured (`{instr}`)"),
                             ));
                             continue;
@@ -250,7 +139,7 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                         if a.datapath == Datapath::Shared {
                             diags.push(Diagnostic::at(
                                 Code::LrfMisuse,
-                                *at,
+                                at,
                                 format!("the shared datapath cannot read the LRF (`{instr}`)"),
                             ));
                             continue;
@@ -263,7 +152,7 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                                 if s.index() != i {
                                     diags.push(Diagnostic::at(
                                         Code::LrfMisuse,
-                                        *at,
+                                        at,
                                         format!(
                                             "split LRF read from bank {s} in operand slot {i} \
                                              (`{instr}`)"
@@ -276,7 +165,7 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                             _ => {
                                 diags.push(Diagnostic::at(
                                     Code::LrfMisuse,
-                                    *at,
+                                    at,
                                     format!(
                                         "LRF bank annotation does not match {} mode (`{instr}`)",
                                         config.lrf
@@ -288,7 +177,7 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                         if state.lrf[b] != Some(reg) {
                             diags.push(Diagnostic::at(
                                 Code::LrfMisuse,
-                                *at,
+                                at,
                                 format!(
                                     "LRF bank {b} holds {} but the read expects {reg} (`{instr}`)",
                                     describe(state.lrf[b])
@@ -342,7 +231,7 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                     if e + slots > config.orf_entries {
                         diags.push(Diagnostic::at(
                             Code::OrfConflict,
-                            *at,
+                            at,
                             format!("write entry ORF{e} (+{slots} wide) out of range (`{instr}`)"),
                         ));
                     } else {
@@ -363,7 +252,7 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                     if !config.lrf.enabled() {
                         diags.push(Diagnostic::at(
                             Code::LrfMisuse,
-                            *at,
+                            at,
                             format!("LRF write but no LRF configured (`{instr}`)"),
                         ));
                         ok = false;
@@ -371,7 +260,7 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                     if a.datapath == Datapath::Shared {
                         diags.push(Diagnostic::at(
                             Code::LrfMisuse,
-                            *at,
+                            at,
                             format!("the shared datapath cannot write the LRF (`{instr}`)"),
                         ));
                         ok = false;
@@ -379,7 +268,7 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                     if a.width == Width::W64 {
                         diags.push(Diagnostic::at(
                             Code::LrfMisuse,
-                            *at,
+                            at,
                             format!("64-bit values cannot live in the LRF (`{instr}`)"),
                         ));
                         ok = false;
@@ -390,7 +279,7 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
                             (LrfMode::Split, Some(s)) => write(&mut state.lrf[s.index()], a.reg),
                             _ => diags.push(Diagnostic::at(
                                 Code::LrfMisuse,
-                                *at,
+                                at,
                                 format!(
                                     "LRF bank annotation does not match {} mode (`{instr}`)",
                                     config.lrf
@@ -402,17 +291,16 @@ pub(crate) fn check(kernel: &Kernel, config: &AllocConfig, diags: &mut Vec<Diagn
             } else if plan.orphan_upper_write() {
                 diags.push(Diagnostic::at(
                     Code::OrfConflict,
-                    *at,
+                    at,
                     format!(
                         "upper-level write annotation on an instruction with no destination \
                          (`{instr}`)"
                     ),
                 ));
             }
-
-            out_states.push(state);
-        }
-    }
+            Ok(())
+        },
+    );
 }
 
 fn describe(slot: Option<Reg>) -> String {

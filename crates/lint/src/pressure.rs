@@ -99,15 +99,16 @@ fn peak_demand(intervals: &[Interval]) -> usize {
 
 /// Runs the check, appending RFH-L008 findings to `diags`.
 ///
-/// `marked` is the strand-marked clone (and `info`/`res` its strand map
-/// and abstract-interpretation results) that [`crate::lint_kernel`]
-/// prepares once and shares across the absint-driven checks. Strands
+/// `marked` is the strand-marked clone (and `info`/`liveness`/`res` its
+/// strand map, liveness and abstract-interpretation results) that
+/// [`crate::lint_kernel`] prepares once and shares across the checks. Strands
 /// whose code the abstract interpreter proves unreachable — blocks only
 /// enterable over dead edges — never execute, so their demand cannot
 /// oversubscribe anything and they are skipped.
 pub(crate) fn check(
     marked: &Kernel,
     info: &StrandInfo,
+    liveness: &Liveness,
     config: &AllocConfig,
     res: &AbsResults,
     diags: &mut Vec<Diagnostic>,
@@ -121,8 +122,7 @@ pub(crate) fn check(
     if capacity == 0 {
         return; // the MRF baseline has nothing to oversubscribe
     }
-    let liveness = Liveness::compute(marked);
-    for sv in all_strand_values(marked, info, &liveness) {
+    for sv in all_strand_values(marked, info, liveness) {
         let first = info.strand(sv.strand).instrs[0];
         if !res.block_reachable[first.block.index()] {
             continue; // proven-dead code exerts no pressure

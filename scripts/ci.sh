@@ -46,6 +46,15 @@ RFH_JOBS=1 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trich
 RFH_JOBS=8 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy replay_layer
 echo "replay layer green under RFH_JOBS=1 and RFH_JOBS=8"
 
+echo "==> placement + lint chaos smoke (soundness oracles of the placement walks)"
+# `validate_placements` and lint's RFH-L006/L007 walk share one strand
+# walker and one freshness dataflow; the placement and lint chaos layers
+# are their soundness oracles. Bounded runs, serially and with 8 workers;
+# the full budget runs in `cargo test` above.
+RFH_JOBS=1 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy -- placement_layer lint_layer
+RFH_JOBS=8 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy -- placement_layer lint_layer
+echo "placement and lint layers green under RFH_JOBS=1 and RFH_JOBS=8"
+
 echo "==> timing differential smoke (flat engine vs frozen reference)"
 # Same contract for the timing-model pair: the full 600-case sweep runs
 # in `cargo test` above; these bounded runs pin job-count invariance of
