@@ -1,6 +1,13 @@
 //! Allocation configuration: hierarchy shape and optimization toggles.
 
 use std::fmt;
+use std::ops::RangeInclusive;
+
+/// The ORF sizes a user may select, in entries per thread: the rows of
+/// the energy model's ORF table (Table 3). `rfhc` flags and the daemon's
+/// `config.orf` share this bound, so no size is accepted that cannot be
+/// priced.
+pub const ORF_SIZES: RangeInclusive<usize> = 1..=rfh_energy::ORF_TABLE.len();
 
 /// How the last result file is organized (paper §3.2).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -19,6 +26,17 @@ impl LrfMode {
     /// Whether any LRF exists.
     pub const fn enabled(self) -> bool {
         !matches!(self, LrfMode::None)
+    }
+
+    /// Parses the `none|unified|split` spelling shared by the `rfhc
+    /// --lrf` flag and the daemon's `config.lrf` field.
+    pub fn parse(name: &str) -> Option<LrfMode> {
+        match name {
+            "none" => Some(LrfMode::None),
+            "unified" => Some(LrfMode::Unified),
+            "split" => Some(LrfMode::Split),
+            _ => None,
+        }
     }
 }
 

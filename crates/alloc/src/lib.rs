@@ -77,7 +77,7 @@ pub mod interval;
 pub mod pass;
 pub mod validate;
 
-pub use config::{AllocConfig, LrfMode};
+pub use config::{AllocConfig, LrfMode, ORF_SIZES};
 pub use costs::Costs;
 pub use error::AllocError;
 pub use pass::{

@@ -30,7 +30,7 @@ use rfh_analysis::strand::mark_strands;
 use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::{InstrRef, Kernel, Operand};
 use rfh_sim::counts::SwCounter;
-use rfh_sim::exec::{execute_with, execute_with_engine, replay, Engine, ExecMode, StreamRecorder};
+use rfh_sim::exec::{execute_with, replay, ExecMode, StreamRecorder};
 use rfh_sim::machine::MachineConfig;
 use rfh_sim::sink::{InstrEvent, TraceSink};
 use rfh_testkit::pool::{par_map, par_map_with_jobs};
@@ -211,22 +211,21 @@ fn engine_differential(
     w: &Workload,
     machine: &MachineConfig,
 ) -> Result<CaseOutcome, String> {
-    let run = |engine: Engine| {
+    let run = |engine: rfh_oracle::exec::Execute| {
         let mut mem = w.memory.clone();
         let mut counter = SwCounter::default();
-        let result = execute_with_engine(
+        let result = engine(
             mutant,
             &w.launch,
             &mut mem,
             mode,
             machine,
-            engine,
             &mut [&mut counter],
         );
         (result, counter.counts(), mem)
     };
-    let (soa, soa_counts, soa_mem) = run(Engine::Soa);
-    let (oracle, oracle_counts, oracle_mem) = run(Engine::Reference);
+    let (soa, soa_counts, soa_mem) = run(execute_with);
+    let (oracle, oracle_counts, oracle_mem) = run(rfh_oracle::exec::execute_with);
     match (soa, oracle) {
         (Ok(a), Ok(b)) => {
             if a != b {
@@ -1006,7 +1005,7 @@ pub fn run_absint_layer(
 /// accept/reject asymmetry between the engines, or any divergence in
 /// results or error values (the deadlock snapshot included).
 pub fn run_timing_layer(w: &Workload, cases: usize, base_seed: u64) -> Result<ChaosReport, String> {
-    use rfh_sim::timing::{reference, simulate_timing, TimingConfig, TimingError, TraceCapture};
+    use rfh_sim::timing::{simulate_timing, TimingConfig, TimingError, TraceCapture};
 
     // Capture the workload's trace once; every case mutates a clone.
     let machine = MachineConfig::paper();
@@ -1036,7 +1035,7 @@ pub fn run_timing_layer(w: &Workload, cases: usize, base_seed: u64) -> Result<Ch
             }
             let cta_of = |wi: usize| wi / warps_per_cta;
             let flat = simulate_timing(&traces, &cta_of, &config);
-            let oracle = reference::simulate(&traces, &cta_of, &config);
+            let oracle = rfh_oracle::timing::simulate(&traces, &cta_of, &config);
             match (flat, oracle) {
                 (Ok(f), Ok(r)) => {
                     if f == r {

@@ -3,6 +3,8 @@
 
 use std::fmt::Write as _;
 
+use rfh_testkit::json::Json;
+
 use crate::diag::Diagnostic;
 
 /// Renders one diagnostic as a human-readable line:
@@ -27,39 +29,16 @@ pub fn human_line(kernel_name: &str, d: &Diagnostic) -> String {
 /// Renders one diagnostic as a JSON object on a single line, with the
 /// stable field order `kernel, code, severity, block, instr, message`.
 pub fn json_line(kernel_name: &str, d: &Diagnostic) -> String {
-    let mut s = String::from("{");
-    let _ = write!(s, "\"kernel\":\"{}\"", escape(kernel_name));
-    let _ = write!(s, ",\"code\":\"{}\"", d.code.as_str());
-    let _ = write!(s, ",\"severity\":\"{}\"", d.severity().as_str());
-    let _ = write!(s, ",\"block\":{}", d.block.index());
-    match d.instr {
-        Some(i) => {
-            let _ = write!(s, ",\"instr\":{i}");
-        }
-        None => s.push_str(",\"instr\":null"),
-    }
-    let _ = write!(s, ",\"message\":\"{}\"", escape(&d.message));
-    s.push('}');
-    s
-}
-
-/// JSON string escaping (control characters, quotes, backslashes).
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    let instr = d.instr.map_or(Json::Null, |i| Json::u64(i as u64));
+    Json::Obj(vec![
+        ("kernel".into(), Json::str(kernel_name)),
+        ("code".into(), Json::str(d.code.as_str())),
+        ("severity".into(), Json::str(d.severity().as_str())),
+        ("block".into(), Json::u64(d.block.index() as u64)),
+        ("instr".into(), instr),
+        ("message".into(), Json::str(d.message.as_str())),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -100,8 +79,13 @@ mod tests {
 
     #[test]
     fn json_escapes_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let message = "a\"b\\c\nd\u{1}".to_string();
+        let d = Diagnostic::at_block(Code::UnreachableBlock, BlockId::new(0), message);
+        let line = json_line("k", &d);
+        assert!(
+            line.ends_with(",\"message\":\"a\\\"b\\\\c\\nd\\u0001\"}"),
+            "{line}"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use rfh_alloc::{
     allocate, allocate_incremental, AllocConfig, AllocError, IncrementalStats, LrfMode,
-    StrandAllocation,
+    StrandAllocation, ORF_SIZES,
 };
 use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::{IsaError, Kernel};
@@ -279,22 +279,20 @@ pub fn decode_request(doc: &Json) -> Result<Request, ErrorFrame> {
     let mut config = AllocConfig::three_level(3, true);
     if let Some(c) = doc.get("config") {
         if let Some(orf) = c.get("orf").and_then(Json::as_u64) {
-            if !(1..=8).contains(&orf) {
-                return Err(usage("config.orf must be in 1..=8 (energy model bound)"));
-            }
-            config.orf_entries = orf as usize;
+            config.orf_entries = usize::try_from(orf)
+                .ok()
+                .filter(|n| ORF_SIZES.contains(n))
+                .ok_or_else(|| {
+                    usage(format!(
+                        "config.orf must be in {}..={} (energy model bound)",
+                        ORF_SIZES.start(),
+                        ORF_SIZES.end()
+                    ))
+                })?;
         }
         if let Some(lrf) = c.get("lrf").and_then(Json::as_str) {
-            config.lrf = match lrf {
-                "none" => LrfMode::None,
-                "unified" => LrfMode::Unified,
-                "split" => LrfMode::Split,
-                other => {
-                    return Err(usage(format!(
-                        "config.lrf `{other}` not none|unified|split"
-                    )))
-                }
-            };
+            config.lrf = LrfMode::parse(lrf)
+                .ok_or_else(|| usage(format!("config.lrf `{lrf}` not none|unified|split")))?;
         }
         if let Some(p) = c.get("partial").and_then(Json::as_bool) {
             config.partial_ranges = p;

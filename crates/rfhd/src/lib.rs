@@ -12,9 +12,9 @@
 //!
 //! The crate is organized as concentric fault domains:
 //!
-//! * [`json`] — a hand-rolled, depth-limited JSON parser and writer (the
-//!   workspace is hermetic: no serde). Insertion-ordered objects make
-//!   rendering deterministic, which the cache keys rely on.
+//! * [`json`] — the workspace's depth-limited JSON parser and writer
+//!   (`rfh_testkit::json`, re-exported here). Insertion-ordered objects
+//!   make rendering deterministic, which the cache keys rely on.
 //! * [`proto`] — framing, the request/response schema, and the
 //!   [`ErrorKind`](proto::ErrorKind) taxonomy whose classes carry the
 //!   same stable codes `rfhc` uses as exit codes.
@@ -38,7 +38,6 @@
 pub mod cache;
 pub mod client;
 pub mod handler;
-pub mod json;
 pub mod proto;
 pub mod server;
 
@@ -48,6 +47,6 @@ pub use client::{
     ReplayReport, RetryPolicy,
 };
 pub use handler::{decode_request, handle, handle_with, Budgets, Op, Request, StrandStore};
-pub use json::Json;
 pub use proto::{ErrorFrame, ErrorKind, SCHEMA};
+pub use rfh_testkit::json::{self, Json};
 pub use server::{Endpoint, Server, ServerConfig, ServerHandle, ServerReport};

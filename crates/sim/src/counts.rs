@@ -175,6 +175,11 @@ impl StrandCounter {
         }
     }
 
+    /// The strand of the instruction at `at`.
+    pub fn strand_of(&self, at: rfh_isa::InstrRef) -> usize {
+        self.map[at.block.index()][at.index] as usize
+    }
+
     /// Per-strand counts, indexed by strand.
     pub fn per_strand(&self) -> &[AccessCounts] {
         &self.counts

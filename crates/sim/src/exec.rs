@@ -25,21 +25,20 @@
 //! value-free tag model checks that every operand read sees its
 //! register's current definition.
 //!
-//! Two engines implement those semantics:
+//! The engine is a warp-batched structure-of-arrays executor: a one-time
+//! decode pass lowers each instruction into a flat op table with
+//! pre-resolved [`AccessPlan`]s, slab offsets, and pre-normalized flat
+//! branch targets, and the hot loop dispatches over that table with
+//! contiguous lane-major register storage.
 //!
-//! * [`Engine::Soa`] (the default) — a warp-batched structure-of-arrays
-//!   executor: a one-time decode pass lowers each instruction into a flat
-//!   op table with pre-resolved [`AccessPlan`]s, slab offsets, and
-//!   pre-normalized flat branch targets, and the hot loop dispatches over
-//!   that table with contiguous lane-major register storage;
-//! * [`Engine::Reference`] — the original per-thread interpreter, frozen
-//!   in [`reference`] as the differential oracle the SoA engine is
-//!   conformance-tested against (`tests/exec_differential.rs` and the
-//!   chaos `run_exec_differential_layer`).
-//!
-//! Both engines share this module's validation, placement checking, ALU
-//! semantics, and error taxonomy, so they can only diverge in execution
-//! order and state layout — exactly what the differential suite pins.
+//! The original per-thread interpreter it replaced is frozen in the
+//! test-only `rfh-oracle` crate, and the SoA engine is conformance-tested
+//! against it (`tests/exec_differential.rs` and the chaos
+//! `run_exec_differential_layer`). The oracle reuses this module's
+//! validation and placement checking ([`check_launchable`]), ALU semantics
+//! ([`eval_alu`], [`eval_cmp`]), [`POISON`] value, and error taxonomy, so
+//! the two can only diverge in execution order and state layout — exactly
+//! what the differential suite pins.
 
 use std::error::Error;
 use std::fmt;
@@ -52,7 +51,6 @@ use crate::machine::MachineConfig;
 use crate::mem::GlobalMemory;
 use crate::sink::TraceSink;
 
-pub mod reference;
 mod replay;
 mod soa;
 
@@ -102,21 +100,6 @@ pub enum ExecMode {
     /// Operands move through modeled ORF/LRF storage according to the
     /// placement annotations produced under the given configuration.
     Hierarchy(AllocConfig),
-}
-
-/// Which executor engine interprets a launch.
-///
-/// Both engines implement identical semantics (the differential
-/// conformance suite enforces it); they differ in speed and in role. New
-/// code should use [`Engine::Soa`]; the oracle exists for differential
-/// testing only.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The warp-batched structure-of-arrays executor (the default).
-    #[default]
-    Soa,
-    /// The frozen per-thread reference interpreter ([`reference`]).
-    Reference,
 }
 
 /// Aggregate execution statistics.
@@ -187,12 +170,14 @@ impl fmt::Display for ExecError {
 
 impl Error for ExecError {}
 
-const POISON: u32 = 0xDEAD_BEE0;
+/// The value every ORF entry and LRF bank holds after a strand-ending
+/// instruction, so a read that crosses a strand computes garbage.
+pub const POISON: u32 = 0xDEAD_BEE0;
 
 /// Evaluates a private-datapath ALU opcode, or `None` when `op` is not an
 /// ALU opcode (control flow, memory, barriers — dispatched elsewhere; the
 /// caller reports [`ExecError::Unsupported`] rather than panicking).
-fn eval_alu(op: Opcode, a: u32, b: u32, c: u32) -> Option<u32> {
+pub fn eval_alu(op: Opcode, a: u32, b: u32, c: u32) -> Option<u32> {
     let (ia, ib, ic) = (a as i32, b as i32, c as i32);
     let (fa, fb, fc) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
     let v = match op {
@@ -239,7 +224,8 @@ fn eval_alu(op: Opcode, a: u32, b: u32, c: u32) -> Option<u32> {
     Some(v)
 }
 
-fn eval_cmp(cmp: CmpOp, float: bool, a: u32, b: u32) -> bool {
+/// Evaluates a `setp` (`float == false`) or `fsetp` comparison.
+pub fn eval_cmp(cmp: CmpOp, float: bool, a: u32, b: u32) -> bool {
     if float {
         let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
         match cmp {
@@ -315,10 +301,17 @@ fn check_placements(kernel: &Kernel, cfg: &AllocConfig) -> Result<(), ExecError>
     Ok(())
 }
 
-/// Validation and placement range checking, shared by both engines and by
-/// [`replay`], so each sees only structurally valid kernels with in-range
-/// annotations and rejects the rest with identical errors.
-fn check_launchable(kernel: &Kernel, mode: &ExecMode) -> Result<(), ExecError> {
+/// Validation and placement range checking, shared by [`execute_with`],
+/// [`replay`] and the frozen reference interpreter, so each sees only
+/// structurally valid kernels with in-range annotations and rejects the
+/// rest with identical errors.
+///
+/// # Errors
+///
+/// [`ExecError::Unsupported`] for a kernel that fails
+/// [`rfh_isa::validate()`], and [`ExecError::BadPlacement`] for an
+/// annotation naming storage `mode` does not configure.
+pub fn check_launchable(kernel: &Kernel, mode: &ExecMode) -> Result<(), ExecError> {
     rfh_isa::validate(kernel).map_err(|e| ExecError::Unsupported {
         what: format!("invalid kernel: {e}"),
         at: InstrRef {
@@ -352,9 +345,6 @@ enum Phase {
 /// equivalent to any fair schedule. Timing questions are answered by
 /// [`crate::timing`] instead.
 ///
-/// Runs on the default [`Engine::Soa`]; use [`execute_with_engine`] (or
-/// [`reference::execute`]) to pick the engine explicitly.
-///
 /// # Errors
 ///
 /// Returns an [`ExecError`] on out-of-bounds memory accesses, runaway
@@ -372,6 +362,9 @@ pub fn execute(
 
 /// [`execute`] with an explicit machine configuration.
 ///
+/// Validation and placement checking ([`check_launchable`]) happen here,
+/// once, before the engine runs.
+///
 /// # Errors
 ///
 /// As for [`execute`].
@@ -383,32 +376,8 @@ pub fn execute_with(
     machine: &MachineConfig,
     sinks: &mut [&mut dyn TraceSink],
 ) -> Result<ExecReport, ExecError> {
-    execute_with_engine(kernel, launch, memory, mode, machine, Engine::Soa, sinks)
-}
-
-/// [`execute_with`] on an explicitly chosen [`Engine`].
-///
-/// Validation and placement checking happen here, once, before either
-/// engine runs — so both engines see only structurally valid kernels and
-/// reject corrupted annotations with identical errors.
-///
-/// # Errors
-///
-/// As for [`execute`].
-pub fn execute_with_engine(
-    kernel: &Kernel,
-    launch: &Launch,
-    memory: &mut GlobalMemory,
-    mode: ExecMode,
-    machine: &MachineConfig,
-    engine: Engine,
-    sinks: &mut [&mut dyn TraceSink],
-) -> Result<ExecReport, ExecError> {
     check_launchable(kernel, &mode)?;
-    match engine {
-        Engine::Soa => soa::run(kernel, launch, memory, mode, machine, sinks),
-        Engine::Reference => reference::run(kernel, launch, memory, mode, machine, sinks),
-    }
+    soa::run(kernel, launch, memory, mode, machine, sinks)
 }
 
 #[cfg(test)]
@@ -572,26 +541,20 @@ mod tests {
             .all(|(_, i)| i.ends_strand));
         assert!(rfh_alloc::validate_placements(&kernel, &cfg).is_err());
         // The poisoned ORF0 read makes r1 huge and negative, so the loop
-        // never exits: the budget stops it in both engines.
+        // never exits: the budget stops it.
         let mut machine = MachineConfig::paper();
         machine.max_warp_instructions = 1000;
-        for engine in [Engine::Soa, Engine::Reference] {
-            let mut mem = GlobalMemory::new(32);
-            let err = execute_with_engine(
-                &kernel,
-                &Launch::new(1, 32),
-                &mut mem,
-                ExecMode::Hierarchy(cfg),
-                &machine,
-                engine,
-                &mut [],
-            )
-            .unwrap_err();
-            assert!(
-                matches!(err, ExecError::InstructionBudget { .. }),
-                "{engine:?}: {err}"
-            );
-        }
+        let mut mem = GlobalMemory::new(32);
+        let err = execute_with(
+            &kernel,
+            &Launch::new(1, 32),
+            &mut mem,
+            ExecMode::Hierarchy(cfg),
+            &machine,
+            &mut [],
+        )
+        .unwrap_err();
+        assert!(matches!(err, ExecError::InstructionBudget { .. }), "{err}");
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! contiguous lane loops — no per-lane operand matching, no per-step
 //! block scans, no per-instruction allocation.
 //!
-//! Semantics are pinned to [`super::reference`] by the differential
-//! conformance suite; see that module for the oracle contract.
+//! Semantics are pinned to the frozen reference interpreter in the
+//! test-only `rfh-oracle` crate by the differential conformance suite;
+//! see `rfh_oracle::exec` for the oracle contract.
 
 use rfh_analysis::DomTree;
 use rfh_isa::access::AccessPlan;
@@ -413,8 +414,8 @@ fn write_lane(data: &mut [u32], d: &DstPlan, lane: usize, lo: u32, hi: u32) {
 }
 
 /// Runs a validated, placement-checked launch on the SoA engine. Called
-/// by [`super::execute_with_engine`]; validation and `check_placements`
-/// have already run.
+/// by [`super::execute_with`]; [`super::check_launchable`] has already
+/// run.
 pub(crate) fn run(
     kernel: &Kernel,
     launch: &Launch,
@@ -570,7 +571,7 @@ fn step_warp(
         // Capture read-operand fill values before the instruction
         // executes: reads see the pre-fill state, and the deposit lands
         // after execution with the destination write winning on a
-        // same-entry collision (see `exec::reference` for the full rule).
+        // same-entry collision (see `rfh_oracle::exec` for the full rule).
         for (i, f) in op.fills.iter().enumerate() {
             let base = f.reg_off as usize;
             fill_buf[i * width..i * width + lanes].copy_from_slice(&data[base..base + lanes]);

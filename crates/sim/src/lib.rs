@@ -20,8 +20,8 @@
 //!   kernel produces wrong results instead of silently passing — plus a
 //!   replay of one recorded baseline stream against allocated kernels,
 //!   whose tag model rejects every read of a stale or poisoned entry;
-//! * [`sink`] — the instruction-trace observer interface, including the
-//!   [`FanoutSink`] combinator for composing observer stacks;
+//! * [`sink`] — the instruction-trace observer interface (the executor
+//!   takes a slice of sinks, so observers stack without a combinator);
 //! * [`counts`] — access counting for software-managed hierarchies;
 //! * [`profile`] — per-strand energy attribution (accesses × energy
 //!   model, bucketed by strand);
@@ -32,8 +32,12 @@
 //! * [`usage`] — dynamic register value usage statistics (Figure 2);
 //! * [`timing`] — a cycle-level model of the two-level warp scheduler on
 //!   one SM with an ideal MRF, verifying the no-performance-loss claim:
-//!   one flat per-cycle loop, with the original engine frozen as a
-//!   test-only differential oracle.
+//!   one flat per-cycle loop.
+//!
+//! The executor and the timing loop are each the only engine of their
+//! layer. The originals they replaced are frozen in the test-only
+//! `rfh-oracle` crate, which the differential suites hold them to; no
+//! shipped binary links it.
 //!
 //! ## Example
 //!
@@ -70,12 +74,12 @@ pub mod trace;
 pub mod usage;
 
 pub use counts::SwCounter;
-pub use exec::{execute, execute_with_engine, Engine, ExecError, ExecMode, ExecReport, Launch};
+pub use exec::{execute, ExecError, ExecMode, ExecReport, Launch};
 pub use machine::MachineConfig;
 pub use mem::GlobalMemory;
 pub use profile::EnergyProfiler;
 pub use rfc::{HwCounter, RfcConfig};
-pub use sink::{FanoutSink, TraceSink};
+pub use sink::TraceSink;
 pub use timing::{
     simulate_timing, ConfigError, DeadlockSnapshot, LatencyClass, SchedPolicy, TimingConfig,
     TimingError, TimingResult, WarpSnapshot, DEFAULT_MAX_CYCLES,

@@ -10,27 +10,21 @@
 //! pays for the MRF".
 
 use rfh_energy::{AccessCounts, EnergyBreakdown, EnergyModel};
-use rfh_isa::{InstrRef, Kernel};
+use rfh_isa::{BlockId, InstrRef, Kernel};
 
+use crate::counts::StrandCounter;
 use crate::sink::{InstrEvent, TraceSink};
 
-/// Accumulated traffic of one strand.
-#[derive(Debug, Clone)]
-pub struct StrandProfile {
-    /// The strand's first instruction (its label in reports).
-    pub start: InstrRef,
-    /// Warp instructions executed from this strand.
-    pub instrs: u64,
-    /// Register-file accesses attributed to this strand.
-    pub counts: AccessCounts,
-}
-
 /// A [`TraceSink`] that buckets every register-file access by the strand
-/// of its instruction and prices the buckets through an [`EnergyModel`].
+/// of its instruction (a [`StrandCounter`]) and prices the buckets
+/// through an [`EnergyModel`].
 #[derive(Debug, Clone)]
 pub struct EnergyProfiler {
-    map: Vec<Vec<u32>>,
-    strands: Vec<StrandProfile>,
+    counter: StrandCounter,
+    /// Warp instructions executed per strand.
+    instrs: Vec<u64>,
+    /// Each strand's first instruction, its label in reports.
+    starts: Vec<InstrRef>,
     model: EnergyModel,
     orf_entries: usize,
 }
@@ -38,53 +32,43 @@ pub struct EnergyProfiler {
 impl EnergyProfiler {
     /// Builds a profiler for a kernel whose `ends_strand` bits are set
     /// (an unallocated kernel is one big strand). `orf_entries` sizes the
-    /// ORF for pricing and is clamped into the model's 1–8 entry table.
+    /// ORF for pricing; like every pricing call, it must be a row of the
+    /// model's ORF table.
     pub fn new(kernel: &Kernel, model: EnergyModel, orf_entries: usize) -> Self {
-        let map = rfh_analysis::strand::segment_ids(kernel);
-        let n = rfh_analysis::strand::segment_count(kernel).max(1);
+        let counter = StrandCounter::new(kernel);
+        let n = counter.per_strand().len();
         let mut starts: Vec<Option<InstrRef>> = vec![None; n];
         for (at, _) in kernel.iter_instrs() {
-            let sid = map[at.block.index()][at.index] as usize;
-            if starts[sid].is_none() {
-                starts[sid] = Some(at);
-            }
+            starts[counter.strand_of(at)].get_or_insert(at);
         }
-        let strands = starts
-            .into_iter()
-            .map(|start| StrandProfile {
-                start: start.unwrap_or(InstrRef {
-                    block: rfh_isa::BlockId::new(0),
-                    index: 0,
-                }),
-                instrs: 0,
-                counts: AccessCounts::default(),
-            })
-            .collect();
+        let first = InstrRef {
+            block: BlockId::new(0),
+            index: 0,
+        };
         EnergyProfiler {
-            map,
-            strands,
+            counter,
+            instrs: vec![0; n],
+            starts: starts.into_iter().map(|s| s.unwrap_or(first)).collect(),
             model,
-            orf_entries: orf_entries.clamp(1, 8),
+            orf_entries,
         }
     }
 
-    /// The per-strand profiles, indexed by strand id.
-    pub fn per_strand(&self) -> &[StrandProfile] {
-        &self.strands
+    /// The per-strand access counts, indexed by strand id.
+    pub fn per_strand(&self) -> &[AccessCounts] {
+        self.counter.per_strand()
     }
 
     /// The priced energy of one strand's traffic.
     pub fn energy_of(&self, strand: usize) -> EnergyBreakdown {
         self.model
-            .energy(&self.strands[strand].counts, self.orf_entries)
+            .energy(&self.per_strand()[strand], self.orf_entries)
     }
 
     /// Sum of all strands (equals a [`crate::counts::SwCounter`] over the
     /// same run).
     pub fn total_counts(&self) -> AccessCounts {
-        self.strands
-            .iter()
-            .fold(AccessCounts::default(), |a, s| a + s.counts)
+        self.counter.total()
     }
 
     /// The priced energy of the whole run.
@@ -105,14 +89,13 @@ impl EnergyProfiler {
             "strand\tstart\tinstrs\tmrf.r\tmrf.w\torf.r\torf.w\tlrf.r\tlrf.w\tenergy_pj\tshare\n",
         );
         let total = self.total_energy().total();
-        for (sid, s) in self.strands.iter().enumerate() {
+        for (sid, c) in self.per_strand().iter().enumerate() {
             let e = self.energy_of(sid).total();
             let share = if total > 0.0 { e / total } else { 0.0 };
-            let c = &s.counts;
             out.push_str(&format!(
                 "{sid}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{e:.3}\t{share:.4}\n",
-                s.start,
-                s.instrs,
+                self.starts[sid],
+                self.instrs[sid],
                 c.mrf_read,
                 c.mrf_write,
                 c.orf_read_private + c.orf_read_shared,
@@ -124,7 +107,7 @@ impl EnergyProfiler {
         let c = self.total_counts();
         out.push_str(&format!(
             "total\t-\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{total:.3}\t1.0000\n",
-            self.strands.iter().map(|s| s.instrs).sum::<u64>(),
+            self.instrs.iter().sum::<u64>(),
             c.mrf_read,
             c.mrf_write,
             c.orf_read_private + c.orf_read_shared,
@@ -138,10 +121,8 @@ impl EnergyProfiler {
 
 impl TraceSink for EnergyProfiler {
     fn on_instr(&mut self, event: &InstrEvent<'_>) {
-        let sid = self.map[event.at.block.index()][event.at.index] as usize;
-        let s = &mut self.strands[sid];
-        s.instrs += 1;
-        s.counts.record_plan(event.plan);
+        self.instrs[self.counter.strand_of(event.at)] += 1;
+        self.counter.on_instr(event);
     }
 }
 
@@ -218,7 +199,10 @@ BB0:
     }
 
     #[test]
-    fn zero_orf_config_is_clamped_not_panicking() {
+    #[should_panic(expected = "ORF size out of range")]
+    fn zero_orf_config_is_rejected_not_clamped() {
+        // Regression: this used to clamp 0 up to 1 and silently price the
+        // run with the wrong Table 3 row.
         let kernel = rfh_isa::parse_kernel(KERNEL).unwrap();
         let prof = EnergyProfiler::new(&kernel, EnergyModel::paper(), 0);
         let _ = prof.total_energy();

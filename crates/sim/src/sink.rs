@@ -81,99 +81,6 @@ impl TraceSink for NullSink {
     fn on_instr(&mut self, _event: &InstrEvent<'_>) {}
 }
 
-/// A sink combinator that broadcasts every event to a list of child
-/// sinks, in order.
-///
-/// [`crate::exec::execute`] already takes a slice of sinks, but a fanout
-/// is itself a [`TraceSink`], so observer stacks compose: a fanout can
-/// sit behind another fanout, or anywhere a single sink is expected
-/// (e.g. the `rfhc trace` pipeline drives an exporter, a profiler, and a
-/// counter through one).
-#[derive(Default)]
-pub struct FanoutSink<'a> {
-    children: Vec<&'a mut dyn TraceSink>,
-}
-
-impl<'a> FanoutSink<'a> {
-    /// An empty fanout (events are dropped until children are attached).
-    pub fn new() -> Self {
-        FanoutSink {
-            children: Vec::new(),
-        }
-    }
-
-    /// Attaches a child sink; events are delivered in attachment order.
-    pub fn push(&mut self, sink: &'a mut dyn TraceSink) -> &mut Self {
-        self.children.push(sink);
-        self
-    }
-
-    /// Builder-style [`FanoutSink::push`].
-    #[must_use]
-    pub fn with(mut self, sink: &'a mut dyn TraceSink) -> Self {
-        self.children.push(sink);
-        self
-    }
-
-    /// Number of attached children.
-    pub fn len(&self) -> usize {
-        self.children.len()
-    }
-
-    /// Whether the fanout has no children.
-    pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
-    }
-}
-
-impl std::fmt::Debug for FanoutSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutSink")
-            .field("children", &self.children.len())
-            .finish()
-    }
-}
-
-impl TraceSink for FanoutSink<'_> {
-    fn on_instr(&mut self, event: &InstrEvent<'_>) {
-        for child in &mut self.children {
-            child.on_instr(event);
-        }
-    }
-
-    fn on_warp_done(&mut self, warp: usize) {
-        for child in &mut self.children {
-            child.on_warp_done(warp);
-        }
-    }
-
-    fn on_reg_write(
-        &mut self,
-        warp: usize,
-        at: InstrRef,
-        reg: rfh_isa::Reg,
-        lanes: &[u32],
-        exec_mask: u32,
-    ) {
-        for child in &mut self.children {
-            child.on_reg_write(warp, at, reg, lanes, exec_mask);
-        }
-    }
-
-    fn on_pred_write(
-        &mut self,
-        warp: usize,
-        at: InstrRef,
-        pred: rfh_isa::PredReg,
-        bits: u32,
-        exec_mask: u32,
-    ) {
-        for child in &mut self.children {
-            child.on_pred_write(warp, at, pred, bits, exec_mask);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,74 +105,5 @@ mod tests {
         let mut sink = NullSink;
         sink.on_instr(&ev);
         sink.on_warp_done(0);
-    }
-
-    #[derive(Default)]
-    struct Tally {
-        instrs: usize,
-        warps_done: usize,
-    }
-
-    impl TraceSink for Tally {
-        fn on_instr(&mut self, _event: &InstrEvent<'_>) {
-            self.instrs += 1;
-        }
-        fn on_warp_done(&mut self, _warp: usize) {
-            self.warps_done += 1;
-        }
-    }
-
-    #[test]
-    fn fanout_broadcasts_to_all_children() {
-        let i = ops::mov(Reg::new(0), 1.into());
-        let plan = AccessPlan::resolve(&i);
-        let ev = InstrEvent {
-            warp: 0,
-            at: InstrRef {
-                block: BlockId::new(0),
-                index: 0,
-            },
-            instr: &i,
-            active_mask: u32::MAX,
-            exec_mask: u32::MAX,
-            plan: &plan,
-        };
-        let mut a = Tally::default();
-        let mut b = Tally::default();
-        {
-            let mut fan = FanoutSink::new().with(&mut a).with(&mut b);
-            assert_eq!(fan.len(), 2);
-            assert!(!fan.is_empty());
-            fan.on_instr(&ev);
-            fan.on_instr(&ev);
-            fan.on_warp_done(0);
-        }
-        assert_eq!((a.instrs, a.warps_done), (2, 1));
-        assert_eq!((b.instrs, b.warps_done), (2, 1));
-    }
-
-    #[test]
-    fn fanout_nests() {
-        let i = ops::mov(Reg::new(0), 1.into());
-        let plan = AccessPlan::resolve(&i);
-        let ev = InstrEvent {
-            warp: 3,
-            at: InstrRef {
-                block: BlockId::new(0),
-                index: 0,
-            },
-            instr: &i,
-            active_mask: u32::MAX,
-            exec_mask: u32::MAX,
-            plan: &plan,
-        };
-        let mut leaf = Tally::default();
-        {
-            let mut inner = FanoutSink::new().with(&mut leaf);
-            let mut outer = FanoutSink::new().with(&mut inner);
-            outer.on_instr(&ev);
-            outer.on_warp_done(3);
-        }
-        assert_eq!((leaf.instrs, leaf.warps_done), (1, 1));
     }
 }

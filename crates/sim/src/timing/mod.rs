@@ -21,10 +21,10 @@
 //!
 //! The model is one SM (the paper's Table 2 machine) with an infinitely
 //! ported MRF: operand reads never stall, as in the paper's §6
-//! argument. One flat per-cycle loop (`sched`) is the shipped engine;
-//! the original hand-woven loop stays frozen in `reference` as the
-//! test-only oracle that `tests/timing_differential.rs` and the chaos
-//! `run_timing_layer` hold it to.
+//! argument. One flat per-cycle loop (`sched`) is the engine; the
+//! original hand-woven loop stays frozen in the test-only `rfh-oracle`
+//! crate, and `tests/timing_differential.rs` and the chaos
+//! `run_timing_layer` hold the two to identical results and errors.
 
 use std::error::Error;
 use std::fmt;
@@ -34,8 +34,6 @@ use rfh_isa::Unit;
 use crate::machine::MachineConfig;
 use crate::sink::{InstrEvent, TraceSink};
 
-#[doc(hidden)]
-pub mod reference;
 mod sched;
 
 /// Default cycle budget for a timing simulation ([`TimingConfig::max_cycles`]).
@@ -408,9 +406,9 @@ impl TimingResult {
 
 /// Cycles until the sources of `traces[warp][pc]` are ready, per the
 /// given per-register ready times — the `pending_latency` of a
-/// [`WarpSnapshot`]. Shared with the oracle so their deadlock snapshots
-/// are field-for-field identical.
-pub(crate) fn pending_latency(
+/// [`WarpSnapshot`]. Shared with the frozen oracle so their deadlock
+/// snapshots are field-for-field identical.
+pub fn pending_latency(
     traces: &[Vec<TraceOp>],
     warp: usize,
     pc: usize,

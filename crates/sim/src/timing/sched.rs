@@ -7,8 +7,8 @@
 //! whose warps all reached its barrier, and refills the active set. A
 //! cycle in which nothing happens fast-forwards to the next event.
 //!
-//! Its semantics are exactly those of the frozen oracle in
-//! [`super::reference`]; the differences are representational only — a
+//! Its semantics are exactly those of the frozen oracle in the
+//! test-only `rfh-oracle` crate; the differences are representational only — a
 //! per-warp `Vec<bool>` long-latency set indexed like `reg_ready`
 //! instead of a hash set, and a retired-warp counter instead of a
 //! per-cycle scan for completion. `tests/timing_differential.rs` and the

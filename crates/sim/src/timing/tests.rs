@@ -1,7 +1,7 @@
 //! Unit tests for the timing module: the original `timing.rs` suite
 //! (exercising the flat engine through the public API) plus config
-//! validation, deadlock snapshots, and spot checks against the frozen
-//! oracle.
+//! validation and deadlock snapshots. The spot checks against the frozen
+//! oracle live with it in `rfh-oracle`.
 
 use super::*;
 use crate::exec::{execute, execute_with, ExecMode, Launch};
@@ -207,39 +207,22 @@ fn deadlock_error_carries_a_per_warp_snapshot() {
     // Same barrier mismatch as above: warp 0 is stuck at its barrier
     // (pc 1: the barrier issued), warp 1 retired and must not appear.
     let traces = vec![vec![bar_op(), alu_op(0, 0)], vec![alu_op(1, 1)]];
-    let cfg = TimingConfig::two_level(8);
-    for err in [
-        simulate_timing(&traces, &|_| 0, &cfg).unwrap_err(),
-        reference::simulate(&traces, &|_| 0, &cfg).unwrap_err(),
-    ] {
-        let TimingError::Deadlock { snapshot, .. } = &err else {
-            panic!("expected deadlock, got {err}");
-        };
-        assert_eq!(snapshot.warps.len(), 1);
-        let w = snapshot.warps[0];
-        assert_eq!(w.warp, 0);
-        assert_eq!(w.cta, 0);
-        assert_eq!(w.pc, 1);
-        assert!(w.at_barrier);
-        assert!(!w.descheduled);
-        assert_eq!(w.pending_latency, 0);
-        // The message alone must identify the stuck warp.
-        let msg = err.to_string();
-        assert!(msg.contains("1 unretired warp(s)"), "{msg}");
-        assert!(msg.contains("w0 cta0 pc1 at-barrier"), "{msg}");
-    }
-}
-
-#[test]
-fn deadlock_snapshots_are_identical_across_engines() {
-    let traces = vec![
-        vec![bar_op(), alu_op(0, 0), alu_op(0, 0)],
-        vec![bar_op(), bar_op(), alu_op(1, 1)],
-    ];
-    let cfg = TimingConfig::two_level(8);
-    let flat = simulate_timing(&traces, &|_| 0, &cfg).unwrap_err();
-    let oracle = reference::simulate(&traces, &|_| 0, &cfg).unwrap_err();
-    assert_eq!(flat, oracle);
+    let err = simulate_timing(&traces, &|_| 0, &TimingConfig::two_level(8)).unwrap_err();
+    let TimingError::Deadlock { snapshot, .. } = &err else {
+        panic!("expected deadlock, got {err}");
+    };
+    assert_eq!(snapshot.warps.len(), 1);
+    let w = snapshot.warps[0];
+    assert_eq!(w.warp, 0);
+    assert_eq!(w.cta, 0);
+    assert_eq!(w.pc, 1);
+    assert!(w.at_barrier);
+    assert!(!w.descheduled);
+    assert_eq!(w.pending_latency, 0);
+    // The message alone must identify the stuck warp.
+    let msg = err.to_string();
+    assert!(msg.contains("1 unretired warp(s)"), "{msg}");
+    assert!(msg.contains("w0 cta0 pc1 at-barrier"), "{msg}");
 }
 
 #[test]
@@ -282,33 +265,10 @@ fn instruction_counts_are_conserved() {
 }
 
 #[test]
-fn engines_agree_on_captured_workloads() {
-    // The unit-level spot check; tests/timing_differential.rs is the
-    // exhaustive version over all workloads and generated traces.
-    for text in [ALU_HEAVY, MEM_HEAVY] {
-        let cap = capture(text, 4, 128, 4096);
-        for cfg in [
-            TimingConfig::single_level(),
-            TimingConfig::two_level(8),
-            TimingConfig::two_level(2).with_policy(SchedPolicy::Greedy),
-        ] {
-            let flat = simulate_timing(&cap.traces, &|w| cap.cta_of(w), &cfg);
-            let oracle = reference::simulate(&cap.traces, &|w| cap.cta_of(w), &cfg);
-            assert_eq!(flat, oracle, "{cfg:?}");
-        }
-    }
-}
-
-#[test]
 fn zero_active_warps_is_a_config_error() {
     let traces = vec![vec![alu_op(0, 0)]];
-    let cfg = TimingConfig::two_level(0);
-    for err in [
-        simulate_timing(&traces, &|_| 0, &cfg).unwrap_err(),
-        reference::simulate(&traces, &|_| 0, &cfg).unwrap_err(),
-    ] {
-        assert_eq!(err, TimingError::Config(ConfigError::ZeroActiveWarps));
-    }
+    let err = simulate_timing(&traces, &|_| 0, &TimingConfig::two_level(0)).unwrap_err();
+    assert_eq!(err, TimingError::Config(ConfigError::ZeroActiveWarps));
 }
 
 #[test]

@@ -24,12 +24,15 @@
 //!   malformed values warn loudly with the offending string instead of
 //!   silently falling back or panicking;
 //! * [`corpus`] — the kernel-text corpus shared by the parser fuzz tests
-//!   and the lint golden report.
+//!   and the lint golden report;
+//! * [`json`] — the workspace's one JSON parser and writer (daemon
+//!   protocol, lint and trace output).
 //!
 //! See `docs/TESTING.md` at the repository root for the workflow guide.
 
 pub mod corpus;
 pub mod env;
+pub mod json;
 pub mod pool;
 pub mod prop;
 pub mod rng;

@@ -12,9 +12,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (-D warnings)"
 # Also the panic gate: the hardened library crates (isa, alloc, analysis,
-# sim, chaos, lint, rfhd) deny `.unwrap()`, `panic!`, `unreachable!` and
-# `todo!` outside `cfg(test)` in their `lib.rs`; `.expect("reason")` is
-# allowed — the reason is the review gate.
+# sim, oracle, chaos, lint, rfhd) deny `.unwrap()`, `panic!`,
+# `unreachable!` and `todo!` outside `cfg(test)` in their `lib.rs`, and
+# so does `rfh_testkit::json`, whose parser the protocol chaos layer feeds
+# hostile bytes; `.expect("reason")` is allowed — the reason is the
+# review gate.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
@@ -22,6 +24,15 @@ echo "==> cargo build --release"
 # must be built; `--workspace` says so explicitly, on top of the root
 # manifest's `default-members`.
 cargo build --release --offline --workspace
+
+echo "==> shipped dependency trees exclude the frozen oracles"
+# rfh-oracle is test-only: the release rfhc and the daemon must not link it.
+for pkg in rfh rfh-rfhd; do
+    if cargo tree --offline -e normal -p "$pkg" | grep -q rfh-oracle; then
+        echo "$pkg depends on rfh-oracle"
+        exit 1
+    fi
+done
 
 echo "==> cargo test"
 cargo test -q --offline
@@ -127,8 +138,8 @@ echo "==> trace smoke + golden structured trace"
 # The structured trace exporter must be deterministic at any pool size:
 # `rfhc trace --json` over the golden kernel is byte-identical to the
 # committed golden under RFH_JOBS=1 and RFH_JOBS=8, and the per-strand
-# energy profile matches its golden too. Both regenerated artifacts stay
-# in target/ci-artifacts for inspection.
+# energy profile and the `--chrome` timeline match their goldens too. The
+# regenerated artifacts stay in target/ci-artifacts for inspection.
 RFH_JOBS=1 ./target/release/rfhc trace --json examples/trace_golden.rfasm \
     > "$artifacts/trace_golden.jsonl" 2> /dev/null
 cmp results/trace_golden.jsonl "$artifacts/trace_golden.jsonl"
@@ -138,7 +149,10 @@ cmp results/trace_golden.jsonl "$artifacts/trace_golden.jobs8.jsonl"
 RFH_JOBS=1 ./target/release/rfhc trace --profile examples/trace_golden.rfasm \
     > "$artifacts/strand_profile_golden.txt" 2> /dev/null
 cmp results/strand_profile_golden.txt "$artifacts/strand_profile_golden.txt"
-echo "trace + strand profile byte-identical under RFH_JOBS=1 and RFH_JOBS=8"
+RFH_JOBS=1 ./target/release/rfhc trace --chrome examples/trace_golden.rfasm \
+    > "$artifacts/trace_chrome_golden.json" 2> /dev/null
+cmp results/trace_chrome_golden.json "$artifacts/trace_chrome_golden.json"
+echo "trace (JSON lines, Chrome) + strand profile byte-identical under RFH_JOBS=1 and RFH_JOBS=8"
 
 echo "==> daemon smoke (rfhd serve/client over a unix socket)"
 # A live daemon must survive a request mix that includes a malformed

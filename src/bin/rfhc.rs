@@ -43,7 +43,7 @@
 use std::io::Read;
 use std::process::exit;
 
-use rfh::alloc::{allocate_with_hints, AllocConfig, LrfMode};
+use rfh::alloc::{allocate_with_hints, AllocConfig, LrfMode, ORF_SIZES};
 use rfh::energy::EnergyModel;
 use rfh::{RfhError, EXIT_INTERNAL_PANIC};
 
@@ -65,6 +65,31 @@ const USAGE: &str = "usage: rfhc [--orf N] [--lrf none|unified|split] [--no-part
 
 fn usage(msg: &str) -> RfhError {
     RfhError::Usage(format!("{msg}\n{USAGE}"))
+}
+
+/// Parses the `--orf` value shared by `rfhc`, `rfhc lint` and `rfhc
+/// trace`: an ORF size the energy model can price.
+fn orf_flag(value: Option<String>) -> Result<usize, RfhError> {
+    let n: usize = value
+        .ok_or_else(|| usage("--orf needs a value"))?
+        .parse()
+        .map_err(|_| usage("--orf needs an integer value"))?;
+    if !ORF_SIZES.contains(&n) {
+        return Err(usage(&format!(
+            "--orf must be in {}..={}: other ORF sizes have no energy model",
+            ORF_SIZES.start(),
+            ORF_SIZES.end()
+        )));
+    }
+    Ok(n)
+}
+
+/// Parses the `--lrf` value shared by `rfhc`, `rfhc lint` and `rfhc trace`.
+fn lrf_flag(value: Option<String>) -> Result<LrfMode, RfhError> {
+    value
+        .as_deref()
+        .and_then(LrfMode::parse)
+        .ok_or_else(|| usage("--lrf needs none|unified|split"))
 }
 
 /// Applies `--jobs N`: overrides the `RFH_JOBS` pool knob for the rest of
@@ -126,23 +151,8 @@ fn real_main() -> Result<(), RfhError> {
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--orf" => {
-                let n = args.next().ok_or_else(|| usage("--orf needs a value"))?;
-                config.orf_entries = n
-                    .parse()
-                    .map_err(|_| usage("--orf needs an integer value"))?;
-                if config.orf_entries > 8 {
-                    return Err(usage("ORF sizes beyond 8 entries have no energy model"));
-                }
-            }
-            "--lrf" => {
-                config.lrf = match args.next().as_deref() {
-                    Some("none") => LrfMode::None,
-                    Some("unified") => LrfMode::Unified,
-                    Some("split") => LrfMode::Split,
-                    _ => return Err(usage("--lrf needs none|unified|split")),
-                }
-            }
+            "--orf" => config.orf_entries = orf_flag(args.next())?,
+            "--lrf" => config.lrf = lrf_flag(args.next())?,
             "--no-partial" => config.partial_ranges = false,
             "--no-readop" => config.read_operands = false,
             "--hints" => hints = true,
@@ -204,20 +214,8 @@ fn lint_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Res
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--orf" => {
-                let n = args.next().ok_or_else(|| usage("--orf needs a value"))?;
-                options.alloc.orf_entries = n
-                    .parse()
-                    .map_err(|_| usage("--orf needs an integer value"))?;
-            }
-            "--lrf" => {
-                options.alloc.lrf = match args.next().as_deref() {
-                    Some("none") => LrfMode::None,
-                    Some("unified") => LrfMode::Unified,
-                    Some("split") => LrfMode::Split,
-                    _ => return Err(usage("--lrf needs none|unified|split")),
-                }
-            }
+            "--orf" => options.alloc.orf_entries = orf_flag(args.next())?,
+            "--lrf" => options.alloc.lrf = lrf_flag(args.next())?,
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
             "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
@@ -280,9 +278,8 @@ enum TraceFormat {
 /// execute, and export the structured trace.
 ///
 /// The trace goes to stdout in the selected format (JSON lines by
-/// default); a one-line summary goes to stderr. The whole observer stack
-/// — exporter, per-strand energy profiler, access counter — hangs off one
-/// `FanoutSink`, so the executor sees a single sink.
+/// default); a one-line summary goes to stderr. The executor feeds the
+/// exporter and the per-strand energy profiler side by side.
 fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Result<(), RfhError> {
     let mut config = AllocConfig::three_level(3, true);
     let mut hints = false;
@@ -294,23 +291,8 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--orf" => {
-                let n = args.next().ok_or_else(|| usage("--orf needs a value"))?;
-                config.orf_entries = n
-                    .parse()
-                    .map_err(|_| usage("--orf needs an integer value"))?;
-                if config.orf_entries > 8 {
-                    return Err(usage("ORF sizes beyond 8 entries have no energy model"));
-                }
-            }
-            "--lrf" => {
-                config.lrf = match args.next().as_deref() {
-                    Some("none") => LrfMode::None,
-                    Some("unified") => LrfMode::Unified,
-                    Some("split") => LrfMode::Split,
-                    _ => return Err(usage("--lrf needs none|unified|split")),
-                }
-            }
+            "--orf" => config.orf_entries = orf_flag(args.next())?,
+            "--lrf" => config.lrf = lrf_flag(args.next())?,
             "--no-partial" => config.partial_ranges = false,
             "--no-readop" => config.read_operands = false,
             "--hints" => hints = true,
@@ -354,16 +336,18 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
     let mut exporter = rfh::sim::TraceExporter::new(&kernel);
     let mut profiler =
         rfh::sim::EnergyProfiler::new(&kernel, EnergyModel::paper(), config.orf_entries);
-    let mut counter = rfh::sim::SwCounter::default();
-    let mut fan = rfh::sim::FanoutSink::new()
-        .with(&mut exporter)
-        .with(&mut profiler)
-        .with(&mut counter);
 
     let launch = rfh::sim::Launch::new(ctas, threads);
     let mut mem = rfh::sim::GlobalMemory::new(1 << 16);
     let machine = rfh::sim::MachineConfig::paper();
-    rfh::sim::exec::execute_with(&kernel, &launch, &mut mem, mode, &machine, &mut [&mut fan])?;
+    rfh::sim::exec::execute_with(
+        &kernel,
+        &launch,
+        &mut mem,
+        mode,
+        &machine,
+        &mut [&mut exporter, &mut profiler],
+    )?;
 
     match format {
         TraceFormat::Json => print!("{}", exporter.json_lines()),

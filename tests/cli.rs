@@ -69,6 +69,21 @@ fn oversized_orf_is_rejected() {
 }
 
 #[test]
+fn out_of_range_orf_is_rejected_by_every_subcommand() {
+    // One bound for every config parser: the ORF sizes the energy model
+    // can price, 1..=8, as the daemon's `config.orf` enforces.
+    for sub in [&[][..], &["lint"], &["trace"]] {
+        for orf in ["0", "9"] {
+            let args = [sub, &["--orf", orf, "x.rfasm"]].concat();
+            let out = rfhc(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("no energy model"), "{args:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
 fn missing_file_is_a_read_error() {
     let out = rfhc(&["/nonexistent/kernel.rfasm"]);
     assert_eq!(out.status.code(), Some(1));

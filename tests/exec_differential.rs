@@ -1,5 +1,5 @@
 //! Differential conformance: the warp-batched SoA engine against the
-//! frozen reference oracle (`rfh::sim::exec::reference`).
+//! frozen reference oracle (`rfh_oracle::exec`).
 //!
 //! Every case runs the same kernel, launch, and memory image through both
 //! engines and demands identical observable behavior: the [`ExecReport`],
@@ -17,11 +17,12 @@
 use rfh::alloc::{allocate, AllocConfig};
 use rfh::energy::{AccessCounts, EnergyModel};
 use rfh::isa::Kernel;
-use rfh::sim::exec::{execute_with_engine, Engine, ExecError, ExecMode, ExecReport, Launch};
+use rfh::sim::exec::{execute_with, ExecError, ExecMode, ExecReport, Launch};
 use rfh::sim::machine::MachineConfig;
 use rfh::sim::mem::GlobalMemory;
 use rfh::sim::SwCounter;
 use rfh::workloads::generator::{random_program, GenConfig};
+use rfh_oracle::exec::Execute;
 use rfh_testkit::pool::par_map;
 use rfh_testkit::prelude::*;
 
@@ -33,7 +34,7 @@ struct Observed {
 }
 
 fn run(
-    engine: Engine,
+    engine: Execute,
     kernel: &Kernel,
     launch: &Launch,
     memory: &GlobalMemory,
@@ -42,15 +43,7 @@ fn run(
 ) -> Result<Observed, ExecError> {
     let mut mem = memory.clone();
     let mut counter = SwCounter::default();
-    let report = execute_with_engine(
-        kernel,
-        launch,
-        &mut mem,
-        mode,
-        machine,
-        engine,
-        &mut [&mut counter],
-    )?;
+    let report = engine(kernel, launch, &mut mem, mode, machine, &mut [&mut counter])?;
     Ok(Observed {
         report,
         counts: counter.counts(),
@@ -67,8 +60,15 @@ fn check_agreement(
     mode: ExecMode,
     machine: &MachineConfig,
 ) -> Result<(), String> {
-    let soa = run(Engine::Soa, kernel, launch, memory, mode, machine);
-    let oracle = run(Engine::Reference, kernel, launch, memory, mode, machine);
+    let soa = run(execute_with, kernel, launch, memory, mode, machine);
+    let oracle = run(
+        rfh_oracle::exec::execute_with,
+        kernel,
+        launch,
+        memory,
+        mode,
+        machine,
+    );
     match (soa, oracle) {
         (Ok(s), Ok(o)) => {
             if s.report != o.report {

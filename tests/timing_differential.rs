@@ -1,6 +1,6 @@
 //! Differential conformance: the flat timing engine
 //! (`rfh::sim::timing::simulate_timing`) against the frozen reference
-//! oracle (`rfh::sim::timing::reference::simulate`).
+//! oracle (`rfh_oracle::timing::simulate`).
 //!
 //! Every case replays the same trace set through both engines and demands
 //! exact agreement on the full `Result`: identical [`TimingResult`]s
@@ -26,9 +26,7 @@
 
 use rfh::sim::exec::{execute_with, ExecMode};
 use rfh::sim::machine::MachineConfig;
-use rfh::sim::timing::{
-    reference, simulate_timing, SchedPolicy, TimingConfig, TraceCapture, TraceOp,
-};
+use rfh::sim::timing::{simulate_timing, SchedPolicy, TimingConfig, TraceCapture, TraceOp};
 use rfh_testkit::pool::par_map;
 use rfh_testkit::prelude::*;
 
@@ -41,7 +39,7 @@ fn check_agreement(
     config: &TimingConfig,
 ) -> Result<(), String> {
     let flat = simulate_timing(traces, cta_of, config);
-    let oracle = reference::simulate(traces, cta_of, config);
+    let oracle = rfh_oracle::timing::simulate(traces, cta_of, config);
     match (&flat, &oracle) {
         _ if flat == oracle => Ok(()),
         (Ok(f), Ok(r)) => Err(format!(
