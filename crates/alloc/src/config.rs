@@ -28,6 +28,16 @@ impl LrfMode {
         !matches!(self, LrfMode::None)
     }
 
+    /// Number of LRF banks per lane: none, one unified bank, or one bank
+    /// per operand slot (A, B, C).
+    pub const fn banks(self) -> usize {
+        match self {
+            LrfMode::None => 0,
+            LrfMode::Unified => 1,
+            LrfMode::Split => 3,
+        }
+    }
+
     /// Parses the `none|unified|split` spelling shared by the `rfhc
     /// --lrf` flag and the daemon's `config.lrf` field.
     pub fn parse(name: &str) -> Option<LrfMode> {

@@ -1,14 +1,19 @@
 //! Placement validation: proves that allocated kernels are executable.
 //!
-//! Walks each strand's (forward-edge-only) subgraph tracking the symbolic
-//! contents of every ORF entry and LRF bank, and checks that:
+//! [`placement_findings`], the one static placement model, walks each
+//! strand's (forward-edge-only) subgraph tracking the symbolic contents of
+//! every ORF entry and LRF bank, and reports every place where:
 //!
-//! * every `ORF`/`LRF` read finds exactly the register word the annotation
-//!   claims, on **all** paths reaching the read;
-//! * entry indices are within the configured sizes;
-//! * the LRF is only written by, and read from, the private datapath;
-//! * split-LRF reads use the bank matching their operand slot;
-//! * no value is expected to survive a strand boundary in an upper level.
+//! * an `ORF`/`LRF` read may not find exactly the register word the
+//!   annotation claims, on **all** paths reaching the read;
+//! * an entry index is outside the configured sizes;
+//! * the LRF is written by, or read from, the shared datapath;
+//! * a split-LRF read uses a bank other than its operand slot's;
+//! * a value is expected to survive a strand boundary in an upper level;
+//! * an MRF read may observe a copy an earlier definition skipped.
+//!
+//! [`validate_placements`] stops at the first finding; `rfh-lint` reports
+//! them all as RFH-L006/L007.
 //!
 //! Guarded (predicated) writes may or may not execute. A guarded write
 //! over an entry already holding the same register word preserves it (both
@@ -22,27 +27,19 @@ use std::fmt;
 use rfh_analysis::strand::walk_segments;
 use rfh_analysis::RegSet;
 use rfh_isa::access::{AccessKind, AccessPlan, AccessSlot, Datapath, Place};
-use rfh_isa::{InstrRef, Instruction, Kernel, PredGuard, Reg, Width};
+use rfh_isa::{InstrRef, Instruction, Kernel, PredGuard, Reg, Slot, Width};
 
 use crate::config::{AllocConfig, LrfMode};
-
-/// An instruction's position and text as error messages quote them,
-/// rendered only when an error is actually reported.
-struct Loc<'a>(InstrRef, &'a Instruction);
-
-impl fmt::Display for Loc<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} `{}`", self.0, self.1)
-    }
-}
 
 /// Symbolic contents of one upper-level entry: which register word it
 /// mirrors, and under which guard the mirroring holds (`None`: on every
 /// lane).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    reg: Reg,
-    guard: Option<PredGuard>,
+pub struct Entry {
+    /// The mirrored register word.
+    pub reg: Reg,
+    /// The guard under which the entry is valid, if it is conditional.
+    pub guard: Option<PredGuard>,
 }
 
 /// Symbolic contents of the upper levels along one path.
@@ -54,25 +51,16 @@ struct State {
 
 impl State {
     fn empty(config: &AllocConfig) -> State {
-        let banks = match config.lrf {
-            LrfMode::None => 0,
-            LrfMode::Unified => 1,
-            LrfMode::Split => 3,
-        };
         State {
             orf: vec![None; config.orf_entries],
-            lrf: vec![None; banks],
+            lrf: vec![None; config.lrf.banks()],
         }
     }
 
     fn meet(&mut self, other: &State) {
-        for (a, b) in self.orf.iter_mut().zip(&other.orf) {
-            if *a != *b {
-                *a = None;
-            }
-        }
-        for (a, b) in self.lrf.iter_mut().zip(&other.lrf) {
-            if *a != *b {
+        let theirs = other.orf.iter().chain(&other.lrf);
+        for (a, b) in self.orf.iter_mut().chain(&mut self.lrf).zip(theirs) {
+            if a != b {
                 *a = None;
             }
         }
@@ -87,6 +75,96 @@ fn entry_serves(entry: Option<Entry>, reg: Reg, guard: Option<PredGuard>) -> boo
     entry.is_some_and(|en| en.reg == reg && (en.guard.is_none() || en.guard == guard))
 }
 
+/// What is wrong at one instruction (see [`Finding`]); an access kind is
+/// the operand's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FindingKind {
+    /// An MRF read of the register (a fill's included) whose latest
+    /// definition on some path was written only to an upper level.
+    StaleMrf(Reg),
+    /// An ORF access to an entry (a write's first) past the ORF size.
+    OrfOutOfRange(AccessKind, usize),
+    /// An ORF read of an entry that may not hold the register; the entry
+    /// holds the given contents on every path (`None`: nothing known).
+    OrfHolds(usize, Option<Entry>, Reg),
+    /// An LRF access with no LRF configured.
+    NoLrf(AccessKind),
+    /// An LRF access by the shared datapath.
+    SharedLrf(AccessKind),
+    /// A split-LRF read from the given bank in another operand slot.
+    SplitSlot(Slot, usize),
+    /// An LRF bank annotation that does not fit the configured mode.
+    BankMode(LrfMode),
+    /// An LRF read of a bank that may not hold the register, as for
+    /// [`FindingKind::OrfHolds`].
+    LrfHolds(usize, Option<Entry>, Reg),
+    /// A 64-bit value written to the LRF.
+    WideLrf,
+    /// An upper-level write on an instruction with no destination.
+    OrphanUpperWrite,
+}
+
+impl FindingKind {
+    /// Whether the finding is about the LRF contract (lint's RFH-L006);
+    /// the rest are ORF/MRF consistency (RFH-L007).
+    pub fn is_lrf(&self) -> bool {
+        use FindingKind::*;
+        matches!(
+            self,
+            NoLrf(_) | SharedLrf(_) | SplitSlot(..) | BankMode(_) | LrfHolds(..) | WideLrf
+        )
+    }
+}
+
+/// One placement inconsistency, attributed to its instruction. Its
+/// `Display` form is [`validate_placements`]' error message.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Finding<'k> {
+    /// Where.
+    pub at: InstrRef,
+    /// The instruction at `at`.
+    pub instr: &'k Instruction,
+    /// What.
+    pub kind: FindingKind,
+}
+
+impl Finding<'_> {
+    /// The number of words the instruction writes.
+    pub fn words(&self) -> usize {
+        self.instr.dst.map_or(0, |d| d.width.regs() as usize)
+    }
+}
+
+impl fmt::Display for Finding<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use FindingKind::*;
+        write!(f, "{} `{}`: ", self.at, self.instr)?;
+        let guard = self.instr.guard;
+        match self.kind {
+            StaleMrf(reg) => write!(
+                f,
+                "MRF read of {reg} may observe a stale copy                                  (an earlier definition skipped the MRF write)"
+            ),
+            OrfOutOfRange(AccessKind::Write, e) => {
+                write!(f, "write entry ORF{e} (+{}) out of range", self.words())
+            }
+            OrfOutOfRange(kind, e) => write!(f, "{kind} entry ORF{e} out of range"),
+            OrfHolds(e, held, reg) => {
+                write!(f, "ORF{e} holds {held:?}, expected {reg} under {guard:?}")
+            }
+            NoLrf(kind) => write!(f, "LRF {kind} but no LRF configured"),
+            SharedLrf(kind) => write!(f, "shared datapath cannot {kind} the LRF"),
+            SplitSlot(bank, slot) => write!(f, "split LRF read from bank {bank} in slot {slot}"),
+            BankMode(mode) => write!(f, "LRF bank annotation does not match {mode} mode"),
+            LrfHolds(b, held, reg) => {
+                write!(f, "LRF bank {b} holds {held:?}, expected {reg} under {guard:?}")
+            }
+            WideLrf => write!(f, "64-bit values cannot live in the LRF"),
+            OrphanUpperWrite => write!(f, "upper-level write on an instruction with no destination"),
+        }
+    }
+}
+
 /// Visits every MRF read (the MRF half of a fill included) that may
 /// observe a *stale* MRF copy: a register whose latest definition on some
 /// path was written only to an upper level.
@@ -99,9 +177,9 @@ fn entry_serves(entry: Option<Entry>, reg: Reg, guard: Option<PredGuard>) -> boo
 /// # Errors
 ///
 /// Stops at, and returns, the first error `visit` returns.
-pub fn stale_mrf_reads<E>(
-    kernel: &Kernel,
-    mut visit: impl FnMut(InstrRef, &Instruction, Reg) -> Result<(), E>,
+fn stale_mrf_reads<'k, E>(
+    kernel: &'k Kernel,
+    mut visit: impl FnMut(InstrRef, &'k Instruction, Reg) -> Result<(), E>,
 ) -> Result<(), E> {
     // Each instruction resolved once: the registers it reads from the MRF
     // and the words it writes, flattened, and whether those words become
@@ -210,24 +288,28 @@ pub fn stale_mrf_reads<E>(
     Ok(())
 }
 
-/// Checks every placement annotation in `kernel` for consistency.
+/// Visits every placement inconsistency in `kernel` under `config`: first
+/// the whole-kernel freshness findings ([`FindingKind::StaleMrf`]), then
+/// the per-strand symbolic walk ([`walk_segments`]) in layout order.
 ///
-/// Two passes: a whole-kernel freshness check proving no MRF read can
-/// observe a register whose MRF copy was skipped ([`stale_mrf_reads`]),
-/// and a per-strand symbolic walk ([`walk_segments`]) proving
-/// every upper-level read finds the value its annotation names.
+/// The walk recovers after each finding, skipping only the faulty access:
+/// an out-of-range or misannotated access neither reads nor updates the
+/// symbolic state, and a mismatched read leaves it as it was.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first inconsistency found.
-pub fn validate_placements(kernel: &Kernel, config: &AllocConfig) -> Result<(), String> {
-    // An MRF-served read of a may-be-stale register is the bug the
-    // freshness dataflow exists for.
-    stale_mrf_reads(kernel, |at, i, reg| {
-        Err(format!(
-            "{}[{}] `{i}`: MRF read of {reg} may observe a stale copy                                  (an earlier definition skipped the MRF write)",
-            at.block, at.index
-        ))
+/// Stops at, and returns, the first error `visit` returns.
+pub fn placement_findings<'k, E>(
+    kernel: &'k Kernel,
+    config: &AllocConfig,
+    mut visit: impl FnMut(Finding<'k>) -> Result<(), E>,
+) -> Result<(), E> {
+    stale_mrf_reads(kernel, |at, instr, reg| {
+        visit(Finding {
+            at,
+            instr,
+            kind: FindingKind::StaleMrf(reg),
+        })
     })?;
     let mut plan = AccessPlan::new();
     walk_segments(
@@ -237,7 +319,7 @@ pub fn validate_placements(kernel: &Kernel, config: &AllocConfig) -> Result<(), 
         |at, state| {
             let instr = kernel.instr(at);
             plan.resolve_into(instr);
-            let loc = Loc(at, instr);
+            let mut report = |kind| visit(Finding { at, instr, kind });
 
             // ---- reads ----
             let mut fills: Vec<(usize, Reg)> = Vec::new();
@@ -251,29 +333,28 @@ pub fn validate_placements(kernel: &Kernel, config: &AllocConfig) -> Result<(), 
                     (AccessKind::Fill, Place::Orf(e)) => {
                         let e = e as usize;
                         if e >= config.orf_entries {
-                            return Err(format!("{loc}: fill entry ORF{e} out of range"));
+                            report(FindingKind::OrfOutOfRange(AccessKind::Fill, e))?;
+                        } else {
+                            fills.push((e, reg));
                         }
-                        fills.push((e, reg));
                     }
                     (_, Place::Mrf) | (AccessKind::Fill, _) => {}
                     (_, Place::Orf(e)) => {
                         let e = e as usize;
                         if e >= config.orf_entries {
-                            return Err(format!("{loc}: read entry ORF{e} out of range"));
-                        }
-                        if !entry_serves(state.orf[e], reg, instr.guard) {
-                            return Err(format!(
-                                "{loc}: ORF{e} holds {:?}, expected {reg} under {:?}",
-                                state.orf[e], instr.guard
-                            ));
+                            report(FindingKind::OrfOutOfRange(AccessKind::Read, e))?;
+                        } else if !entry_serves(state.orf[e], reg, instr.guard) {
+                            report(FindingKind::OrfHolds(e, state.orf[e], reg))?;
                         }
                     }
                     (_, Place::Lrf(bank)) => {
                         if !config.lrf.enabled() {
-                            return Err(format!("{loc}: LRF read but no LRF configured"));
+                            report(FindingKind::NoLrf(a.kind))?;
+                            continue;
                         }
                         if a.datapath == Datapath::Shared {
-                            return Err(format!("{loc}: shared datapath cannot read the LRF"));
+                            report(FindingKind::SharedLrf(a.kind))?;
+                            continue;
                         }
                         let AccessSlot::Src(i) = a.slot else {
                             continue;
@@ -281,26 +362,18 @@ pub fn validate_placements(kernel: &Kernel, config: &AllocConfig) -> Result<(), 
                         let i = i as usize;
                         let b = match (config.lrf, bank) {
                             (LrfMode::Unified, None) => 0,
+                            (LrfMode::Split, Some(s)) if s.index() == i => i,
                             (LrfMode::Split, Some(s)) => {
-                                if s.index() != i {
-                                    return Err(format!(
-                                        "{loc}: split LRF read from bank {s} in slot {i}"
-                                    ));
-                                }
-                                s.index()
+                                report(FindingKind::SplitSlot(s, i))?;
+                                continue;
                             }
                             _ => {
-                                return Err(format!(
-                                    "{loc}: LRF bank annotation does not match {} mode",
-                                    config.lrf
-                                ))
+                                report(FindingKind::BankMode(config.lrf))?;
+                                continue;
                             }
                         };
                         if !entry_serves(state.lrf[b], reg, instr.guard) {
-                            return Err(format!(
-                                "{loc}: LRF bank {b} holds {:?}, expected {reg} under {:?}",
-                                state.lrf[b], instr.guard
-                            ));
+                            report(FindingKind::LrfHolds(b, state.lrf[b], reg))?;
                         }
                     }
                 }
@@ -355,13 +428,13 @@ pub fn validate_placements(kernel: &Kernel, config: &AllocConfig) -> Result<(), 
                     },
                 };
                 if let Some(e) = orf_base {
-                    let slots = words;
-                    if e + slots > config.orf_entries {
-                        return Err(format!("{loc}: write entry ORF{e} (+{slots}) out of range"));
-                    }
-                    for a in plan.writes() {
-                        if let Place::Orf(entry) = a.place {
-                            write(&mut state.orf[entry as usize], a.reg);
+                    if e + words > config.orf_entries {
+                        report(FindingKind::OrfOutOfRange(AccessKind::Write, e))?;
+                    } else {
+                        for a in plan.writes() {
+                            if let Place::Orf(entry) = a.place {
+                                write(&mut state.orf[entry as usize], a.reg);
+                            }
                         }
                     }
                 }
@@ -371,31 +444,31 @@ pub fn validate_placements(kernel: &Kernel, config: &AllocConfig) -> Result<(), 
                     if a.slot != AccessSlot::DstWord(0) {
                         continue;
                     }
-                    if !config.lrf.enabled() {
-                        return Err(format!("{loc}: LRF write but no LRF configured"));
-                    }
-                    if a.datapath == Datapath::Shared {
-                        return Err(format!("{loc}: shared datapath cannot write the LRF"));
-                    }
-                    if a.width == Width::W64 {
-                        return Err(format!("{loc}: 64-bit values cannot live in the LRF"));
-                    }
-                    let b = match (config.lrf, bank) {
-                        (LrfMode::Unified, None) => 0,
-                        (LrfMode::Split, Some(s)) => s.index(),
-                        _ => {
-                            return Err(format!(
-                                "{loc}: LRF bank annotation does not match {} mode",
-                                config.lrf
-                            ))
+                    let mut faulty = false;
+                    for (bad, kind) in [
+                        (!config.lrf.enabled(), FindingKind::NoLrf(a.kind)),
+                        (
+                            a.datapath == Datapath::Shared,
+                            FindingKind::SharedLrf(a.kind),
+                        ),
+                        (a.width == Width::W64, FindingKind::WideLrf),
+                    ] {
+                        if bad {
+                            report(kind)?;
+                            faulty = true;
                         }
-                    };
-                    write(&mut state.lrf[b], a.reg);
+                    }
+                    if faulty {
+                        continue;
+                    }
+                    match (config.lrf, bank) {
+                        (LrfMode::Unified, None) => write(&mut state.lrf[0], a.reg),
+                        (LrfMode::Split, Some(s)) => write(&mut state.lrf[s.index()], a.reg),
+                        _ => report(FindingKind::BankMode(config.lrf))?,
+                    }
                 }
             } else if plan.orphan_upper_write() {
-                return Err(format!(
-                    "{loc}: upper-level write on an instruction with no destination"
-                ));
+                report(FindingKind::OrphanUpperWrite)?;
             }
 
             // Redefining a predicate invalidates every entry whose validity
@@ -410,6 +483,16 @@ pub fn validate_placements(kernel: &Kernel, config: &AllocConfig) -> Result<(), 
             Ok(())
         },
     )
+}
+
+/// Checks every placement annotation in `kernel` for consistency.
+///
+/// # Errors
+///
+/// Returns the first of [`placement_findings`], as a human-readable
+/// description.
+pub fn validate_placements(kernel: &Kernel, config: &AllocConfig) -> Result<(), String> {
+    placement_findings(kernel, config, |f| Err(f.to_string()))
 }
 
 #[cfg(test)]

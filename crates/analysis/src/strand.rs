@@ -107,7 +107,7 @@ pub struct StrandInfo {
     /// Strand id per instruction, indexed by flat layout position.
     instr_map: Vec<u32>,
     /// Flat layout position of each block's first instruction (see
-    /// [`block_starts`]).
+    /// [`Kernel::block_starts`]).
     block_start: Vec<usize>,
     /// CFG predecessors per block, built once while marking: the per-strand
     /// passes ([`strand_canonical`], [`crate::defuse::strand_values`]) read
@@ -391,25 +391,9 @@ pub fn mark_strands_opts(kernel: &mut Kernel, opts: StrandOpts) -> StrandInfo {
     StrandInfo {
         strands,
         instr_map,
-        block_start: block_starts(kernel),
+        block_start: kernel.block_starts(),
         preds,
     }
-}
-
-/// The flat layout position of every block's first instruction: block `b`
-/// covers positions `starts[b]..starts[b] + len(b)` of the kernel's
-/// layout-order instruction sequence.
-fn block_starts(kernel: &Kernel) -> Vec<usize> {
-    let mut total = 0;
-    kernel
-        .blocks
-        .iter()
-        .map(|b| {
-            let start = total;
-            total += b.instrs.len();
-            start
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -677,7 +661,7 @@ pub fn walk_segments<S: Clone, E>(
     meet: impl Fn(&mut S, &S),
     mut step: impl FnMut(InstrRef, &mut S) -> Result<(), E>,
 ) -> Result<(), E> {
-    let starts = block_starts(kernel);
+    let starts = kernel.block_starts();
     let preds = kernel.predecessors();
     let term = |b: BlockId| starts[b.index()] + kernel.block(b).instrs.len() - 1;
     // Flat position of the current strand's first instruction.
@@ -1165,7 +1149,7 @@ mod walk_tests {
     /// The in-state `walk_segments` hands each instruction, with the state
     /// "flat positions executed on every path since the strand began".
     fn in_states(kernel: &Kernel) -> Vec<BTreeSet<usize>> {
-        let starts = block_starts(kernel);
+        let starts = kernel.block_starts();
         let mut seen = Vec::new();
         let Ok(()) = walk_segments(
             kernel,

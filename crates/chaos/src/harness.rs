@@ -5,12 +5,13 @@
 //!
 //! * **rejected** — a structured error from parse/validate/allocate;
 //! * **identical** — the mutant passed validation and differential
-//!   execution (baseline vs. hierarchy-faithful, or mutant vs. reference
+//!   execution (baseline vs. hierarchy mode, or mutant vs. reference
 //!   for placements) produced bit-identical memory images;
 //! * **structured** — the mutant executes to a structured runtime error
 //!   (out-of-bounds access, instruction budget) *in both modes*;
-//! * **flagged** — placement layer only: `validate_placements` caught the
-//!   corruption;
+//! * **flagged** — placement layers only: a placement check caught the
+//!   corruption (`validate_placements`, replay alone, or the executor's
+//!   run-time tag check, depending on the layer);
 //! * **unchanged** — the mutation happened to be a no-op.
 //!
 //! Anything else — a panic, an execution-mode asymmetry, or an unflagged
@@ -30,7 +31,7 @@ use rfh_analysis::strand::mark_strands;
 use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::{InstrRef, Kernel, Operand};
 use rfh_sim::counts::SwCounter;
-use rfh_sim::exec::{execute_with, replay, ExecMode, StreamRecorder};
+use rfh_sim::exec::{execute_with, replay, ExecError, ExecMode, StreamRecorder};
 use rfh_sim::machine::MachineConfig;
 use rfh_sim::sink::{InstrEvent, TraceSink};
 use rfh_testkit::pool::{par_map, par_map_with_jobs};
@@ -50,7 +51,9 @@ pub struct ChaosReport {
     pub identical: usize,
     /// Structured runtime error, symmetric across execution modes.
     pub structured: usize,
-    /// Caught by `validate_placements` (placement layer only).
+    /// Caught as a bad placement: by `validate_placements` (placement
+    /// layer), by replay alone (replay layer), or by the shipped
+    /// executor's run-time tag check (exec-differential layer).
     pub flagged: usize,
     /// The mutation was a no-op on the artifact.
     pub unchanged: usize,
@@ -158,7 +161,7 @@ fn check_plan_sanity(kernel: &Kernel) -> Result<(), String> {
 }
 
 /// Differential check for a structurally *validated* mutant kernel: run it
-/// unallocated in baseline mode and allocated in hierarchy-faithful mode.
+/// unallocated in baseline mode and allocated in hierarchy mode.
 /// Allocation must preserve the mutant's semantics exactly — identical
 /// final memory, or the same structured-failure fate in both modes.
 fn differential(mutant: &Kernel, cfg: &AllocConfig, w: &Workload) -> Result<CaseOutcome, String> {
@@ -200,11 +203,13 @@ fn differential(mutant: &Kernel, cfg: &AllocConfig, w: &Workload) -> Result<Case
 }
 
 /// Differential check between the two *executor engines* on the same
-/// (possibly corrupted) kernel: the warp-batched SoA engine and the frozen
-/// reference interpreter must meet exactly the same fate — identical
-/// report, access counts, and memory image on acceptance, or the very same
-/// structured error on rejection. Any asymmetry is an engine bug, not a
-/// property of the mutant.
+/// (possibly corrupted) kernel, the warp-batched SoA engine and the frozen
+/// reference interpreter. Whatever the SoA engine accepts, the reference
+/// accepts with an identical report, access counts, and memory image; an
+/// SoA rejection is the very same structured error on the reference,
+/// except a run-time `BadPlacement`, which is **flagged**: the
+/// storage-faithful reference computes through the bad read. Any other
+/// asymmetry is an engine bug, not a property of the mutant.
 fn engine_differential(
     mutant: &Kernel,
     mode: ExecMode,
@@ -243,15 +248,13 @@ fn engine_differential(
                 Ok(CaseOutcome::Identical)
             }
         }
-        (Err(a), Err(b)) => {
-            if a == b {
-                Ok(CaseOutcome::Structured)
-            } else {
-                Err(format!(
-                    "engines rejected the mutant with different errors: soa `{a}` vs reference `{b}`"
-                ))
-            }
+        (Err(a), Err(b)) if a == b => Ok(CaseOutcome::Structured),
+        (Err(ExecError::BadPlacement { .. }), _) if matches!(mode, ExecMode::Hierarchy(_)) => {
+            Ok(CaseOutcome::Flagged)
         }
+        (Err(a), Err(b)) => Err(format!(
+            "engines rejected the mutant with different errors: soa `{a}` vs reference `{b}`"
+        )),
         (Ok(_), Err(e)) => Err(format!(
             "reference-only failure on a mutant the SoA engine accepted: {e}"
         )),
@@ -403,13 +406,15 @@ pub fn run_lint_layer(
 /// Fuzzes the placement validator with corrupted placements on a
 /// correctly allocated kernel, and proves its **soundness** by
 /// differential execution: any corruption it does **not** flag must
-/// execute to exactly the reference memory image.
+/// execute on the storage-faithful reference interpreter
+/// (`rfh_oracle::exec`) to exactly the reference memory image, and pass
+/// the shipped executor's placement check.
 ///
 /// # Errors
 ///
 /// Returns a replayable description of the first violation: a panic, an
-/// unflagged corruption that fails to execute, or — the critical case —
-/// an unflagged corruption that changes results.
+/// unflagged corruption that fails to execute on either engine, or — the
+/// critical case — an unflagged corruption that changes results.
 pub fn run_place_layer(
     w: &Workload,
     cfg: &AllocConfig,
@@ -448,21 +453,21 @@ pub fn run_place_layer(
                 return Ok(CaseOutcome::Flagged);
             }
             // Unflagged: the corruption must be semantically transparent.
+            let mode = ExecMode::Hierarchy(*cfg);
             let mut mem = w.memory.clone();
-            match execute_with(
-                &mutant,
-                &w.launch,
-                &mut mem,
-                ExecMode::Hierarchy(*cfg),
-                &machine,
-                &mut [],
-            ) {
-                Err(e) => Err(format!("unflagged placement mutant failed to execute: {e}")),
-                Ok(_) if mem.words() == ref_mem.words() => Ok(CaseOutcome::Identical),
-                Ok(_) => Err(
+            rfh_oracle::exec::execute_with(&mutant, &w.launch, &mut mem, mode, &machine, &mut [])
+                .map_err(|e| format!("unflagged placement mutant failed to execute: {e}"))?;
+            if mem.words() != ref_mem.words() {
+                return Err(
                     "unflagged placement corruption changed results — validator unsoundness".into(),
-                ),
+                );
             }
+            let mut mem = w.memory.clone();
+            execute_with(&mutant, &w.launch, &mut mem, mode, &machine, &mut [])
+                .map(|_| CaseOutcome::Identical)
+                .map_err(|e| {
+                    format!("the executor rejected a mutant the placement validator accepts: {e}")
+                })
         }))
     });
     fold_cases(&seeds, outcomes, "placement")
@@ -470,25 +475,28 @@ pub fn run_place_layer(
 
 /// Fuzzes the *replay* placement check ([`rfh_sim::exec::replay`]) with
 /// the placement mutants of [`run_place_layer`]. The workload's baseline
-/// run is recorded once; every mutant is then executed hierarchy-faithfully
-/// (and verified against the host reference) and replayed from the
-/// recording, and two one-directional invariants must hold:
+/// run is recorded once; every mutant is then executed on the
+/// storage-faithful reference interpreter (`rfh_oracle::exec`, verified
+/// against the host reference) and on the shipped executor, and replayed
+/// from the recording. Three invariants must hold:
 ///
-/// * replay is at least as strict as execution: every mutant execution
-///   rejects (an error or a failed verify), replay rejects too;
+/// * replay is at least as strict as storage-faithful execution: every
+///   mutant the reference rejects (an error or a failed verify), replay
+///   rejects too;
 /// * replay is no stricter than the placement validator: every mutant
-///   `validate_placements` accepts, replay accepts.
+///   `validate_placements` accepts, replay accepts;
+/// * replay and the shipped executor run one tag model, so they accept
+///   and reject the same mutants, and count a mutant both accept
+///   identically.
 ///
-/// A mutant both accept must also count identically. The report's
-/// `rejected` counts replay rejections, `identical` the mutants both
-/// accept, and `flagged` the mutants only replay rejects — the stale but
-/// equal reads final memory cannot see.
+/// The report's `rejected` counts replay rejections the reference shares,
+/// `identical` the mutants all accept, and `flagged` the mutants only the
+/// tag model rejects — the stale but equal reads final memory cannot see.
 ///
 /// # Errors
 ///
-/// Returns a replayable description of the first violation: a panic, a
-/// mutant replay accepts that execution rejects, a validator-accepted
-/// mutant replay rejects, or accepted counts that differ.
+/// Returns a replayable description of the first violated invariant, or
+/// a panic.
 pub fn run_replay_layer(
     w: &Workload,
     cfg: &AllocConfig,
@@ -523,17 +531,26 @@ pub fn run_replay_layer(
             }
             let mode = ExecMode::Hierarchy(*cfg);
             let mut mem = w.memory.clone();
+            let storage = rfh_oracle::exec::execute_with(
+                &mutant,
+                &w.launch,
+                &mut mem,
+                mode,
+                &machine,
+                &mut [],
+            )
+            .map_err(|e| e.to_string())
+            .and_then(|_| (w.verify)(&w.memory, &mem));
+            let mut mem = w.memory.clone();
             let mut executed = SwCounter::default();
-            let execution = execute_with(
+            let shipped = execute_with(
                 &mutant,
                 &w.launch,
                 &mut mem,
                 mode,
                 &machine,
                 &mut [&mut executed],
-            )
-            .map_err(|e| e.to_string())
-            .and_then(|_| (w.verify)(&w.memory, &mem));
+            );
             let mut replayed = AccessCounts::default();
             let replay = replay(
                 &mutant,
@@ -544,8 +561,15 @@ pub fn run_replay_layer(
                 |c, warps| replayed += c.counts() * warps,
             );
             let validated = validate_placements(&mutant, cfg);
-            match (execution, replay) {
-                (Err(e), Ok(())) => Err(format!("replay accepted a mutant execution rejects: {e}")),
+            if shipped.is_ok() != replay.is_ok() {
+                return Err(format!(
+                    "replay and execution disagree: replay {replay:?}, execution {shipped:?}"
+                ));
+            }
+            match (storage, replay) {
+                (Err(e), Ok(())) => Err(format!(
+                    "replay accepted a mutant storage-faithful execution rejects: {e}"
+                )),
                 (_, Err(e)) if validated.is_ok() => Err(format!(
                     "replay rejected a mutant the placement validator accepts: {e}"
                 )),
@@ -627,17 +651,19 @@ pub fn run_protocol_layer(cases: usize, base_seed: u64) -> Result<ChaosReport, S
 
 /// Fuzzes the *executor pair* with structural IR corruptions (executed
 /// unallocated in baseline mode) and placement corruptions on an
-/// allocated clone (executed hierarchy-faithfully): every structurally
-/// valid mutant must land in the same accept/reject class on the SoA
-/// engine and the frozen reference oracle, with bit-identical state
-/// (report, access counts, memory image) on acceptance and the identical
-/// structured error on rejection.
+/// allocated clone (executed in hierarchy mode): every structurally valid
+/// mutant the SoA engine accepts, the frozen reference oracle accepts with
+/// bit-identical state (report, access counts, memory image), and every
+/// SoA rejection is the identical structured error on the oracle — except
+/// a run-time bad placement, which is **flagged** (see
+/// `engine_differential`).
 ///
 /// # Errors
 ///
 /// Returns a replayable description of the first engine asymmetry: a
-/// panic, a mutant one engine accepts and the other rejects, or an
-/// accepted mutant whose observable state differs between engines.
+/// panic, a mutant one engine accepts and the other rejects (other than a
+/// flagged placement), or an accepted mutant whose observable state
+/// differs between engines.
 pub fn run_exec_differential_layer(
     w: &Workload,
     cfg: &AllocConfig,

@@ -5,7 +5,7 @@
 //! The contract is that `rfh_isa::validate` — and therefore
 //! `rfh_alloc::allocate` — either rejects the kernel with a structured
 //! error or the kernel is genuinely valid, in which case allocation and
-//! hierarchy-faithful execution must preserve its (new) semantics
+//! hierarchy-mode execution must preserve its (new) semantics
 //! exactly.
 
 use rfh_isa::{BlockId, Kernel};

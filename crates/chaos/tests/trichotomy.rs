@@ -157,6 +157,10 @@ fn exec_differential_layer_holds() {
         report.rejected > 0,
         "structural damage should trip the shared validator: {report}"
     );
+    assert!(
+        report.flagged > 0,
+        "placement damage should trip the executor's tag check: {report}"
+    );
 }
 
 #[test]
@@ -173,13 +177,15 @@ fn exec_differential_layer_holds_on_a_divergent_kernel() {
     .expect("executor engines diverged on a divergent-kernel mutant");
     assert_eq!(report.cases, cases, "{report}");
     assert!(report.identical + report.structured > 0, "{report}");
+    assert!(report.flagged > 0, "{report}");
 }
 
 #[test]
 fn replay_layer_is_as_strict_as_execution_and_as_lenient_as_the_validator() {
     // Loops, divergence, a barrier kernel and every hierarchy shape:
-    // replay must reject whatever hierarchy execution rejects, and accept
-    // whatever the placement validator accepts.
+    // replay must reject whatever storage-faithful execution rejects,
+    // accept whatever the placement validator accepts, and agree with the
+    // shipped executor on every mutant.
     let cells = [
         ("vectoradd", cfg()),
         ("scalarprod", AllocConfig::two_level(3)),

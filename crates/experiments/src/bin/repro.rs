@@ -28,7 +28,8 @@
 //!
 //! `hints` is excluded from `all` because it measures the non-default
 //! `--hints` allocation path, and `repro all` must keep regenerating the
-//! committed default-path goldens byte-for-byte.
+//! committed default-path goldens byte-for-byte. `repro --csv <dir> hints`
+//! writes its own golden, `hints.csv`.
 //!
 //! Wall-clock measurements live in the standalone benchmark, see
 //! `rfhbench/README.md`.
@@ -184,7 +185,11 @@ fn main() {
                 write_csv("characterize", rfh_experiments::csv::characterize_csv(&r));
                 characterize::print(&r)
             }
-            "hints" => hints::print(&hints::run(&workloads)),
+            "hints" => {
+                let r = hints::run(&workloads);
+                write_csv("hints", rfh_experiments::csv::hints_csv(&r));
+                hints::print(&r)
+            }
             other => {
                 eprintln!("unknown experiment `{other}` (try: repro all)");
                 std::process::exit(2);

@@ -1,6 +1,6 @@
 //! CSV serialization of experiment results, for downstream plotting.
 
-use crate::{ablation, characterize, fig11, fig12, fig13, fig14, fig15, fig2, limit, perf};
+use crate::{ablation, characterize, fig11, fig12, fig13, fig14, fig15, fig2, hints, limit, perf};
 
 fn line(cells: &[String]) -> String {
     cells.join(",") + "\n"
@@ -189,6 +189,48 @@ pub fn ablation_csv(rows: &[ablation::AblationRow]) -> String {
     let mut out = line(&["variant".into(), "normalized_energy".into()]);
     for r in rows {
         out += &line(&[r.name.replace(',', ";"), r.energy.to_string()]);
+    }
+    out
+}
+
+/// Last-use hints, off vs on, as CSV: every hierarchy access count and the
+/// normalized energy of both allocations, one row per workload.
+pub fn hints_csv(rows: &[hints::HintsRow]) -> String {
+    let fields = [
+        "mrf_read",
+        "mrf_write",
+        "orf_read_private",
+        "orf_read_shared",
+        "orf_write_private",
+        "orf_write_shared",
+        "lrf_read",
+        "lrf_write",
+        "energy",
+    ];
+    let mut header = vec!["benchmark".to_string()];
+    for side in ["off", "on"] {
+        header.extend(fields.iter().map(|f| format!("{f}_{side}")));
+    }
+    let mut out = line(&header);
+    for r in rows {
+        let mut cells = vec![r.name.clone()];
+        for (c, energy) in [(&r.off, r.energy_off), (&r.on, r.energy_on)] {
+            cells.extend(
+                [
+                    c.mrf_read,
+                    c.mrf_write,
+                    c.orf_read_private,
+                    c.orf_read_shared,
+                    c.orf_write_private,
+                    c.orf_write_shared,
+                    c.lrf_read,
+                    c.lrf_write,
+                ]
+                .map(|n| n.to_string()),
+            );
+            cells.push(energy.to_string());
+        }
+        out += &line(&cells);
     }
     out
 }

@@ -23,8 +23,8 @@ pub fn baseline_counts(w: &Workload) -> AccessCounts {
 }
 
 /// Allocates the workload's kernel under `cfg` and counts accesses with
-/// hierarchy-faithful execution (operands actually flow through the
-/// modeled ORF/LRF and the run is verified end-to-end).
+/// hierarchy-mode execution (every read is checked against its placement
+/// and the run is verified end-to-end).
 ///
 /// [`ExperimentCtx`](crate::ExperimentCtx) replays its SW cells instead
 /// of executing them; this is the execution oracle those replays are

@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 
-use rfh_experiments::{ablation, csv, fig11, fig12, fig2, limit, ExperimentCtx};
+use rfh_experiments::{ablation, csv, fig11, fig12, fig2, hints, limit, ExperimentCtx};
 
 fn golden(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -91,4 +91,14 @@ fn ablation_matches_golden() {
     let ws = rfh_workloads::all();
     let ctx = ExperimentCtx::new(&ws);
     assert_csv_matches("ablation.csv", &csv::ablation_csv(&ablation::run(&ctx)));
+}
+
+/// `repro hints` is not part of `repro all`; regenerate its golden with
+/// `cargo run --release -p rfh-experiments --bin repro -- --csv results hints`.
+/// It is the only arm that executes hint-allocated (guarded-entry) kernels
+/// in hierarchy mode.
+#[test]
+fn hints_match_golden() {
+    let ws = rfh_workloads::all();
+    assert_csv_matches("hints.csv", &csv::hints_csv(&hints::run(&ws)));
 }

@@ -159,6 +159,18 @@ impl Kernel {
         self.blocks.iter().map(|b| b.instrs.len()).sum()
     }
 
+    /// The flat layout position of every block's first instruction: block
+    /// `b` covers positions `starts[b]..starts[b] + len(b)` of the
+    /// layout-order instruction sequence ([`Kernel::iter_instrs`]).
+    pub fn block_starts(&self) -> Vec<usize> {
+        let mut total = 0;
+        let starts = self.blocks.iter().map(|b| {
+            total += b.instrs.len();
+            total - b.instrs.len()
+        });
+        starts.collect()
+    }
+
     /// The CFG successors of `id`, derived from its terminator:
     ///
     /// * unguarded `bra` → `[target]`

@@ -16,7 +16,7 @@
 //! interpreter proves unreachable (dead branch edges) are skipped — dead
 //! code cannot oversubscribe a register file.
 
-use rfh_alloc::{AllocConfig, LrfMode};
+use rfh_alloc::AllocConfig;
 use rfh_analysis::absint::AbsResults;
 use rfh_analysis::defuse::all_strand_values;
 use rfh_analysis::strand::StrandInfo;
@@ -113,12 +113,7 @@ pub(crate) fn check(
     res: &AbsResults,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let capacity = config.orf_entries
-        + match config.lrf {
-            LrfMode::None => 0,
-            LrfMode::Unified => 1,
-            LrfMode::Split => 3,
-        };
+    let capacity = config.orf_entries + config.lrf.banks();
     if capacity == 0 {
         return; // the MRF baseline has nothing to oversubscribe
     }

@@ -323,6 +323,63 @@ fn l007_accepts_an_orf_write_with_a_simultaneous_mrf_copy() {
     );
 }
 
+/// `@p0 iadd r1 r0, 1` written to ORF0 (and the MRF), then read back from
+/// ORF0 by a store guarded by `@p0` (`negated: false`) or `@!p0`.
+fn guarded_orf_chain(negated: bool) -> Kernel {
+    let mut b = KernelBuilder::new("l007-guard");
+    b.push(ops::mov(Reg::new(0), tid()));
+    b.push(ops::setp(
+        CmpOp::Lt,
+        PredReg::new(0),
+        Reg::new(0).into(),
+        Operand::Imm(5),
+    ));
+    b.push(
+        ops::iadd(Reg::new(1), Reg::new(0).into(), Operand::Imm(1)).guarded(PredReg::new(0), false),
+    );
+    b.push(
+        ops::st_global(Reg::new(0).into(), Reg::new(1).into()).guarded(PredReg::new(0), negated),
+    );
+    b.push(ops::exit());
+    let mut k = b.finish();
+    k.blocks[0].instrs[2].write_loc = WriteLoc::Orf {
+        entry: 0,
+        also_mrf: true,
+    };
+    k.blocks[0].instrs[3].read_locs[1] = ReadLoc::Orf(0);
+    k
+}
+
+#[test]
+fn l007_accepts_a_guarded_orf_write_read_under_the_same_guard() {
+    // The shape the last-use hint pass produces: the entry is valid only
+    // on the lanes the write reached, and the read runs on exactly those.
+    let k = guarded_orf_chain(false);
+    rfh_alloc::validate_placements(&k, &rfh_alloc::AllocConfig::default()).unwrap();
+    let diags = lint(&k);
+    assert!(
+        !codes(&diags).contains(&Code::OrfConflict),
+        "same-guard read of a guarded ORF write: {diags:?}"
+    );
+}
+
+#[test]
+fn l007_flags_a_guarded_orf_write_read_under_the_opposite_guard() {
+    let diags = lint(&guarded_orf_chain(true));
+    let orf: Vec<_> = diags
+        .iter()
+        .filter(|d| d.code == Code::OrfConflict)
+        .collect();
+    assert_eq!(orf.len(), 1, "{diags:?}");
+    assert!(
+        orf[0]
+            .message
+            .contains("ORF0 holds r1 under @p0 but the read expects r1"),
+        "{}",
+        orf[0].message
+    );
+}
+
 // ---------------------------------------------------------------- RFH-L008
 
 #[test]

@@ -620,22 +620,40 @@ mod tests {
     use super::*;
     use rfh_alloc::AllocConfig;
 
+    fn at(block: u32, index: usize) -> InstrRef {
+        InstrRef {
+            block: rfh_isa::BlockId::new(block),
+            index,
+        }
+    }
+
+    /// Runs `kernel` hierarchy-faithfully on the reference engine over
+    /// `mem`, one CTA of `threads`, with a 1000-instruction budget.
+    fn run_hierarchy(
+        kernel: &Kernel,
+        cfg: AllocConfig,
+        threads: usize,
+        mem: &mut GlobalMemory,
+    ) -> Result<ExecReport, ExecError> {
+        let mut machine = MachineConfig::paper();
+        machine.max_warp_instructions = 1000;
+        let (launch, mode) = (Launch::new(1, threads), ExecMode::Hierarchy(cfg));
+        execute_with(kernel, &launch, mem, mode, &machine, &mut [])
+    }
+
     #[test]
     fn strand_ending_branches_poison_the_upper_levels() {
         // A counting loop whose placements carry r1 in ORF0 across the
         // strand-ending branches into and around the loop: the poisoned
         // ORF0 read makes r1 huge and negative, so the loop never exits
-        // and the budget stops it — in both engines.
+        // and the budget stops it. (The shipped executor's tag model
+        // rejects the first poisoned read instead.)
         let mut kernel = rfh_isa::parse_kernel(
             ".kernel loopy\nBB0:\n  mov r0, %tid.x\n  mov r1, 0\n  bra BB1\nBB1:\n  \
              iadd r1 r1, 1\n  setp.lt p0 r1, 4\n  @p0 bra BB1\nBB2:\n  st.global r0, r1\n  exit\n",
         )
         .unwrap();
         rfh_analysis::strand::mark_strands(&mut kernel);
-        let at = |block: u32, index: usize| InstrRef {
-            block: rfh_isa::BlockId::new(block),
-            index,
-        };
         let orf0 = WriteLoc::Orf {
             entry: 0,
             also_mrf: true,
@@ -643,27 +661,50 @@ mod tests {
         kernel.instr_mut(at(0, 1)).write_loc = orf0;
         kernel.instr_mut(at(1, 0)).read_locs[0] = ReadLoc::Orf(0);
         kernel.instr_mut(at(1, 0)).write_loc = orf0;
-        let mode = ExecMode::Hierarchy(AllocConfig::two_level(3));
-        let mut machine = MachineConfig::paper();
-        machine.max_warp_instructions = 1000;
-        let engines: [(&str, Execute); 2] = [
-            ("soa", rfh_sim::exec::execute_with),
-            ("reference", execute_with),
-        ];
-        for (name, run) in engines {
-            let mut mem = GlobalMemory::new(32);
-            let err = run(
-                &kernel,
-                &Launch::new(1, 32),
-                &mut mem,
-                mode,
-                &machine,
-                &mut [],
-            );
-            assert!(
-                matches!(err, Err(ExecError::InstructionBudget { .. })),
-                "{name}: {err:?}"
-            );
+        let mut mem = GlobalMemory::new(32);
+        let err = run_hierarchy(&kernel, AllocConfig::two_level(3), 32, &mut mem);
+        assert!(
+            matches!(err, Err(ExecError::InstructionBudget { .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_never_written_orf_entry_corrupts_memory() {
+        // The store's value read points at ORF2, which nothing wrote: the
+        // reference engine stores the poison where baseline stores tid + 1.
+        let mut kernel = rfh_isa::parse_kernel(
+            ".kernel bad\nBB0:\n  mov r0, %tid.x\n  iadd r1 r0, 1\n  st.global r0, r1\n  exit\n",
+        )
+        .unwrap();
+        kernel.instr_mut(at(0, 2)).read_locs[1] = ReadLoc::Orf(2);
+        let mut mem = GlobalMemory::new(32);
+        run_hierarchy(&kernel, AllocConfig::two_level(3), 32, &mut mem).unwrap();
+        for t in 0..32 {
+            assert_eq!(mem.load(t), Some(POISON), "lane {t}");
         }
+    }
+
+    #[test]
+    fn wide_lrf_write_drops_upper_word_at_the_lrf() {
+        // A 64-bit LRF write keeps only the low word at the LRF: the upper
+        // word is dropped at the register-file boundary (the LRF holds last
+        // results, not pairs), so without `also_mrf` the high register
+        // keeps its prior MRF value.
+        let mut kernel = rfh_isa::parse_kernel(
+            ".kernel l\nBB0:\n  mov r5, 77\n  mov r0, %tid.x\n  shl r1 r0, 1\n  \
+             ld.global r4.w64 r1\n  iadd r6 r4, r5\n  st.global r0, r6\n  exit\n",
+        )
+        .unwrap();
+        kernel.instr_mut(at(0, 3)).write_loc = WriteLoc::Lrf {
+            bank: None,
+            also_mrf: false,
+        };
+        kernel.instr_mut(at(0, 4)).read_locs = vec![ReadLoc::Lrf(None), ReadLoc::Mrf];
+        let mut mem = GlobalMemory::from_words(vec![3, 4, 30, 40, 0, 0, 0, 0]);
+        run_hierarchy(&kernel, AllocConfig::three_level(3, false), 2, &mut mem).unwrap();
+        // r6 = LRF(lo) + r5, and r5 still holds 77.
+        assert_eq!(mem.load(0), Some(3 + 77), "lane 0");
+        assert_eq!(mem.load(1), Some(30 + 77), "lane 1");
     }
 }

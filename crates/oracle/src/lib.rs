@@ -13,7 +13,10 @@
 //!
 //! * [`exec`] — the per-thread reference interpreter, against which the
 //!   warp-batched SoA executor is checked by `tests/exec_differential.rs`
-//!   and the chaos `run_exec_differential_layer`;
+//!   and the chaos `run_exec_differential_layer`. It is also the one
+//!   storage-faithful model of the hierarchy: its values really move
+//!   through ORF entries and LRF banks, which the shipped executor only
+//!   checks with a value-free tag model;
 //! * [`timing`] — the original hand-woven scheduler loop, against which
 //!   the flat per-cycle loop is checked by `tests/timing_differential.rs`
 //!   and the chaos `run_timing_layer`.
@@ -23,7 +26,8 @@
 //! value, the launch validator ([`rfh_sim::exec::check_launchable`]) and
 //! the deadlock snapshot's [`rfh_sim::timing::pending_latency`] — so they
 //! can diverge from the shipped engines only in execution order and state
-//! layout, which is what the differential suites pin.
+//! layout (and, for corrupted placements, in how the executor notices
+//! them), which is what the differential suites pin.
 //!
 //! The crate is `publish = false` and only test code depends on it (the
 //! root package's dev-dependencies and `rfh-chaos`), so no shipped binary

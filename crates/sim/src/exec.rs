@@ -4,26 +4,21 @@
 //! divergence (immediate-post-dominator reconvergence via a token stack),
 //! emitting an instruction trace to the registered [`TraceSink`]s.
 //!
-//! Two execution modes:
+//! Two execution modes, which compute the same values:
 //!
 //! * [`ExecMode::Baseline`] — all operands come from the architectural
 //!   register file (the MRF);
-//! * [`ExecMode::Hierarchy`] — operands move through modeled ORF/LRF
-//!   storage exactly as the placement annotations dictate, and the upper
-//!   levels are **poisoned after every strand-ending instruction**,
-//!   branches, exits and barriers included. A kernel whose placements are
-//!   wrong (a read crossing a strand, a missing MRF copy, a clobbered
-//!   entry) computes wrong values and produces wrong memory output, so
-//!   comparing final memory against a baseline run is an end-to-end check
-//!   of allocation correctness — short of a stale value that happens to be
-//!   equal.
+//! * [`ExecMode::Hierarchy`] — also checks the placement annotations as
+//!   it executes, with a value-free tag model (`tags`): every operand read
+//!   must find its register's current definition in the MRF row, ORF entry
+//!   or LRF bank its annotation names, with the upper levels **poisoned
+//!   after every strand-ending instruction**. Any other read, even of an
+//!   equal value, is an [`ExecError::BadPlacement`].
 //!
-//! [`replay`] closes that gap and skips the re-execution: a
-//! [`StreamRecorder`] records one verified baseline run's distinct
-//! per-warp traces, and replaying the [`Stream`] against an allocated
-//! kernel of the same shape counts it without executing it, while a
-//! value-free tag model checks that every operand read sees its
-//! register's current definition.
+//! [`replay()`] skips the re-execution: a [`StreamRecorder`] records one
+//! verified baseline run's distinct per-warp traces, and replaying the
+//! [`Stream`] against an allocated kernel of the same shape counts it,
+//! stepping the same tag model.
 //!
 //! The engine is a warp-batched structure-of-arrays executor: a one-time
 //! decode pass lowers each instruction into a flat op table with
@@ -31,19 +26,18 @@
 //! branch targets, and the hot loop dispatches over that table with
 //! contiguous lane-major register storage.
 //!
-//! The original per-thread interpreter it replaced is frozen in the
-//! test-only `rfh-oracle` crate, and the SoA engine is conformance-tested
-//! against it (`tests/exec_differential.rs` and the chaos
-//! `run_exec_differential_layer`). The oracle reuses this module's
-//! validation and placement checking ([`check_launchable`]), ALU semantics
-//! ([`eval_alu`], [`eval_cmp`]), [`POISON`] value, and error taxonomy, so
-//! the two can only diverge in execution order and state layout — exactly
-//! what the differential suite pins.
+//! The original per-thread interpreter is frozen in the test-only
+//! `rfh-oracle` crate, and still routes values through modeled ORF/LRF
+//! storage. The two agree exactly on valid placements; on corrupted ones
+//! the SoA engine agrees or rejects with `BadPlacement`
+//! (`tests/exec_differential.rs`, the chaos `run_exec_differential_layer`).
+//! The oracle reuses [`check_launchable`], [`eval_alu`], [`eval_cmp`],
+//! [`POISON`] and the error taxonomy.
 
 use std::error::Error;
 use std::fmt;
 
-use rfh_alloc::{AllocConfig, LrfMode};
+use rfh_alloc::AllocConfig;
 use rfh_isa::access::{AccessKind, AccessPlan, Place};
 use rfh_isa::{CmpOp, InstrRef, Kernel, Opcode, SfuOp};
 
@@ -53,6 +47,7 @@ use crate::sink::TraceSink;
 
 mod replay;
 mod soa;
+mod tags;
 
 pub use replay::{replay, Stream, StreamRecorder};
 
@@ -97,8 +92,9 @@ impl Launch {
 pub enum ExecMode {
     /// All operands served by the architectural register file.
     Baseline,
-    /// Operands move through modeled ORF/LRF storage according to the
-    /// placement annotations produced under the given configuration.
+    /// Operands are served as in `Baseline`, and every read is checked
+    /// against the placement annotations produced under the given
+    /// configuration.
     Hierarchy(AllocConfig),
 }
 
@@ -137,9 +133,10 @@ pub enum ExecError {
         /// Where it happened.
         at: InstrRef,
     },
-    /// A placement annotation references hierarchy storage that does not
-    /// exist under the executing configuration (e.g. an ORF entry past the
-    /// configured size). Detected up front, before any instruction runs.
+    /// A placement annotation is wrong under the executing configuration:
+    /// it names storage that does not exist (detected before any
+    /// instruction runs), or a read it routes does not find its register's
+    /// current definition (detected when the read executes).
     BadPlacement {
         /// Description of the problem.
         what: String,
@@ -170,8 +167,10 @@ impl fmt::Display for ExecError {
 
 impl Error for ExecError {}
 
-/// The value every ORF entry and LRF bank holds after a strand-ending
-/// instruction, so a read that crosses a strand computes garbage.
+/// What every ORF entry and LRF bank holds after a strand-ending
+/// instruction: a tag no definition carries in the tag model, and the
+/// garbage value the storage-faithful oracle computes with, so a read that
+/// crosses a strand is caught either way.
 pub const POISON: u32 = 0xDEAD_BEE0;
 
 /// Evaluates a private-datapath ALU opcode, or `None` when `op` is not an
@@ -249,26 +248,16 @@ pub fn eval_cmp(cmp: CmpOp, float: bool, a: u32, b: u32) -> bool {
     }
 }
 
-/// Number of modeled LRF banks for a configuration (matches the storage
-/// both engines allocate).
-fn lrf_bank_count(mode: LrfMode) -> usize {
-    match mode {
-        LrfMode::None => 0,
-        LrfMode::Unified => 1,
-        LrfMode::Split => 3,
-    }
-}
-
 /// Rejects placement annotations that reference hierarchy storage the
 /// executing configuration does not have. Run before execution so that
 /// corrupted annotations surface as [`ExecError::BadPlacement`] instead of
 /// an out-of-bounds panic mid-run. Wide writes are already expanded per
 /// word by [`AccessPlan::resolve`], so the high word of a 64-bit ORF write
-/// is range-checked at `entry + 1` — which also makes the SoA engine's
-/// pre-computed slab offsets safe by construction.
+/// is range-checked at `entry + 1` — which also makes the tag model's
+/// pre-computed rows safe by construction.
 fn check_placements(kernel: &Kernel, cfg: &AllocConfig) -> Result<(), ExecError> {
     let orf = cfg.orf_entries;
-    let banks = lrf_bank_count(cfg.lrf);
+    let banks = cfg.lrf.banks();
     let bad = |what: String, at: InstrRef| ExecError::BadPlacement { what, at };
     let mut plan = AccessPlan::new();
     for (at, instr) in kernel.iter_instrs() {
@@ -348,7 +337,8 @@ enum Phase {
 /// # Errors
 ///
 /// Returns an [`ExecError`] on out-of-bounds memory accesses, runaway
-/// loops, or unsupported instruction shapes.
+/// loops, unsupported instruction shapes, or (in hierarchy mode) a
+/// placement that does not serve a read its current definition.
 pub fn execute(
     kernel: &Kernel,
     launch: &Launch,
@@ -540,21 +530,24 @@ mod tests {
             .filter(|(_, i)| i.op == Opcode::Bra)
             .all(|(_, i)| i.ends_strand));
         assert!(rfh_alloc::validate_placements(&kernel, &cfg).is_err());
-        // The poisoned ORF0 read makes r1 huge and negative, so the loop
-        // never exits: the budget stops it.
-        let mut machine = MachineConfig::paper();
-        machine.max_warp_instructions = 1000;
+        // The first loop iteration reads r1 from ORF0 right after the
+        // strand-ending `bra BB1` poisoned it. (The storage-faithful oracle
+        // computes with the poison instead and never leaves the loop.)
         let mut mem = GlobalMemory::new(32);
-        let err = execute_with(
+        let err = execute(
             &kernel,
             &Launch::new(1, 32),
             &mut mem,
             ExecMode::Hierarchy(cfg),
-            &machine,
             &mut [],
         )
         .unwrap_err();
-        assert!(matches!(err, ExecError::InstructionBudget { .. }), "{err}");
+        let ExecError::BadPlacement { what, at } = &err else {
+            panic!("{err}");
+        };
+        assert_eq!((at.block.index(), at.index), (1, 0), "{err}");
+        assert!(what.contains("slot 0 reads r1 from ORF0"), "{what}");
+        assert!(what.contains("poisoned"), "{what}");
     }
 
     #[test]
@@ -943,15 +936,10 @@ BB0:
     #[test]
     fn hierarchy_mode_catches_bad_placement() {
         // Deliberately corrupt a placement: read from a never-written entry.
-        let text = "
-.kernel bad
-BB0:
-  mov r0, %tid.x
-  iadd r1 r0, 1
-  st.global r0, r1
-  exit
-";
-        let mut kernel = rfh_isa::parse_kernel(text).unwrap();
+        let mut kernel = rfh_isa::parse_kernel(
+            ".kernel bad\nBB0:\n  mov r0, %tid.x\n  iadd r1 r0, 1\n  st.global r0, r1\n  exit\n",
+        )
+        .unwrap();
         let cfg = rfh_alloc::AllocConfig::two_level(3);
         rfh_alloc::allocate(&mut kernel, &cfg, &rfh_energy::EnergyModel::paper()).unwrap();
         // Corrupt: point the store's value read at a wrong ORF entry.
@@ -960,35 +948,26 @@ BB0:
             index: 2,
         };
         kernel.instr_mut(at).read_locs[1] = ReadLoc::Orf(2);
-
-        let mut base = GlobalMemory::new(32);
-        let mut bad = GlobalMemory::new(32);
-        let mut sink = NullSink;
-        let clean = {
-            let mut k2 = rfh_isa::parse_kernel(text).unwrap();
-            rfh_alloc::allocate(&mut k2, &cfg, &rfh_energy::EnergyModel::paper()).unwrap();
-            k2
-        };
-        execute(
-            &clean,
-            &Launch::new(1, 32),
-            &mut base,
-            ExecMode::Hierarchy(cfg),
-            &mut [&mut sink],
-        )
-        .unwrap();
-        execute(
+        let mut mem = GlobalMemory::new(32);
+        let err = execute(
             &kernel,
             &Launch::new(1, 32),
-            &mut bad,
+            &mut mem,
             ExecMode::Hierarchy(cfg),
-            &mut [&mut sink],
+            &mut [],
         )
-        .unwrap();
-        assert_ne!(
-            base.words(),
-            bad.words(),
-            "poisoned entry must corrupt output"
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::BadPlacement {
+                what: "slot 1 reads r1 from ORF2 in lane 0, which holds a poisoned entry".into(),
+                at,
+            }
+        );
+        assert_eq!(
+            mem.words(),
+            GlobalMemory::new(32).words(),
+            "the store never ran"
         );
     }
 }
@@ -1122,7 +1101,7 @@ mod nested_loop_exec_tests {
     use crate::sink::NullSink;
 
     /// Nested loops with lane-dependent inner trip counts, executed with
-    /// full allocation under hierarchy-faithful mode.
+    /// full allocation under hierarchy mode.
     #[test]
     fn nested_divergent_loops_allocate_and_execute() {
         let text = "

@@ -14,24 +14,19 @@
 //!   holds each distinct trace once with the number of warps that issued
 //!   it.
 //! * [`replay`] feeds a stream to fresh sinks against any kernel of the
-//!   recorded shape, decoded by the executor's own `soa::decode` (the same
-//!   slab rows, destination plans, fills and strand ends), and folds each
-//!   distinct trace's sink with its warp count.
+//!   recorded shape, decoded by the executor's own `soa::decode`, and
+//!   folds each distinct trace's sink with its warp count.
 //!
-//! In hierarchy mode the replay checks placements with a value-free *tag
-//! model* in place of values: each lane's architectural register holds
-//! the id of its current definition, and every MRF/ORF/LRF row holds the
-//! id its last write or fill put there, with the upper rows poisoned at
-//! every strand end exactly as execution poisons them. A read whose row
-//! does not hold the current definition is an [`ExecError::BadPlacement`].
-//! That is stronger than comparing final memory, which cannot see a read
-//! of a stale value that happens to be equal.
+//! In hierarchy mode the replay checks placements with the tag model
+//! hierarchy-mode execution runs inline (`super::tags`), one tag state per
+//! distinct trace, so replay and execution accept and reject the same
+//! placements.
 
 use rfh_analysis::DomTree;
-use rfh_isa::{InstrRef, Instruction, Kernel, Operand, Width};
+use rfh_isa::{InstrRef, Instruction, Kernel};
 
-use super::soa::{self, DecodedKernel, DecodedOp, OpKind, SrcOp};
-use super::{check_launchable, ExecError, ExecMode, POISON};
+use super::tags::{TagPlan, Tags};
+use super::{check_launchable, soa, ExecError, ExecMode};
 use crate::machine::MachineConfig;
 use crate::sink::{InstrEvent, TraceSink};
 
@@ -82,7 +77,7 @@ impl Stream {
 /// [`StreamRecorder::new`], then call [`StreamRecorder::finish`].
 #[derive(Debug)]
 pub struct StreamRecorder {
-    block_start: Vec<u32>,
+    block_start: Vec<usize>,
     shape: Vec<Vec<Instruction>>,
     /// In-flight traces, indexed by global warp id.
     live: Vec<Vec<Step>>,
@@ -92,14 +87,8 @@ pub struct StreamRecorder {
 impl StreamRecorder {
     /// A recorder for runs of `kernel`.
     pub fn new(kernel: &Kernel) -> Self {
-        let mut block_start = Vec::with_capacity(kernel.blocks.len());
-        let mut total = 0u32;
-        for b in &kernel.blocks {
-            block_start.push(total);
-            total += b.instrs.len() as u32;
-        }
         StreamRecorder {
-            block_start,
+            block_start: kernel.block_starts(),
             shape: kernel.blocks.iter().map(|b| b.instrs.clone()).collect(),
             live: Vec::new(),
             traces: Vec::new(),
@@ -121,7 +110,7 @@ impl TraceSink for StreamRecorder {
             self.live.resize_with(event.warp + 1, Vec::new);
         }
         self.live[event.warp].push(Step {
-            pc: self.block_start[event.at.block.index()] + event.at.index as u32,
+            pc: (self.block_start[event.at.block.index()] + event.at.index) as u32,
             active: event.active_mask,
             exec: event.exec_mask,
         });
@@ -214,12 +203,16 @@ where
     check_launchable(kernel, &mode)?;
     check_shape(kernel, stream)?;
     let ipdom = DomTree::post_dominators(kernel);
-    let dk = soa::decode(kernel, &mode, &ipdom, machine);
-    let mut tags = dk.hierarchy.then(|| Tags::new(&dk));
+    let dk = soa::decode(kernel, &ipdom, machine);
+    let plan = match &mode {
+        ExecMode::Baseline => None,
+        ExecMode::Hierarchy(cfg) => Some(TagPlan::new(&dk, cfg)),
+    };
+    let mut tags = plan.as_ref().map(Tags::new);
     for (trace, warps) in &stream.traces {
         let mut sink = mk_sink();
-        if let Some(tags) = tags.as_mut() {
-            tags.reset(&dk);
+        if let (Some(plan), Some(tags)) = (&plan, tags.as_mut()) {
+            tags.reset(plan);
         }
         for step in trace {
             let op = &dk.ops[step.pc as usize];
@@ -231,148 +224,14 @@ where
                 exec_mask: step.exec,
                 plan: &op.plan,
             });
-            if let Some(tags) = tags.as_mut() {
-                tags.step(&dk, op, step.active, step.exec)?;
+            if let (Some(plan), Some(tags)) = (&plan, tags.as_mut()) {
+                tags.step(plan, step.pc as usize, step.active, step.exec)?;
             }
         }
         sink.on_warp_done(0);
         fold(sink, *warps);
     }
     Ok(())
-}
-
-/// The value-free tag model of one warp, lane-major like `SoaWarp.data`.
-struct Tags {
-    /// Id of each register's current definition, `arch[r * width + lane]`.
-    arch: Vec<u32>,
-    /// Id held by each storage row: the MRF rows, then the ORF and LRF.
-    slab: Vec<u32>,
-    /// Pre-execute MRF ids captured for the instruction's fills.
-    fill_buf: Vec<u32>,
-    next_id: u32,
-}
-
-/// The lanes set in `mask`.
-fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let lane = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            lane
-        })
-    })
-}
-
-impl Tags {
-    fn new(dk: &DecodedKernel<'_>) -> Self {
-        Tags {
-            arch: vec![0; dk.upper_base],
-            slab: vec![0; dk.slab_len],
-            fill_buf: vec![0; 3 * dk.width],
-            next_id: 1,
-        }
-    }
-
-    /// Every register starts as definition 0 (the zeroed register file),
-    /// which the MRF holds; the upper levels start poisoned.
-    fn reset(&mut self, dk: &DecodedKernel<'_>) {
-        self.arch.fill(0);
-        self.slab[..dk.upper_base].fill(0);
-        self.slab[dk.upper_base..].fill(POISON);
-        self.next_id = 1;
-    }
-
-    /// Applies one warp instruction in the executor's order: operand reads
-    /// (checked), fill capture, destination write, fill deposit, strand
-    /// poison.
-    fn step(
-        &mut self,
-        dk: &DecodedKernel<'_>,
-        op: &DecodedOp<'_>,
-        mask: u32,
-        exec: u32,
-    ) -> Result<(), ExecError> {
-        let width = dk.width;
-        // The operand slots each dispatch class reads on executing lanes.
-        let (reads, writes) = match op.kind {
-            OpKind::Bra { .. } | OpKind::Exit | OpKind::Bar => {
-                dk.end_strand(op, &mut self.slab);
-                return Ok(());
-            }
-            // Rejected at issue by execution, so never in a recorded stream.
-            OpKind::AluWide => {
-                return Err(ExecError::Unsupported {
-                    what: format!("64-bit destination on `{}`", op.instr),
-                    at: op.at,
-                })
-            }
-            OpKind::St(_) | OpKind::Setp { .. } => (2, false),
-            OpKind::Ld(_) | OpKind::Tex => (1, true),
-            OpKind::Sel { .. } => (2, true),
-            OpKind::Alu { .. } => (3, true),
-        };
-        for slot in 0..reads {
-            let (SrcOp::Slab(base), Some(Operand::Reg(r))) =
-                (op.srcs[slot], op.instr.srcs.get(slot))
-            else {
-                continue;
-            };
-            let (row, arch) = (base as usize, r.index() as usize * width);
-            if let Some(lane) = lanes(exec).find(|&l| self.slab[row + l] != self.arch[arch + l]) {
-                let held = self.slab[row + lane];
-                return Err(ExecError::BadPlacement {
-                    what: format!(
-                        "slot {slot} reads {r} from {} in lane {lane}, which holds {}",
-                        op.instr.read_locs[slot],
-                        if held == POISON {
-                            "a poisoned entry"
-                        } else {
-                            "a stale definition"
-                        }
-                    ),
-                    at: op.at,
-                });
-            }
-        }
-
-        for (i, f) in op.fills.iter().enumerate() {
-            let base = f.reg_off as usize;
-            self.fill_buf[i * width..(i + 1) * width]
-                .copy_from_slice(&self.slab[base..base + width]);
-        }
-
-        if writes && exec != 0 {
-            if let Some(d) = op.instr.dst {
-                let (lo, hi) = (self.next_id, self.next_id + 1);
-                self.next_id += 2;
-                let r = d.reg.index() as usize * width;
-                let wide = d.width == Width::W64;
-                let dst = &op.dst;
-                for lane in lanes(exec) {
-                    self.arch[r + lane] = lo;
-                    if wide {
-                        self.arch[r + width + lane] = hi;
-                    }
-                    for &row in &dst.lo[..dst.n_lo as usize] {
-                        self.slab[row as usize + lane] = lo;
-                    }
-                    for &row in &dst.hi[..dst.n_hi as usize] {
-                        self.slab[row as usize + lane] = hi;
-                    }
-                }
-            }
-        }
-
-        for (i, f) in op.fills.iter().enumerate() {
-            let deposit = if f.covered_by_dst { mask & !exec } else { mask };
-            for lane in lanes(deposit) {
-                self.slab[f.orf_off as usize + lane] = self.fill_buf[i * width + lane];
-            }
-        }
-
-        dk.end_strand(op, &mut self.slab);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -510,44 +369,6 @@ BB2:
         rfh_analysis::strand::mark_strands(&mut annotated);
         annotated.blocks[1].instrs[1].dead_after[0] = true;
         assert!(replay_sw(&annotated, &stream, ExecMode::Baseline).is_ok());
-    }
-
-    #[test]
-    fn a_stale_but_equal_read_passes_execution_and_fails_replay() {
-        // r1 is defined twice with the same value; the second definition
-        // goes only to the MRF, but the add still reads ORF0, which holds
-        // the first. The values agree, so execution cannot tell.
-        let mut kernel = rfh_isa::parse_kernel(
-            ".kernel stale\nBB0:\n  mov r0, %tid.x\n  mov r1, 7\n  mov r1, 7\n  \
-             iadd r2 r1, 1\n  st.global r0, r2\n  exit\n",
-        )
-        .unwrap();
-        let launch = Launch::new(1, 32);
-        let (stream, base_mem, _) = record(&kernel, &launch);
-        rfh_analysis::strand::mark_strands(&mut kernel);
-        kernel.blocks[0].instrs[1].write_loc = WriteLoc::Orf {
-            entry: 0,
-            also_mrf: true,
-        };
-        kernel.blocks[0].instrs[3].read_locs[0] = ReadLoc::Orf(0);
-        let cfg = AllocConfig::two_level(3);
-        let mut mem = GlobalMemory::new(256);
-        execute(
-            &kernel,
-            &launch,
-            &mut mem,
-            ExecMode::Hierarchy(cfg),
-            &mut [],
-        )
-        .unwrap();
-        assert_eq!(mem.words(), base_mem.words(), "execution accepts it");
-        let err = replay_sw(&kernel, &stream, ExecMode::Hierarchy(cfg)).unwrap_err();
-        let ExecError::BadPlacement { what, at } = &err else {
-            panic!("{err}");
-        };
-        assert_eq!(at.index, 3);
-        assert!(what.contains("slot 0 reads r1 from ORF0"), "{what}");
-        assert!(what.contains("stale"), "{what}");
     }
 
     #[test]

@@ -6,12 +6,9 @@
 //! pass lowers every instruction into a flat [`DecodedOp`] table:
 //!
 //! * each source operand becomes a [`SrcOp`] — a pre-folded constant, a
-//!   special-register tag, or a slab offset already routed through the
-//!   placement annotations (MRF / ORF entry / LRF bank);
-//! * the destination becomes a [`DstPlan`] — the exact list of slab rows
-//!   receiving the low and high words, with the wide-write rules (ORF
-//!   pairs occupy `entry` and `entry + 1`, the LRF drops the upper word)
-//!   applied at decode time;
+//!   special-register tag, or the register's slab row;
+//! * the destination becomes a [`DstPlan`] — the slab rows receiving the
+//!   low word and, for a 64-bit value, the high word;
 //! * branch targets, fall-throughs, and ipdom reconvergence points are
 //!   pre-normalized flat PCs (`validate` guarantees non-empty blocks, so
 //!   `pc + 1` *is* the legacy `normalize`);
@@ -19,12 +16,16 @@
 //!   every [`TraceSink`] by reference, instead of each sink re-resolving
 //!   it per event.
 //!
-//! Warp state is lane-major: one contiguous `u32` slab holds the MRF,
-//! ORF, and LRF rows back to back (register `r`, lane `l` lives at
-//! `r * width + l`), and predicates are per-register 32-bit lane masks.
-//! The hot loop is then a dispatch over `ops[pc]` running short
-//! contiguous lane loops — no per-lane operand matching, no per-step
-//! block scans, no per-instruction allocation.
+//! Warp state is lane-major: one contiguous `u32` slab holds the register
+//! rows (register `r`, lane `l` lives at `r * width + l`), and predicates
+//! are per-register 32-bit lane masks. The hot loop is then a dispatch
+//! over `ops[pc]` running short contiguous lane loops — no per-lane
+//! operand matching, no per-step block scans, no per-instruction
+//! allocation.
+//!
+//! Both execution modes compute the same values. In hierarchy mode each
+//! warp also steps a [`Tags`] state before each instruction executes,
+//! which checks the placements (see [`super::tags`]).
 //!
 //! Semantics are pinned to the frozen reference interpreter in the
 //! test-only `rfh-oracle` crate by the differential conformance suite;
@@ -32,14 +33,10 @@
 
 use rfh_analysis::DomTree;
 use rfh_isa::access::AccessPlan;
-use rfh_isa::{
-    CmpOp, InstrRef, Instruction, Kernel, Opcode, Operand, ReadLoc, Reg, Space, Special, Width,
-    WriteLoc,
-};
+use rfh_isa::{CmpOp, InstrRef, Instruction, Kernel, Opcode, Operand, Reg, Space, Special, Width};
 
-use super::{
-    eval_alu, eval_cmp, lrf_bank_count, ExecError, ExecMode, ExecReport, Launch, Phase, POISON,
-};
+use super::tags::{TagPlan, Tags};
+use super::{eval_alu, eval_cmp, ExecError, ExecMode, ExecReport, Launch, Phase};
 use crate::machine::MachineConfig;
 use crate::mem::{GlobalMemory, SharedMemory};
 use crate::sink::{InstrEvent, TraceSink};
@@ -54,49 +51,17 @@ pub(super) enum SrcOp {
     Const(u32),
     /// A special register, computed per lane at execution.
     Special(Special),
-    /// A slab row: the lane's value is `data[base + lane]`. The base is
-    /// already routed through the placement annotation for this slot.
+    /// A register's slab row: the lane's value is `data[base + lane]`.
     Slab(u32),
 }
 
-/// The slab rows a destination write touches, resolved at decode time.
-///
-/// `lo` rows receive the low word, `hi` rows the high word of a wide
-/// write; each list holds at most two rows (upper level + MRF copy).
-/// The wide-LRF rule is encoded here by construction: the LRF row only
-/// ever appears in `lo`, so the upper word is dropped at the LRF and
-/// reaches the MRF only through an `also_mrf` copy.
+/// The slab rows a destination write touches, resolved at decode time:
+/// the low word's row, and the high word's for a 64-bit value (both
+/// `None` without a destination).
 #[derive(Debug, Clone, Copy, Default)]
 pub(super) struct DstPlan {
-    pub(super) lo: [u32; 2],
-    pub(super) n_lo: u8,
-    pub(super) hi: [u32; 2],
-    pub(super) n_hi: u8,
-    wide: bool,
-}
-
-impl DstPlan {
-    fn push_lo(&mut self, base: usize) {
-        self.lo[self.n_lo as usize] = base as u32;
-        self.n_lo += 1;
-    }
-
-    fn push_hi(&mut self, base: usize) {
-        self.hi[self.n_hi as usize] = base as u32;
-        self.n_hi += 1;
-    }
-}
-
-/// A pre-decoded read-operand fill (§4.4): copy the MRF row at `reg_off`
-/// into the ORF row at `orf_off` after the instruction executes.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Fill {
-    pub(super) orf_off: u32,
-    pub(super) reg_off: u32,
-    /// Whether the instruction's own destination write covers the filled
-    /// entry — static per instruction, so the runtime collision rule
-    /// (destination wins on executing lanes) is a pre-computed flag.
-    pub(super) covered_by_dst: bool,
+    lo: Option<u32>,
+    hi: Option<u32>,
 }
 
 /// The dispatch class of a decoded instruction.
@@ -143,9 +108,7 @@ pub(super) struct DecodedOp<'k> {
     pub(super) instr: &'k Instruction,
     guard: Option<(usize, bool)>,
     pub(super) srcs: [SrcOp; 3],
-    pub(super) dst: DstPlan,
-    pub(super) fills: Vec<Fill>,
-    pub(super) ends_strand: bool,
+    dst: DstPlan,
     /// Resolved once here; handed to every sink by reference.
     pub(super) plan: AccessPlan,
 }
@@ -155,55 +118,27 @@ pub(super) struct DecodedOp<'k> {
 pub(super) struct DecodedKernel<'k> {
     pub(super) ops: Vec<DecodedOp<'k>>,
     num_preds: usize,
+    /// Length of a warp's register slab: one row per register.
     pub(super) slab_len: usize,
-    /// Start of the ORF+LRF region — everything from here up is poisoned
-    /// at strand boundaries.
-    pub(super) upper_base: usize,
-    pub(super) hierarchy: bool,
     pub(super) width: usize,
-}
-
-impl DecodedKernel<'_> {
-    /// Poisons the upper levels after `op` when it ends a strand in
-    /// hierarchy mode — at *every* strand end, branches and exits included.
-    #[inline]
-    pub(super) fn end_strand(&self, op: &DecodedOp<'_>, data: &mut [u32]) {
-        if self.hierarchy && op.ends_strand {
-            data[self.upper_base..].fill(POISON);
-        }
-    }
 }
 
 pub(super) fn decode<'k>(
     kernel: &'k Kernel,
-    mode: &ExecMode,
     ipdom: &DomTree,
     machine: &MachineConfig,
 ) -> DecodedKernel<'k> {
     let width = machine.warp_width;
-    let num_regs = kernel.num_regs().max(1) as usize;
     let num_preds = kernel.num_preds().max(1) as usize;
-    let (orf_entries, lrf_banks, hierarchy) = match mode {
-        ExecMode::Baseline => (0, 0, false),
-        ExecMode::Hierarchy(cfg) => (cfg.orf_entries, lrf_bank_count(cfg.lrf), true),
-    };
-    let orf_base = num_regs * width;
-    let lrf_base = orf_base + orf_entries * width;
-    let slab_len = lrf_base + lrf_banks * width;
+    let slab_len = kernel.num_regs().max(1) as usize * width;
 
     // Flat-PC table: block b starts at block_start[b]. `validate`
     // guarantees every block is non-empty, so advancing a flat pc by one
     // is exactly the reference interpreter's `normalize(kernel, (b, i+1))`
     // and the table is never indexed past its end (the last flat op is an
     // unguarded `exit` or `bra`).
-    let mut block_start = Vec::with_capacity(kernel.blocks.len());
-    let mut total = 0u32;
-    for b in &kernel.blocks {
-        block_start.push(total);
-        total += b.instrs.len() as u32;
-    }
-
-    let mut ops: Vec<DecodedOp<'k>> = Vec::with_capacity(total as usize);
+    let block_start = kernel.block_starts();
+    let mut ops: Vec<DecodedOp<'k>> = Vec::with_capacity(kernel.instr_count());
     for (at, instr) in kernel.iter_instrs() {
         let flat = ops.len() as u32;
 
@@ -211,92 +146,24 @@ pub(super) fn decode<'k>(
         for (slot, operand) in instr.srcs.iter().enumerate().take(3) {
             srcs[slot] = match *operand {
                 Operand::Special(s) => SrcOp::Special(s),
-                Operand::Reg(r) => {
-                    let base = if hierarchy {
-                        match instr.read_locs[slot] {
-                            ReadLoc::Mrf | ReadLoc::MrfFillOrf(_) => r.index() as usize * width,
-                            ReadLoc::Orf(e) => orf_base + e as usize * width,
-                            ReadLoc::Lrf(bank) => {
-                                lrf_base + bank.map(|s| s.index()).unwrap_or(0) * width
-                            }
-                        }
-                    } else {
-                        r.index() as usize * width
-                    };
-                    SrcOp::Slab(base as u32)
-                }
+                Operand::Reg(r) => SrcOp::Slab((r.index() as usize * width) as u32),
                 c => SrcOp::Const(c.const_bits().expect("imm or fbits")),
             };
         }
 
-        let mut dst = DstPlan::default();
-        if let Some(d) = instr.dst {
-            let r = d.reg.index() as usize;
-            dst.wide = d.width == Width::W64;
-            // `check_placements` has already range-checked every resolved
-            // place (including the `entry + 1` word of wide ORF writes),
-            // so these offsets are in bounds by construction.
-            match (hierarchy, instr.write_loc) {
-                (false, _) | (true, WriteLoc::Mrf) => {
-                    dst.push_lo(r * width);
-                    if dst.wide {
-                        dst.push_hi((r + 1) * width);
-                    }
-                }
-                (true, WriteLoc::Orf { entry, also_mrf }) => {
-                    dst.push_lo(orf_base + entry as usize * width);
-                    if dst.wide {
-                        dst.push_hi(orf_base + (entry as usize + 1) * width);
-                    }
-                    if also_mrf {
-                        dst.push_lo(r * width);
-                        if dst.wide {
-                            dst.push_hi((r + 1) * width);
-                        }
-                    }
-                }
-                (true, WriteLoc::Lrf { bank, also_mrf }) => {
-                    dst.push_lo(lrf_base + bank.map(|s| s.index()).unwrap_or(0) * width);
-                    if also_mrf {
-                        dst.push_lo(r * width);
-                        if dst.wide {
-                            dst.push_hi((r + 1) * width);
-                        }
-                    }
-                }
+        let dst = instr.dst.map_or(DstPlan::default(), |d| {
+            let row = d.reg.index() as usize * width;
+            DstPlan {
+                lo: Some(row as u32),
+                hi: (d.width == Width::W64).then_some((row + width) as u32),
             }
-        }
-
-        let fills: Vec<Fill> = if hierarchy {
-            let written: Option<(usize, usize)> = match (instr.write_loc, instr.dst) {
-                (WriteLoc::Orf { entry, .. }, Some(d)) => {
-                    Some((entry as usize, d.width.regs() as usize))
-                }
-                _ => None,
-            };
-            instr
-                .read_locs
-                .iter()
-                .enumerate()
-                .filter_map(|(slot, loc)| {
-                    let e = loc.orf_fill()? as usize;
-                    let r = instr.srcs[slot].as_reg()?;
-                    Some(Fill {
-                        orf_off: (orf_base + e * width) as u32,
-                        reg_off: (r.index() as usize * width) as u32,
-                        covered_by_dst: written.is_some_and(|(base, w)| e >= base && e < base + w),
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        });
 
         let kind = match instr.op {
             Opcode::Bra => OpKind::Bra {
-                target: block_start[instr.target.expect("validated").index()],
+                target: block_start[instr.target.expect("validated").index()] as u32,
                 fall: flat + 1,
-                reconv: ipdom.idom(at.block).map(|b| block_start[b.index()]),
+                reconv: ipdom.idom(at.block).map(|b| block_start[b.index()] as u32),
             },
             Opcode::Exit => OpKind::Exit,
             Opcode::Bar => OpKind::Bar,
@@ -335,8 +202,6 @@ pub(super) fn decode<'k>(
             guard: instr.guard.map(|g| (g.reg.index() as usize, g.negated)),
             srcs,
             dst,
-            fills,
-            ends_strand: instr.ends_strand,
             plan: AccessPlan::resolve(instr),
         });
     }
@@ -345,8 +210,6 @@ pub(super) fn decode<'k>(
         ops,
         num_preds,
         slab_len,
-        upper_base: orf_base,
-        hierarchy,
         width,
     }
 }
@@ -359,11 +222,13 @@ struct Token {
 }
 
 /// Resumable per-warp execution state: lane-major register slab,
-/// predicate lane masks, and the divergence token stack.
+/// predicate lane masks, the divergence token stack, and in hierarchy mode
+/// the placement tags.
 struct SoaWarp {
     warp_in_cta: usize,
     lanes: usize,
     data: Vec<u32>,
+    tags: Option<Tags>,
     preds: Vec<u32>,
     stack: Vec<Token>,
     exited: u32,
@@ -405,11 +270,11 @@ fn fetch(src: SrcOp, data: &[u32], ctx: &LaneCtx<'_>, lane: usize) -> u32 {
 
 #[inline]
 fn write_lane(data: &mut [u32], d: &DstPlan, lane: usize, lo: u32, hi: u32) {
-    for i in 0..d.n_lo as usize {
-        data[d.lo[i] as usize + lane] = lo;
+    if let Some(row) = d.lo {
+        data[row as usize + lane] = lo;
     }
-    for i in 0..d.n_hi as usize {
-        data[d.hi[i] as usize + lane] = hi;
+    if let Some(row) = d.hi {
+        data[row as usize + lane] = hi;
     }
 }
 
@@ -425,11 +290,13 @@ pub(crate) fn run(
     sinks: &mut [&mut dyn TraceSink],
 ) -> Result<ExecReport, ExecError> {
     let ipdom = DomTree::post_dominators(kernel);
-    let dk = decode(kernel, &mode, &ipdom, machine);
+    let dk = decode(kernel, &ipdom, machine);
+    let tag_plan = match &mode {
+        ExecMode::Baseline => None,
+        ExecMode::Hierarchy(cfg) => Some(TagPlan::new(&dk, cfg)),
+    };
     let warps_per_cta = launch.threads_per_cta.div_ceil(machine.warp_width);
     let mut report = ExecReport::default();
-    // Scratch for captured fill values: at most one per source slot.
-    let mut fill_buf = vec![0u32; 3 * dk.width];
 
     for cta in 0..launch.ctas {
         // Barrier-phased execution of the CTA's warps.
@@ -443,12 +310,11 @@ pub(crate) fn run(
                 } else {
                     (1u32 << lanes) - 1
                 };
-                let mut data = vec![0u32; dk.slab_len];
-                data[dk.upper_base..].fill(POISON);
                 SoaWarp {
                     warp_in_cta,
                     lanes,
-                    data,
+                    data: vec![0u32; dk.slab_len],
+                    tags: tag_plan.as_ref().map(Tags::new),
                     preds: vec![0; dk.num_preds],
                     stack: vec![Token {
                         pc: 0,
@@ -474,6 +340,7 @@ pub(crate) fn run(
                 };
                 let outcome = step_warp(
                     &dk,
+                    tag_plan.as_ref(),
                     &ctx,
                     w,
                     memory,
@@ -481,7 +348,6 @@ pub(crate) fn run(
                     machine,
                     sinks,
                     &mut report,
-                    &mut fill_buf,
                 )?;
                 if outcome == Phase::Done {
                     w.done = true;
@@ -499,13 +365,14 @@ pub(crate) fn run(
 /// Runs one warp until its next barrier or completion.
 ///
 /// Event order per instruction matches the reference interpreter exactly:
-/// mask check → budget → guard → sinks → report counters → fill capture →
-/// dispatch → fill deposit → strand poison → pc advance. Errors abort
-/// immediately, leaving earlier lanes' effects in place, exactly as the
-/// oracle does.
+/// mask check → budget → guard → sinks → report counters → dispatch → pc
+/// advance, with the placement tags stepped (and checked) just before
+/// dispatch in hierarchy mode. Errors abort immediately, leaving earlier
+/// lanes' effects in place, exactly as the oracle does.
 #[allow(clippy::too_many_arguments)]
 fn step_warp(
     dk: &DecodedKernel<'_>,
+    tag_plan: Option<&TagPlan<'_>>,
     ctx: &LaneCtx<'_>,
     w: &mut SoaWarp,
     memory: &mut GlobalMemory,
@@ -513,7 +380,6 @@ fn step_warp(
     machine: &MachineConfig,
     sinks: &mut [&mut dyn TraceSink],
     report: &mut ExecReport,
-    fill_buf: &mut [u32],
 ) -> Result<Phase, ExecError> {
     let lanes = w.lanes;
     let full_mask: u32 = if lanes == 32 {
@@ -521,9 +387,9 @@ fn step_warp(
     } else {
         (1u32 << lanes) - 1
     };
-    let width = dk.width;
     let SoaWarp {
         data,
+        tags,
         preds,
         stack,
         exited,
@@ -568,13 +434,8 @@ fn step_warp(
         report.warp_instructions += 1;
         report.thread_instructions += exec_mask.count_ones() as u64;
 
-        // Capture read-operand fill values before the instruction
-        // executes: reads see the pre-fill state, and the deposit lands
-        // after execution with the destination write winning on a
-        // same-entry collision (see `rfh_oracle::exec` for the full rule).
-        for (i, f) in op.fills.iter().enumerate() {
-            let base = f.reg_off as usize;
-            fill_buf[i * width..i * width + lanes].copy_from_slice(&data[base..base + lanes]);
+        if let (Some(plan), Some(tags)) = (tag_plan, tags.as_mut()) {
+            tags.step(plan, tok.pc as usize, mask, exec_mask)?;
         }
 
         match op.kind {
@@ -620,7 +481,6 @@ fn step_warp(
                         }
                     }
                 }
-                dk.end_strand(op, data);
                 continue;
             }
             OpKind::Exit => {
@@ -630,13 +490,11 @@ fn step_warp(
                 } else {
                     tok.pc += 1;
                 }
-                dk.end_strand(op, data);
                 continue;
             }
             OpKind::Bar => {
                 // Yield to the CTA scheduler: every warp of the CTA
                 // reaches this barrier before any proceeds past it.
-                dk.end_strand(op, data);
                 tok.pc += 1;
                 return Ok(Phase::Barrier);
             }
@@ -662,7 +520,7 @@ fn step_warp(
                 }
             }
             OpKind::Ld(space) => {
-                let wide = op.dst.wide;
+                let wide = op.dst.hi.is_some();
                 for lane in 0..lanes {
                     if exec_mask & (1 << lane) == 0 {
                         continue;
@@ -773,35 +631,16 @@ fn step_warp(
 
         // Post-write observer hooks: hand the sinks the destination lane
         // values (and the new predicate lane mask) for the lanes that
-        // executed. Read back from the first destination row — every `lo`
-        // row received the same value for executing lanes, and non-exec
-        // lanes are unspecified by the hook contract. Emitted before the
-        // fill deposit, which never alters an executing lane's dst entry.
+        // executed; non-exec lanes are unspecified by the hook contract.
         if exec_mask != 0 && !sinks.is_empty() {
             if let Some(d) = op.instr.dst {
-                if op.dst.n_lo > 0 {
-                    let base = op.dst.lo[0] as usize;
+                let words = [(op.dst.lo, d.reg), (op.dst.hi, Reg::new(d.reg.index() + 1))];
+                for (row, reg) in words {
+                    let Some(base) = row.map(|r| r as usize) else {
+                        continue;
+                    };
                     for s in sinks.iter_mut() {
-                        s.on_reg_write(
-                            ctx.warp,
-                            op.at,
-                            d.reg,
-                            &data[base..base + lanes],
-                            exec_mask,
-                        );
-                    }
-                }
-                if op.dst.wide && op.dst.n_hi > 0 {
-                    let base = op.dst.hi[0] as usize;
-                    let hi_reg = Reg::new(d.reg.index() + 1);
-                    for s in sinks.iter_mut() {
-                        s.on_reg_write(
-                            ctx.warp,
-                            op.at,
-                            hi_reg,
-                            &data[base..base + lanes],
-                            exec_mask,
-                        );
+                        s.on_reg_write(ctx.warp, op.at, reg, &data[base..base + lanes], exec_mask);
                     }
                 }
             }
@@ -813,26 +652,6 @@ fn step_warp(
                 }
             }
         }
-
-        // Deposit the captured fills: active lanes receive the pre-execute
-        // MRF value unless the destination write already covered the entry
-        // for an executing lane.
-        for (i, f) in op.fills.iter().enumerate() {
-            let vals = &fill_buf[i * width..i * width + lanes];
-            for (lane, v) in vals.iter().enumerate() {
-                let bit = 1u32 << lane;
-                if mask & bit == 0 {
-                    continue;
-                }
-                if f.covered_by_dst && exec_mask & bit != 0 {
-                    continue;
-                }
-                data[f.orf_off as usize + lane] = *v;
-            }
-        }
-
-        // Strand boundaries invalidate the upper levels.
-        dk.end_strand(op, data);
 
         tok.pc += 1;
     }

@@ -13,13 +13,13 @@
 //! * [`machine`] — the simulated machine parameters (Table 2);
 //! * [`mem`] — global/shared/parameter memory;
 //! * [`exec`] — a functional SIMT executor with predication and
-//!   divergence (post-dominator reconvergence), which can run in
-//!   *hierarchy-faithful* mode: operand values actually move through
-//!   modeled ORF/LRF storage according to the compiler's placements, and
-//!   upper levels are poisoned at strand boundaries — so a mis-allocated
-//!   kernel produces wrong results instead of silently passing — plus a
-//!   replay of one recorded baseline stream against allocated kernels,
-//!   whose tag model rejects every read of a stale or poisoned entry;
+//!   divergence (post-dominator reconvergence), which in hierarchy mode
+//!   checks the compiler's placements as it executes: a value-free tag
+//!   model, with the upper levels poisoned at strand boundaries, rejects
+//!   every read of a stale or poisoned entry, so a mis-allocated kernel
+//!   fails instead of silently passing — plus a replay of one recorded
+//!   baseline stream against allocated kernels, which steps the same tag
+//!   model;
 //! * [`sink`] — the instruction-trace observer interface (the executor
 //!   takes a slice of sinks, so observers stack without a combinator);
 //! * [`counts`] — access counting for software-managed hierarchies;

@@ -6,8 +6,8 @@
 //! integration and property tests to check, for arbitrary programs, that
 //!
 //! * allocation always produces validator-clean placements, and
-//! * hierarchy-faithful execution of the allocated kernel computes exactly
-//!   the memory image of the baseline run.
+//! * hierarchy-mode execution of the allocated kernel passes its placement
+//!   check and computes exactly the memory image of the baseline run.
 
 use rfh_testkit::rng::{Rng, SeedableRng, SmallRng};
 

@@ -88,10 +88,10 @@ mod execution_tests {
 
     #[test]
     fn every_workload_verifies_after_allocation() {
-        // The end-to-end proof: compile-time placements move operands
-        // through modeled ORF/LRF storage (poisoned at strand boundaries)
-        // and the results still match the host reference, for several
-        // hierarchy shapes.
+        // The end-to-end proof: every read the compile-time placements
+        // route finds its current definition (upper levels poisoned at
+        // strand boundaries), and the results still match the host
+        // reference, for several hierarchy shapes.
         let model = rfh_energy::EnergyModel::paper();
         for cfg in [
             rfh_alloc::AllocConfig::two_level(3),

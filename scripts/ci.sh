@@ -49,19 +49,24 @@ RFH_JOBS=1 RFH_EXEC_DIFF_CASES=100 cargo test -q --offline --test exec_different
 RFH_JOBS=8 RFH_EXEC_DIFF_CASES=100 cargo test -q --offline --test exec_differential
 echo "exec differential suite green under RFH_JOBS=1 and RFH_JOBS=8"
 
-echo "==> replay smoke (tag-checked replay vs hierarchy execution)"
-# Replay must reject every placement mutant hierarchy execution rejects
-# and accept every mutant the placement validator accepts, serially and
-# with 8 workers; the full budget runs in `cargo test` above.
+echo "==> replay smoke (tag-checked replay vs execution and the storage oracle)"
+# Replay and hierarchy execution step one tag model, so they must accept
+# and reject the same placement mutants. Replay must also reject every
+# mutant the storage-faithful oracle (rfh-oracle) computes wrongly, and
+# accept every mutant the placement validator accepts, serially and with
+# 8 workers; the full budget runs in `cargo test` above.
 RFH_JOBS=1 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy replay_layer
 RFH_JOBS=8 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy replay_layer
 echo "replay layer green under RFH_JOBS=1 and RFH_JOBS=8"
 
-echo "==> placement + lint chaos smoke (soundness oracles of the placement walks)"
-# `validate_placements` and lint's RFH-L006/L007 walk share one strand
-# walker and one freshness dataflow; the placement and lint chaos layers
-# are their soundness oracles. Bounded runs, serially and with 8 workers;
-# the full budget runs in `cargo test` above.
+echo "==> placement + lint chaos smoke (soundness oracles of the placement walk)"
+# `validate_placements` and lint's RFH-L006/L007 report the findings of
+# one static placement model (`rfh_alloc::validate::placement_findings`).
+# The placement layer runs every mutant it accepts on the storage-faithful
+# oracle, which must compute the reference image, and on the shipped
+# executor, which must accept it; the lint layer is lint's soundness
+# oracle. Bounded runs, serially and with 8 workers; the full budget runs
+# in `cargo test` above.
 RFH_JOBS=1 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy -- placement_layer lint_layer
 RFH_JOBS=8 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy -- placement_layer lint_layer
 echo "placement and lint layers green under RFH_JOBS=1 and RFH_JOBS=8"
@@ -85,12 +90,14 @@ echo "timing layer green under RFH_JOBS=1 and RFH_JOBS=8"
 echo "==> repro smoke (parallel run must reproduce the committed goldens)"
 # Regenerate the golden CSVs with two pool workers and diff byte-for-byte
 # against results/*.csv: parallelism and memoization must not change a
-# single byte of any figure.
+# single byte of any figure. `hints.csv` is the one golden `repro all`
+# does not write; the next step checks it.
 artifacts=target/ci-artifacts
 rm -rf "$artifacts"
 mkdir -p "$artifacts/csv"
 RFH_JOBS=2 ./target/release/repro --csv "$artifacts/csv" all > "$artifacts/repro.txt"
 for f in results/*.csv; do
+    [ "$(basename "$f")" = hints.csv ] && continue
     cmp "$f" "$artifacts/csv/$(basename "$f")"
 done
 # The serial pool must agree too. The printed tables (encoding, the
@@ -98,10 +105,19 @@ done
 # the two-worker run.
 RFH_JOBS=1 ./target/release/repro --csv "$artifacts/csv-jobs1" all > "$artifacts/repro.jobs1.txt"
 for f in results/*.csv; do
+    [ "$(basename "$f")" = hints.csv ] && continue
     cmp "$f" "$artifacts/csv-jobs1/$(basename "$f")"
 done
 cmp "$artifacts/repro.txt" "$artifacts/repro.jobs1.txt"
 echo "repro goldens byte-identical under RFH_JOBS=1 and RFH_JOBS=2"
+# `repro hints` is the only arm that executes hint-allocated kernels (whose
+# guarded ORF entries are read under the same guard) in hierarchy mode.
+for jobs in 1 2; do
+    RFH_JOBS=$jobs ./target/release/repro --csv "$artifacts/hints-jobs$jobs" hints \
+        > /dev/null
+    cmp results/hints.csv "$artifacts/hints-jobs$jobs/hints.csv"
+done
+echo "hints golden byte-identical under RFH_JOBS=1 and RFH_JOBS=2"
 
 echo "==> lint smoke + golden diagnostics report"
 # The analyzer must accept the repo's own kernels: `rfhc lint` on a known

@@ -7,7 +7,7 @@
 //! algorithms that place GPU register values across an LRF / ORF / MRF
 //! hierarchy to minimize energy, together with everything needed to
 //! evaluate them — a SIMT ISA and kernel IR, compiler analyses, a
-//! functional single-SM simulator with hierarchy-faithful execution, the
+//! functional single-SM simulator with placement-checked execution, the
 //! hardware register-file-cache baseline, a two-level warp scheduler
 //! timing model, the paper's energy model, three benchmark suites, and an
 //! experiment harness regenerating every table and figure.

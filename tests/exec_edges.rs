@@ -8,15 +8,20 @@
 //!   mapping (drivers and `tests/cli.rs` rely on both being stable);
 //! * wide-write behavior at the register-file boundary — a 64-bit ORF
 //!   write occupies `entry` and `entry + 1`, a 64-bit LRF write drops the
-//!   upper word at the LRF (it lands in the MRF only via `also_mrf`), and
-//!   a corrupted `entry = 255` wide write resolves to entry 256 instead
-//!   of wrapping;
+//!   upper word at the LRF (it lands in the MRF only via `also_mrf`, so a
+//!   later MRF read of it is stale), and a corrupted `entry = 255` wide
+//!   write resolves to entry 256 instead of wrapping;
+//! * the placement check is strictly stronger than comparing memory: a
+//!   stale read of an equal value is rejected, although the
+//!   storage-faithful oracle computes the baseline image from it;
 //! * trailing-lane masking at every `threads_per_cta % warp_width`
 //!   residue.
 
 use rfh::alloc::AllocConfig;
 use rfh::isa::{BlockId, InstrRef, ReadLoc, WriteLoc};
-use rfh::sim::exec::{execute, ExecError, ExecMode, Launch};
+use rfh::sim::counts::SwCounter;
+use rfh::sim::exec::{execute, replay, ExecError, ExecMode, Launch, StreamRecorder};
+use rfh::sim::machine::MachineConfig;
 use rfh::sim::mem::GlobalMemory;
 use rfh::sim::sink::NullSink;
 use rfh::RfhError;
@@ -133,7 +138,9 @@ BB0:
 
 /// A 64-bit LRF write keeps only the low word at the LRF: the upper word
 /// is dropped at the register-file boundary (the LRF holds last results,
-/// not pairs), so the high register keeps its prior MRF value.
+/// not pairs). Without `also_mrf` the high register's MRF copy is stale,
+/// so an MRF read of it is a bad placement. (The storage-faithful oracle
+/// reads the old value, 77: `rfh-oracle`'s test of the same name.)
 #[test]
 fn wide_lrf_write_drops_upper_word_at_the_lrf() {
     let mut kernel = rfh::isa::parse_kernel(
@@ -157,22 +164,16 @@ BB0:
     kernel.instr_mut(at(0, 4)).read_locs = vec![ReadLoc::Lrf(None), ReadLoc::Mrf];
     let cfg = AllocConfig::three_level(3, false);
     let mut mem = GlobalMemory::new(8);
-    for (a, v) in [(0u32, 3u32), (1, 4), (2, 30), (3, 40)] {
-        mem.store(a, v);
-    }
-    let mut sink = NullSink;
-    execute(
-        &kernel,
-        &Launch::new(1, 2),
-        &mut mem,
-        ExecMode::Hierarchy(cfg),
-        &mut [&mut sink],
-    )
-    .unwrap();
-    // r6 = LRF(lo) + r5; r5 still holds 77 because the wide load's upper
-    // word never reached the MRF (no also_mrf) and was dropped at the LRF.
-    assert_eq!(mem.load(0), Some(3 + 77), "lane 0");
-    assert_eq!(mem.load(1), Some(30 + 77), "lane 1");
+    let hier = ExecMode::Hierarchy(cfg);
+    let err = execute(&kernel, &Launch::new(1, 2), &mut mem, hier, &mut []).unwrap_err();
+    // Slot 0 (the low word, from the LRF) is fine; slot 1 is not.
+    assert_eq!(
+        err,
+        ExecError::BadPlacement {
+            what: "slot 1 reads r5 from MRF in lane 0, which holds a stale definition".into(),
+            at: at(0, 4),
+        }
+    );
 }
 
 /// With `also_mrf`, both words of a wide LRF write land in the MRF even
@@ -212,6 +213,57 @@ BB0:
     .unwrap();
     assert_eq!(mem.load(0), Some(7), "lane 0: MRF r4 + r5 = 3 + 4");
     assert_eq!(mem.load(1), Some(70), "lane 1: MRF r4 + r5 = 30 + 40");
+}
+
+/// `r1` is defined twice with the same value; the second definition goes
+/// only to the MRF, but the add still reads ORF0, which holds the first.
+/// Execution and replay reject the read; the storage-faithful oracle reads
+/// an equal value and computes the baseline image, so comparing memory
+/// alone cannot see the bad placement.
+#[test]
+fn a_stale_but_equal_read_fails_execution_and_replay_but_not_the_oracle() {
+    let mut kernel = rfh::isa::parse_kernel(
+        ".kernel stale\nBB0:\n  mov r0, %tid.x\n  mov r1, 7\n  mov r1, 7\n  \
+         iadd r2 r1, 1\n  st.global r0, r2\n  exit\n",
+    )
+    .unwrap();
+    let (launch, machine) = (Launch::new(1, 32), MachineConfig::paper());
+    let mut base = GlobalMemory::new(256);
+    let mut recorder = StreamRecorder::new(&kernel);
+    let baseline = ExecMode::Baseline;
+    execute(&kernel, &launch, &mut base, baseline, &mut [&mut recorder]).unwrap();
+    let stream = recorder.finish();
+
+    rfh::analysis::strand::mark_strands(&mut kernel);
+    kernel.instr_mut(at(0, 1)).write_loc = WriteLoc::Orf {
+        entry: 0,
+        also_mrf: true,
+    };
+    kernel.instr_mut(at(0, 3)).read_locs[0] = ReadLoc::Orf(0);
+    let mode = ExecMode::Hierarchy(AllocConfig::two_level(3));
+    let expected = Err(ExecError::BadPlacement {
+        what: "slot 0 reads r1 from ORF0 in lane 0, which holds a stale definition".into(),
+        at: at(0, 3),
+    });
+    let mut mem = GlobalMemory::new(256);
+    let executed = execute(&kernel, &launch, &mut mem, mode, &mut []).map(|_| ());
+    assert_eq!(executed, expected, "execution");
+    let replayed = replay(
+        &kernel,
+        &stream,
+        mode,
+        &machine,
+        SwCounter::default,
+        |_, _| {},
+    );
+    assert_eq!(replayed, expected, "replay");
+    let (oracle, mut mem) = (rfh_oracle::exec::execute_with, GlobalMemory::new(256));
+    oracle(&kernel, &launch, &mut mem, mode, &machine, &mut []).unwrap();
+    assert_eq!(
+        mem.words(),
+        base.words(),
+        "the oracle computes the baseline"
+    );
 }
 
 /// A corrupted `entry = 255` annotation on a wide write resolves its high

@@ -1,6 +1,7 @@
 //! Property-based tests over randomly generated kernels: for arbitrary
 //! programs, allocation must produce validator-clean placements and
-//! hierarchy-faithful execution must compute exactly the baseline result.
+//! hierarchy-mode execution must pass its placement check and compute
+//! exactly the baseline result.
 //!
 //! Failures print an `RFH_TESTKIT_SEED` that reproduces the (shrunk)
 //! input; pin any newly found counterexample in `tests/regressions.rs`.
