@@ -140,16 +140,12 @@ fn priority_of_cfg(config: &AllocConfig, savings: f64, begin: usize, end: usize)
 /// operands at `2p` and writes its result at `2p + 1`. A value produced at
 /// `p` therefore occupies `[2p+1, 2·last_read]`, and can share an entry
 /// with a value whose last read is at `p` — exactly the reuse a hardware
-/// cache gets for back-to-back producer/consumer chains.
+/// cache gets for back-to-back producer/consumer chains. A read-operand
+/// fill is written the same way: it deposits at the first read's write
+/// phase (`def_pos` is that read) and must survive until the last covered
+/// read.
 fn write_interval(def_pos: usize, last_read_pos: usize) -> (usize, usize) {
     let begin = 2 * def_pos + 1;
-    (begin, (2 * last_read_pos).max(begin))
-}
-
-/// A read-operand fill deposits at the first read's write phase and must
-/// survive until the last covered read.
-fn fill_interval(first_read_pos: usize, last_read_pos: usize) -> (usize, usize) {
-    let begin = 2 * first_read_pos + 1;
     (begin, (2 * last_read_pos).max(begin))
 }
 
@@ -356,7 +352,7 @@ fn allocate_strand(
             if savings <= 0.0 {
                 continue;
             }
-            let (begin, end) = fill_interval(
+            let (begin, end) = write_interval(
                 covered[0].pos,
                 covered.last().expect("coverage includes the fill").pos,
             );
@@ -431,7 +427,7 @@ fn allocate_strand(
                     if savings <= 0.0 {
                         break;
                     }
-                    let (b, e) = fill_interval(
+                    let (b, e) = write_interval(
                         kept[0].pos,
                         kept.last().expect("kept reads are nonempty").pos,
                     );

@@ -34,11 +34,12 @@
 //!   known value, and the compared register's interval when the guard's
 //!   defining `setp` compares against a constant); it never manufactures
 //!   uniformity.
-//! * `concrete_alu` / `concrete_cmp` mirror `rfh-sim`'s scalar evaluators
-//!   bit for bit; the chaos layer enforces the correspondence dynamically.
+//! * Constants fold with [`rfh_isa::eval_alu`] / [`rfh_isa::eval_cmp`],
+//!   the scalar semantics the simulator executes.
 
 use rfh_isa::{
-    BlockId, CmpOp, InstrRef, Kernel, Opcode, Operand, PredReg, SfuOp, Space, Special, Width,
+    eval_alu, eval_cmp, BlockId, CmpOp, InstrRef, Kernel, Opcode, Operand, PredReg, Space, Special,
+    Width,
 };
 
 use crate::dom::DomTree;
@@ -372,78 +373,6 @@ fn operand_fact(op: Operand, env: &Env, ctx: AbsCtx) -> AbsVal {
     }
 }
 
-/// Scalar ALU evaluation, mirroring `rfh-sim`'s `eval_alu` bit for bit.
-/// Returns `None` for opcodes whose result is not a pure function of the
-/// operand words (`sel`, memory, control).
-pub fn concrete_alu(op: Opcode, a: u32, b: u32, c: u32) -> Option<u32> {
-    let (ia, ib, ic) = (a as i32, b as i32, c as i32);
-    let (fa, fb, fc) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
-    Some(match op {
-        Opcode::IAdd => ia.wrapping_add(ib) as u32,
-        Opcode::ISub => ia.wrapping_sub(ib) as u32,
-        Opcode::IMul => ia.wrapping_mul(ib) as u32,
-        Opcode::IMad => ia.wrapping_mul(ib).wrapping_add(ic) as u32,
-        Opcode::IMin => ia.min(ib) as u32,
-        Opcode::IMax => ia.max(ib) as u32,
-        Opcode::And => a & b,
-        Opcode::Or => a | b,
-        Opcode::Xor => a ^ b,
-        Opcode::Shl => a.wrapping_shl(b & 31),
-        Opcode::Shr => a.wrapping_shr(b & 31),
-        Opcode::FAdd => (fa + fb).to_bits(),
-        Opcode::FSub => (fa - fb).to_bits(),
-        Opcode::FMul => (fa * fb).to_bits(),
-        Opcode::FFma => fa.mul_add(fb, fc).to_bits(),
-        Opcode::FMin => fa.min(fb).to_bits(),
-        Opcode::FMax => fa.max(fb).to_bits(),
-        Opcode::Mov => a,
-        Opcode::I2F => (ia as f32).to_bits(),
-        Opcode::F2I => {
-            if fa.is_nan() {
-                0
-            } else {
-                (fa as i32) as u32
-            }
-        }
-        Opcode::Sfu(s) => match s {
-            SfuOp::Rcp => (1.0 / fa).to_bits(),
-            SfuOp::Rsqrt => (1.0 / fa.sqrt()).to_bits(),
-            SfuOp::Sqrt => fa.sqrt().to_bits(),
-            SfuOp::Sin => fa.sin().to_bits(),
-            SfuOp::Cos => fa.cos().to_bits(),
-            SfuOp::Ex2 => fa.exp2().to_bits(),
-            SfuOp::Lg2 => fa.log2().to_bits(),
-        },
-        _ => return None,
-    })
-}
-
-/// Scalar comparison, mirroring `rfh-sim`'s `eval_cmp`: float compare for
-/// `fsetp`, signed integer compare for `setp`.
-pub fn concrete_cmp(cmp: CmpOp, float: bool, a: u32, b: u32) -> bool {
-    if float {
-        let (x, y) = (f32::from_bits(a), f32::from_bits(b));
-        match cmp {
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-        }
-    } else {
-        let (x, y) = (a as i32, b as i32);
-        match cmp {
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-        }
-    }
-}
-
 /// Clamps a mathematically exact `i64` interval to `i32` bounds; any
 /// possible overflow widens to the full range (where the machine's
 /// wrapping result is trivially contained).
@@ -652,7 +581,7 @@ fn alu_fact(op: Opcode, s: &[AbsVal; 3]) -> AbsVal {
     let consts: Vec<Option<u32>> = s.iter().take(n).map(AbsVal::as_const).collect();
     if consts.iter().all(Option::is_some) {
         let word = |i: usize| consts.get(i).copied().flatten().unwrap_or(0);
-        if let Some(v) = concrete_alu(op, word(0), word(1), word(2)) {
+        if let Some(v) = eval_alu(op, word(0), word(1), word(2)) {
             return AbsVal {
                 uniform,
                 ..AbsVal::constant(v)
@@ -837,7 +766,7 @@ fn run_block(
             }),
             Opcode::FSetp(cmp) => {
                 let known = match (srcs[0].as_const(), srcs[1].as_const()) {
-                    (Some(x), Some(y)) => Some(concrete_cmp(cmp, true, x, y)),
+                    (Some(x), Some(y)) => Some(eval_cmp(cmp, true, x, y)),
                     _ => None,
                 };
                 Some(PredAbs {
@@ -1714,7 +1643,7 @@ BB0:
                             let f = alu_fact(op, &[a, b, AbsVal::TOP]);
                             // Concrete operands at the interval corners.
                             for (x, y) in [(xa, ya), (xa, yb), (xb, ya), (xb, yb)] {
-                                let v = concrete_alu(op, x as u32, y as u32, 0).unwrap() as i32;
+                                let v = eval_alu(op, x as u32, y as u32, 0).unwrap() as i32;
                                 assert!(
                                     f.lo <= v && v <= f.hi,
                                     "{op:?} [{xa},{xb}]x[{ya},{yb}] -> {v} not in [{},{}]",

@@ -1046,7 +1046,6 @@ pub fn run_timing_layer(w: &Workload, cases: usize, base_seed: u64) -> Result<Ch
         &mut [&mut cap],
     )
     .map_err(|e| format!("timing layer: trace capture failed for {}: {e}", w.name))?;
-    let warps_per_cta = cap.warps_per_cta();
     let base_config = TimingConfig::two_level(8);
 
     let seeds = case_seeds(base_seed, cases);
@@ -1059,7 +1058,7 @@ pub fn run_timing_layer(w: &Workload, cases: usize, base_seed: u64) -> Result<Ch
             if traces == cap.traces && config == base_config {
                 return Ok(CaseOutcome::Unchanged);
             }
-            let cta_of = |wi: usize| wi / warps_per_cta;
+            let cta_of = |wi: usize| cap.cta_of(wi);
             let flat = simulate_timing(&traces, &cta_of, &config);
             let oracle = rfh_oracle::timing::simulate(&traces, &cta_of, &config);
             match (flat, oracle) {

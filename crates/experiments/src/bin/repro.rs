@@ -186,7 +186,7 @@ fn main() {
                 characterize::print(&r)
             }
             "hints" => {
-                let r = hints::run(&workloads);
+                let r = hints::run(&ctx);
                 write_csv("hints", rfh_experiments::csv::hints_csv(&r));
                 hints::print(&r)
             }

@@ -1,6 +1,8 @@
 //! Workload characterization: the benchmark-property table papers print
 //! next to Table 1 — dynamic instruction counts, instruction mix, register
 //! demand, strand structure, and divergence.
+//! Every count is a per-warp sum, folded from the context's recorded
+//! baseline stream replayed against the strand-marked kernel.
 
 use rfh_isa::Unit;
 use rfh_sim::exec::ExecMode;
@@ -19,7 +21,7 @@ pub struct Character {
     pub suite: String,
     /// Dynamic warp instructions.
     pub warp_instructions: u64,
-    /// Fraction executed on the private ALU.
+    /// Fraction issued to the private ALU.
     pub alu_frac: f64,
     /// Fraction on the memory port.
     pub mem_frac: f64,
@@ -34,7 +36,7 @@ pub struct Character {
     /// Static strand count.
     pub strands: usize,
     /// Mean dynamic strand length in instructions (distance between
-    /// strand-end bits along the executed stream).
+    /// strand-end bits along the issued stream).
     pub mean_strand_len: f64,
 }
 
@@ -68,19 +70,40 @@ impl TraceSink for MixSink {
     }
 }
 
-/// Characterizes every workload (running each to completion), fanning the
-/// workloads out over the `RFH_JOBS` pool.
+impl MixSink {
+    /// Adds `warps` copies of one replayed trace's counts.
+    fn add(&mut self, trace: &MixSink, warps: u64) {
+        self.total += trace.total * warps;
+        self.alu += trace.alu * warps;
+        self.mem += trace.mem * warps;
+        self.sfu += trace.sfu * warps;
+        self.tex += trace.tex * warps;
+        self.divergent += trace.divergent * warps;
+        self.strand_ends += trace.strand_ends * warps;
+    }
+}
+
+/// Characterizes every workload, fanning the workloads out over the
+/// `RFH_JOBS` pool.
 ///
 /// # Panics
 ///
-/// Panics if any workload fails to execute or verify.
+/// Panics if a workload's recorded baseline run fails or mismatches its
+/// host reference.
 pub fn run(ctx: &ExperimentCtx) -> Vec<Character> {
-    par_map(ctx.workloads(), |w| {
+    let idx: Vec<usize> = (0..ctx.workloads().len()).collect();
+    par_map(&idx, |&i| {
+        let w = &ctx.workloads()[i];
         let mut kernel = w.kernel.clone();
         let info = rfh_analysis::strand::mark_strands(&mut kernel);
         let mut sink = MixSink::default();
-        w.run_and_verify(ExecMode::Baseline, &kernel, &mut [&mut sink])
-            .unwrap_or_else(|e| panic!("{e}"));
+        ctx.replay(
+            i,
+            &kernel,
+            ExecMode::Baseline,
+            MixSink::default,
+            |t, warps| sink.add(&t, warps),
+        );
         let t = sink.total.max(1) as f64;
         Character {
             name: w.name.clone(),

@@ -31,25 +31,30 @@
 //!   register's current definition, and then drops the kernel;
 //! * an [`ExperimentCtx::hw_counts_many`] batch replays the
 //!   dead-annotated kernel once with one [`HwCounter`] per
-//!   not-yet-cached configuration.
+//!   not-yet-cached configuration;
+//! * `characterize` and `hints` replay it too, and `perf` expands its
+//!   timing traces from it ([`Stream::timing_traces`]).
 //!
-//! [`ExperimentCtx::executions`] counts the real executions. All cached
-//! quantities are deterministic functions of their key; concurrent
-//! computation of the same key is benign (first writer wins, results are
-//! identical) but does the work twice, so the experiments request each
-//! cell from one pool item.
+//! [`ExperimentCtx::executions`] counts the real executions; `fig2`,
+//! which takes no context, is the one `repro` arm that executes on its
+//! own. All cached quantities are deterministic functions of their
+//! key; concurrent computation of the same key is benign (first writer
+//! wins, results are identical) but does the work twice, so the
+//! experiments request each cell from one pool item.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rfh_alloc::AllocConfig;
 use rfh_energy::{AccessCounts, EnergyModel};
+use rfh_isa::Kernel;
 use rfh_rfhd::cache::{CacheStats, Store};
 use rfh_sim::counts::{StrandCounter, SwCounter};
 use rfh_sim::exec::{replay, ExecMode, Stream, StreamRecorder};
 use rfh_sim::machine::MachineConfig;
 use rfh_sim::rfc::{HwCounter, RfcConfig};
 use rfh_sim::sink::{InstrEvent, TraceSink};
+use rfh_testkit::pool::par_map;
 use rfh_workloads::Workload;
 
 use crate::runner;
@@ -131,6 +136,36 @@ impl<'w> ExperimentCtx<'w> {
         })
     }
 
+    /// The recorded baseline stream of workload `i`.
+    pub(crate) fn stream(&self, i: usize) -> &Stream {
+        &self.baseline_cell(i).1
+    }
+
+    /// [`replay`]s workload `i`'s recorded stream against `kernel` on the
+    /// paper's machine: every replay of the context goes through here.
+    ///
+    /// # Panics
+    ///
+    /// If the replay fails (a toolchain bug), naming the workload.
+    pub(crate) fn replay<S: TraceSink>(
+        &self,
+        i: usize,
+        kernel: &Kernel,
+        mode: ExecMode,
+        mk_sink: impl FnMut() -> S,
+        fold: impl FnMut(S, u64),
+    ) {
+        replay(
+            kernel,
+            self.stream(i),
+            mode,
+            &MachineConfig::paper(),
+            mk_sink,
+            fold,
+        )
+        .unwrap_or_else(|e| panic!("{}: replay failed: {e}", self.workloads[i].name));
+    }
+
     /// Single-level baseline access counts of workload `i`, equal to
     /// [`runner::baseline_counts`].
     ///
@@ -189,25 +224,22 @@ impl<'w> ExperimentCtx<'w> {
         cfg: &AllocConfig,
         model: &EnergyModel,
     ) -> Vec<AccessCounts> {
-        let w = &self.workloads[i];
-        let mut kernel = w.kernel.clone();
+        let mut kernel = self.workloads[i].kernel.clone();
         rfh_alloc::allocate(&mut kernel, cfg, model)
             .unwrap_or_else(|e| panic!("allocation failed: {e}"));
         let counter = StrandCounter::new(&kernel);
         let mut per_strand = vec![AccessCounts::default(); counter.per_strand().len()];
-        replay(
+        self.replay(
+            i,
             &kernel,
-            &self.baseline_cell(i).1,
             ExecMode::Hierarchy(*cfg),
-            &MachineConfig::paper(),
             || counter.clone(),
             |c, warps| {
                 for (sum, s) in per_strand.iter_mut().zip(c.per_strand()) {
                     *sum += *s * warps;
                 }
             },
-        )
-        .unwrap_or_else(|e| panic!("{}: sw replay failed: {e}", w.name));
+        );
         per_strand
     }
 
@@ -255,24 +287,51 @@ impl<'w> ExperimentCtx<'w> {
             .collect()
     }
 
+    /// The `[HW, SW]` panels of a sweep over upper-level sizes 1–8: per
+    /// size, every workload's (counts, baseline) pair in workload order.
+    /// The HW configs `hw(1..=8)` of a workload are one
+    /// [`Self::hw_counts_many`] batch; the (size × workload) SW cells
+    /// `sw(size)` fan out over the `RFH_JOBS` pool.
+    pub(crate) fn entry_sweep(
+        &self,
+        hw: fn(usize) -> RfcConfig,
+        sw: fn(usize) -> AllocConfig,
+    ) -> [Vec<Vec<(AccessCounts, AccessCounts)>>; 2] {
+        let n = self.workloads.len();
+        let idx: Vec<usize> = (0..n).collect();
+        let hw_cfgs: Vec<RfcConfig> = (1..=8usize).map(hw).collect();
+        let hw_counted: Vec<(Vec<AccessCounts>, AccessCounts)> = par_map(&idx, |&i| {
+            (self.hw_counts_many(i, &hw_cfgs), self.baseline(i))
+        });
+        let cells: Vec<(usize, usize)> = (1..=8usize)
+            .flat_map(|entries| (0..n).map(move |i| (entries, i)))
+            .collect();
+        let counted: Vec<[(AccessCounts, AccessCounts); 2]> = par_map(&cells, |&(entries, i)| {
+            let (hw, b) = &hw_counted[i];
+            [(hw[entries - 1], *b), (self.sw_counts(i, &sw(entries)), *b)]
+        });
+        [0, 1].map(|s| {
+            (counted.chunks(n))
+                .map(|per_entry| per_entry.iter().map(|c| c[s]).collect())
+                .collect()
+        })
+    }
+
     fn replay_hw_counts(&self, i: usize, cfgs: &[RfcConfig]) -> Vec<AccessCounts> {
-        let w = &self.workloads[i];
-        let kernel = runner::dead_annotated(&w.kernel);
+        let kernel = runner::dead_annotated(&self.workloads[i].kernel);
         let batch = HwBatch(cfgs.iter().map(|c| HwCounter::new(*c, &kernel)).collect());
         let mut totals = vec![AccessCounts::default(); cfgs.len()];
-        replay(
+        self.replay(
+            i,
             &kernel,
-            &self.baseline_cell(i).1,
             ExecMode::Baseline,
-            &MachineConfig::paper(),
             || batch.clone(),
             |b, warps| {
                 for (sum, c) in totals.iter_mut().zip(&b.0) {
                     *sum += c.counts() * warps;
                 }
             },
-        )
-        .unwrap_or_else(|e| panic!("{}: hw replay failed: {e}", w.name));
+        );
         totals
     }
 
@@ -311,7 +370,6 @@ impl<'w> ExperimentCtx<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfh_testkit::pool::par_map;
 
     fn workloads() -> Vec<Workload> {
         by_names(&["vectoradd", "scalarprod"])
@@ -441,7 +499,7 @@ mod tests {
         let ctx = ExperimentCtx::new(&ws);
         let (mut traces, mut warps, mut issued, mut replayed) = (0, 0, 0, 0);
         for (i, w) in ws.iter().enumerate() {
-            let stream = &ctx.baseline_cell(i).1;
+            let stream = ctx.stream(i);
             let want = MULTI
                 .iter()
                 .find(|(name, _)| *name == w.name)
@@ -503,9 +561,13 @@ mod tests {
         crate::fig15::run(&ctx);
         crate::limit::run(&ctx);
         crate::ablation::run(&ctx);
+        crate::characterize::run(&ctx);
+        crate::perf::run(&ctx, &[2, 8]);
+        crate::hints::run(&ctx);
         // Per workload: 1 baseline run. Its 22 SW cells, 4 HW batches
         // (fig11, fig12, limit's flush variant, ablation's read-miss
-        // variant) and limit's 8 cells under the 6-warp model replay it.
+        // variant), limit's 8 cells under the 6-warp model, characterize,
+        // hints and perf's timing traces replay it.
         assert_eq!(ctx.executions(), ws.len() as u64);
         let [sw, hw] = ctx.cache_stats();
         assert_eq!(sw.entries, 22 * ws.len());

@@ -7,7 +7,6 @@
 use rfh_alloc::AllocConfig;
 use rfh_energy::AccessCounts;
 use rfh_sim::rfc::RfcConfig;
-use rfh_testkit::pool::par_map;
 
 use crate::ctx::ExperimentCtx;
 use crate::report::{pct, Table};
@@ -75,32 +74,11 @@ fn fold(per_bench: &[(AccessCounts, AccessCounts)], entries: usize) -> Breakdown
 ///
 /// Panics if any workload fails to execute or verify.
 pub fn run(ctx: &ExperimentCtx) -> Fig12 {
-    let n = ctx.workloads().len();
-    let idx: Vec<usize> = (0..n).collect();
-    let hw_cfgs: Vec<RfcConfig> = (1..=8usize).map(RfcConfig::three_level).collect();
-    let hw_counted: Vec<(Vec<AccessCounts>, AccessCounts)> = par_map(&idx, |&i| {
-        (ctx.hw_counts_many(i, &hw_cfgs), ctx.baseline(i))
-    });
-    let cells: Vec<(usize, usize)> = (1..=8usize)
-        .flat_map(|entries| (0..n).map(move |i| (entries, i)))
-        .collect();
-    let counted: Vec<(AccessCounts, AccessCounts, AccessCounts)> =
-        par_map(&cells, |&(entries, i)| {
-            let (hw, b) = &hw_counted[i];
-            let sw = ctx.sw_counts(i, &AllocConfig::three_level(entries, true));
-            (hw[entries - 1], sw, *b)
-        });
-    let mut hw = Vec::new();
-    let mut sw = Vec::new();
-    for (e, per_entry) in counted.chunks(n).enumerate() {
-        let entries = e + 1;
-        let hwc: Vec<(AccessCounts, AccessCounts)> =
-            per_entry.iter().map(|(h, _, b)| (*h, *b)).collect();
-        hw.push(fold(&hwc, entries));
-        let swc: Vec<(AccessCounts, AccessCounts)> =
-            per_entry.iter().map(|(_, s, b)| (*s, *b)).collect();
-        sw.push(fold(&swc, entries));
-    }
+    let [hw, sw] = ctx
+        .entry_sweep(RfcConfig::three_level, |e| {
+            AllocConfig::three_level(e, true)
+        })
+        .map(|panel| panel.iter().zip(1..).map(|(p, e)| fold(p, e)).collect());
     Fig12 { hw, sw }
 }
 

@@ -27,7 +27,9 @@ pub struct SuiteUsage {
     pub read_once_within3: f64,
 }
 
-/// Runs the usage analysis for every suite. The workloads fan out over
+/// Runs the usage analysis for every suite. It takes no
+/// [`ExperimentCtx`](crate::ExperimentCtx), so it executes each workload
+/// itself. The workloads fan out over
 /// the `RFH_JOBS` pool, one [`UsageStats`] each, and their histograms are
 /// summed per suite in suite order (integer sums: output is identical at
 /// any job count).

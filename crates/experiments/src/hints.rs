@@ -10,16 +10,18 @@
 //! Deliberately **not** part of `repro all`: the default pipeline must
 //! stay byte-identical to the committed goldens, and this arm exists
 //! precisely to measure the non-default `--hints` path against it.
+//! No kernel runs here: hints off is the context's memoized SW cell, and
+//! hints on a tag-checked replay of the hint-allocated kernel.
 
 use rfh_alloc::AllocConfig;
-use rfh_energy::{AccessCounts, EnergyModel};
+use rfh_energy::AccessCounts;
 use rfh_sim::counts::SwCounter;
 use rfh_sim::exec::ExecMode;
 use rfh_testkit::pool::par_map;
-use rfh_workloads::Workload;
 
+use crate::ctx::ExperimentCtx;
 use crate::report::{norm, Table};
-use crate::runner::{baseline_counts, normalized_energy};
+use crate::runner::normalized_energy;
 
 /// One workload's hints-off vs. hints-on comparison.
 #[derive(Debug, Clone)]
@@ -48,38 +50,38 @@ impl HintsRow {
     }
 }
 
-fn counted(w: &Workload, cfg: &AllocConfig, model: &EnergyModel, hints: bool) -> AccessCounts {
-    let mut kernel = w.kernel.clone();
-    rfh_alloc::allocate_with_hints(&mut kernel, cfg, model, hints)
-        .unwrap_or_else(|e| panic!("{}: allocation failed: {e}", w.name));
-    let mut counter = SwCounter::default();
-    w.run_and_verify(ExecMode::Hierarchy(*cfg), &kernel, &mut [&mut counter])
-        .unwrap_or_else(|e| panic!("hinted run failed: {e}"));
-    counter.counts()
-}
-
-/// Runs every workload under the paper's best configuration twice —
-/// default allocation and hint-guided allocation — verifying both runs
-/// against the host reference. Cells fan out over the `RFH_JOBS` pool.
+/// Counts every workload under the paper's best configuration twice —
+/// default allocation and hint-guided allocation. Workloads fan out over
+/// the `RFH_JOBS` pool.
 ///
 /// # Panics
 ///
-/// Panics if any workload fails to allocate, execute, or verify — in
-/// either mode; the hinted pipeline is held to the same bar as the
-/// default one.
-pub fn run(workloads: &[Workload]) -> Vec<HintsRow> {
+/// Panics if a baseline run fails to verify, or if either allocation
+/// fails or is rejected by the tag model; the hinted pipeline is held to
+/// the same bar as the default one.
+pub fn run(ctx: &ExperimentCtx) -> Vec<HintsRow> {
     let cfg = AllocConfig::three_level(3, true);
-    let model = EnergyModel::paper();
-    let idx: Vec<usize> = (0..workloads.len()).collect();
+    let model = ctx.model();
+    let idx: Vec<usize> = (0..ctx.workloads().len()).collect();
     par_map(&idx, |&i| {
-        let w = &workloads[i];
-        let base = baseline_counts(w);
-        let off = counted(w, &cfg, &model, false);
-        let on = counted(w, &cfg, &model, true);
+        let w = &ctx.workloads()[i];
+        let base = ctx.baseline(i);
+        let off = ctx.sw_counts(i, &cfg);
+        let mut kernel = w.kernel.clone();
+        rfh_alloc::allocate_with_hints(&mut kernel, &cfg, model, true)
+            .unwrap_or_else(|e| panic!("{}: allocation failed: {e}", w.name));
+        let mut on = AccessCounts::default();
+        ctx.replay(
+            i,
+            &kernel,
+            ExecMode::Hierarchy(cfg),
+            SwCounter::default,
+            |c, warps| on += c.counts() * warps,
+        );
         HintsRow {
             name: w.name.clone(),
-            energy_off: normalized_energy(&off, &base, &model, cfg.orf_entries),
-            energy_on: normalized_energy(&on, &base, &model, cfg.orf_entries),
+            energy_off: normalized_energy(&off, &base, model, cfg.orf_entries),
+            energy_on: normalized_energy(&on, &base, model, cfg.orf_entries),
             off,
             on,
         }
@@ -128,7 +130,7 @@ mod tests {
     #[test]
     fn hints_never_hurt_and_help_somewhere() {
         let ws = rfh_workloads::all();
-        let rows = run(&ws);
+        let rows = run(&ExperimentCtx::new(&ws));
         assert!(rows.len() >= 15);
         for r in &rows {
             assert!(

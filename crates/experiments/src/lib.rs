@@ -34,11 +34,12 @@
 //! cells out over `rfh_testkit::pool::par_map` (`RFH_JOBS` controls the
 //! worker count). Each workload executes once: its verified baseline run
 //! also records its distinct per-warp instruction traces, and every HW
-//! batch and SW cell is counted by replaying that record
-//! (`rfh_sim::exec::replay`), with every operand read of an allocated
-//! kernel checked by a value-free tag model. The SW cells' per-strand
-//! counts also feed the §7 oracle. Results are folded in input order, so
-//! output is byte-identical for any `RFH_JOBS` value.
+//! batch, SW cell, instruction mix, hinted kernel and timing trace comes
+//! from that record (`rfh_sim::exec::replay`), with every operand read of
+//! an allocated kernel checked by a value-free tag model; only [`fig2`]
+//! executes on its own. The SW cells' per-strand counts also feed the §7
+//! oracle. Results are folded in input order, so output is byte-identical
+//! for any `RFH_JOBS` value.
 
 pub mod ablation;
 pub mod characterize;

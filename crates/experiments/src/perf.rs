@@ -1,13 +1,13 @@
 //! §6 performance verification: the two-level warp scheduler loses no
 //! performance with 8 active warps.
 //!
-//! Captures each workload's dynamic trace once and replays it through the
-//! cycle-level scheduler with various active-set sizes, reporting runtime
-//! normalized to the single-level (all-warps-schedulable) baseline.
+//! Expands each workload's recorded baseline stream into timing traces
+//! once and replays them through the cycle-level scheduler with various
+//! active-set sizes, reporting runtime normalized to the single-level
+//! (all-warps-schedulable) baseline. No kernel runs here.
 
-use rfh_sim::exec::{execute_with, ExecMode};
 use rfh_sim::machine::MachineConfig;
-use rfh_sim::timing::{simulate_timing, TimingConfig, TraceCapture};
+use rfh_sim::timing::{simulate_timing, CtaMap, TimingConfig, TraceOp};
 use rfh_testkit::pool::par_map;
 
 use crate::ctx::ExperimentCtx;
@@ -24,45 +24,33 @@ pub struct PerfPoint {
     pub normalized_runtime: f64,
 }
 
-/// Runs the scheduler sweep. Trace capture fans out per workload and the
-/// timing replays fan out per (active-size × workload) cell over the
+/// Runs the scheduler sweep. Trace expansion fans out per workload and
+/// the timing replays fan out per (active-size × workload) cell over the
 /// `RFH_JOBS` pool.
 ///
 /// # Panics
 ///
-/// Panics if any workload fails to execute.
+/// Panics if a workload's recorded baseline run fails or mismatches its
+/// host reference.
 pub fn run(ctx: &ExperimentCtx, active_sizes: &[usize]) -> Vec<PerfPoint> {
     let machine = MachineConfig::paper();
-    let captures: Vec<TraceCapture> = par_map(ctx.workloads(), |w| {
-        let mut cap = TraceCapture::new(machine.clone(), w.launch.threads_per_cta);
-        let mut mem = w.memory.clone();
-        execute_with(
-            &w.kernel,
-            &w.launch,
-            &mut mem,
-            ExecMode::Baseline,
-            &machine,
-            &mut [&mut cap],
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        cap
-    });
-    let baselines: Vec<u64> = par_map(&captures, |c| {
-        simulate_timing(&c.traces, &|w| c.cta_of(w), &TimingConfig::single_level())
-            .unwrap_or_else(|e| panic!("captured trace replay failed: {e}"))
+    let n = ctx.workloads().len();
+    let idx: Vec<usize> = (0..n).collect();
+    let traces: Vec<Vec<Vec<TraceOp>>> = par_map(&idx, |&i| ctx.stream(i).timing_traces(&machine));
+    let cycles = |i: usize, cfg: &TimingConfig| {
+        let ctas = CtaMap::new(&machine, ctx.workloads()[i].launch.threads_per_cta);
+        simulate_timing(&traces[i], &|w| ctas.cta_of(w), cfg)
+            .unwrap_or_else(|e| panic!("recorded trace replay failed: {e}"))
             .cycles
-    });
+    };
+    let baselines: Vec<u64> = par_map(&idx, |&i| cycles(i, &TimingConfig::single_level()));
 
-    let n = captures.len();
     let cells: Vec<(usize, usize)> = active_sizes
         .iter()
         .flat_map(|&a| (0..n).map(move |i| (a, i)))
         .collect();
     let ratios: Vec<f64> = par_map(&cells, |&(a, i)| {
-        let c = &captures[i];
-        let t = simulate_timing(&c.traces, &|w| c.cta_of(w), &TimingConfig::two_level(a))
-            .unwrap_or_else(|e| panic!("captured trace replay failed: {e}"));
-        t.cycles as f64 / baselines[i] as f64
+        cycles(i, &TimingConfig::two_level(a)) as f64 / baselines[i] as f64
     });
     active_sizes
         .iter()

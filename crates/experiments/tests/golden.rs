@@ -95,10 +95,11 @@ fn ablation_matches_golden() {
 
 /// `repro hints` is not part of `repro all`; regenerate its golden with
 /// `cargo run --release -p rfh-experiments --bin repro -- --csv results hints`.
-/// It is the only arm that executes hint-allocated (guarded-entry) kernels
-/// in hierarchy mode.
+/// It is the only arm that checks hint-allocated (guarded-entry) kernels
+/// in hierarchy mode, by a tag-checked replay of the recorded baseline.
 #[test]
 fn hints_match_golden() {
     let ws = rfh_workloads::all();
-    assert_csv_matches("hints.csv", &csv::hints_csv(&hints::run(&ws)));
+    let ctx = ExperimentCtx::new(&ws);
+    assert_csv_matches("hints.csv", &csv::hints_csv(&hints::run(&ctx)));
 }

@@ -81,7 +81,7 @@ pub use builder::KernelBuilder;
 pub use error::IsaError;
 pub use instr::{Dst, Instruction, PredGuard};
 pub use kernel::{BasicBlock, BlockId, InstrRef, Kernel};
-pub use opcode::{CmpOp, Opcode, SfuOp, Space, Unit};
+pub use opcode::{eval_alu, eval_cmp, CmpOp, Opcode, SfuOp, Space, Unit};
 pub use operand::{Operand, Slot, Special};
 pub use parser::parse_kernel;
 pub use placement::{Level, ReadLoc, WriteLoc};

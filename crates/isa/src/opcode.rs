@@ -403,6 +403,99 @@ impl fmt::Display for Opcode {
     }
 }
 
+/// Evaluates a private-datapath ALU opcode on one lane's operand words, or
+/// `None` when `op` is not an ALU opcode (control flow, memory, barriers —
+/// dispatched elsewhere). The one scalar semantics of the simulator and the
+/// abstract interpreter.
+#[inline]
+pub fn eval_alu(op: Opcode, a: u32, b: u32, c: u32) -> Option<u32> {
+    let (ia, ib, ic) = (a as i32, b as i32, c as i32);
+    let (fa, fb, fc) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
+    let v = match op {
+        Opcode::IAdd => ia.wrapping_add(ib) as u32,
+        Opcode::ISub => ia.wrapping_sub(ib) as u32,
+        Opcode::IMul => ia.wrapping_mul(ib) as u32,
+        Opcode::IMad => ia.wrapping_mul(ib).wrapping_add(ic) as u32,
+        Opcode::IMin => ia.min(ib) as u32,
+        Opcode::IMax => ia.max(ib) as u32,
+        Opcode::And => a & b,
+        Opcode::Or => a | b,
+        Opcode::Xor => a ^ b,
+        Opcode::Shl => a.wrapping_shl(b & 31),
+        Opcode::Shr => a.wrapping_shr(b & 31),
+        Opcode::FAdd => first_nan(fa + fb, a, b),
+        Opcode::FSub => first_nan(fa - fb, a, b),
+        Opcode::FMul => first_nan(fa * fb, a, b),
+        Opcode::FFma => fa.mul_add(fb, fc).to_bits(),
+        Opcode::FMin => first_nan(fa.min(fb), a, b),
+        Opcode::FMax => first_nan(fa.max(fb), a, b),
+        Opcode::Mov => a,
+        Opcode::I2F => (ia as f32).to_bits(),
+        Opcode::F2I => {
+            if fa.is_nan() {
+                0
+            } else {
+                (fa as i32) as u32
+            }
+        }
+        Opcode::Sfu(f) => {
+            let v = match f {
+                SfuOp::Rcp => 1.0 / fa,
+                SfuOp::Rsqrt => 1.0 / fa.sqrt(),
+                SfuOp::Sqrt => fa.sqrt(),
+                SfuOp::Sin => fa.sin(),
+                SfuOp::Cos => fa.cos(),
+                SfuOp::Ex2 => fa.exp2(),
+                SfuOp::Lg2 => fa.log2(),
+            };
+            v.to_bits()
+        }
+        _ => return None,
+    };
+    Some(v)
+}
+
+/// The bits of `r`, the result of a two-operand float op on `a` and `b`;
+/// when it is NaN and so is an operand, the first NaN operand, quieted.
+/// That is x86's rule in source order, spelled out because LLVM may
+/// commute the operands of `fadd`, `fmul`, `fmin` and `fmax`, which would
+/// make the payload depend on where [`eval_alu`] is inlined.
+#[inline]
+fn first_nan(r: f32, a: u32, b: u32) -> u32 {
+    if !r.is_nan() {
+        return r.to_bits();
+    }
+    let nan = [a, b].into_iter().find(|&w| f32::from_bits(w).is_nan());
+    nan.map_or(r.to_bits(), |w| w | 0x0040_0000)
+}
+
+/// Evaluates a `setp` (`float == false`: signed integer) or `fsetp`
+/// (float) comparison.
+#[inline]
+pub fn eval_cmp(cmp: CmpOp, float: bool, a: u32, b: u32) -> bool {
+    if float {
+        let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
+        match cmp {
+            CmpOp::Eq => fa == fb,
+            CmpOp::Ne => fa != fb,
+            CmpOp::Lt => fa < fb,
+            CmpOp::Le => fa <= fb,
+            CmpOp::Gt => fa > fb,
+            CmpOp::Ge => fa >= fb,
+        }
+    } else {
+        let (ia, ib) = (a as i32, b as i32);
+        match cmp {
+            CmpOp::Eq => ia == ib,
+            CmpOp::Ne => ia != ib,
+            CmpOp::Lt => ia < ib,
+            CmpOp::Le => ia <= ib,
+            CmpOp::Gt => ia > ib,
+            CmpOp::Ge => ia >= ib,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,6 +558,24 @@ mod tests {
         assert_eq!(Opcode::Ld(Space::Global).to_string(), "ld.global");
         assert_eq!(Opcode::Sfu(SfuOp::Rsqrt).to_string(), "rsqrt");
         assert_eq!(Opcode::FFma.to_string(), "ffma");
+    }
+
+    #[test]
+    fn float_ops_propagate_the_first_nan_operand() {
+        // -27 and -34 are quiet NaNs with different payloads.
+        let (a, b) = (-27i32 as u32, -34i32 as u32);
+        for op in [
+            Opcode::FAdd,
+            Opcode::FSub,
+            Opcode::FMul,
+            Opcode::FMin,
+            Opcode::FMax,
+        ] {
+            assert_eq!(eval_alu(op, a, b, 0), Some(a), "{op}");
+            assert_eq!(eval_alu(op, b, a, 0), Some(b), "{op}");
+        }
+        // A signaling NaN comes back quieted.
+        assert_eq!(eval_alu(Opcode::FAdd, 1, 0x7f80_0001, 0), Some(0x7fc0_0001));
     }
 
     #[test]

@@ -39,7 +39,9 @@ use std::fmt;
 
 use rfh_alloc::AllocConfig;
 use rfh_isa::access::{AccessKind, AccessPlan, Place};
-use rfh_isa::{CmpOp, InstrRef, Kernel, Opcode, SfuOp};
+use rfh_isa::{InstrRef, Kernel};
+
+pub use rfh_isa::{eval_alu, eval_cmp};
 
 use crate::machine::MachineConfig;
 use crate::mem::GlobalMemory;
@@ -173,81 +175,6 @@ impl Error for ExecError {}
 /// crosses a strand is caught either way.
 pub const POISON: u32 = 0xDEAD_BEE0;
 
-/// Evaluates a private-datapath ALU opcode, or `None` when `op` is not an
-/// ALU opcode (control flow, memory, barriers — dispatched elsewhere; the
-/// caller reports [`ExecError::Unsupported`] rather than panicking).
-pub fn eval_alu(op: Opcode, a: u32, b: u32, c: u32) -> Option<u32> {
-    let (ia, ib, ic) = (a as i32, b as i32, c as i32);
-    let (fa, fb, fc) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
-    let v = match op {
-        Opcode::IAdd => ia.wrapping_add(ib) as u32,
-        Opcode::ISub => ia.wrapping_sub(ib) as u32,
-        Opcode::IMul => ia.wrapping_mul(ib) as u32,
-        Opcode::IMad => ia.wrapping_mul(ib).wrapping_add(ic) as u32,
-        Opcode::IMin => ia.min(ib) as u32,
-        Opcode::IMax => ia.max(ib) as u32,
-        Opcode::And => a & b,
-        Opcode::Or => a | b,
-        Opcode::Xor => a ^ b,
-        Opcode::Shl => a.wrapping_shl(b & 31),
-        Opcode::Shr => a.wrapping_shr(b & 31),
-        Opcode::FAdd => (fa + fb).to_bits(),
-        Opcode::FSub => (fa - fb).to_bits(),
-        Opcode::FMul => (fa * fb).to_bits(),
-        Opcode::FFma => fa.mul_add(fb, fc).to_bits(),
-        Opcode::FMin => fa.min(fb).to_bits(),
-        Opcode::FMax => fa.max(fb).to_bits(),
-        Opcode::Mov => a,
-        Opcode::I2F => (ia as f32).to_bits(),
-        Opcode::F2I => {
-            if fa.is_nan() {
-                0
-            } else {
-                (fa as i32) as u32
-            }
-        }
-        Opcode::Sfu(f) => {
-            let v = match f {
-                SfuOp::Rcp => 1.0 / fa,
-                SfuOp::Rsqrt => 1.0 / fa.sqrt(),
-                SfuOp::Sqrt => fa.sqrt(),
-                SfuOp::Sin => fa.sin(),
-                SfuOp::Cos => fa.cos(),
-                SfuOp::Ex2 => fa.exp2(),
-                SfuOp::Lg2 => fa.log2(),
-            };
-            v.to_bits()
-        }
-        _ => return None,
-    };
-    Some(v)
-}
-
-/// Evaluates a `setp` (`float == false`) or `fsetp` comparison.
-pub fn eval_cmp(cmp: CmpOp, float: bool, a: u32, b: u32) -> bool {
-    if float {
-        let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
-        match cmp {
-            CmpOp::Eq => fa == fb,
-            CmpOp::Ne => fa != fb,
-            CmpOp::Lt => fa < fb,
-            CmpOp::Le => fa <= fb,
-            CmpOp::Gt => fa > fb,
-            CmpOp::Ge => fa >= fb,
-        }
-    } else {
-        let (ia, ib) = (a as i32, b as i32);
-        match cmp {
-            CmpOp::Eq => ia == ib,
-            CmpOp::Ne => ia != ib,
-            CmpOp::Lt => ia < ib,
-            CmpOp::Le => ia <= ib,
-            CmpOp::Gt => ia > ib,
-            CmpOp::Ge => ia >= ib,
-        }
-    }
-}
-
 /// Rejects placement annotations that reference hierarchy storage the
 /// executing configuration does not have. Run before execution so that
 /// corrupted annotations surface as [`ExecError::BadPlacement`] instead of
@@ -374,7 +301,7 @@ pub fn execute_with(
 mod tests {
     use super::*;
     use crate::sink::NullSink;
-    use rfh_isa::{ReadLoc, Space, WriteLoc};
+    use rfh_isa::{CmpOp, Opcode, ReadLoc, Space, WriteLoc};
 
     fn run(text: &str, mem_words: usize, init: &[(u32, u32)]) -> (GlobalMemory, ExecReport) {
         let kernel = rfh_isa::parse_kernel(text).unwrap();

@@ -12,10 +12,12 @@
 //!   baseline run. It records each warp's `(flat pc, active mask, exec
 //!   mask)` sequence and merges identical warp traces, so a [`Stream`]
 //!   holds each distinct trace once with the number of warps that issued
-//!   it.
+//!   it, and which distinct trace each global warp issued.
 //! * [`replay`] feeds a stream to fresh sinks against any kernel of the
 //!   recorded shape, decoded by the executor's own `soa::decode`, and
 //!   folds each distinct trace's sink with its warp count.
+//! * [`Stream::timing_traces`] expands the warp-to-trace map into the
+//!   per-warp traces the timing model replays.
 //!
 //! In hierarchy mode the replay checks placements with the tag model
 //! hierarchy-mode execution runs inline (`super::tags`), one tag state per
@@ -29,6 +31,7 @@ use super::tags::{TagPlan, Tags};
 use super::{check_launchable, soa, ExecError, ExecMode};
 use crate::machine::MachineConfig;
 use crate::sink::{InstrEvent, TraceSink};
+use crate::timing::TraceOp;
 
 /// One recorded warp instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +49,8 @@ pub struct Stream {
     /// Distinct warp traces in first-completion order, each with the
     /// number of warps that issued it.
     traces: Vec<(Vec<Step>, u64)>,
+    /// Per global warp, the index of the distinct trace it issued.
+    warp_trace: Vec<u32>,
     /// The recorded kernel, against which replayed kernels are checked.
     shape: Vec<Vec<Instruction>>,
 }
@@ -70,6 +75,25 @@ impl Stream {
     pub fn replayed_instructions(&self) -> u64 {
         self.traces.iter().map(|(t, _)| t.len() as u64).sum()
     }
+
+    /// The per-warp timing traces of the recorded run, by global warp, as a
+    /// [`TraceCapture`](crate::timing::TraceCapture) would capture them:
+    /// flat pcs mapped through one [`TraceOp::of`] table of the kernel.
+    pub fn timing_traces(&self, machine: &MachineConfig) -> Vec<Vec<TraceOp>> {
+        let table: Vec<TraceOp> = self
+            .shape
+            .iter()
+            .flatten()
+            .map(|i| TraceOp::of(i, machine))
+            .collect();
+        self.warp_trace
+            .iter()
+            .map(|&t| {
+                let steps = &self.traces[t as usize].0;
+                steps.iter().map(|s| table[s.pc as usize]).collect()
+            })
+            .collect()
+    }
 }
 
 /// Records a [`Stream`] from the run it observes (see the module docs).
@@ -82,6 +106,8 @@ pub struct StreamRecorder {
     /// In-flight traces, indexed by global warp id.
     live: Vec<Vec<Step>>,
     traces: Vec<(Vec<Step>, u64)>,
+    /// Completed warps' trace indices.
+    warp_trace: Vec<u32>,
 }
 
 impl StreamRecorder {
@@ -92,6 +118,7 @@ impl StreamRecorder {
             shape: kernel.blocks.iter().map(|b| b.instrs.clone()).collect(),
             live: Vec::new(),
             traces: Vec::new(),
+            warp_trace: Vec::new(),
         }
     }
 
@@ -99,6 +126,7 @@ impl StreamRecorder {
     pub fn finish(self) -> Stream {
         Stream {
             traces: self.traces,
+            warp_trace: self.warp_trace,
             shape: self.shape,
         }
     }
@@ -120,10 +148,16 @@ impl TraceSink for StreamRecorder {
         let Some(trace) = self.live.get_mut(warp).map(std::mem::take) else {
             return;
         };
-        match self.traces.iter_mut().find(|(t, _)| *t == trace) {
-            Some((_, warps)) => *warps += 1,
-            None => self.traces.push((trace, 1)),
+        let found = self.traces.iter().position(|(t, _)| *t == trace);
+        let id = found.unwrap_or_else(|| {
+            self.traces.push((trace, 0));
+            self.traces.len() - 1
+        });
+        self.traces[id].1 += 1;
+        if warp >= self.warp_trace.len() {
+            self.warp_trace.resize(warp + 1, u32::MAX);
         }
+        self.warp_trace[warp] = id as u32;
     }
 }
 
@@ -177,8 +211,8 @@ fn check_shape(kernel: &Kernel, stream: &Stream) -> Result<(), ExecError> {
 /// independent per-warp contributions: `SwCounter`, `StrandCounter`, and
 /// `HwCounter` (its per-warp cache state resets in `on_warp_done`, and its
 /// shared-datapath register set is fixed by the kernel). A sink that
-/// correlates warps — a timing capture, a per-warp profile — must observe
-/// a real execution instead.
+/// correlates warps — a timing capture, a per-warp profile — cannot be
+/// folded; timing reads [`Stream::timing_traces`] instead.
 ///
 /// # Errors
 ///
@@ -240,6 +274,7 @@ mod tests {
     use crate::counts::SwCounter;
     use crate::exec::{execute, execute_with, Launch};
     use crate::mem::GlobalMemory;
+    use crate::timing::{CtaMap, TraceCapture};
     use rfh_alloc::AllocConfig;
     use rfh_energy::{AccessCounts, EnergyModel};
     use rfh_isa::{ReadLoc, WriteLoc};
@@ -265,19 +300,25 @@ BB2:
   exit
 ";
 
+    /// Records a baseline run, checking that the stream's timing traces
+    /// equal a capture of the same run.
     fn record(kernel: &Kernel, launch: &Launch) -> (Stream, GlobalMemory, AccessCounts) {
+        let machine = MachineConfig::paper();
         let mut mem = GlobalMemory::new(256);
         let mut rec = StreamRecorder::new(kernel);
         let mut sw = SwCounter::default();
+        let mut cap = TraceCapture::new(machine.clone(), launch.threads_per_cta);
         execute(
             kernel,
             launch,
             &mut mem,
             ExecMode::Baseline,
-            &mut [&mut rec, &mut sw],
+            &mut [&mut rec, &mut sw, &mut cap],
         )
         .unwrap();
-        (rec.finish(), mem, sw.counts())
+        let stream = rec.finish();
+        assert_eq!(stream.timing_traces(&machine), cap.traces);
+        (stream, mem, sw.counts())
     }
 
     fn replay_sw(
@@ -313,9 +354,15 @@ BB2:
             replay_sw(&kernel, &stream, ExecMode::Baseline).unwrap(),
             base
         );
-        // A partial last warp issues different masks: a second trace.
-        let (stream, _, _) = record(&kernel, &Launch::new(1, 40));
-        assert_eq!((stream.distinct_traces(), stream.warps()), (2, 2));
+        // A partial last warp issues different masks: a second trace, and
+        // warps 0, 2 and 1, 3 share one in two CTAs.
+        let (stream, _, _) = record(&kernel, &Launch::new(2, 40));
+        assert_eq!((stream.distinct_traces(), stream.warps()), (2, 4));
+        let ctas = CtaMap::new(&MachineConfig::paper(), 40);
+        assert_eq!(
+            (0..4).map(|w| ctas.cta_of(w)).collect::<Vec<_>>(),
+            [0, 0, 1, 1]
+        );
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! (ALU/shared-memory) latencies while descheduling hides long (DRAM/
 //! texture) latencies.
 //!
-//! The model is trace driven: a [`TraceCapture`] sink records each warp's
-//! dynamic instruction stream (latency class, operands, unit); the
-//! scheduler then replays all warps with:
+//! The model is trace driven: a [`TraceCapture`] sink or a recorded
+//! [`Stream`](crate::exec::Stream) gives each warp's dynamic instruction
+//! stream (latency class, operands, unit); the scheduler then replays all
+//! warps with:
 //!
 //! * single-issue in-order issue per cycle across active warps
 //!   (round-robin);
@@ -29,7 +30,7 @@
 use std::error::Error;
 use std::fmt;
 
-use rfh_isa::Unit;
+use rfh_isa::{Instruction, Unit};
 
 use crate::machine::MachineConfig;
 use crate::sink::{InstrEvent, TraceSink};
@@ -230,43 +231,10 @@ pub struct TraceOp {
     pub srcs: [Option<u16>; 3],
 }
 
-/// Captures per-warp dynamic traces from the functional executor.
-#[derive(Debug)]
-pub struct TraceCapture {
-    machine: MachineConfig,
-    warps_per_cta: usize,
-    /// Dynamic instruction stream per warp.
-    pub traces: Vec<Vec<TraceOp>>,
-}
-
-impl TraceCapture {
-    /// Creates a capture sized for a launch of `ctas × threads_per_cta`.
-    pub fn new(machine: MachineConfig, threads_per_cta: usize) -> Self {
-        let warps_per_cta = threads_per_cta.div_ceil(machine.warp_width);
-        TraceCapture {
-            machine,
-            warps_per_cta,
-            traces: Vec::new(),
-        }
-    }
-
-    /// The CTA index of a warp.
-    pub fn cta_of(&self, warp: usize) -> usize {
-        warp / self.warps_per_cta
-    }
-
-    /// Warps per CTA in the captured launch.
-    pub fn warps_per_cta(&self) -> usize {
-        self.warps_per_cta
-    }
-}
-
-impl TraceSink for TraceCapture {
-    fn on_instr(&mut self, event: &InstrEvent<'_>) {
-        if self.traces.len() <= event.warp {
-            self.traces.resize_with(event.warp + 1, Vec::new);
-        }
-        let instr = event.instr;
+impl TraceOp {
+    /// The timing op of one issue of `instr` on `machine`, for every trace
+    /// source.
+    pub fn of(instr: &Instruction, machine: &MachineConfig) -> TraceOp {
         let mut dsts = [None, None];
         for (i, r) in instr.def_regs().enumerate().take(2) {
             dsts[i] = Some(r.index());
@@ -275,14 +243,68 @@ impl TraceSink for TraceCapture {
         for (i, (_, r)) in instr.reg_srcs().enumerate().take(3) {
             srcs[i] = Some(r.index());
         }
-        self.traces[event.warp].push(TraceOp {
-            latency: self.machine.latency(instr.op),
+        TraceOp {
+            latency: machine.latency(instr.op),
             unit: instr.op.unit(),
             long: instr.op.is_long_latency(),
             barrier: instr.op.is_barrier(),
             dsts,
             srcs,
-        });
+        }
+    }
+}
+
+/// The warp → CTA map of a launch, as the executor numbers global warps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CtaMap {
+    warps_per_cta: usize,
+}
+
+impl CtaMap {
+    /// The map of a launch with `threads_per_cta` threads per CTA.
+    pub fn new(machine: &MachineConfig, threads_per_cta: usize) -> Self {
+        CtaMap {
+            warps_per_cta: threads_per_cta.div_ceil(machine.warp_width),
+        }
+    }
+
+    /// The CTA index of a warp.
+    pub fn cta_of(self, warp: usize) -> usize {
+        warp / self.warps_per_cta
+    }
+}
+
+/// Captures per-warp dynamic traces from the functional executor.
+#[derive(Debug)]
+pub struct TraceCapture {
+    machine: MachineConfig,
+    ctas: CtaMap,
+    /// Dynamic instruction stream per warp.
+    pub traces: Vec<Vec<TraceOp>>,
+}
+
+impl TraceCapture {
+    /// Creates a capture sized for a launch of `ctas × threads_per_cta`.
+    pub fn new(machine: MachineConfig, threads_per_cta: usize) -> Self {
+        TraceCapture {
+            ctas: CtaMap::new(&machine, threads_per_cta),
+            machine,
+            traces: Vec::new(),
+        }
+    }
+
+    /// The CTA index of a warp.
+    pub fn cta_of(&self, warp: usize) -> usize {
+        self.ctas.cta_of(warp)
+    }
+}
+
+impl TraceSink for TraceCapture {
+    fn on_instr(&mut self, event: &InstrEvent<'_>) {
+        if self.traces.len() <= event.warp {
+            self.traces.resize_with(event.warp + 1, Vec::new);
+        }
+        self.traces[event.warp].push(TraceOp::of(event.instr, &self.machine));
     }
 }
 
@@ -432,7 +454,7 @@ pub fn pending_latency(
 /// Replays captured traces through the two-level scheduler.
 ///
 /// `cta_of` maps warp index → CTA (for barrier scoping); use
-/// [`TraceCapture::cta_of`].
+/// [`CtaMap::cta_of`] or [`TraceCapture::cta_of`].
 ///
 /// # Errors
 ///

@@ -110,14 +110,19 @@ for f in results/*.csv; do
 done
 cmp "$artifacts/repro.txt" "$artifacts/repro.jobs1.txt"
 echo "repro goldens byte-identical under RFH_JOBS=1 and RFH_JOBS=2"
-# `repro hints` is the only arm that executes hint-allocated kernels (whose
-# guarded ORF entries are read under the same guard) in hierarchy mode.
+# The arms that read the context's recorded baseline stream, run alone:
+# each fills a fresh context itself instead of after fig11's sweep, so
+# this pins that their output does not depend on arm order. `hints` is the
+# only arm that checks hint-allocated kernels (whose guarded ORF entries
+# are read under the same guard) in hierarchy mode.
 for jobs in 1 2; do
-    RFH_JOBS=$jobs ./target/release/repro --csv "$artifacts/hints-jobs$jobs" hints \
-        > /dev/null
-    cmp results/hints.csv "$artifacts/hints-jobs$jobs/hints.csv"
+    out="$artifacts/alone-jobs$jobs"
+    RFH_JOBS=$jobs ./target/release/repro --csv "$out" characterize perf hints > /dev/null
+    for f in characterize perf hints; do
+        cmp "results/$f.csv" "$out/$f.csv"
+    done
 done
-echo "hints golden byte-identical under RFH_JOBS=1 and RFH_JOBS=2"
+echo "characterize, perf and hints goldens byte-identical alone under RFH_JOBS=1 and RFH_JOBS=2"
 
 echo "==> lint smoke + golden diagnostics report"
 # The analyzer must accept the repo's own kernels: `rfhc lint` on a known

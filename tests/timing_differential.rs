@@ -24,9 +24,9 @@
 //! (default 600), and `RFH_JOBS` sets the worker count (outcomes fold in
 //! case order, so failures are identical at any job count).
 
-use rfh::sim::exec::{execute_with, ExecMode};
+use rfh::sim::exec::{execute_with, ExecMode, StreamRecorder};
 use rfh::sim::machine::MachineConfig;
-use rfh::sim::timing::{simulate_timing, SchedPolicy, TimingConfig, TraceCapture, TraceOp};
+use rfh::sim::timing::{simulate_timing, CtaMap, SchedPolicy, TimingConfig, TraceCapture, TraceOp};
 use rfh_testkit::pool::par_map;
 use rfh_testkit::prelude::*;
 
@@ -86,7 +86,8 @@ fn config_grid() -> Vec<(String, TimingConfig)> {
     grid
 }
 
-/// The full paper workload suite: trace once, replay under the grid.
+/// The full paper workload suite: trace once, replay under the grid. A
+/// `Stream` recorded by the same run must expand to the same traces.
 #[test]
 fn all_workloads_agree_on_both_engines() {
     let workloads = rfh::workloads::all();
@@ -95,6 +96,7 @@ fn all_workloads_agree_on_both_engines() {
     let grid = config_grid();
     let failures: Vec<String> = par_map(&workloads, |w| {
         let mut cap = TraceCapture::new(machine.clone(), w.launch.threads_per_cta);
+        let mut rec = StreamRecorder::new(&w.kernel);
         let mut mem = w.memory.clone();
         if let Err(e) = execute_with(
             &w.kernel,
@@ -102,9 +104,15 @@ fn all_workloads_agree_on_both_engines() {
             &mut mem,
             ExecMode::Baseline,
             &machine,
-            &mut [&mut cap],
+            &mut [&mut cap, &mut rec],
         ) {
             return vec![format!("{}: trace capture failed: {e}", w.name)];
+        }
+        let ctas = CtaMap::new(&machine, w.launch.threads_per_cta);
+        if rec.finish().timing_traces(&machine) != cap.traces
+            || (0..cap.traces.len()).any(|wi| ctas.cta_of(wi) != cap.cta_of(wi))
+        {
+            return vec![format!("{}: stream traces differ from the capture", w.name)];
         }
         grid.iter()
             .filter_map(|(cfg_name, cfg)| {
