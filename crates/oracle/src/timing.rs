@@ -404,6 +404,50 @@ BB2:
     }
 
     #[test]
+    fn a_retirement_never_releases_a_waiting_barrier() {
+        // Warps 0 and 1 of the one CTA wait at the barrier; warp 2 never
+        // reaches it and retires after both arrived. The arrival check
+        // alone releases a barrier, so the CTA deadlocks.
+        let bar = op(None, None, true);
+        let alu = |r: u16| op(Some(r), Some(r), false);
+        let traces = vec![vec![bar, alu(0)], vec![bar, alu(1)], vec![alu(2), alu(2)]];
+        for cfg in [TimingConfig::single_level(), TimingConfig::two_level(2)] {
+            let flat = simulate_timing(&traces, &|_| 0, &cfg);
+            let oracle = simulate(&traces, &|_| 0, &cfg);
+            assert_eq!(flat, oracle, "{cfg:?}");
+            let Err(TimingError::Deadlock { snapshot, .. }) = flat else {
+                panic!("{cfg:?}: expected a deadlock, got {flat:?}");
+            };
+            let waiting: Vec<_> = snapshot
+                .warps
+                .iter()
+                .map(|w| (w.warp, w.at_barrier))
+                .collect();
+            assert_eq!(waiting, [(0, true), (1, true)], "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn the_last_live_sibling_releases_the_barrier() {
+        // Warp 1 retires without a barrier while warp 0 waits; warp 2
+        // arrives last, after a dependent chain, and its arrival meets
+        // the CTA's live count: the barrier releases.
+        let bar = op(None, None, true);
+        let alu = |r: u16| op(Some(r), Some(r), false);
+        let traces = vec![
+            vec![bar, alu(0)],
+            vec![alu(1)],
+            vec![alu(2), alu(2), alu(2), bar, alu(2)],
+        ];
+        for cfg in [TimingConfig::single_level(), TimingConfig::two_level(2)] {
+            let flat = simulate_timing(&traces, &|_| 0, &cfg);
+            let oracle = simulate(&traces, &|_| 0, &cfg);
+            assert_eq!(flat, oracle, "{cfg:?}");
+            assert_eq!(flat.expect("barrier releases").instructions, 8, "{cfg:?}");
+        }
+    }
+
+    #[test]
     fn zero_active_warps_is_a_config_error() {
         let traces = vec![vec![op(Some(0), Some(0), false)]];
         let err = simulate(&traces, &|_| 0, &TimingConfig::two_level(0)).unwrap_err();

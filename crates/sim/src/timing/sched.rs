@@ -7,12 +7,28 @@
 //! whose warps all reached its barrier, and refills the active set. A
 //! cycle in which nothing happens fast-forwards to the next event.
 //!
+//! A cycle costs O(active) and a fast-forward O(active + log n), because
+//! the loop keeps what the last cycle knew instead of recomputing it:
+//!
+//! * each warp caches two cycles of its next op — when all its sources
+//!   are ready, and when its long-latency (DRAM/texture) sources are —
+//!   refreshed only when that warp issues, since a warp's scoreboard
+//!   changes only at its own issue;
+//! * pending warps wait in two min-heaps: the *eligible* heap of warp
+//!   indices whose resume cycle has come (popped lowest first, the
+//!   oracle's activation order) and the *sleeping* heap of descheduled
+//!   warps keyed by `(resume, index)`, which feeds the eligible heap as
+//!   the clock reaches each resume cycle;
+//! * each CTA's member list and live (unretired) count are built once
+//!   from `cta_of`, so a barrier arrival compares two counters and a
+//!   release walks only that CTA's warps.
+//!
 //! Its semantics are exactly those of the frozen oracle in the
-//! test-only `rfh-oracle` crate; the differences are representational only — a
-//! per-warp `Vec<bool>` long-latency set indexed like `reg_ready`
-//! instead of a hash set, and a retired-warp counter instead of a
-//! per-cycle scan for completion. `tests/timing_differential.rs` and the
+//! test-only `rfh-oracle` crate; `tests/timing_differential.rs` and the
 //! chaos timing layer hold the two to identical results and errors.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use rfh_isa::Unit;
 
@@ -24,22 +40,10 @@ use super::{
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Status {
     Active,
-    Pending { resume: u64 },
+    /// Off the active set, in the eligible or the sleeping heap.
+    Pending,
     AtBarrier,
     Done,
-}
-
-struct Warp {
-    next: usize,
-    status: Status,
-    /// Cycle at which each register's pending result is ready.
-    reg_ready: Vec<u64>,
-    /// Whether each register's pending result comes from a long-latency
-    /// (DRAM/texture) op; indexed like `reg_ready`.
-    long: Vec<bool>,
-    /// Sticky: the warp was descheduled at least once (deadlock snapshot
-    /// only).
-    ever_descheduled: bool,
 }
 
 /// Slot of a quarter-rate shared-datapath unit in the `unit_free` array;
@@ -59,14 +63,48 @@ fn unit_ready(unit_free: &[u64; 3], unit: Unit) -> u64 {
     shared_slot(unit).map_or(0, |s| unit_free[s])
 }
 
-/// Cycle at which every source of `op` is ready.
-fn operands_ready(op: &TraceOp, reg_ready: &[u64]) -> u64 {
-    op.srcs
-        .iter()
-        .flatten()
-        .map(|r| reg_ready[*r as usize])
-        .max()
-        .unwrap_or(0)
+/// `(ready_at, long_ready)` of `op`: the cycle at which all its sources
+/// are ready, and the cycle at which its long-latency sources are. The
+/// oracle's "blocked on an in-flight long-latency result" test at cycle
+/// `now` is exactly `long_ready > now`.
+fn ready_cycles(op: &TraceOp, reg_ready: &[u64], long: &[bool]) -> (u64, u64) {
+    let mut ready = (0, 0);
+    for &r in op.srcs.iter().flatten() {
+        let at = reg_ready[r as usize];
+        ready.0 = ready.0.max(at);
+        if long[r as usize] {
+            ready.1 = ready.1.max(at);
+        }
+    }
+    ready
+}
+
+/// The pending warps: eligible (resume cycle come) and sleeping
+/// (descheduled until `resume`).
+struct Queues {
+    eligible: BinaryHeap<Reverse<usize>>,
+    sleeping: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl Queues {
+    /// Wakes the sleepers whose resume cycle has come, then refills
+    /// `active` up to `slots`, lowest warp index first.
+    fn activate(&mut self, now: u64, slots: usize, active: &mut Vec<usize>, status: &mut [Status]) {
+        while let Some(&Reverse((resume, wi))) = self.sleeping.peek() {
+            if resume > now {
+                break;
+            }
+            self.sleeping.pop();
+            self.eligible.push(Reverse(wi));
+        }
+        while active.len() < slots {
+            let Some(Reverse(wi)) = self.eligible.pop() else {
+                break;
+            };
+            status[wi] = Status::Active;
+            active.push(wi);
+        }
+    }
 }
 
 /// Replays `traces` under a validated `config`; see
@@ -84,29 +122,49 @@ pub(super) fn run(
         .copied()
         .max()
         .map_or(1, |r| r as usize + 1);
-    let mut warps: Vec<Warp> = traces
+
+    // Per-warp state. An empty trace has nothing to issue: it starts
+    // retired. Every other warp starts eligible with nothing in flight.
+    let mut status: Vec<Status> = traces
         .iter()
-        .map(|t| Warp {
-            next: 0,
-            // An empty trace has nothing to issue: it starts retired.
-            status: if t.is_empty() {
+        .map(|t| {
+            if t.is_empty() {
                 Status::Done
             } else {
-                Status::Pending { resume: 0 }
-            },
-            reg_ready: vec![0; regs],
-            long: vec![false; regs],
-            ever_descheduled: false,
+                Status::Pending
+            }
         })
         .collect();
+    let mut next = vec![0usize; n];
+    // `ready_cycles` of each warp's next op.
+    let mut ready = vec![(0u64, 0u64); n];
+    // Cycle at which each register's pending result is ready, and whether
+    // it comes from a long-latency op: `regs` entries per warp.
+    let mut reg_ready = vec![0u64; n * regs];
+    let mut long = vec![false; n * regs];
+    // Sticky: the warp was descheduled at least once (deadlock snapshot
+    // only).
+    let mut ever_descheduled = vec![false; n];
     let mut retired = traces.iter().filter(|t| t.is_empty()).count();
+
+    // Per-CTA barrier state.
+    let cta: Vec<usize> = (0..n).map(cta_of).collect();
+    let n_ctas = cta.iter().max().map_or(0, |c| c + 1);
+    let mut members = vec![Vec::new(); n_ctas];
+    let mut live = vec![0usize; n_ctas];
+    for (wi, &c) in cta.iter().enumerate() {
+        members[c].push(wi);
+        if status[wi] != Status::Done {
+            live[c] += 1;
+        }
+    }
+    let mut arrived = vec![0usize; n_ctas];
+
     let slots = if config.two_level {
         config.active_warps.min(n)
     } else {
         n
     };
-    let n_ctas = (0..n).map(cta_of).max().map_or(0, |c| c + 1);
-    let mut barrier_arrived = vec![0usize; n_ctas];
     let shared_issue = config.machine.shared_issue_cycles;
 
     let mut now: u64 = 0;
@@ -116,23 +174,16 @@ pub(super) fn run(
     // Cycle at which each shared unit (see `shared_slot`) can next issue.
     let mut unit_free = [0u64; 3];
 
-    // The active set, in activation order; refilled lowest-index first
-    // from the warps whose resume time has come.
-    let mut active: Vec<usize> = Vec::with_capacity(slots);
-    let activate = |warps: &mut [Warp], active: &mut Vec<usize>, now: u64| {
-        let mut from = 0;
-        while active.len() < slots {
-            let Some(i) = (from..warps.len())
-                .find(|&i| matches!(warps[i].status, Status::Pending { resume } if resume <= now))
-            else {
-                break;
-            };
-            warps[i].status = Status::Active;
-            active.push(i);
-            from = i + 1;
-        }
+    let mut queues = Queues {
+        eligible: (0..n)
+            .filter(|&wi| status[wi] == Status::Pending)
+            .map(Reverse)
+            .collect(),
+        sleeping: BinaryHeap::new(),
     };
-    activate(&mut warps, &mut active, now);
+    // The active set, in activation order.
+    let mut active: Vec<usize> = Vec::with_capacity(slots);
+    queues.activate(now, slots, &mut active, &mut status);
 
     while retired < n {
         if now > config.max_cycles {
@@ -140,118 +191,129 @@ pub(super) fn run(
                 limit: config.max_cycles,
             });
         }
-        let mut issued = false;
+        let mut event = false;
         let mut release_cta: Option<usize> = None;
-        let mut to_deschedule: Option<(usize, u64)> = None;
-        for k in 0..active.len() {
-            let wi = active[(rr + k) % active.len()];
-            let w = &mut warps[wi];
-            let op = traces[wi][w.next];
-
-            let ready_at = operands_ready(&op, &w.reg_ready);
+        let len = active.len();
+        // Position after `at` in the wrapping scan order.
+        let step = |at: usize| if at + 1 == len { 0 } else { at + 1 };
+        let mut at = if len == 0 { 0 } else { rr % len };
+        for _ in 0..len {
+            let wi = active[at];
+            let (ready_at, long_ready) = ready[wi];
             if ready_at > now {
-                let blocked_on_long = op
-                    .srcs
-                    .iter()
-                    .flatten()
-                    .any(|r| w.reg_ready[*r as usize] > now && w.long[*r as usize]);
-                if config.two_level && blocked_on_long {
-                    to_deschedule = Some((wi, ready_at));
+                if config.two_level && long_ready > now {
+                    deschedules += 1;
+                    status[wi] = Status::Pending;
+                    ever_descheduled[wi] = true;
+                    active.remove(at);
+                    queues.sleeping.push(Reverse((ready_at, wi)));
+                    event = true;
                     break;
                 }
-                continue; // short stall: wait in place
+                // Short stall: wait in place.
+                at = step(at);
+                continue;
             }
+            let trace = &traces[wi];
+            let op = &trace[next[wi]];
             if unit_ready(&unit_free, op.unit) > now {
+                at = step(at);
                 continue;
             }
 
-            // Issue.
-            for r in op.srcs.iter().flatten() {
-                if w.reg_ready[*r as usize] <= now {
-                    w.long[*r as usize] = false;
-                }
-            }
-            for d in op.dsts.iter().flatten() {
-                w.reg_ready[*d as usize] = now + op.latency;
-                w.long[*d as usize] = op.long;
+            // Issue. The oracle also clears the long flag of every ready
+            // source; a long flag is only read together with a ready
+            // cycle after `now`, which that register no longer has, so
+            // the clearing is unobservable and skipped.
+            let warp_regs = wi * regs..(wi + 1) * regs;
+            let (w_ready, w_long) = (&mut reg_ready[warp_regs.clone()], &mut long[warp_regs]);
+            for &d in op.dsts.iter().flatten() {
+                w_ready[d as usize] = now + op.latency;
+                w_long[d as usize] = op.long;
             }
             if let Some(s) = shared_slot(op.unit) {
                 unit_free[s] = now + shared_issue;
             }
-            w.next += 1;
+            next[wi] += 1;
             instructions += 1;
-            issued = true;
+            event = true;
             rr = match config.policy {
-                SchedPolicy::RoundRobin => (rr + k + 1) % active.len(),
+                SchedPolicy::RoundRobin => step(at),
                 SchedPolicy::Greedy => 0,
             };
 
-            if w.next == traces[wi].len() {
-                w.status = Status::Done;
+            let c = cta[wi];
+            if next[wi] == trace.len() {
+                status[wi] = Status::Done;
                 retired += 1;
-                active.retain(|&a| a != wi);
-            } else if op.barrier {
-                w.status = Status::AtBarrier;
-                active.retain(|&a| a != wi);
-                let cta = cta_of(wi);
-                barrier_arrived[cta] += 1;
-                let expected = (0..n)
-                    .filter(|&x| cta_of(x) == cta && warps[x].status != Status::Done)
-                    .count();
-                if barrier_arrived[cta] >= expected {
-                    release_cta = Some(cta);
+                live[c] -= 1;
+                active.remove(at);
+                break;
+            }
+            ready[wi] = ready_cycles(&trace[next[wi]], w_ready, w_long);
+            if op.barrier {
+                status[wi] = Status::AtBarrier;
+                active.remove(at);
+                arrived[c] += 1;
+                if arrived[c] >= live[c] {
+                    release_cta = Some(c);
                 }
             }
             break;
         }
 
-        if let Some((wi, resume)) = to_deschedule {
-            deschedules += 1;
-            warps[wi].status = Status::Pending { resume };
-            warps[wi].ever_descheduled = true;
-            active.retain(|&a| a != wi);
-        }
-        if let Some(cta) = release_cta {
-            barrier_arrived[cta] = 0;
-            for (x, w) in warps.iter_mut().enumerate() {
-                if w.status == Status::AtBarrier && cta_of(x) == cta {
-                    w.status = Status::Pending { resume: now };
+        if let Some(c) = release_cta {
+            arrived[c] = 0;
+            for &wi in &members[c] {
+                if status[wi] == Status::AtBarrier {
+                    status[wi] = Status::Pending;
+                    queues.eligible.push(Reverse(wi));
                 }
             }
         }
-        activate(&mut warps, &mut active, now);
+        queues.activate(now, slots, &mut active, &mut status);
 
-        if issued || to_deschedule.is_some() || release_cta.is_some() {
+        if event {
             now += 1;
             continue;
         }
 
-        // Nothing happened: fast-forward to the next event.
-        let mut next_event = u64::MAX;
-        for &wi in &active {
-            let w = &warps[wi];
-            let op = &traces[wi][w.next];
-            let ready = operands_ready(op, &w.reg_ready).max(unit_ready(&unit_free, op.unit));
-            next_event = next_event.min(ready.max(now + 1));
-        }
-        for w in &warps {
-            if let Status::Pending { resume } = w.status {
-                next_event = next_event.min(resume.max(now + 1));
-            }
+        // Nothing happened: fast-forward to the next event. The oracle
+        // also steps one cycle at a time while a warp waits in the
+        // eligible heap. That heap is non-empty only with a full active
+        // set, and until the next event here no active warp can issue,
+        // none can be descheduled (this cycle's scan found none blocked
+        // on a long-latency result, and a woken sleeper's operands are
+        // ready) and no slot frees, so those steps are idle and skipped.
+        let mut next_event = active
+            .iter()
+            .map(|&wi| {
+                ready[wi]
+                    .0
+                    .max(unit_ready(&unit_free, traces[wi][next[wi]].unit))
+            })
+            .min()
+            .unwrap_or(u64::MAX);
+        if let Some(&Reverse((resume, _))) = queues.sleeping.peek() {
+            next_event = next_event.min(resume);
         }
         if next_event == u64::MAX {
             let snapshot = DeadlockSnapshot {
-                warps: warps
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| w.status != Status::Done)
-                    .map(|(wi, w)| WarpSnapshot {
+                warps: (0..n)
+                    .filter(|&wi| status[wi] != Status::Done)
+                    .map(|wi| WarpSnapshot {
                         warp: wi,
-                        cta: cta_of(wi),
-                        pc: w.next,
-                        at_barrier: w.status == Status::AtBarrier,
-                        descheduled: w.ever_descheduled,
-                        pending_latency: pending_latency(traces, wi, w.next, &w.reg_ready, now),
+                        cta: cta[wi],
+                        pc: next[wi],
+                        at_barrier: status[wi] == Status::AtBarrier,
+                        descheduled: ever_descheduled[wi],
+                        pending_latency: pending_latency(
+                            traces,
+                            wi,
+                            next[wi],
+                            &reg_ready[wi * regs..(wi + 1) * regs],
+                            now,
+                        ),
                     })
                     .collect(),
             };
@@ -260,8 +322,8 @@ pub(super) fn run(
                 snapshot,
             });
         }
-        now = next_event;
-        activate(&mut warps, &mut active, now);
+        now = next_event.max(now + 1);
+        queues.activate(now, slots, &mut active, &mut status);
     }
 
     Ok(TimingResult {

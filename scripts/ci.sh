@@ -77,7 +77,10 @@ echo "==> timing differential smoke (flat engine vs frozen reference)"
 # the 35-workload grid and the generated-trace generator.
 RFH_JOBS=1 RFH_TIMING_DIFF_CASES=100 cargo test -q --offline --test timing_differential
 RFH_JOBS=8 RFH_TIMING_DIFF_CASES=100 cargo test -q --offline --test timing_differential
-echo "timing differential suite green under RFH_JOBS=1 and RFH_JOBS=8"
+# A deeper serial sweep of both generator families: 5000 cases each,
+# about 4 s for the whole test binary on 2 CPUs.
+RFH_JOBS=1 RFH_TIMING_DIFF_CASES=5000 cargo test -q --offline --test timing_differential
+echo "timing differential suite green under RFH_JOBS=1 and RFH_JOBS=8, and at 5000 cases"
 
 echo "==> timing chaos smoke (mutated traces and configs on both engines)"
 # Seeded trace and config mutants must replay identically on the flat

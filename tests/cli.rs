@@ -683,3 +683,29 @@ fn timing_active_and_single_level_are_exclusive() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
 }
+
+#[test]
+fn timing_of_a_wide_launch_is_pinned() {
+    // 8 CTAs × 256 threads = 64 warps: the single-level active set and
+    // the two-level eligible queue both hold many warps. The figures are
+    // those of the original scan-every-warp scheduler loop.
+    let kernel = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/trace_golden.rfasm");
+    let launch = ["--ctas", "8", "--threads", "256", kernel];
+    for (flags, expected) in [
+        (
+            &["--single-level"][..],
+            "cycles 1895 instructions 1856 deschedules 0 ipc 0.9794\n",
+        ),
+        (
+            &["--active", "8", "--greedy"],
+            "cycles 1911 instructions 1856 deschedules 0 ipc 0.9712\n",
+        ),
+    ] {
+        let mut args = vec!["timing"];
+        args.extend_from_slice(flags);
+        args.extend_from_slice(&launch);
+        let out = rfhc(&args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{args:?}");
+    }
+}

@@ -9,7 +9,7 @@
 //! snapshot, so a divergence in *how* the engines fail is caught as
 //! loudly as a divergence in what they compute.
 //!
-//! Two sources of cases:
+//! Three sources of cases:
 //!
 //! * the full 35-workload paper suite, traced once per workload and
 //!   replayed under a grid of scheduler configurations (single- and
@@ -17,10 +17,14 @@
 //! * a seeded generator of synthetic trace sets — random latency
 //!   classes, units, long flags, register pressure, empty warps, and
 //!   balanced *and deliberately unbalanced* barriers (the latter must
-//!   deadlock identically).
+//!   deadlock identically);
+//! * a wide variant of that generator — 33–96 warps under blocked,
+//!   interleaved (`w % ctas`) or uneven CTA maps — which fills the
+//!   single-level active set, the two-level pending queues and the
+//!   per-CTA barrier counters with many warps.
 //!
-//! Knobs: `RFH_TESTKIT_SEED` replays the generator sweep from a given
-//! base seed, `RFH_TIMING_DIFF_CASES` scales the generated case count
+//! Knobs: `RFH_TESTKIT_SEED` replays both generator sweeps from a given
+//! base seed, `RFH_TIMING_DIFF_CASES` scales each sweep's case count
 //! (default 600), and `RFH_JOBS` sets the worker count (outcomes fold in
 //! case order, so failures are identical at any job count).
 
@@ -195,24 +199,21 @@ fn barrier_op() -> TraceOp {
     }
 }
 
-/// One generated trace set: 1–3 CTAs of 1–4 warps, segmented by barriers
-/// that are balanced within each CTA ~90% of the time — the unbalanced
-/// rest must produce identical deadlock errors from both engines.
-fn generated_case(seed: u64) -> Result<(), String> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let ctas = rng.gen_range(1..=3usize);
-    let warps_per_cta = rng.gen_range(1..=4usize);
-    let segments = rng.gen_range(0..=3usize);
-    let balanced = rng.gen_range(0..10u32) < 9;
-
-    let n = ctas * warps_per_cta;
+/// Per-warp traces for `n` warps, each cut into `segments + 1` runs of
+/// 0–8 random ops by barriers. Unbalanced sets give warp 0 one barrier
+/// too few or too many, a CTA-level mismatch both engines must diagnose
+/// identically; ~5% of warps are emptied (the empty-warp edge case).
+fn random_traces(
+    rng: &mut SmallRng,
+    n: usize,
+    segments: usize,
+    balanced: bool,
+) -> Vec<Vec<TraceOp>> {
     let mut traces: Vec<Vec<TraceOp>> = Vec::with_capacity(n);
     for wi in 0..n {
         let mut trace = Vec::new();
         let mut barriers = segments;
         if !balanced && wi == 0 {
-            // Warp 0 runs one barrier short (or long): a CTA-level
-            // mismatch both engines must diagnose identically.
             barriers = if segments > 0 && rng.gen::<bool>() {
                 segments - 1
             } else {
@@ -221,19 +222,23 @@ fn generated_case(seed: u64) -> Result<(), String> {
         }
         for seg in 0..=barriers {
             for _ in 0..rng.gen_range(0..=8) {
-                trace.push(random_op(&mut rng));
+                trace.push(random_op(rng));
             }
             if seg < barriers {
                 trace.push(barrier_op());
             }
         }
         if rng.gen_range(0..100u32) < 5 {
-            trace.clear(); // the empty-warp edge case
+            trace.clear();
         }
         traces.push(trace);
     }
-    let cta_of = move |w: usize| w / warps_per_cta;
+    traces
+}
 
+/// A random scheduler config: two-level with 1–32 active warps ~70% of
+/// the time, else single-level; greedy ~30%; a tight budget ~10%.
+fn random_config(rng: &mut SmallRng) -> TimingConfig {
     let mut config = if rng.gen_range(0..10u32) < 7 {
         TimingConfig::two_level(rng.gen_range(1..=32))
     } else {
@@ -245,17 +250,57 @@ fn generated_case(seed: u64) -> Result<(), String> {
     if rng.gen_range(0..10u32) < 1 {
         config = config.with_max_cycles(rng.gen_range(50..=2000));
     }
+    config
+}
 
+/// One generated trace set: 1–3 CTAs of 1–4 warps, segmented by barriers
+/// that are balanced within each CTA ~90% of the time — the unbalanced
+/// rest must produce identical deadlock errors from both engines.
+fn generated_case(seed: u64) -> Result<(), String> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let ctas = rng.gen_range(1..=3usize);
+    let warps_per_cta = rng.gen_range(1..=4usize);
+    let segments = rng.gen_range(0..=3usize);
+    let balanced = rng.gen_range(0..10u32) < 9;
+
+    let traces = random_traces(&mut rng, ctas * warps_per_cta, segments, balanced);
+    let cta_of = move |w: usize| w / warps_per_cta;
+    let config = random_config(&mut rng);
     check_agreement(&format!("gen seed {seed:#018x}"), &traces, &cta_of, &config)
 }
 
-/// The generator sweep: 600 seeded trace sets (per
-/// `RFH_TIMING_DIFF_CASES`), each replayed on both engines.
-#[test]
-fn generated_traces_agree_on_both_engines() {
+/// One wide trace set: 33–96 warps, so the single-level active set and
+/// the two-level pending queue hold many warps, under a CTA map that is
+/// blocked, interleaved (`w % ctas`) or uneven (each warp in a random
+/// CTA, so CTAs differ in size and some may be empty).
+fn wide_case(seed: u64) -> Result<(), String> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let n = rng.gen_range(33..=96usize);
+    let ctas = rng.gen_range(1..=8usize);
+    let segments = rng.gen_range(0..=3usize);
+    let balanced = rng.gen_range(0..10u32) < 9;
+    let (map, cta): (&str, Vec<usize>) = match rng.gen_range(0..3u32) {
+        0 => ("blocked", (0..n).map(|w| w * ctas / n).collect()),
+        1 => ("interleaved", (0..n).map(|w| w % ctas).collect()),
+        _ => ("uneven", (0..n).map(|_| rng.gen_range(0..ctas)).collect()),
+    };
+
+    let traces = random_traces(&mut rng, n, segments, balanced);
+    let config = random_config(&mut rng);
+    check_agreement(
+        &format!("wide seed {seed:#018x} ({n} warps, {map} over {ctas} CTAs)"),
+        &traces,
+        &|w| cta[w],
+        &config,
+    )
+}
+
+/// Runs `case` on every seed of the generator sweep and reports every
+/// divergence.
+fn sweep(case: fn(u64) -> Result<(), String>) {
     let base = base_seed();
     let seeds = case_seeds(base, diff_cases());
-    let outcomes = par_map(&seeds, |&seed| generated_case(seed));
+    let outcomes = par_map(&seeds, |&seed| case(seed));
     let failures: Vec<String> = outcomes.into_iter().filter_map(Result::err).collect();
     assert!(
         failures.is_empty(),
@@ -265,4 +310,18 @@ fn generated_traces_agree_on_both_engines() {
         diff_cases(),
         failures.join("\n")
     );
+}
+
+/// The generator sweep: 600 seeded trace sets (per
+/// `RFH_TIMING_DIFF_CASES`), each replayed on both engines.
+#[test]
+fn generated_traces_agree_on_both_engines() {
+    sweep(generated_case);
+}
+
+/// The wide sweep: as many seeded wide trace sets, with interleaved and
+/// uneven CTA maps.
+#[test]
+fn wide_and_interleaved_traces_agree_on_both_engines() {
+    sweep(wide_case);
 }
