@@ -86,11 +86,6 @@ impl ValueInstance {
             .max()
             .unwrap_or(self.def_pos)
     }
-
-    /// Whether any allocable read occurs on the shared datapath.
-    pub fn has_shared_reads(&self) -> bool {
-        self.reads.iter().any(|r| r.unit.is_shared())
-    }
 }
 
 /// A value read in the strand but produced before it (§4.4).

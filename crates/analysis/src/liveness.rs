@@ -149,19 +149,6 @@ impl Liveness {
         }
         live
     }
-
-    /// Registers live immediately *before* the instruction at `at` executes.
-    pub fn live_before(&self, kernel: &Kernel, at: InstrRef) -> RegSet {
-        let mut live = self.live_after(kernel, at);
-        let ins = kernel.instr(at);
-        for r in strong_defs(ins) {
-            live.remove(r);
-        }
-        for (_, r) in ins.reg_srcs() {
-            live.insert(r);
-        }
-        live
-    }
 }
 
 fn kill_contains(k: &RegSet, r: rfh_isa::Reg) -> bool {

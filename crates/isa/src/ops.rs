@@ -217,13 +217,6 @@ pub fn ld_param(d: Reg, index: i32) -> Instruction {
         .with_src(index)
 }
 
-/// Load from per-thread local memory (long latency).
-pub fn ld_local(d: Reg, addr: Operand) -> Instruction {
-    Instruction::new(Opcode::Ld(Space::Local))
-        .with_dst(d)
-        .with_src(addr)
-}
-
 /// Store to global memory, `global[a] = b`.
 pub fn st_global(addr: Operand, value: Operand) -> Instruction {
     Instruction::new(Opcode::St(Space::Global))
@@ -234,13 +227,6 @@ pub fn st_global(addr: Operand, value: Operand) -> Instruction {
 /// Store to shared memory, `shared[a] = b`.
 pub fn st_shared(addr: Operand, value: Operand) -> Instruction {
     Instruction::new(Opcode::St(Space::Shared))
-        .with_src(addr)
-        .with_src(value)
-}
-
-/// Store to per-thread local memory.
-pub fn st_local(addr: Operand, value: Operand) -> Instruction {
-    Instruction::new(Opcode::St(Space::Local))
         .with_src(addr)
         .with_src(value)
 }

@@ -1,6 +1,7 @@
-//! The deterministic daemon client: framing, capped exponential backoff
-//! with seeded jitter, and the workload-replay load generator behind
-//! `rfhc client --replay-workloads`.
+//! The deterministic daemon client: framing, and capped exponential
+//! backoff with seeded jitter. It sends one request per call; the
+//! daemon's load generator is rfhbench's `daemon_edit` workload, which
+//! drives concurrent closed-loop clients of this type.
 //!
 //! Retries happen in exactly two situations — a failed dial and an
 //! `overloaded` error frame — because those are the only failures the
@@ -15,7 +16,7 @@
 //! byte-identically. An `overloaded` frame's `retry_after_ms` hint, when
 //! larger, takes precedence over the computed delay.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rfh_testkit::rng::{Rng, SeedableRng, SmallRng};
 
@@ -109,9 +110,8 @@ impl std::error::Error for ClientError {}
 ///
 /// One connection per request keeps the client trivially correct under
 /// daemon restarts and load shedding (a shed handshake never poisons a
-/// pooled connection); the replay load generator amortizes nothing and
-/// measures the daemon's full accept path on every request, which is the
-/// point of a robustness benchmark.
+/// pooled connection), and a load generator built on it measures the
+/// daemon's full accept path on every request.
 pub struct Client {
     endpoint: Endpoint,
     retry: RetryPolicy,
@@ -241,231 +241,6 @@ pub fn malformed_probe(endpoint: &Endpoint) -> Result<ErrorFrame, ClientError> {
             "daemon answered a malformed frame with success".into(),
         )),
         Err(f) => Ok(f),
-    }
-}
-
-/// Per-workload outcome of a replay run.
-#[derive(Debug, Clone)]
-pub struct ReplayEntry {
-    /// The workload name.
-    pub name: String,
-    /// `Ok(cached)` or the failure rendered as a string.
-    pub outcome: Result<bool, String>,
-}
-
-/// Aggregate result of `rfhc client --replay-workloads`.
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Per-workload entries, one per (round, workload), in completion
-    /// groups by round.
-    pub entries: Vec<ReplayEntry>,
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Full replay wall time in milliseconds.
-    pub wall_ms: u64,
-}
-
-impl ReplayReport {
-    /// Successful requests.
-    pub fn ok(&self) -> usize {
-        self.entries.iter().filter(|e| e.outcome.is_ok()).count()
-    }
-
-    /// Successful requests served from the daemon cache.
-    pub fn cached(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| matches!(e.outcome, Ok(true)))
-            .count()
-    }
-
-    /// Failed requests.
-    pub fn failed(&self) -> usize {
-        self.entries.len() - self.ok()
-    }
-}
-
-/// Replays every benchmark workload against a live daemon, `rounds`
-/// times, with `jobs` concurrent clients. The second and later rounds
-/// should be served from the daemon's result cache — the report's
-/// `cached` count is the check.
-///
-/// Each (round, workload) pair is one `simulate` request tagged with the
-/// workload's name, so the daemon re-runs the full pipeline (allocate →
-/// execute → verify against the host reference) per uncached request.
-pub fn replay_workloads(
-    endpoint: &Endpoint,
-    jobs: usize,
-    rounds: usize,
-    retry: RetryPolicy,
-) -> ReplayReport {
-    let names: Vec<String> = rfh_workloads::all().into_iter().map(|w| w.name).collect();
-    let started = Instant::now();
-    let mut entries = Vec::new();
-    for round in 0..rounds.max(1) {
-        let round_entries = rfh_testkit::pool::par_map_with_jobs(jobs, &names, |name| {
-            // Per-task clients: independent sockets, and a retry seed
-            // derived from the shared one so schedules are replayable
-            // but not lock-step.
-            let mut policy = retry.clone();
-            policy.seed =
-                policy.seed ^ crate::cache::fnv1a(name.as_bytes()) ^ ((round as u64) << 32);
-            let mut client = Client::new(endpoint.clone(), policy);
-            let outcome = client.request(vec![
-                ("op".to_string(), Json::str("simulate")),
-                ("workload".to_string(), Json::str(name)),
-            ]);
-            ReplayEntry {
-                name: name.clone(),
-                outcome: match outcome {
-                    Ok((_, cached)) => Ok(cached),
-                    Err(e) => Err(e.to_string()),
-                },
-            }
-        });
-        entries.extend(round_entries);
-    }
-    ReplayReport {
-        entries,
-        jobs,
-        wall_ms: started.elapsed().as_millis() as u64,
-    }
-}
-
-/// Per-workload outcome of an edit-replay run: one cold `allocate`, one
-/// re-`allocate` of the same kernel with a single immediate edited.
-#[derive(Debug, Clone)]
-pub struct EditReplayEntry {
-    /// The workload name.
-    pub name: String,
-    /// Strands in the kernel (from the cold round's stats).
-    pub strands: u64,
-    /// Strand-cache misses on the cold round (== strands when the cache
-    /// started empty for this kernel).
-    pub cold_misses: u64,
-    /// Strand-cache hits on the edited round: the unchanged strands
-    /// spliced from cache.
-    pub edit_hits: u64,
-    /// Strand-cache misses on the edited round: the re-allocated strands
-    /// (at most 1 when the edit touched a single strand).
-    pub edit_misses: u64,
-    /// Whether the kernel had an editable immediate (kernels without one
-    /// are re-submitted verbatim; the edited round is then all hits).
-    pub edited: bool,
-    /// The failure, if either round failed.
-    pub error: Option<String>,
-}
-
-/// Aggregate result of `rfhc client --edit-replay`.
-#[derive(Debug, Clone)]
-pub struct EditReplayReport {
-    /// Per-workload entries.
-    pub entries: Vec<EditReplayEntry>,
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Full replay wall time in milliseconds.
-    pub wall_ms: u64,
-}
-
-impl EditReplayReport {
-    /// Failed workloads.
-    pub fn failed(&self) -> usize {
-        self.entries.iter().filter(|e| e.error.is_some()).count()
-    }
-
-    /// Workloads whose edited round spliced every unchanged strand from
-    /// the strand cache (`edit_hits + edit_misses == strands` with
-    /// `edit_misses <= 1`).
-    pub fn fully_spliced(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| {
-                e.error.is_none()
-                    && e.edit_misses <= u64::from(e.edited)
-                    && e.edit_hits + e.edit_misses == e.strands
-            })
-            .count()
-    }
-}
-
-/// Edits one integer immediate in place, returning whether the kernel had
-/// one. The edit changes a single strand's canonical text and nothing
-/// else — control flow, def/use structure, and strand boundaries are all
-/// immediate-blind.
-fn edit_one_immediate(kernel: &mut rfh_isa::Kernel) -> bool {
-    for block in &mut kernel.blocks {
-        for instr in &mut block.instrs {
-            for src in &mut instr.srcs {
-                if let rfh_isa::Operand::Imm(v) = src {
-                    *v = v.wrapping_add(1);
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-fn strand_counter(payload: &Json, key: &str) -> Result<u64, String> {
-    payload
-        .get("stats")
-        .and_then(|s| s.get(key))
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("allocate response lacks stats.{key}"))
-}
-
-/// The before/after load generator for incremental allocation: for every
-/// benchmark workload, `allocate` the kernel cold, then edit exactly one
-/// immediate operand (one strand) and `allocate` again. Against a daemon
-/// with a strand cache the second round must splice every unchanged
-/// strand from cache — the report's `edit_hits` / `edit_misses` columns
-/// are the check.
-pub fn edit_replay(endpoint: &Endpoint, jobs: usize, retry: RetryPolicy) -> EditReplayReport {
-    let workloads = rfh_workloads::all();
-    let started = Instant::now();
-    let entries = rfh_testkit::pool::par_map_with_jobs(jobs, &workloads, |w| {
-        let mut policy = retry.clone();
-        policy.seed ^= crate::cache::fnv1a(w.name.as_bytes());
-        let mut client = Client::new(endpoint.clone(), policy);
-        let mut entry = EditReplayEntry {
-            name: w.name.clone(),
-            strands: 0,
-            cold_misses: 0,
-            edit_hits: 0,
-            edit_misses: 0,
-            edited: false,
-            error: None,
-        };
-        let run = |client: &mut Client, kernel: &rfh_isa::Kernel| {
-            let text = rfh_isa::printer::print_kernel(kernel);
-            client
-                .request(vec![
-                    ("op".to_string(), Json::str("allocate")),
-                    ("kernel".to_string(), Json::str(&text)),
-                ])
-                .map(|(payload, _)| payload)
-                .map_err(|e| e.to_string())
-        };
-        let cold_edit = (|| -> Result<(), String> {
-            let cold = run(&mut client, &w.kernel)?;
-            entry.strands = strand_counter(&cold, "strands")?;
-            entry.cold_misses = strand_counter(&cold, "strand_misses")?;
-            let mut edited = w.kernel.clone();
-            entry.edited = edit_one_immediate(&mut edited);
-            let warm = run(&mut client, &edited)?;
-            entry.edit_hits = strand_counter(&warm, "strand_hits")?;
-            entry.edit_misses = strand_counter(&warm, "strand_misses")?;
-            Ok(())
-        })();
-        if let Err(why) = cold_edit {
-            entry.error = Some(why);
-        }
-        entry
-    });
-    EditReplayReport {
-        entries,
-        jobs,
-        wall_ms: started.elapsed().as_millis() as u64,
     }
 }
 

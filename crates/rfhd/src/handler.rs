@@ -2,7 +2,7 @@
 //!
 //! [`decode_request`] turns a parsed JSON document into a typed
 //! [`Request`] (or a structured usage/protocol error frame), and
-//! [`handle`] runs one compute op to a `Result<Json, ErrorFrame>`.
+//! [`handle_with`] runs one compute op to a `Result<Json, ErrorFrame>`.
 //! Everything here is synchronous and side-effect-free — timeouts, panic
 //! isolation, caching, and socket I/O live in [`crate::server`], which
 //! wraps these functions.
@@ -22,11 +22,11 @@ use rfh_alloc::{
 use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::{IsaError, Kernel};
 use rfh_sim::counts::SwCounter;
-use rfh_sim::exec::{execute_with, ExecMode, Launch};
+use rfh_sim::exec::{execute_with, ExecMode, ExecReport, Launch};
 use rfh_sim::machine::MachineConfig;
 use rfh_sim::mem::GlobalMemory;
-use rfh_sim::timing::{simulate_timing, TimingConfig, TraceCapture};
-use rfh_sim::TraceExporter;
+use rfh_sim::timing::{check_resident, simulate_timing, TimingConfig, TraceCapture};
+use rfh_sim::{TraceExporter, TraceSink};
 
 use crate::cache::{fnv1a, Key, Store};
 use crate::json::Json;
@@ -50,8 +50,11 @@ pub enum Op {
     Allocate,
     /// Execute functionally; return the report, access counts, energy.
     Simulate,
-    /// Execute, capture the dynamic trace, replay it through the
-    /// two-level scheduler timing model.
+    /// Execute the unallocated kernel in baseline mode, capture its
+    /// dynamic trace, and replay it through the two-level scheduler
+    /// timing model. Placement sets energy, not latency, so `config` and
+    /// `baseline` do not affect the answer; a launch with more warps than
+    /// the machine holds resident is a usage error.
     Timing,
     /// Execute and export the structured instruction trace.
     Trace,
@@ -128,9 +131,10 @@ pub struct Request {
     pub op: Op,
     /// The kernel, for ops that need one.
     pub source: Option<KernelSource>,
-    /// Allocation configuration.
+    /// Allocation configuration (`timing` ignores it).
     pub config: AllocConfig,
-    /// Execute unallocated in baseline mode (simulate/timing/trace).
+    /// Execute unallocated in baseline mode (simulate/trace; `timing`
+    /// always does).
     pub baseline: bool,
     /// Launch geometry for [`KernelSource::Text`] kernels.
     pub ctas: usize,
@@ -328,7 +332,7 @@ pub fn decode_request(doc: &Json) -> Result<Request, ErrorFrame> {
 }
 
 /// Caps actually applied to one request: the server clamps client
-/// overrides to its configured maxima before calling [`handle`].
+/// overrides to its configured maxima before calling [`handle_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct Budgets {
     /// Instruction budget per warp for functional execution.
@@ -391,19 +395,57 @@ fn resolve(req: &Request) -> Result<Resolved, ErrorFrame> {
     }
 }
 
-/// Allocates (unless baseline) and returns the exec mode + alloc stats.
-fn prepare(
+/// What the shared execute step leaves behind.
+struct Executed<S> {
+    sink: S,
+    report: ExecReport,
+    /// The memory image after execution.
+    memory: GlobalMemory,
+    workload: Option<rfh_workloads::Workload>,
+}
+
+/// The one execute step of `simulate`, `timing` and `trace`: resolves
+/// the source, prepares the kernel (allocates it, or validates it in
+/// baseline mode; `timing` always runs the baseline), builds the
+/// budgeted machine, runs the kernel over the sink `sink_for` builds, and
+/// maps an execution failure to the `exec` frame.
+fn execute<S: TraceSink>(
     req: &Request,
-    kernel: &mut Kernel,
+    budgets: &Budgets,
     strands: Option<&StrandStore>,
-) -> Result<(ExecMode, Option<rfh_alloc::AllocStats>), ErrorFrame> {
-    if req.baseline {
-        rfh_isa::validate(kernel).map_err(isa_error)?;
-        Ok((ExecMode::Baseline, None))
+    sink_for: impl FnOnce(&Kernel, &Launch, &MachineConfig) -> Result<S, ErrorFrame>,
+) -> Result<Executed<S>, ErrorFrame> {
+    let Resolved {
+        mut kernel,
+        launch,
+        mut memory,
+        workload,
+    } = resolve(req)?;
+    let mode = if req.baseline || req.op == Op::Timing {
+        rfh_isa::validate(&kernel).map_err(isa_error)?;
+        ExecMode::Baseline
     } else {
-        let (stats, _) = allocate_via(kernel, &req.config, strands).map_err(alloc_error)?;
-        Ok((ExecMode::Hierarchy(req.config), Some(stats)))
-    }
+        allocate_via(&mut kernel, &req.config, strands).map_err(alloc_error)?;
+        ExecMode::Hierarchy(req.config)
+    };
+    let mut machine = MachineConfig::paper();
+    machine.max_warp_instructions = budgets.max_warp_instructions;
+    let mut sink = sink_for(&kernel, &launch, &machine)?;
+    let report = execute_with(
+        &kernel,
+        &launch,
+        &mut memory,
+        mode,
+        &machine,
+        &mut [&mut sink],
+    )
+    .map_err(|e| ErrorFrame::new(ErrorKind::Exec, e.to_string()))?;
+    Ok(Executed {
+        sink,
+        report,
+        memory,
+        workload,
+    })
 }
 
 fn counts_json(c: &AccessCounts) -> Json {
@@ -425,21 +467,11 @@ fn counts_json(c: &AccessCounts) -> Json {
 
 /// Runs one compute op. Infallible ops (`ping`) aside, every failure is a
 /// structured error frame; the server adds `catch_unwind` and the
-/// wall-clock timeout around this call.
-///
-/// Allocation runs monolithically; the daemon threads its per-strand
-/// cache through [`handle_with`] instead.
-///
-/// # Errors
-///
-/// An [`ErrorFrame`] in the class matching the pipeline failure.
-pub fn handle(req: &Request, budgets: &Budgets) -> Result<Json, ErrorFrame> {
-    handle_with(req, budgets, None)
-}
-
-/// [`handle`] with an optional per-strand allocation cache: ops that
-/// allocate (`allocate`, `simulate`, `timing`, `trace`) splice unchanged
-/// strands' placements from the store instead of recomputing them.
+/// wall-clock timeout around this call. With a per-strand allocation
+/// cache, ops that allocate (`allocate`, and `simulate` and `trace` unless
+/// `baseline`) splice unchanged strands' placements from the store
+/// instead of recomputing them; without one, allocation runs
+/// monolithically.
 ///
 /// # Errors
 ///
@@ -527,25 +559,15 @@ pub fn handle_with(
             ]))
         }
         Op::Simulate => {
-            let r = resolve(req)?;
-            let mut kernel = r.kernel;
-            let (mode, _) = prepare(req, &mut kernel, strands)?;
-            let mut machine = MachineConfig::paper();
-            machine.max_warp_instructions = budgets.max_warp_instructions;
-            let mut counter = SwCounter::default();
-            let mut mem = r.memory.clone();
-            let report = execute_with(
-                &kernel,
-                &r.launch,
-                &mut mem,
-                mode,
-                &machine,
-                &mut [&mut counter],
-            )
-            .map_err(|e| ErrorFrame::new(ErrorKind::Exec, e.to_string()))?;
-            let verified = match &r.workload {
+            let Executed {
+                sink: counter,
+                report,
+                memory,
+                workload,
+            } = execute(req, budgets, strands, |_, _, _| Ok(SwCounter::default()))?;
+            let verified = match &workload {
                 Some(w) => {
-                    (w.verify)(&w.memory, &mem)
+                    (w.verify)(&w.memory, &memory)
                         .map_err(|e| ErrorFrame::new(ErrorKind::Exec, format!("verify: {e}")))?;
                     Json::Bool(true)
                 }
@@ -576,22 +598,11 @@ pub fn handle_with(
             ]))
         }
         Op::Timing => {
-            let r = resolve(req)?;
-            let mut kernel = r.kernel;
-            let (mode, _) = prepare(req, &mut kernel, strands)?;
-            let mut machine = MachineConfig::paper();
-            machine.max_warp_instructions = budgets.max_warp_instructions;
-            let mut cap = TraceCapture::new(machine.clone(), r.launch.threads_per_cta);
-            let mut mem = r.memory.clone();
-            execute_with(
-                &kernel,
-                &r.launch,
-                &mut mem,
-                mode,
-                &machine,
-                &mut [&mut cap],
-            )
-            .map_err(|e| ErrorFrame::new(ErrorKind::Exec, e.to_string()))?;
+            let cap = execute(req, budgets, strands, |_, launch, machine| {
+                check_resident(launch, machine).map_err(|e| usage(e.to_string()))?;
+                Ok(TraceCapture::new(machine.clone(), launch.threads_per_cta))
+            })?
+            .sink;
             let config =
                 TimingConfig::two_level(req.active_warps).with_max_cycles(budgets.max_cycles);
             let t = simulate_timing(&cap.traces, &|w| cap.cta_of(w), &config)
@@ -604,22 +615,10 @@ pub fn handle_with(
             ]))
         }
         Op::Trace => {
-            let r = resolve(req)?;
-            let mut kernel = r.kernel;
-            let (mode, _) = prepare(req, &mut kernel, strands)?;
-            let mut machine = MachineConfig::paper();
-            machine.max_warp_instructions = budgets.max_warp_instructions;
-            let mut exporter = TraceExporter::new(&kernel);
-            let mut mem = r.memory.clone();
-            execute_with(
-                &kernel,
-                &r.launch,
-                &mut mem,
-                mode,
-                &machine,
-                &mut [&mut exporter],
-            )
-            .map_err(|e| ErrorFrame::new(ErrorKind::Exec, e.to_string()))?;
+            let exporter = execute(req, budgets, strands, |kernel, _, _| {
+                Ok(TraceExporter::new(kernel))
+            })?
+            .sink;
             Ok(Json::Obj(vec![
                 ("jsonl".into(), Json::str(exporter.json_lines())),
                 ("summary".into(), Json::str(exporter.summary())),
@@ -710,13 +709,13 @@ BB0:
     fn ping_needs_no_kernel() {
         let r = req("{\"schema\":\"rfhd-v1\",\"op\":\"ping\",\"id\":9}").expect("decodes");
         assert_eq!(r.id, 9);
-        let out = handle(&r, &budgets()).expect("pong");
+        let out = handle_with(&r, &budgets(), None).expect("pong");
         assert_eq!(out.get("pong").and_then(Json::as_bool), Some(true));
     }
 
     #[test]
     fn allocate_round_trips_a_kernel() {
-        let out = handle(&kernel_req("allocate"), &budgets()).expect("allocates");
+        let out = handle_with(&kernel_req("allocate"), &budgets(), None).expect("allocates");
         let text = out.get("text").and_then(Json::as_str).expect("text");
         assert!(text.contains("axpy"));
         let stats = out.get("stats").expect("stats");
@@ -725,7 +724,7 @@ BB0:
 
     #[test]
     fn simulate_reports_counts_and_energy() {
-        let out = handle(&kernel_req("simulate"), &budgets()).expect("simulates");
+        let out = handle_with(&kernel_req("simulate"), &budgets(), None).expect("simulates");
         let report = out.get("report").expect("report");
         assert!(report.get("warp_instructions").and_then(Json::as_u64) > Some(0));
         assert!(out.get("energy_pj").and_then(Json::as_f64) > Some(0.0));
@@ -740,21 +739,22 @@ BB0:
             ("workload".into(), Json::str("vectoradd")),
         ]);
         let r = decode_request(&doc).expect("decodes");
-        let out = handle(&r, &budgets()).expect("simulates");
+        let out = handle_with(&r, &budgets(), None).expect("simulates");
         assert_eq!(out.get("verified"), Some(&Json::Bool(true)));
     }
 
     #[test]
     fn timing_threads_the_cycle_budget() {
-        let out = handle(&kernel_req("timing"), &budgets()).expect("times");
+        let out = handle_with(&kernel_req("timing"), &budgets(), None).expect("times");
         assert!(out.get("cycles").and_then(Json::as_u64) > Some(0));
         // A one-cycle budget must come back as a structured timing error.
-        let e = handle(
+        let e = handle_with(
             &kernel_req("timing"),
             &Budgets {
                 max_warp_instructions: 1_000_000,
                 max_cycles: 1,
             },
+            None,
         )
         .expect_err("budget of 1 cycle");
         assert_eq!(e.kind, ErrorKind::Timing);
@@ -768,7 +768,7 @@ BB0:
             ("kernel".into(), Json::str("this is not a kernel")),
         ]);
         let r = decode_request(&doc).expect("decodes");
-        let e = handle(&r, &budgets()).expect_err("parse error");
+        let e = handle_with(&r, &budgets(), None).expect_err("parse error");
         assert_eq!(e.kind, ErrorKind::Parse);
     }
 
@@ -781,7 +781,7 @@ BB0:
         ]);
         let r = decode_request(&doc).expect("decodes");
         assert_eq!(
-            handle(&r, &budgets()).expect_err("unknown").kind,
+            handle_with(&r, &budgets(), None).expect_err("unknown").kind,
             ErrorKind::Usage
         );
     }
@@ -855,13 +855,13 @@ BB0:
         assert_eq!(hits1, miss0, "one hit per previously computed strand");
         // Identical output either way.
         assert_eq!(cold.get("text"), warm.get("text"));
-        let mono = handle(&r, &budgets()).expect("monolithic allocate");
+        let mono = handle_with(&r, &budgets(), None).expect("monolithic allocate");
         assert_eq!(mono.get("text"), warm.get("text"));
     }
 
     #[test]
     fn handle_without_store_omits_strand_counters() {
-        let out = handle(&kernel_req("allocate"), &budgets()).expect("allocates");
+        let out = handle_with(&kernel_req("allocate"), &budgets(), None).expect("allocates");
         assert!(out
             .get("stats")
             .and_then(|s| s.get("strand_hits"))

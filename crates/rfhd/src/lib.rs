@@ -25,8 +25,9 @@
 //! * [`server`] — listeners, the bounded worker pool, per-request panic
 //!   isolation and wall-clock timeouts, load shedding with retry hints,
 //!   and drain-then-exit shutdown.
-//! * [`client`] — capped exponential backoff with seeded jitter, and the
-//!   workload-replay load generator.
+//! * [`client`] — one request per call, with capped exponential backoff
+//!   and seeded jitter. The daemon's load generator is rfhbench's
+//!   `daemon_edit` workload, built on this client.
 //!
 //! The protocol chaos layer in `rfh_chaos` drives a live in-process
 //! daemon through seeded fault injection (truncated frames, garbage
@@ -42,11 +43,8 @@ pub mod proto;
 pub mod server;
 
 pub use cache::{fnv1a, CacheStats, Key, Store};
-pub use client::{
-    edit_replay, malformed_probe, replay_workloads, Client, ClientError, EditReplayReport,
-    ReplayReport, RetryPolicy,
-};
-pub use handler::{decode_request, handle, handle_with, Budgets, Op, Request, StrandStore};
+pub use client::{malformed_probe, Client, ClientError, RetryPolicy};
+pub use handler::{decode_request, handle_with, Budgets, Op, Request, StrandStore};
 pub use proto::{ErrorFrame, ErrorKind, SCHEMA};
 pub use rfh_testkit::json::{self, Json};
 pub use server::{Endpoint, Server, ServerConfig, ServerHandle, ServerReport};

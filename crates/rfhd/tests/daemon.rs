@@ -394,3 +394,149 @@ fn strand_cache_is_warmed_and_reported_by_stats() {
 
     shutdown_and_join(handle);
 }
+
+/// The golden trace kernel: three strands, a loop and an SFU op.
+const TRACE_GOLDEN: &str = include_str!("../../../examples/trace_golden.rfasm");
+
+fn stat(doc: &Json, block: &str, key: &str) -> u64 {
+    doc.get(block)
+        .and_then(|b| b.get(key))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("{block}.{key} reported"))
+}
+
+#[test]
+fn timing_replays_the_baseline_trace_whatever_the_config() {
+    use rfh_sim::exec::{execute_with, ExecMode};
+    use rfh_sim::machine::MachineConfig;
+    use rfh_sim::timing::{simulate_timing, TimingConfig, TraceCapture};
+
+    let handle = spawn_tcp(|_| {});
+    let mut c = client(&handle.endpoint);
+    // mandelbrot's loop trip count and histogram's bins are data
+    // dependent, so their warps diverge.
+    for name in ["vectoradd", "reduction", "mandelbrot", "histogram"] {
+        let w = rfh_workloads::by_name(name).expect("known workload");
+        let machine = MachineConfig::paper();
+        let mut cap = TraceCapture::new(machine.clone(), w.launch.threads_per_cta);
+        let mut mem = w.memory.clone();
+        execute_with(
+            &w.kernel,
+            &w.launch,
+            &mut mem,
+            ExecMode::Baseline,
+            &machine,
+            &mut [&mut cap],
+        )
+        .expect("baseline run");
+        // The active-warp counts of rfhbench's daemon_edit mix.
+        for active in [1u64, 2, 4, 6, 8, 16, 32] {
+            let want = simulate_timing(
+                &cap.traces,
+                &|w| cap.cta_of(w),
+                &TimingConfig::two_level(active as usize),
+            )
+            .expect("times");
+            // An allocating, non-default configuration: placement sets
+            // energy, not latency, so neither field reaches the answer.
+            let (got, _) = c
+                .request(vec![
+                    ("op".to_string(), Json::str("timing")),
+                    ("workload".to_string(), Json::str(name)),
+                    ("baseline".to_string(), Json::Bool(false)),
+                    (
+                        "config".to_string(),
+                        Json::Obj(vec![
+                            ("orf".to_string(), Json::u64(1)),
+                            ("lrf".to_string(), Json::str("unified")),
+                            ("partial".to_string(), Json::Bool(false)),
+                        ]),
+                    ),
+                    ("active_warps".to_string(), Json::u64(active)),
+                ])
+                .expect("timing");
+            let field = |k: &str| got.get(k).and_then(Json::as_u64);
+            assert_eq!(field("cycles"), Some(want.cycles), "{name} @{active}");
+            assert_eq!(
+                field("instructions"),
+                Some(want.instructions),
+                "{name} @{active}"
+            );
+            assert_eq!(
+                field("deschedules"),
+                Some(want.deschedules),
+                "{name} @{active}"
+            );
+            assert_eq!(
+                got.get("ipc").and_then(Json::as_f64),
+                Some((want.ipc() * 1e6).round() / 1e6),
+                "{name} @{active}"
+            );
+        }
+    }
+    // Timing never allocates, so it never touches the strand cache.
+    let (stats, _) = c.simple("stats").expect("stats");
+    assert_eq!(stat(&stats, "strand_cache", "misses"), 0);
+    assert_eq!(stat(&stats, "strand_cache", "hits"), 0);
+    shutdown_and_join(handle);
+}
+
+#[test]
+fn timing_rejects_a_launch_the_machine_cannot_hold() {
+    let handle = spawn_tcp(|_| {});
+    let mut c = client(&handle.endpoint);
+    let launch = |ctas: u64| {
+        let mut req = op_kernel("timing", TRACE_GOLDEN);
+        req.push(("ctas".to_string(), Json::u64(ctas)));
+        req.push(("threads".to_string(), Json::u64(256)));
+        req
+    };
+    // 4 × 256 threads = 32 warps, the full residency: the answer of
+    // `rfhc timing --ctas 4 --threads 256` at the default 8 active warps.
+    let (ok, _) = c.request(launch(4)).expect("32 warps fit");
+    assert_eq!(ok.get("cycles").and_then(Json::as_u64), Some(970));
+    // 8 × 256 threads = 64 warps is refused, naming both counts.
+    let f = expect_frame(c.request(launch(8)), ErrorKind::Usage);
+    assert!(
+        f.message.contains("64 warps") && f.message.contains("32 resident"),
+        "{}",
+        f.message
+    );
+    shutdown_and_join(handle);
+}
+
+#[test]
+fn simulate_splices_every_strand_an_allocate_cached() {
+    let handle = spawn_tcp(|_| {});
+    let mut c = client(&handle.endpoint);
+    let (alloc, _) = c
+        .request(op_kernel("allocate", TRACE_GOLDEN))
+        .expect("allocate");
+    let strands = stat(&alloc, "stats", "strands");
+    assert!(strands > 1, "a multi-strand kernel");
+    let (before, _) = c.simple("stats").expect("stats");
+    let (sim, cached) = c
+        .request(op_kernel("simulate", TRACE_GOLDEN))
+        .expect("simulate");
+    assert!(!cached, "a simulate is its own result-cache entry");
+    let (after, _) = c.simple("stats").expect("stats");
+    assert_eq!(
+        stat(&after, "strand_cache", "hits") - stat(&before, "strand_cache", "hits"),
+        strands,
+        "the simulate spliced every strand the allocate cached"
+    );
+    assert_eq!(
+        stat(&after, "strand_cache", "misses"),
+        stat(&before, "strand_cache", "misses"),
+        "and recomputed none"
+    );
+    shutdown_and_join(handle);
+
+    // A fresh daemon, with an empty strand cache, gives the same answer.
+    let fresh = spawn_tcp(|_| {});
+    let (cold, _) = client(&fresh.endpoint)
+        .request(op_kernel("simulate", TRACE_GOLDEN))
+        .expect("simulate on a fresh daemon");
+    assert_eq!(sim, cold);
+    shutdown_and_join(fresh);
+}

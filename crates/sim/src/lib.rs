@@ -81,8 +81,8 @@ pub use profile::EnergyProfiler;
 pub use rfc::{HwCounter, RfcConfig};
 pub use sink::TraceSink;
 pub use timing::{
-    simulate_timing, ConfigError, DeadlockSnapshot, LatencyClass, SchedPolicy, TimingConfig,
-    TimingError, TimingResult, WarpSnapshot, DEFAULT_MAX_CYCLES,
+    check_resident, simulate_timing, ConfigError, DeadlockSnapshot, LatencyClass, OverResident,
+    SchedPolicy, TimingConfig, TimingError, TimingResult, WarpSnapshot, DEFAULT_MAX_CYCLES,
 };
 pub use trace::TraceExporter;
 pub use usage::UsageStats;

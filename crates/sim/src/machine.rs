@@ -11,8 +11,6 @@ pub struct MachineConfig {
     pub warp_width: usize,
     /// Machine-resident warps per SM.
     pub resident_warps: usize,
-    /// Warps allowed to issue by the two-level scheduler.
-    pub active_warps: usize,
     /// Register file capacity in bytes.
     pub register_file_bytes: usize,
     /// Register bank capacity in bytes.
@@ -42,7 +40,6 @@ impl MachineConfig {
         MachineConfig {
             warp_width: 32,
             resident_warps: 32,
-            active_warps: 8,
             register_file_bytes: 128 * 1024,
             register_bank_bytes: 4 * 1024,
             shared_memory_bytes: 32 * 1024,

@@ -32,6 +32,7 @@ use std::fmt;
 
 use rfh_isa::{Instruction, Unit};
 
+use crate::exec::Launch;
 use crate::machine::MachineConfig;
 use crate::sink::{InstrEvent, TraceSink};
 
@@ -110,6 +111,50 @@ impl fmt::Display for ConfigError {
             }
         }
     }
+}
+
+/// A launch with more warps than the machine holds resident. The timing
+/// model has no CTA waves or occupancy limit: it replays every warp as
+/// resident at once, so its front ends reject such a launch through
+/// [`check_resident`] instead of timing an impossible residency.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OverResident {
+    /// Warps in the launch: `ctas × ceil(threads / warp_width)`.
+    pub warps: usize,
+    /// The machine's resident warps.
+    pub resident: usize,
+}
+
+impl fmt::Display for OverResident {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "launch of {} warps exceeds the machine's {} resident warps",
+            self.warps, self.resident
+        )
+    }
+}
+
+impl Error for OverResident {}
+
+/// Checks that every warp of `launch` fits on `machine` at once, the
+/// residency the timing model assumes.
+///
+/// # Errors
+///
+/// [`OverResident`], naming both warp counts, when the launch has more
+/// warps than [`MachineConfig::resident_warps`].
+pub fn check_resident(launch: &Launch, machine: &MachineConfig) -> Result<(), OverResident> {
+    let warps = launch
+        .ctas
+        .saturating_mul(launch.threads_per_cta.div_ceil(machine.warp_width));
+    if warps > machine.resident_warps {
+        return Err(OverResident {
+            warps,
+            resident: machine.resident_warps,
+        });
+    }
+    Ok(())
 }
 
 /// The scheduler state of one unretired warp at the moment of a

@@ -38,11 +38,6 @@ impl ReadHistogram {
     pub fn total(&self) -> u64 {
         self.read0 + self.read1 + self.read2 + self.read_more
     }
-
-    /// Fraction of values read exactly once.
-    pub fn frac_read_once(&self) -> f64 {
-        self.read1 as f64 / self.total().max(1) as f64
-    }
 }
 
 /// Lifetime histogram of read-once values (Figure 2b buckets).
@@ -71,11 +66,6 @@ impl LifetimeHistogram {
     /// Total read-once values.
     pub fn total(&self) -> u64 {
         self.life1 + self.life2 + self.life3 + self.life_more
-    }
-
-    /// Fraction of read-once values consumed within three instructions.
-    pub fn frac_within3(&self) -> f64 {
-        (self.life1 + self.life2 + self.life3) as f64 / self.total().max(1) as f64
     }
 }
 

@@ -223,20 +223,37 @@ for jobs in 1 8; do
     set -e
     { [ "$rc" -eq 9 ] || [ "$rc" -eq 6 ]; } \
         || { echo "spin kernel exited $rc, want 9 (timeout) or 6 (budget)"; exit 1; }
-    # The daemon is still healthy: replay every workload concurrently
-    # (the replay exits non-zero if any request fails).
-    ./target/release/rfhc client --unix "$sock" --replay-workloads \
-        --jobs 4 --rounds 1 2> /dev/null
-    # Incremental smoke: re-allocate every workload with one immediate
-    # (one strand) edited. The strand cache — warmed by the replay round
-    # above — must splice every unchanged strand (the edit-replay exits
-    # non-zero otherwise), and the server-level `stats` op must report
-    # the strand-cache hits.
-    ./target/release/rfhc client --unix "$sock" --edit-replay --jobs 4 2> /dev/null
-    strand_hits=$(./target/release/rfhc client --unix "$sock" --op stats \
-        | grep -o '"strand_cache":{[^}]*}' | grep -o '"hits":[0-9]*' | cut -d: -f2)
-    [ -n "$strand_hits" ] && [ "$strand_hits" -gt 0 ] \
-        || { echo "strand cache reported ${strand_hits:-no} hits, want > 0"; exit 1; }
+    # The daemon is still healthy: four concurrent verified workload
+    # simulations, each client's exit status checked. Concurrent
+    # closed-loop load is rfhbench's daemon_edit, which the benchmark step
+    # below runs.
+    pids=""
+    for w in vectoradd reduction mandelbrot sobolqrng; do
+        ./target/release/rfhc client --unix "$sock" \
+            --op simulate --workload "$w" > /dev/null &
+        pids="$pids $!"
+    done
+    for pid in $pids; do
+        wait "$pid" || { echo "a concurrent simulate failed"; exit 1; }
+    done
+    # Strand reuse across requests: simulating a kernel that was just
+    # allocated must splice every one of its strands from the strand
+    # cache, so the `stats` op's strand-cache hits rise by exactly the
+    # allocate answer's strand count.
+    strand_hits() {
+        ./target/release/rfhc client --unix "$sock" --op stats \
+            | grep -o '"strand_cache":{[^}]*}' | grep -o '"hits":[0-9]*' | cut -d: -f2
+    }
+    strands=$(./target/release/rfhc client --unix "$sock" \
+        --op allocate examples/trace_golden.rfasm \
+        | grep -o '"strands":[0-9]*' | cut -d: -f2)
+    hits_before=$(strand_hits)
+    ./target/release/rfhc client --unix "$sock" \
+        --op simulate examples/trace_golden.rfasm > /dev/null
+    hits_after=$(strand_hits)
+    [ -n "$strands" ] && [ "$strands" -gt 0 ] \
+        && [ "$((hits_after - hits_before))" -eq "$strands" ] \
+        || { echo "strand-cache hits rose ${hits_before:-?} -> ${hits_after:-?}, want +${strands:-?}"; exit 1; }
     # Drain: shutdown is acknowledged, the serve process exits 0, and the
     # socket file is cleaned up.
     ./target/release/rfhc client --unix "$sock" --op shutdown > /dev/null

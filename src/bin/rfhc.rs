@@ -27,11 +27,12 @@
 //! The `timing` subcommand replays a captured instruction trace through
 //! the cycle-level two-level-scheduler model of one SM
 //! (`rfh::sim::timing`) and prints cycles, instructions, deschedules and
-//! IPC.
+//! IPC. A launch with more warps than the machine holds resident is a
+//! usage error.
 //!
 //! The `serve` subcommand runs the compile-service daemon (`rfh-rfhd`) in
-//! the foreground; `client` drives it — one request, or the
-//! `--replay-workloads` / `--edit-replay` load generators.
+//! the foreground; `client` sends it one request and prints the answer.
+//! The daemon's load generator is rfhbench's `daemon_edit` workload.
 //!
 //! Exit codes are stable per error class (see `docs/ROBUSTNESS.md`):
 //! 0 success, 1 I/O, 2 usage, 3 parse error, 4 invalid kernel, 5 bad
@@ -60,7 +61,6 @@ const USAGE: &str = "usage: rfhc [--orf N] [--lrf none|unified|split] [--no-part
        rfhc serve (--tcp HOST:PORT | --unix PATH) [--workers N]\n\
        rfhc client (--tcp HOST:PORT | --unix PATH) [--op OP] [--workload NAME] \
      [--timeout-ms N]\n\
-             [--replay-workloads [--jobs N] [--rounds N]] [--edit-replay]\n\
              [--malformed-probe] [<kernel.rfasm | ->]";
 
 fn usage(msg: &str) -> RfhError {
@@ -90,6 +90,15 @@ fn lrf_flag(value: Option<String>) -> Result<LrfMode, RfhError> {
         .as_deref()
         .and_then(LrfMode::parse)
         .ok_or_else(|| usage("--lrf needs none|unified|split"))
+}
+
+/// Parses the value of a flag that takes a positive integer (`--ctas`,
+/// `--threads`).
+fn positive_flag(value: Option<String>, flag: &str) -> Result<usize, RfhError> {
+    value
+        .and_then(|n| n.parse().ok())
+        .filter(|&n: &usize| n >= 1)
+        .ok_or_else(|| usage(&format!("{flag} needs a positive integer")))
 }
 
 /// Applies `--jobs N`: overrides the `RFH_JOBS` pool knob for the rest of
@@ -300,20 +309,8 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
             "--json" => format = TraceFormat::Json,
             "--chrome" => format = TraceFormat::Chrome,
             "--profile" => format = TraceFormat::Profile,
-            "--ctas" => {
-                ctas = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| usage("--ctas needs a positive integer"))?;
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| usage("--threads needs a positive integer"))?;
-            }
+            "--ctas" => ctas = positive_flag(args.next(), "--ctas")?,
+            "--threads" => threads = positive_flag(args.next(), "--threads")?,
             "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
             "--help" | "-h" => return Err(usage("")),
             "-" if input.is_none() => input = Some("-".into()),
@@ -369,18 +366,12 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
 /// The kernel comes from `--workload NAME` (a paper-suite workload with
 /// its own launch geometry and memory image) or a kernel file launched
 /// as `--ctas` × `--threads`; the result goes to stdout as one line and a
-/// summary to stderr.
+/// summary to stderr. The model replays every warp as resident, so a
+/// launch with more warps than the machine holds is a usage error.
 fn timing_main(
     mut args: std::iter::Peekable<impl Iterator<Item = String>>,
 ) -> Result<(), RfhError> {
-    use rfh::sim::timing::{simulate_timing, TimingConfig, TraceCapture};
-
-    fn positive(value: Option<String>, flag: &str) -> Result<usize, RfhError> {
-        value
-            .and_then(|n| n.parse().ok())
-            .filter(|&n: &usize| n >= 1)
-            .ok_or_else(|| usage(&format!("{flag} needs a positive integer")))
-    }
+    use rfh::sim::timing::{check_resident, simulate_timing, TimingConfig, TraceCapture};
 
     let mut active: Option<usize> = None;
     let mut single_level = false;
@@ -401,8 +392,8 @@ fn timing_main(
             }
             "--single-level" => single_level = true,
             "--greedy" => greedy = true,
-            "--ctas" => ctas = Some(positive(args.next(), "--ctas")?),
-            "--threads" => threads = Some(positive(args.next(), "--threads")?),
+            "--ctas" => ctas = Some(positive_flag(args.next(), "--ctas")?),
+            "--threads" => threads = Some(positive_flag(args.next(), "--threads")?),
             "--workload" => {
                 workload = Some(
                     args.next()
@@ -452,6 +443,7 @@ fn timing_main(
         }
         (None, None) => return Err(usage("timing needs --workload NAME or a kernel file")),
     };
+    check_resident(&launch, &machine).map_err(|e| RfhError::Usage(e.to_string()))?;
 
     let mut cap = TraceCapture::new(machine.clone(), launch.threads_per_cta);
     rfh::sim::exec::execute_with(
@@ -567,14 +559,12 @@ fn serve_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
     Ok(())
 }
 
-/// The `rfhc client` subcommand: one request against a daemon, or the
-/// `--replay-workloads` load generator.
+/// The `rfhc client` subcommand: one request against a daemon.
 ///
-/// Single-request mode sends `--op` (default `ping`) with either a
-/// kernel file (positional, `-` for stdin) or `--workload NAME`, prints
-/// the `result` JSON on stdout, and exits with the error frame's own
-/// class code on failure — remote failures script exactly like local
-/// ones.
+/// Sends `--op` (default `ping`) with either a kernel file (positional,
+/// `-` for stdin) or `--workload NAME`, prints the `result` JSON on
+/// stdout, and exits with the error frame's own class code on failure —
+/// remote failures script exactly like local ones.
 fn client_main(
     mut args: std::iter::Peekable<impl Iterator<Item = String>>,
 ) -> Result<(), RfhError> {
@@ -583,11 +573,7 @@ fn client_main(
     let mut workload: Option<String> = None;
     let mut input: Option<String> = None;
     let mut timeout_ms: Option<u64> = None;
-    let mut replay = false;
-    let mut edit = false;
     let mut malformed = false;
-    let mut rounds: usize = 2;
-    let mut jobs: usize = rfh_testkit::pool::jobs();
 
     while let Some(arg) = args.next() {
         if parse_endpoint_flag(&arg, &mut args, &mut endpoint)? {
@@ -610,19 +596,7 @@ fn client_main(
                         .ok_or_else(|| usage("--timeout-ms needs an integer"))?,
                 );
             }
-            "--replay-workloads" => replay = true,
-            "--edit-replay" => edit = true,
             "--malformed-probe" => malformed = true,
-            "--rounds" => {
-                let raw = args.next().ok_or_else(|| usage("--rounds needs a value"))?;
-                rounds = rfh_testkit::env::parse_positive_usize("--rounds", &raw)
-                    .ok_or_else(|| usage("--rounds needs a positive integer"))?;
-            }
-            "--jobs" => {
-                let raw = args.next().ok_or_else(|| usage("--jobs needs a value"))?;
-                jobs = rfh_testkit::env::parse_positive_usize("--jobs", &raw)
-                    .ok_or_else(|| usage("--jobs needs a positive integer"))?;
-            }
             "--help" | "-h" => return Err(usage("")),
             "-" if input.is_none() => input = Some("-".into()),
             other if input.is_none() && !other.starts_with('-') => input = Some(other.into()),
@@ -647,58 +621,6 @@ fn client_main(
                 message: format!("malformed-frame probe misbehaved: {e}"),
             }),
         };
-    }
-
-    if replay {
-        let report =
-            rfh::rfhd::replay_workloads(&endpoint, jobs, rounds, rfh::rfhd::RetryPolicy::default());
-        eprintln!(
-            "rfhc client: replayed {} request(s) with {} job(s) in {} ms — {} ok \
-             ({} cached), {} failed",
-            report.entries.len(),
-            report.jobs,
-            report.wall_ms,
-            report.ok(),
-            report.cached(),
-            report.failed()
-        );
-        if report.failed() > 0 {
-            return Err(RfhError::Daemon {
-                message: format!("{} replay request(s) failed", report.failed()),
-                code: 9,
-            });
-        }
-        if !edit {
-            return Ok(());
-        }
-    }
-
-    if edit {
-        // The before/after of incremental allocation: allocate every
-        // workload cold, edit one immediate (one strand), allocate again;
-        // the daemon's strand cache must splice every unchanged strand.
-        let report = rfh::rfhd::edit_replay(&endpoint, jobs, rfh::rfhd::RetryPolicy::default());
-        eprintln!(
-            "rfhc client: edit-replayed {} workload(s) with {} job(s) in {} ms — \
-             {} fully spliced, {} failed ({} strands: {} cold misses, {} edit hits, \
-             {} edit misses)",
-            report.entries.len(),
-            report.jobs,
-            report.wall_ms,
-            report.fully_spliced(),
-            report.failed(),
-            report.entries.iter().map(|e| e.strands).sum::<u64>(),
-            report.entries.iter().map(|e| e.cold_misses).sum::<u64>(),
-            report.entries.iter().map(|e| e.edit_hits).sum::<u64>(),
-            report.entries.iter().map(|e| e.edit_misses).sum::<u64>(),
-        );
-        if report.failed() > 0 {
-            return Err(RfhError::Daemon {
-                message: format!("{} edit-replay workload(s) failed", report.failed()),
-                code: 9,
-            });
-        }
-        return Ok(());
     }
 
     let mut fields = vec![("op".to_string(), rfh::rfhd::Json::str(&op))];

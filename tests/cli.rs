@@ -686,19 +686,20 @@ fn timing_active_and_single_level_are_exclusive() {
 
 #[test]
 fn timing_of_a_wide_launch_is_pinned() {
-    // 8 CTAs × 256 threads = 64 warps: the single-level active set and
-    // the two-level eligible queue both hold many warps. The figures are
-    // those of the original scan-every-warp scheduler loop.
+    // 4 CTAs × 256 threads = 32 warps, the machine's full residency: the
+    // single-level active set and the two-level eligible queue both hold
+    // many warps. The figures are those of the original scan-every-warp
+    // scheduler loop.
     let kernel = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/trace_golden.rfasm");
-    let launch = ["--ctas", "8", "--threads", "256", kernel];
+    let launch = ["--ctas", "4", "--threads", "256", kernel];
     for (flags, expected) in [
         (
             &["--single-level"][..],
-            "cycles 1895 instructions 1856 deschedules 0 ipc 0.9794\n",
+            "cycles 961 instructions 928 deschedules 0 ipc 0.9657\n",
         ),
         (
             &["--active", "8", "--greedy"],
-            "cycles 1911 instructions 1856 deschedules 0 ipc 0.9712\n",
+            "cycles 979 instructions 928 deschedules 0 ipc 0.9479\n",
         ),
     ] {
         let mut args = vec!["timing"];
@@ -708,4 +709,22 @@ fn timing_of_a_wide_launch_is_pinned() {
         assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
         assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{args:?}");
     }
+    // 8 CTAs × 256 threads = 64 warps cannot all be resident: a usage
+    // error naming both warp counts, with nothing on stdout.
+    let out = rfhc(&[
+        "timing",
+        "--single-level",
+        "--ctas",
+        "8",
+        "--threads",
+        "256",
+        kernel,
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("64 warps") && err.contains("32 resident"),
+        "{err}"
+    );
 }
