@@ -44,22 +44,24 @@ pub fn print_kernel_annotated(kernel: &Kernel) -> String {
         let _ = writeln!(out, "{}:", block.id);
         for instr in &block.instrs {
             let _ = write!(out, "  {instr}");
-            let mut notes = Vec::new();
+            let mut sep = " ; ";
             if instr.dst.is_some() {
-                notes.push(format!("w={}", instr.write_loc));
+                let _ = write!(out, "{sep}w={}", instr.write_loc);
+                sep = " ";
             }
             if instr.srcs.iter().any(|s| s.is_reg()) {
-                let reads: Vec<String> = instr
+                let _ = write!(out, "{sep}r=[");
+                let mut comma = "";
+                for (_, l) in instr
                     .srcs
                     .iter()
                     .zip(&instr.read_locs)
                     .filter(|(s, _)| s.is_reg())
-                    .map(|(_, l)| l.to_string())
-                    .collect();
-                notes.push(format!("r=[{}]", reads.join(",")));
-            }
-            if !notes.is_empty() {
-                let _ = write!(out, " ; {}", notes.join(" "));
+                {
+                    let _ = write!(out, "{comma}{l}");
+                    comma = ",";
+                }
+                out.push(']');
             }
             let _ = writeln!(out);
         }

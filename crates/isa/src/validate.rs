@@ -33,63 +33,54 @@ fn err(at: impl Into<String>, msg: impl Into<String>) -> IsaError {
 /// presence or count does not match the opcode signature, or when the
 /// placement/liveness annotation vectors are not parallel to the sources.
 pub fn validate_instruction(i: &Instruction) -> Result<(), IsaError> {
-    let at = i.to_string();
+    shape_error(i).map_or(Ok(()), |msg| Err(err(i.to_string(), msg)))
+}
+
+/// The first shape problem of `i`, if any. Checks without rendering the
+/// instruction: a valid instruction costs no formatting, and the caller
+/// renders it only to build the error.
+fn shape_error(i: &Instruction) -> Option<String> {
+    let msg = |m: &str| Some(m.to_string());
     if i.dst.is_some() != i.op.has_dst() {
-        return Err(err(
-            &at,
-            "destination register presence does not match opcode",
-        ));
+        return msg("destination register presence does not match opcode");
     }
     if i.pdst.is_some() != i.op.has_pdst() {
-        return Err(err(
-            &at,
-            "destination predicate presence does not match opcode",
-        ));
+        return msg("destination predicate presence does not match opcode");
     }
     if i.srcs.len() != i.op.num_srcs() {
-        return Err(err(
-            &at,
-            format!(
-                "expected {} source operands, found {}",
-                i.op.num_srcs(),
-                i.srcs.len()
-            ),
+        return Some(format!(
+            "expected {} source operands, found {}",
+            i.op.num_srcs(),
+            i.srcs.len()
         ));
     }
     if i.psrc.is_some() != i.op.reads_pred_src() {
-        return Err(err(&at, "source predicate presence does not match opcode"));
+        return msg("source predicate presence does not match opcode");
     }
     if i.target.is_some() != i.op.is_branch() {
-        return Err(err(&at, "branch target presence does not match opcode"));
+        return msg("branch target presence does not match opcode");
     }
     if i.read_locs.len() != i.srcs.len() {
-        return Err(err(
-            &at,
-            "read placement annotations not parallel to sources",
-        ));
+        return msg("read placement annotations not parallel to sources");
     }
     if i.dead_after.len() != i.srcs.len() {
-        return Err(err(&at, "liveness annotations not parallel to sources"));
+        return msg("liveness annotations not parallel to sources");
     }
     // Check the raw dst index before expanding pairs: `Dst::regs` computes
     // `index + 1` for 64-bit values, which must not be reachable with an
     // index near `u16::MAX`.
     if let Some(d) = i.dst {
         if d.reg.index() > MAX_REG_INDEX {
-            return Err(err(
-                &at,
-                format!(
-                    "register {} exceeds the maximum index {MAX_REG_INDEX}",
-                    d.reg
-                ),
+            return Some(format!(
+                "register {} exceeds the maximum index {MAX_REG_INDEX}",
+                d.reg
             ));
         }
     }
     for (_, r) in i.reg_srcs() {
         if r.index() > MAX_REG_INDEX {
-            return Err(err(
-                &at,
-                format!("register {r} exceeds the maximum index {MAX_REG_INDEX}"),
+            return Some(format!(
+                "register {r} exceeds the maximum index {MAX_REG_INDEX}"
             ));
         }
     }
@@ -98,13 +89,12 @@ pub fn validate_instruction(i: &Instruction) -> Result<(), IsaError> {
         .flatten()
     {
         if p.index() > MAX_PRED_INDEX {
-            return Err(err(
-                &at,
-                format!("predicate {p} exceeds the maximum index {MAX_PRED_INDEX}"),
+            return Some(format!(
+                "predicate {p} exceeds the maximum index {MAX_PRED_INDEX}"
             ));
         }
     }
-    Ok(())
+    None
 }
 
 /// Validates a kernel's structure.
@@ -148,10 +138,9 @@ pub fn validate(kernel: &Kernel) -> Result<(), IsaError> {
         }
         let last = b.instrs.len() - 1;
         for (idx, ins) in b.instrs.iter().enumerate() {
-            validate_instruction(ins).map_err(|e| match e {
-                IsaError::Validate { at, msg } => err(format!("{}[{idx}]: {at}", b.id), msg),
-                other => other,
-            })?;
+            if let Some(msg) = shape_error(ins) {
+                return Err(err(format!("{}[{idx}]: {ins}", b.id), msg));
+            }
             let is_terminator_op =
                 ins.op == Opcode::Bra || (ins.op == Opcode::Exit && ins.guard.is_none());
             if is_terminator_op && idx != last {
@@ -190,7 +179,7 @@ mod tests {
     use super::*;
     use crate::kernel::BasicBlock;
     use crate::ops;
-    use crate::reg::Reg;
+    use crate::reg::{PredReg, Reg};
 
     fn single_block(instrs: Vec<Instruction>) -> Kernel {
         let mut k = Kernel::new("t");
@@ -301,6 +290,112 @@ mod tests {
             .with_src(1)
             .with_src(2);
         assert!(validate_instruction(&ok).is_ok());
+    }
+
+    fn iadd() -> Instruction {
+        ops::iadd(Reg::new(0), Reg::new(1).into(), 2.into())
+    }
+
+    /// Every `validate_instruction` failure kind, with its full message:
+    /// the instruction is rendered only to build the error, so the text
+    /// is pinned here.
+    #[test]
+    fn instruction_failure_messages_are_pinned() {
+        let mut short_reads = iadd();
+        short_reads.read_locs.pop();
+        let mut long_liveness = iadd();
+        long_liveness.dead_after.push(true);
+        let cases = [
+            (
+                Instruction::new(Opcode::IAdd)
+                    .with_src(Reg::new(1))
+                    .with_src(2),
+                "iadd r1, 2: destination register presence does not match opcode",
+            ),
+            (
+                iadd().with_pdst(PredReg::new(0)),
+                "iadd r0 p0 r1, 2: destination predicate presence does not match opcode",
+            ),
+            (
+                Instruction::new(Opcode::IAdd)
+                    .with_dst(Reg::new(0))
+                    .with_src(1),
+                "iadd r0 1: expected 2 source operands, found 1",
+            ),
+            (
+                iadd().with_psrc(PredReg::new(1)),
+                "iadd r0 r1, 2, p1: source predicate presence does not match opcode",
+            ),
+            (
+                iadd().with_target(BlockId::new(0)),
+                "iadd r0 r1, 2, BB0: branch target presence does not match opcode",
+            ),
+            (
+                short_reads,
+                "iadd r0 r1, 2: read placement annotations not parallel to sources",
+            ),
+            (
+                long_liveness,
+                "iadd r0 r1, 2: liveness annotations not parallel to sources",
+            ),
+            (
+                ops::iadd(Reg::new(MAX_REG_INDEX + 1), Reg::new(1).into(), 2.into()),
+                "iadd r4095 r1, 2: register r4095 exceeds the maximum index 4094",
+            ),
+            (
+                ops::iadd(Reg::new(0), Reg::new(u16::MAX).into(), 2.into()),
+                "iadd r0 r65535, 2: register r65535 exceeds the maximum index 4094",
+            ),
+            (
+                iadd().guarded(PredReg::new(MAX_PRED_INDEX + 1), true),
+                "@!p128 iadd r0 r1, 2: predicate p128 exceeds the maximum index 127",
+            ),
+        ];
+        for (instr, want) in cases {
+            let e = validate_instruction(&instr).unwrap_err();
+            assert_eq!(e.to_string(), format!("invalid kernel at {want}"));
+        }
+    }
+
+    /// Every block-level failure kind of `validate`, with its full
+    /// message, including an instruction failure at its position.
+    #[test]
+    fn kernel_failure_messages_are_pinned() {
+        let mut bad_id = single_block(vec![ops::exit()]);
+        bad_id.blocks[0].id = BlockId::new(3);
+        let mut empty_block = single_block(vec![ops::exit()]);
+        empty_block
+            .blocks
+            .insert(0, BasicBlock::new(BlockId::new(0)));
+        empty_block.blocks[1].id = BlockId::new(1);
+        let short = Instruction::new(Opcode::IAdd)
+            .with_dst(Reg::new(0))
+            .with_src(1);
+        let cases = [
+            (Kernel::new("empty"), "empty: kernel has no blocks"),
+            (bad_id, "BB3: block id does not match its index"),
+            (empty_block, "BB0: block has no instructions"),
+            (
+                single_block(vec![iadd(), short, ops::exit()]),
+                "BB0[1]: iadd r0 1: expected 2 source operands, found 1",
+            ),
+            (
+                single_block(vec![ops::bra(BlockId::new(0)), ops::exit()]),
+                "BB0[0]: control transfer before end of block",
+            ),
+            (
+                single_block(vec![ops::bra(BlockId::new(9))]),
+                "BB0[0]: branch target BB9 out of range",
+            ),
+            (
+                single_block(vec![iadd()]),
+                "BB0: final block must end in exit or an unconditional branch",
+            ),
+        ];
+        for (kernel, want) in cases {
+            let e = validate(&kernel).unwrap_err();
+            assert_eq!(e.to_string(), format!("invalid kernel at {want}"));
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   note-severity "unverifiable index" finding, so a silent may-alias
 //!   assumption is visible in the report.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 
 use rfh_analysis::absint::AbsResults;
 use rfh_analysis::DomTree;
@@ -235,7 +235,20 @@ fn interval_from(kernel: &Kernel, start: InstrRef) -> Vec<InstrRef> {
     out
 }
 
+/// The message tail, after "shared-memory store `…` may race with ", of
+/// a store racing with itself. Any other pair's tail names the other
+/// access: "the access `…` at … (…)".
+const SELF_TAIL: &str =
+    "itself across threads (address not provably thread-private, no intervening barrier)";
+
 /// Runs the check, appending RFH-L005 findings to `diags`.
+///
+/// The findings come out in [`Diagnostic::sort_key`] order: accesses in
+/// program order, each with its note (if any) and then, for a store, its
+/// warnings ordered by message. A note ("shared-memory access …") sorts
+/// before the same instruction's warnings ("shared-memory store …"), and
+/// one store's warnings share the prefix up to their tail, so ordering
+/// them by the rank of their tail orders them by message.
 pub(crate) fn check(kernel: &Kernel, dom: &DomTree, res: &AbsResults, diags: &mut Vec<Diagnostic>) {
     let resolver = Resolver::new(kernel);
     let accesses: Vec<Access> = kernel
@@ -259,35 +272,97 @@ pub(crate) fn check(kernel: &Kernel, dom: &DomTree, res: &AbsResults, diags: &mu
             })
         })
         .collect();
+    let pairs = if accesses.iter().any(|a| a.is_store) {
+        race_pairs(kernel, dom, res, &accesses)
+    } else {
+        Vec::new()
+    };
 
-    // Indices the affine resolver could not verify participate in every
-    // race decision as may-alias; surface that assumption as a note,
-    // quoting the abstract interval when it narrows the range at all.
-    for a in &accesses {
-        if a.addr != Addr::Unknown {
-            continue;
+    // Each message tail is rendered once, indexed by access, with the
+    // self-pair tail last; `rank` orders the tails by their text.
+    let self_tail = accesses.len();
+    let tails: Vec<String> = if pairs.is_empty() {
+        Vec::new()
+    } else {
+        accesses
+            .iter()
+            .map(|a| {
+                format!(
+                    "the access `{}` at {} (no intervening barrier proves the threads disjoint)",
+                    a.text, a.at
+                )
+            })
+            .chain([SELF_TAIL.to_string()])
+            .collect()
+    };
+    let mut by_rank: Vec<usize> = (0..tails.len()).collect();
+    by_rank.sort_unstable_by(|&x, &y| tails[x].cmp(&tails[y]));
+    let mut rank = vec![0u32; tails.len()];
+    for (r, &k) in by_rank.iter().enumerate() {
+        rank[k] = r as u32;
+    }
+
+    // One key per unordered pair: the anchoring store (the earlier store,
+    // or the store of a store-load pair) and the rank of the other
+    // access's tail (the self-pair tail's for a store racing with
+    // itself). Sorting the keys orders the warnings, and `dedup` drops the
+    // pairs found again in a later barrier interval.
+    let mut keys: Vec<(u32, u32)> = pairs
+        .into_iter()
+        .map(|(a, b)| {
+            let (store, other) = if accesses[a].is_store { (a, b) } else { (b, a) };
+            let other_rank = if a == b { rank[self_tail] } else { rank[other] };
+            (store as u32, other_rank)
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+
+    let mut keys = keys.into_iter().peekable();
+    for (k, a) in accesses.iter().enumerate() {
+        // Indices the affine resolver could not verify participate in
+        // every race decision as may-alias; surface that assumption as a
+        // note, quoting the abstract interval when it narrows the range
+        // at all.
+        if a.addr == Addr::Unknown {
+            let iv = res.fact(a.at).srcs[0];
+            let range = if iv.lo != i32::MIN || iv.hi != i32::MAX {
+                format!(" (abstract word range [{}, {}])", iv.lo, iv.hi)
+            } else {
+                String::new()
+            };
+            diags.push(Diagnostic::note_at(
+                Code::SharedRace,
+                a.at,
+                format!(
+                    "shared-memory access `{}` has an unverifiable (non-affine) index{range}: \
+                     the race analysis treats it as may-alias with every other shared access",
+                    a.text
+                ),
+            ));
         }
-        let iv = res.fact(a.at).srcs[0];
-        let range = if iv.lo != i32::MIN || iv.hi != i32::MAX {
-            format!(" (abstract word range [{}, {}])", iv.lo, iv.hi)
-        } else {
-            String::new()
-        };
-        diags.push(Diagnostic::note_at(
-            Code::SharedRace,
-            a.at,
-            format!(
-                "shared-memory access `{}` has an unverifiable (non-affine) index{range}: \
-                 the race analysis treats it as may-alias with every other shared access",
-                a.text
-            ),
-        ));
+        let mut prefix = None;
+        while let Some((_, r)) = keys.next_if(|&(store, _)| store as usize == k) {
+            let prefix: &String = prefix
+                .get_or_insert_with(|| format!("shared-memory store `{}` may race with ", a.text));
+            let tail = &tails[by_rank[r as usize]];
+            let mut msg = String::with_capacity(prefix.len() + tail.len());
+            msg.push_str(prefix);
+            msg.push_str(tail);
+            diags.push(Diagnostic::at(Code::SharedRace, a.at, msg));
+        }
     }
+}
 
-    if !accesses.iter().any(|a| a.is_store) {
-        return;
-    }
-
+/// Every colliding pair `(earlier, later)` of access indices (equal for a
+/// store racing with itself) that shares a barrier interval and involves
+/// a store, once per interval it is found in.
+fn race_pairs(
+    kernel: &Kernel,
+    dom: &DomTree,
+    res: &AbsResults,
+    accesses: &[Access],
+) -> Vec<(usize, usize)> {
     // Barrier-interval start points: the kernel entry and the position
     // just after every barrier.
     let mut starts: Vec<InstrRef> = vec![InstrRef {
@@ -310,19 +385,46 @@ pub(crate) fn check(kernel: &Kernel, dom: &DomTree, res: &AbsResults, diags: &mu
         }
     }
 
-    let mut reported: BTreeSet<(InstrRef, InstrRef)> = BTreeSet::new();
+    // The access index at each instruction position, if it is one.
+    let mut block_base = Vec::with_capacity(kernel.blocks.len());
+    let mut positions = 0;
+    for b in &kernel.blocks {
+        block_base.push(positions);
+        positions += b.instrs.len();
+    }
+    let mut access_at: Vec<Option<usize>> = vec![None; positions];
+    for (k, a) in accesses.iter().enumerate() {
+        access_at[block_base[a.at.block.index()] + a.at.index] = Some(k);
+    }
+    let ranges: Vec<(i32, i32)> = accesses
+        .iter()
+        .map(|a| {
+            let iv = res.fact(a.at).srcs[0];
+            (iv.lo, iv.hi)
+        })
+        .collect();
+
+    let mut pairs = Vec::new();
+    let mut in_interval = vec![false; accesses.len()];
+    let mut here: Vec<usize> = Vec::new();
     for start in starts {
-        let interval: HashSet<InstrRef> = interval_from(kernel, start).into_iter().collect();
-        let here: Vec<&Access> = accesses
-            .iter()
-            .filter(|a| interval.contains(&a.at))
-            .collect();
-        for (i, a) in here.iter().enumerate() {
-            for b in here.iter().skip(i) {
+        for at in interval_from(kernel, start) {
+            if let Some(k) = access_at[block_base[at.block.index()] + at.index] {
+                if !in_interval[k] {
+                    in_interval[k] = true;
+                    here.push(k);
+                }
+            }
+        }
+        here.sort_unstable();
+        for (i, &x) in here.iter().enumerate() {
+            let a = &accesses[x];
+            for &y in &here[i..] {
+                let b = &accesses[y];
                 if !a.is_store && !b.is_store {
                     continue;
                 }
-                let self_pair = a.at == b.at;
+                let self_pair = x == y;
                 if !may_collide(a.addr, b.addr, self_pair) {
                     continue;
                 }
@@ -331,33 +433,19 @@ pub(crate) fn check(kernel: &Kernel, dom: &DomTree, res: &AbsResults, diags: &mu
                 // (A self-pair shares one interval, so disjointness can
                 // never clear it.)
                 if !self_pair {
-                    let (ia, ib) = (res.fact(a.at).srcs[0], res.fact(b.at).srcs[0]);
-                    if ia.hi < ib.lo || ib.hi < ia.lo {
+                    let (ra, rb) = (ranges[x], ranges[y]);
+                    if ra.1 < rb.0 || rb.1 < ra.0 {
                         continue;
                     }
                 }
-                let key = (a.at.min(b.at), a.at.max(b.at));
-                if !reported.insert(key) {
-                    continue;
-                }
-                let (store, other) = if a.is_store { (a, b) } else { (b, a) };
-                let msg = if self_pair {
-                    format!(
-                        "shared-memory store `{}` may race with itself across threads \
-                         (address not provably thread-private, no intervening barrier)",
-                        store.text
-                    )
-                } else {
-                    format!(
-                        "shared-memory store `{}` may race with the access `{}` at {} \
-                         (no intervening barrier proves the threads disjoint)",
-                        store.text, other.text, other.at
-                    )
-                };
-                diags.push(Diagnostic::at(Code::SharedRace, store.at, msg));
+                pairs.push((x, y));
             }
         }
+        for k in here.drain(..) {
+            in_interval[k] = false;
+        }
     }
+    pairs
 }
 
 fn eval_const_operand(op: Operand) -> Addr {

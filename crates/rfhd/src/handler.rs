@@ -13,6 +13,7 @@
 //! client scripting the daemon sees the same failure classes as a script
 //! driving the CLI.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use rfh_alloc::{
@@ -151,10 +152,12 @@ pub struct Request {
 }
 
 impl Request {
-    /// The canonical request string: every semantic field, serialized so
-    /// that two requests canonicalize equal exactly when their results
-    /// must be equal. This full string keys the daemon's result cache
-    /// (its [`fnv1a`] digest is only a fast pre-key — see
+    /// The canonical request string: the op, the kernel source, and the
+    /// fields the op's handler reads, serialized so that two requests
+    /// canonicalize equal exactly when their results must be equal. A
+    /// field an op ignores is left out, so requests that differ only there
+    /// share one cache entry. This full string keys the daemon's result
+    /// cache (its [`fnv1a`] digest is only a fast pre-key — see
     /// [`crate::cache::Key`]), so a digest collision between two distinct
     /// requests can never serve the wrong cached response.
     pub fn canonical(&self) -> String {
@@ -173,20 +176,39 @@ impl Request {
             None => canon.push_str("none"),
         }
         canon.push('\0');
-        canon.push_str(&format!(
-            "orf={} lrf={:?} partial={} readop={} base={} ctas={} threads={} \
-             binst={:?} bcyc={:?} active={}",
-            self.config.orf_entries,
-            self.config.lrf,
-            self.config.partial_ranges,
-            self.config.read_operands,
-            self.baseline,
-            self.ctas,
-            self.threads,
-            self.budget_instructions,
-            self.budget_cycles,
-            self.active_warps,
-        ));
+        let executes = matches!(self.op, Op::Simulate | Op::Timing | Op::Trace);
+        // `simulate` prices even a baseline run at `config`'s ORF size;
+        // `trace` reads `config` only to allocate.
+        let reads_config = match self.op {
+            Op::Lint | Op::Allocate | Op::Simulate => true,
+            Op::Trace => !self.baseline,
+            _ => false,
+        };
+        if reads_config {
+            let c = &self.config;
+            let _ = write!(
+                canon,
+                "orf={} lrf={:?} partial={} readop={} ",
+                c.orf_entries, c.lrf, c.partial_ranges, c.read_operands
+            );
+        }
+        if matches!(self.op, Op::Simulate | Op::Trace) {
+            let _ = write!(canon, "base={} ", self.baseline);
+        }
+        // Only a text kernel takes its launch geometry from the request.
+        if executes && matches!(self.source, Some(KernelSource::Text(_))) {
+            let _ = write!(canon, "ctas={} threads={} ", self.ctas, self.threads);
+        }
+        if executes {
+            let _ = write!(canon, "binst={:?} ", self.budget_instructions);
+        }
+        if self.op == Op::Timing {
+            let _ = write!(
+                canon,
+                "bcyc={:?} active={}",
+                self.budget_cycles, self.active_warps
+            );
+        }
         canon
     }
 
@@ -800,6 +822,49 @@ BB0:
         let mut d = a.clone();
         d.baseline = true;
         assert_ne!(a.content_hash(), d.content_hash());
+    }
+
+    #[test]
+    fn each_op_is_keyed_on_the_fields_it_reads() {
+        // Whether `op` (in baseline mode or not) keys two requests that
+        // differ by `edit` equal.
+        let same_key = |op: &str, baseline: bool, edit: &dyn Fn(&mut Request)| {
+            let mut a = kernel_req(op);
+            a.baseline = baseline;
+            let mut b = a.clone();
+            edit(&mut b);
+            a.canonical() == b.canonical()
+        };
+        let config = |r: &mut Request| r.config.orf_entries = 5;
+        let baseline = |r: &mut Request| r.baseline = true;
+        let active = |r: &mut Request| r.active_warps = 4;
+        let ctas = |r: &mut Request| r.ctas = 2;
+        let cycles = |r: &mut Request| r.budget_cycles = Some(10);
+        // `timing` replays the baseline trace: placement fields are not
+        // part of its key, its geometry, scheduler and cycle budget are.
+        assert!(same_key("timing", false, &config));
+        assert!(same_key("timing", false, &baseline));
+        assert!(!same_key("timing", false, &active));
+        assert!(!same_key("timing", false, &ctas));
+        assert!(!same_key("timing", false, &cycles));
+        // Only `timing` reads the scheduler fields.
+        for op in ["assemble", "lint", "allocate", "simulate", "trace"] {
+            assert!(same_key(op, false, &active), "{op}");
+            assert!(same_key(op, false, &cycles), "{op}");
+        }
+        // Static ops read no launch geometry; `assemble` no config.
+        for op in ["assemble", "lint", "allocate"] {
+            assert!(same_key(op, false, &ctas), "{op}");
+            assert!(same_key(op, false, &baseline), "{op}");
+        }
+        assert!(same_key("assemble", false, &config));
+        assert!(!same_key("lint", false, &config));
+        assert!(!same_key("allocate", false, &config));
+        // A baseline trace allocates nothing; a baseline simulate still
+        // prices its counts at the configured ORF size.
+        assert!(!same_key("trace", false, &config));
+        assert!(same_key("trace", true, &config));
+        assert!(!same_key("simulate", true, &config));
     }
 
     #[test]

@@ -482,6 +482,40 @@ fn timing_replays_the_baseline_trace_whatever_the_config() {
 }
 
 #[test]
+fn timing_requests_differing_only_in_config_share_a_cache_entry() {
+    // `timing` is keyed on the fields it reads; `config` is not one of
+    // them, so the second request is served from the first one's entry.
+    let handle = spawn_tcp(|_| {});
+    let mut c = client(&handle.endpoint);
+    let timing = |orf: u64| {
+        vec![
+            ("op".to_string(), Json::str("timing")),
+            ("workload".to_string(), Json::str("vectoradd")),
+            (
+                "config".to_string(),
+                Json::Obj(vec![("orf".to_string(), Json::u64(orf))]),
+            ),
+        ]
+    };
+    let (first, cached) = c.request(timing(3)).expect("timing");
+    assert!(!cached, "first run computes");
+    let (before, _) = c.simple("stats").expect("stats");
+    let (second, cached) = c.request(timing(1)).expect("timing, other config");
+    assert!(cached, "a config-only difference hits the cached result");
+    assert_eq!(second, first);
+    let (after, _) = c.simple("stats").expect("stats");
+    assert_eq!(
+        stat(&after, "cache", "hits"),
+        stat(&before, "cache", "hits") + 1
+    );
+    assert_eq!(
+        stat(&after, "cache", "entries"),
+        stat(&before, "cache", "entries")
+    );
+    shutdown_and_join(handle);
+}
+
+#[test]
 fn timing_rejects_a_launch_the_machine_cannot_hold() {
     let handle = spawn_tcp(|_| {});
     let mut c = client(&handle.endpoint);

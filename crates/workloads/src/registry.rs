@@ -1,14 +1,20 @@
 //! Workload registry.
 
-use crate::spec::{Suite, Workload};
+use crate::spec::{Suite, Workload, WorkloadEntry};
 use crate::suites;
+
+/// Every workload's name and constructor, across the three suites in
+/// suite order: the one list of workload names.
+fn table() -> impl Iterator<Item = &'static WorkloadEntry> {
+    suites::sdk::WORKLOADS
+        .iter()
+        .chain(suites::parboil::WORKLOADS)
+        .chain(suites::rodinia::WORKLOADS)
+}
 
 /// All workloads across the three suites, in suite order.
 pub fn all() -> Vec<Workload> {
-    let mut v = suites::sdk::all();
-    v.extend(suites::parboil::all());
-    v.extend(suites::rodinia::all());
-    v
+    table().map(|(_, build)| build()).collect()
 }
 
 /// The workloads of one suite.
@@ -16,9 +22,9 @@ pub fn suite_of(suite: Suite) -> Vec<Workload> {
     all().into_iter().filter(|w| w.suite == suite).collect()
 }
 
-/// Looks up a workload by its lower-case name.
+/// Looks up a workload by its lower-case name, building only that one.
 pub fn by_name(name: &str) -> Option<Workload> {
-    all().into_iter().find(|w| w.name == name)
+    table().find(|(n, _)| *n == name).map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -40,6 +46,13 @@ mod tests {
         assert_eq!(names.len(), before, "duplicate workload names");
         for s in Suite::ALL {
             assert!(!suite_of(s).is_empty(), "{s} suite is empty");
+        }
+    }
+
+    #[test]
+    fn table_names_are_the_built_names() {
+        for (name, build) in table() {
+            assert_eq!(*name, build().name);
         }
     }
 

@@ -36,6 +36,9 @@ impl fmt::Display for Suite {
 /// returns a description of the first mismatch, if any.
 pub type VerifyFn = fn(&GlobalMemory, &GlobalMemory) -> Result<(), String>;
 
+/// A registry entry: a workload's name and the function that builds it.
+pub type WorkloadEntry = (&'static str, fn() -> Workload);
+
 /// A runnable benchmark: kernel, launch geometry, initial memory image,
 /// and a host reference checker.
 pub struct Workload {

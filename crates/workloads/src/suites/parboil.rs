@@ -4,7 +4,7 @@ use rfh_sim::exec::Launch;
 use rfh_sim::mem::GlobalMemory;
 
 use crate::spec::util::{check_f32_region, check_u32_region, f32_data, i32_data};
-use crate::spec::{Suite, Workload};
+use crate::spec::{Suite, Workload, WorkloadEntry};
 
 fn parse(text: &str) -> rfh_isa::Kernel {
     rfh_isa::parse_kernel(text).unwrap_or_else(|e| panic!("workload kernel: {e}"))
@@ -212,10 +212,14 @@ BB2:
     }
 }
 
-/// All Parboil workloads.
-pub fn all() -> Vec<Workload> {
-    vec![cp(), mri_q(), mri_fhd(), sad(), rpes()]
-}
+/// Every Parboil workload: its name and its constructor.
+pub const WORKLOADS: &[WorkloadEntry] = &[
+    ("cp", cp),
+    ("mri-q", mri_q),
+    ("mri-fhd", mri_fhd),
+    ("sad", sad),
+    ("rpes", rpes),
+];
 
 /// `mri-fhd` — the FHD companion to `mri-q`: two accumulators fed by
 /// sin/cos of per-sample phase with real and imaginary weights.

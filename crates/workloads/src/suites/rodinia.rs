@@ -4,7 +4,7 @@ use rfh_sim::exec::Launch;
 use rfh_sim::mem::GlobalMemory;
 
 use crate::spec::util::{check_f32_region, check_u32_region, f32_data, i32_data};
-use crate::spec::{Suite, Workload};
+use crate::spec::{Suite, Workload, WorkloadEntry};
 
 fn parse(text: &str) -> rfh_isa::Kernel {
     rfh_isa::parse_kernel(text).unwrap_or_else(|e| panic!("workload kernel: {e}"))
@@ -282,10 +282,15 @@ BB3:
     }
 }
 
-/// All Rodinia workloads.
-pub fn all() -> Vec<Workload> {
-    vec![backprop(), hotspot(), needle(), srad(), hwt(), lu()]
-}
+/// Every Rodinia workload: its name and its constructor.
+pub const WORKLOADS: &[WorkloadEntry] = &[
+    ("backprop", backprop),
+    ("hotspot", hotspot),
+    ("needle", needle),
+    ("srad", srad),
+    ("hwt", hwt),
+    ("lu", lu),
+];
 
 /// `hwt` — two Haar wavelet levels over 4 values per thread, entirely in
 /// registers between one load and one store phase.

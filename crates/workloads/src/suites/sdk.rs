@@ -11,7 +11,7 @@ use rfh_sim::exec::Launch;
 use rfh_sim::mem::GlobalMemory;
 
 use crate::spec::util::{check_f32_region, check_u32_region, f32_data, i32_data};
-use crate::spec::{Suite, Workload};
+use crate::spec::{Suite, Workload, WorkloadEntry};
 
 fn parse(text: &str) -> rfh_isa::Kernel {
     rfh_isa::parse_kernel(text).unwrap_or_else(|e| panic!("workload kernel: {e}"))
@@ -616,35 +616,33 @@ BB3:
     }
 }
 
-/// All CUDA SDK workloads.
-pub fn all() -> Vec<Workload> {
-    vec![
-        vectoradd(),
-        scalarprod(),
-        reduction(),
-        matrixmul(),
-        mandelbrot(),
-        nbody(),
-        histogram(),
-        bicubictexture(),
-        dwthaar1d(),
-        sobelfilter(),
-        dct8x8(),
-        fastwalshtransform(),
-        sortingnetworks(),
-        convolutionseparable(),
-        binomialoptions(),
-        montecarlo(),
-        volumerender(),
-        boxfilter(),
-        convolutiontexture(),
-        sobolqrng(),
-        imagedenoising(),
-        mergesort(),
-        eigenvalues(),
-        recursivegaussian(),
-    ]
-}
+/// Every CUDA SDK workload: its name and its constructor.
+pub const WORKLOADS: &[WorkloadEntry] = &[
+    ("vectoradd", vectoradd),
+    ("scalarprod", scalarprod),
+    ("reduction", reduction),
+    ("matrixmul", matrixmul),
+    ("mandelbrot", mandelbrot),
+    ("nbody", nbody),
+    ("histogram", histogram),
+    ("bicubictexture", bicubictexture),
+    ("dwthaar1d", dwthaar1d),
+    ("sobelfilter", sobelfilter),
+    ("dct8x8", dct8x8),
+    ("fastwalshtransform", fastwalshtransform),
+    ("sortingnetworks", sortingnetworks),
+    ("convolutionseparable", convolutionseparable),
+    ("binomialoptions", binomialoptions),
+    ("montecarlo", montecarlo),
+    ("volumerender", volumerender),
+    ("boxfilter", boxfilter),
+    ("convolutiontexture", convolutiontexture),
+    ("sobolqrng", sobolqrng),
+    ("imagedenoising", imagedenoising),
+    ("mergesort", mergesort),
+    ("eigenvalues", eigenvalues),
+    ("recursivegaussian", recursivegaussian),
+];
 
 /// `Dct8x8` (4-point DCT-II per thread, two blocks): dense FMA chains on
 /// register values between one load and one store phase.

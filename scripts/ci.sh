@@ -148,9 +148,13 @@ printf '%s\n' '.kernel noteful' 'BB0:' '  mov r0, 5' '  iadd r1, r0, 2' \
 rc=$?
 set -e
 [ "$rc" -eq 8 ] || { echo "lint --deny-warnings exited $rc on a noteful kernel, want 8"; exit 1; }
-RFH_JOBS=2 ./target/release/lint_report > "$artifacts/lint_report.txt"
-cmp results/lint_report.txt "$artifacts/lint_report.txt"
-echo "lint report byte-identical under RFH_JOBS=2"
+# Serially, with two workers and with eight: the pool's fold order must
+# not change the order in which findings come out.
+for jobs in 1 2 8; do
+    RFH_JOBS=$jobs ./target/release/lint_report > "$artifacts/lint_report.jobs$jobs.txt"
+    cmp results/lint_report.txt "$artifacts/lint_report.jobs$jobs.txt"
+done
+echo "lint report byte-identical under RFH_JOBS=1, 2 and 8"
 # Large-kernel pin: absint facts, allocations (hints off and on) and lint
 # diagnostics of the 48 seeded compile_large-shaped kernels, digested per
 # kernel. The test writes its fresh digest under target/tmp.
