@@ -3,24 +3,26 @@
 //! Each `run_*_layer` function fuzzes one pipeline layer with seeded
 //! mutants of a workload's kernel and classifies every case:
 //!
-//! * **rejected** — a structured error from parse/validate/allocate;
+//! * **rejected** — a structured error from parse/validate/allocate, or
+//!   from `validate_placements` in the placement layer;
 //! * **identical** — the mutant passed validation and differential
-//!   execution (baseline vs. hierarchy mode, or mutant vs. reference
-//!   for placements) produced bit-identical memory images;
+//!   execution (baseline vs. hierarchy mode, shipped vs. reference
+//!   engine, or every placement judge) agreed bit for bit;
 //! * **structured** — the mutant executes to a structured runtime error
 //!   (out-of-bounds access, instruction budget) *in both modes*;
-//! * **flagged** — placement layers only: a placement check caught the
-//!   corruption (`validate_placements`, replay alone, or the executor's
-//!   run-time tag check, depending on the layer);
+//! * **flagged** — a check stricter than execution caught the mutant:
+//!   lint's error diagnostics, or the tag model's `BadPlacement` in the
+//!   placement layer;
 //! * **unchanged** — the mutation happened to be a no-op.
 //!
 //! Anything else — a panic, an execution-mode asymmetry, or an unflagged
 //! placement corruption that changes results — aborts the run with a
 //! message naming the case seed, replayable via `RFH_TESTKIT_SEED`.
 //!
-//! Cases fan out over the `RFH_JOBS` worker pool. Each case's seed is
-//! derived up front from the base seed, and outcomes are folded in case
-//! order, so reports and failure messages are identical at any job count.
+//! Every layer drives its cases through one driver, `run_cases`: cases
+//! fan out over the `RFH_JOBS` worker pool, each case's seed is derived
+//! up front from the base seed, and outcomes are folded in case order, so
+//! reports and failure messages are identical at any job count.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,10 +33,11 @@ use rfh_analysis::strand::mark_strands;
 use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::{InstrRef, Kernel, Operand};
 use rfh_sim::counts::SwCounter;
-use rfh_sim::exec::{execute_with, replay, ExecError, ExecMode, StreamRecorder};
+use rfh_sim::exec::{execute_with, replay, ExecError, ExecMode, ExecReport, StreamRecorder};
 use rfh_sim::machine::MachineConfig;
+use rfh_sim::mem::GlobalMemory;
 use rfh_sim::sink::{InstrEvent, TraceSink};
-use rfh_testkit::pool::{par_map, par_map_with_jobs};
+use rfh_testkit::pool::{jobs, par_map_with_jobs};
 use rfh_testkit::prelude::*;
 use rfh_workloads::Workload;
 
@@ -45,15 +48,19 @@ use crate::{byte, ir, place, trace, wire};
 pub struct ChaosReport {
     /// Total mutants generated.
     pub cases: usize,
-    /// Rejected with a structured error before execution.
+    /// Rejected with a structured error before execution. In the
+    /// placement layer: `validate_placements` rejects the mutant, yet
+    /// every executing judge accepts it identically (the validator is
+    /// conservative).
     pub rejected: usize,
     /// Validated and differentially identical.
     pub identical: usize,
     /// Structured runtime error, symmetric across execution modes.
     pub structured: usize,
-    /// Caught as a bad placement: by `validate_placements` (placement
-    /// layer), by replay alone (replay layer), or by the shipped
-    /// executor's run-time tag check (exec-differential layer).
+    /// Caught by a check stricter than execution: lint's error
+    /// diagnostics (lint layer), or the tag model's run-time
+    /// `BadPlacement`, which shipped execution and replay raise together
+    /// (placement layer).
     pub flagged: usize,
     /// The mutation was a no-op on the artifact.
     pub unchanged: usize,
@@ -95,27 +102,77 @@ pub fn seed_from_env(default_seed: u64) -> u64 {
     rfh_testkit::env::u64_knob("RFH_TESTKIT_SEED").unwrap_or(default_seed)
 }
 
-/// Derives the per-case seed stream: every case's seed is a deterministic
-/// function of the base seed alone, so cases can run in parallel over the
-/// `RFH_JOBS` pool and still replay individually via `RFH_TESTKIT_SEED`.
-fn case_seeds(base_seed: u64, cases: usize) -> Vec<u64> {
-    let mut seeder = SplitMix64::new(base_seed);
-    (0..cases).map(|_| seeder.next_u64()).collect()
-}
-
-/// Folds parallel case outcomes into a report in case order, so the first
-/// violation reported is always the lowest-numbered case regardless of
-/// which worker found it.
-fn fold_cases(
-    seeds: &[u64],
-    outcomes: Vec<std::thread::Result<Result<CaseOutcome, String>>>,
+/// The one case driver of every layer. Derives `cases` per-case seeds
+/// from `base_seed` via SplitMix64, runs `case` on each seed's RNG over
+/// `jobs` workers with panics caught per case, and folds the outcomes in
+/// case order, so the first violation reported is always the
+/// lowest-numbered case whichever worker found it.
+fn run_cases<F>(
     layer: &str,
-) -> Result<ChaosReport, String> {
+    jobs: usize,
+    cases: usize,
+    base_seed: u64,
+    case: F,
+) -> Result<ChaosReport, String>
+where
+    F: Fn(&mut SmallRng) -> Result<CaseOutcome, String> + Sync,
+{
+    let mut seeder = SplitMix64::new(base_seed);
+    let seeds: Vec<u64> = (0..cases).map(|_| seeder.next_u64()).collect();
+    let outcomes = par_map_with_jobs(jobs, &seeds, |&seed| {
+        catch_unwind(AssertUnwindSafe(|| {
+            case(&mut SmallRng::seed_from_u64(seed))
+        }))
+    });
     let mut report = ChaosReport::default();
-    for (case, caught) in outcomes.into_iter().enumerate() {
-        record(&mut report, caught, layer, case, seeds[case])?;
+    for (n, (caught, seed)) in outcomes.into_iter().zip(&seeds).enumerate() {
+        report.cases += 1;
+        let violation = match caught {
+            Ok(Ok(outcome)) => {
+                *match outcome {
+                    CaseOutcome::Rejected => &mut report.rejected,
+                    CaseOutcome::Identical => &mut report.identical,
+                    CaseOutcome::Structured => &mut report.structured,
+                    CaseOutcome::Flagged => &mut report.flagged,
+                    CaseOutcome::Unchanged => &mut report.unchanged,
+                } += 1;
+                continue;
+            }
+            Ok(Err(violation)) => violation,
+            Err(_) => "PANIC escaped the pipeline".to_string(),
+        };
+        return Err(format!(
+            "{layer} layer, case {n} (seed {seed:#018x}): {violation}"
+        ));
     }
     Ok(report)
+}
+
+/// [`run_cases`] over structural IR mutants of `w`'s kernel
+/// ([`ir::mutate_kernel`]): a no-op mutation or a validator rejection
+/// settles the case, and `judge` classifies every mutant that passes
+/// validation.
+fn run_ir_cases<F>(
+    layer: &str,
+    w: &Workload,
+    cases: usize,
+    base_seed: u64,
+    judge: F,
+) -> Result<ChaosReport, String>
+where
+    F: Fn(Kernel) -> Result<CaseOutcome, String> + Sync,
+{
+    run_cases(layer, jobs(), cases, base_seed, |rng| {
+        let mut mutant = w.kernel.clone();
+        ir::mutate_kernel(&mut mutant, rng);
+        if mutant == w.kernel {
+            Ok(CaseOutcome::Unchanged)
+        } else if rfh_isa::validate(&mutant).is_err() {
+            Ok(CaseOutcome::Rejected)
+        } else {
+            judge(mutant)
+        }
+    })
 }
 
 /// Mutant executions are bounded: a corrupted kernel may loop forever, and
@@ -161,14 +218,17 @@ fn check_plan_sanity(kernel: &Kernel) -> Result<(), String> {
 }
 
 /// Differential check for a structurally *validated* mutant kernel: run it
-/// unallocated in baseline mode and allocated in hierarchy mode.
+/// unallocated in baseline mode, observed by `sinks`, then allocate it
+/// (guided by last-use hints if `hints`) and run it in hierarchy mode.
 /// Allocation must preserve the mutant's semantics exactly — identical
 /// final memory, or the same structured-failure fate in both modes.
-fn differential(mutant: &Kernel, cfg: &AllocConfig, w: &Workload) -> Result<CaseOutcome, String> {
-    let mut allocated = mutant.clone();
-    if allocate(&mut allocated, cfg, &EnergyModel::paper()).is_err() {
-        return Ok(CaseOutcome::Rejected);
-    }
+fn differential(
+    mutant: &Kernel,
+    cfg: &AllocConfig,
+    hints: bool,
+    w: &Workload,
+    sinks: &mut [&mut dyn TraceSink],
+) -> Result<CaseOutcome, String> {
     let machine = bounded_machine();
     let mut base_mem = w.memory.clone();
     let base = execute_with(
@@ -177,8 +237,12 @@ fn differential(mutant: &Kernel, cfg: &AllocConfig, w: &Workload) -> Result<Case
         &mut base_mem,
         ExecMode::Baseline,
         &machine,
-        &mut [],
+        sinks,
     );
+    let mut allocated = mutant.clone();
+    if allocate_with_hints(&mut allocated, cfg, &EnergyModel::paper(), hints).is_err() {
+        return Ok(CaseOutcome::Rejected);
+    }
     let mut hier_mem = w.memory.clone();
     let hier = execute_with(
         &allocated,
@@ -188,70 +252,73 @@ fn differential(mutant: &Kernel, cfg: &AllocConfig, w: &Workload) -> Result<Case
         &machine,
         &mut [],
     );
+    let allocated = if hints { "hint-allocated" } else { "allocated" };
     match (base, hier) {
-        (Ok(_), Ok(_)) => {
-            if base_mem.words() == hier_mem.words() {
-                Ok(CaseOutcome::Identical)
-            } else {
-                Err("allocated mutant diverged from its own baseline execution".into())
-            }
-        }
+        (Ok(_), Ok(_)) if base_mem.words() == hier_mem.words() => Ok(CaseOutcome::Identical),
+        (Ok(_), Ok(_)) => Err(format!(
+            "{allocated} mutant diverged from its own baseline execution"
+        )),
         (Err(_), Err(_)) => Ok(CaseOutcome::Structured),
-        (Ok(_), Err(e)) => Err(format!("hierarchy-only failure on a validated mutant: {e}")),
+        (Ok(_), Err(e)) => Err(format!(
+            "hierarchy-only failure on a {allocated} mutant: {e}"
+        )),
         (Err(e), Ok(_)) => Err(format!("baseline-only failure on a validated mutant: {e}")),
     }
 }
 
-/// Differential check between the two *executor engines* on the same
-/// (possibly corrupted) kernel, the warp-batched SoA engine and the frozen
-/// reference interpreter. Whatever the SoA engine accepts, the reference
-/// accepts with an identical report, access counts, and memory image; an
-/// SoA rejection is the very same structured error on the reference,
-/// except a run-time `BadPlacement`, which is **flagged**: the
-/// storage-faithful reference computes through the bad read. Any other
-/// asymmetry is an engine bug, not a property of the mutant.
-fn engine_differential(
-    mutant: &Kernel,
+/// One engine's run of a kernel: its result, SW access counts and final
+/// memory image.
+struct EngineRun {
+    result: Result<ExecReport, ExecError>,
+    counts: AccessCounts,
+    mem: GlobalMemory,
+}
+
+fn run_engine(
+    engine: rfh_oracle::exec::Execute,
+    kernel: &Kernel,
     mode: ExecMode,
     w: &Workload,
     machine: &MachineConfig,
-) -> Result<CaseOutcome, String> {
-    let run = |engine: rfh_oracle::exec::Execute| {
-        let mut mem = w.memory.clone();
-        let mut counter = SwCounter::default();
-        let result = engine(
-            mutant,
-            &w.launch,
-            &mut mem,
-            mode,
-            machine,
-            &mut [&mut counter],
-        );
-        (result, counter.counts(), mem)
-    };
-    let (soa, soa_counts, soa_mem) = run(execute_with);
-    let (oracle, oracle_counts, oracle_mem) = run(rfh_oracle::exec::execute_with);
-    match (soa, oracle) {
-        (Ok(a), Ok(b)) => {
-            if a != b {
-                Err(format!(
-                    "engines accepted the mutant with different reports: soa {a:?} vs reference {b:?}"
-                ))
-            } else if soa_counts != oracle_counts {
-                Err(format!(
-                    "engines accepted the mutant with different access counts: \
-                     soa {soa_counts:?} vs reference {oracle_counts:?}"
-                ))
-            } else if soa_mem.words() != oracle_mem.words() {
-                Err("engines accepted the mutant with different memory images".into())
-            } else {
-                Ok(CaseOutcome::Identical)
-            }
+) -> EngineRun {
+    let mut mem = w.memory.clone();
+    let mut counter = SwCounter::default();
+    let result = engine(
+        kernel,
+        &w.launch,
+        &mut mem,
+        mode,
+        machine,
+        &mut [&mut counter],
+    );
+    EngineRun {
+        result,
+        counts: counter.counts(),
+        mem,
+    }
+}
+
+/// The engine-conformance relation between the shipped SoA engine and
+/// the frozen reference interpreter on one kernel: whatever the SoA
+/// engine accepts, the reference accepts with an identical report,
+/// access counts and memory image, and an SoA rejection is the very same
+/// structured error on the reference. Any asymmetry is an engine bug,
+/// not a property of the kernel.
+fn engines_agree(soa: &EngineRun, oracle: &EngineRun) -> Result<(), String> {
+    match (&soa.result, &oracle.result) {
+        (Ok(a), Ok(b)) if a != b => Err(format!(
+            "engines accepted the mutant with different reports: soa {a:?} vs reference {b:?}"
+        )),
+        (Ok(_), Ok(_)) if soa.counts != oracle.counts => Err(format!(
+            "engines accepted the mutant with different access counts: \
+             soa {:?} vs reference {:?}",
+            soa.counts, oracle.counts
+        )),
+        (Ok(_), Ok(_)) if soa.mem.words() != oracle.mem.words() => {
+            Err("engines accepted the mutant with different memory images".into())
         }
-        (Err(a), Err(b)) if a == b => Ok(CaseOutcome::Structured),
-        (Err(ExecError::BadPlacement { .. }), _) if matches!(mode, ExecMode::Hierarchy(_)) => {
-            Ok(CaseOutcome::Flagged)
-        }
+        (Ok(_), Ok(_)) => Ok(()),
+        (Err(a), Err(b)) if a == b => Ok(()),
         (Err(a), Err(b)) => Err(format!(
             "engines rejected the mutant with different errors: soa `{a}` vs reference `{b}`"
         )),
@@ -260,34 +327,6 @@ fn engine_differential(
         )),
         (Err(e), Ok(_)) => Err(format!(
             "SoA-only failure on a mutant the reference engine accepted: {e}"
-        )),
-    }
-}
-
-fn record(
-    report: &mut ChaosReport,
-    caught: std::thread::Result<Result<CaseOutcome, String>>,
-    layer: &str,
-    case: usize,
-    seed: u64,
-) -> Result<(), String> {
-    report.cases += 1;
-    match caught {
-        Ok(Ok(outcome)) => {
-            match outcome {
-                CaseOutcome::Rejected => report.rejected += 1,
-                CaseOutcome::Identical => report.identical += 1,
-                CaseOutcome::Structured => report.structured += 1,
-                CaseOutcome::Flagged => report.flagged += 1,
-                CaseOutcome::Unchanged => report.unchanged += 1,
-            }
-            Ok(())
-        }
-        Ok(Err(violation)) => Err(format!(
-            "{layer} layer, case {case} (seed {seed:#018x}): {violation}"
-        )),
-        Err(_) => Err(format!(
-            "{layer} layer, case {case} (seed {seed:#018x}): PANIC escaped the pipeline"
         )),
     }
 }
@@ -307,21 +346,16 @@ pub fn run_byte_layer(
     base_seed: u64,
 ) -> Result<ChaosReport, String> {
     let text = rfh_isa::printer::print_kernel(&w.kernel);
-    let seeds = case_seeds(base_seed, cases);
-    let outcomes = par_map(&seeds, |&seed| {
-        catch_unwind(AssertUnwindSafe(|| -> Result<CaseOutcome, String> {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mutated = byte::mutate_text(&text, &mut rng);
-            if mutated == text {
-                return Ok(CaseOutcome::Unchanged);
-            }
-            match rfh_isa::parse_kernel(&mutated) {
-                Err(_) => Ok(CaseOutcome::Rejected),
-                Ok(kernel) => differential(&kernel, cfg, w),
-            }
-        }))
-    });
-    fold_cases(&seeds, outcomes, "byte")
+    run_cases("byte", jobs(), cases, base_seed, |rng| {
+        let mutated = byte::mutate_text(&text, rng);
+        if mutated == text {
+            return Ok(CaseOutcome::Unchanged);
+        }
+        match rfh_isa::parse_kernel(&mutated) {
+            Err(_) => Ok(CaseOutcome::Rejected),
+            Ok(kernel) => differential(&kernel, cfg, false, w, &mut []),
+        }
+    })
 }
 
 /// Fuzzes the validator/allocator with structural IR corruptions.
@@ -335,25 +369,10 @@ pub fn run_ir_layer(
     cases: usize,
     base_seed: u64,
 ) -> Result<ChaosReport, String> {
-    let seeds = case_seeds(base_seed, cases);
-    let outcomes = par_map(&seeds, |&seed| {
-        catch_unwind(AssertUnwindSafe(|| -> Result<CaseOutcome, String> {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut mutant = w.kernel.clone();
-            ir::mutate_kernel(&mut mutant, &mut rng);
-            if mutant == w.kernel {
-                return Ok(CaseOutcome::Unchanged);
-            }
-            match rfh_isa::validate(&mutant) {
-                Err(_) => Ok(CaseOutcome::Rejected),
-                Ok(()) => {
-                    check_plan_sanity(&mutant)?;
-                    differential(&mutant, cfg, w)
-                }
-            }
-        }))
-    });
-    fold_cases(&seeds, outcomes, "IR")
+    run_ir_cases("IR", w, cases, base_seed, |mutant| {
+        check_plan_sanity(&mutant)?;
+        differential(&mutant, cfg, false, w, &mut [])
+    })
 }
 
 /// Fuzzes the static analyzer (`rfh-lint`) with structural IR corruptions
@@ -379,43 +398,50 @@ pub fn run_lint_layer(
         alloc: *cfg,
         ..Default::default()
     };
-    let seeds = case_seeds(base_seed, cases);
-    let outcomes = par_map(&seeds, |&seed| {
-        catch_unwind(AssertUnwindSafe(|| -> Result<CaseOutcome, String> {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut mutant = w.kernel.clone();
-            ir::mutate_kernel(&mut mutant, &mut rng);
-            if mutant == w.kernel {
-                return Ok(CaseOutcome::Unchanged);
-            }
-            match rfh_isa::validate(&mutant) {
-                Err(_) => Ok(CaseOutcome::Rejected),
-                Ok(()) => {
-                    let diags = rfh_lint::lint_kernel(&mutant, &options);
-                    if rfh_lint::has_errors(&diags) {
-                        return Ok(CaseOutcome::Flagged);
-                    }
-                    differential(&mutant, cfg, w)
-                }
-            }
-        }))
-    });
-    fold_cases(&seeds, outcomes, "lint")
+    run_ir_cases("lint", w, cases, base_seed, |mutant| {
+        if rfh_lint::has_errors(&rfh_lint::lint_kernel(&mutant, &options)) {
+            return Ok(CaseOutcome::Flagged);
+        }
+        differential(&mutant, cfg, false, w, &mut [])
+    })
 }
 
-/// Fuzzes the placement validator with corrupted placements on a
-/// correctly allocated kernel, and proves its **soundness** by
-/// differential execution: any corruption it does **not** flag must
-/// execute on the storage-faithful reference interpreter
-/// (`rfh_oracle::exec`) to exactly the reference memory image, and pass
-/// the shipped executor's placement check.
+/// Fuzzes every placement judge at once with corrupted placements
+/// ([`place::mutate_placements`]) on a correctly allocated kernel. For
+/// each mutant it computes each verdict once — `validate_placements`, the
+/// shipped executor (with a [`SwCounter`]), [`replay`] from the workload's
+/// baseline stream (recorded once per layer), and the storage-faithful
+/// reference interpreter `rfh_oracle::exec` (with a [`SwCounter`]) — and
+/// checks the relations between them:
+///
+/// 1. the access resolver's invariants hold on every mutant;
+/// 2. **validator soundness**: a mutant `validate_placements` accepts
+///    executes on the oracle to the reference memory image, and the
+///    shipped executor and replay both accept it;
+/// 3. replay is at least as strict as storage-faithful execution: a
+///    mutant the oracle rejects (an error or a failed host `verify`),
+///    replay rejects too;
+/// 4. shipped execution and replay step one tag model, so they accept
+///    exactly the same mutants, and count a mutant both accept equally;
+/// 5. **engine conformance**: a mutant shipped execution accepts, the
+///    oracle accepts with an identical report, counts and memory image,
+///    and a shipped error other than `BadPlacement` is the identical
+///    oracle error.
+///
+/// The oracle runs only where a relation reads its verdict: on a mutant
+/// the shipped run rejected with `BadPlacement`, relations 2–5 hold
+/// whatever the oracle returns, so it is skipped there.
+///
+/// The report's `identical` counts mutants every judge accepts,
+/// `rejected` those only the validator rejects, `flagged` the tag
+/// model's `BadPlacement`s, and `structured` identical runtime errors.
 ///
 /// # Errors
 ///
-/// Returns a replayable description of the first violation: a panic, an
-/// unflagged corruption that fails to execute on either engine, or — the
-/// critical case — an unflagged corruption that changes results.
-pub fn run_place_layer(
+/// Returns a replayable description of the first violated relation, or a
+/// panic — the critical case being an unflagged corruption that changes
+/// results (validator unsoundness).
+pub fn run_placement_layer(
     w: &Workload,
     cfg: &AllocConfig,
     cases: usize,
@@ -425,6 +451,9 @@ pub fn run_place_layer(
     allocate(&mut allocated, cfg, &EnergyModel::paper())
         .map_err(|e| format!("seed kernel failed to allocate: {e}"))?;
     let machine = bounded_machine();
+    // One baseline run yields both the reference memory image and the
+    // stream every mutant is replayed from.
+    let mut recorder = StreamRecorder::new(&w.kernel);
     let mut ref_mem = w.memory.clone();
     execute_with(
         &w.kernel,
@@ -432,158 +461,77 @@ pub fn run_place_layer(
         &mut ref_mem,
         ExecMode::Baseline,
         &machine,
-        &mut [],
-    )
-    .map_err(|e| format!("seed kernel failed to execute: {e}"))?;
-
-    let seeds = case_seeds(base_seed, cases);
-    let outcomes = par_map(&seeds, |&seed| {
-        catch_unwind(AssertUnwindSafe(|| -> Result<CaseOutcome, String> {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut mutant = allocated.clone();
-            place::mutate_placements(&mut mutant, cfg.orf_entries, &mut rng);
-            if mutant == allocated {
-                return Ok(CaseOutcome::Unchanged);
-            }
-            // Placement mutations never touch operand structure, so the
-            // access resolver's invariants must hold on *every* mutant,
-            // flagged or not.
-            check_plan_sanity(&mutant)?;
-            if validate_placements(&mutant, cfg).is_err() {
-                return Ok(CaseOutcome::Flagged);
-            }
-            // Unflagged: the corruption must be semantically transparent.
-            let mode = ExecMode::Hierarchy(*cfg);
-            let mut mem = w.memory.clone();
-            rfh_oracle::exec::execute_with(&mutant, &w.launch, &mut mem, mode, &machine, &mut [])
-                .map_err(|e| format!("unflagged placement mutant failed to execute: {e}"))?;
-            if mem.words() != ref_mem.words() {
-                return Err(
-                    "unflagged placement corruption changed results — validator unsoundness".into(),
-                );
-            }
-            let mut mem = w.memory.clone();
-            execute_with(&mutant, &w.launch, &mut mem, mode, &machine, &mut [])
-                .map(|_| CaseOutcome::Identical)
-                .map_err(|e| {
-                    format!("the executor rejected a mutant the placement validator accepts: {e}")
-                })
-        }))
-    });
-    fold_cases(&seeds, outcomes, "placement")
-}
-
-/// Fuzzes the *replay* placement check ([`rfh_sim::exec::replay`]) with
-/// the placement mutants of [`run_place_layer`]. The workload's baseline
-/// run is recorded once; every mutant is then executed on the
-/// storage-faithful reference interpreter (`rfh_oracle::exec`, verified
-/// against the host reference) and on the shipped executor, and replayed
-/// from the recording. Three invariants must hold:
-///
-/// * replay is at least as strict as storage-faithful execution: every
-///   mutant the reference rejects (an error or a failed verify), replay
-///   rejects too;
-/// * replay is no stricter than the placement validator: every mutant
-///   `validate_placements` accepts, replay accepts;
-/// * replay and the shipped executor run one tag model, so they accept
-///   and reject the same mutants, and count a mutant both accept
-///   identically.
-///
-/// The report's `rejected` counts replay rejections the reference shares,
-/// `identical` the mutants all accept, and `flagged` the mutants only the
-/// tag model rejects — the stale but equal reads final memory cannot see.
-///
-/// # Errors
-///
-/// Returns a replayable description of the first violated invariant, or
-/// a panic.
-pub fn run_replay_layer(
-    w: &Workload,
-    cfg: &AllocConfig,
-    cases: usize,
-    base_seed: u64,
-) -> Result<ChaosReport, String> {
-    let mut allocated = w.kernel.clone();
-    allocate(&mut allocated, cfg, &EnergyModel::paper())
-        .map_err(|e| format!("seed kernel failed to allocate: {e}"))?;
-    let machine = bounded_machine();
-    let mut recorder = StreamRecorder::new(&w.kernel);
-    let mut mem = w.memory.clone();
-    execute_with(
-        &w.kernel,
-        &w.launch,
-        &mut mem,
-        ExecMode::Baseline,
-        &machine,
         &mut [&mut recorder],
     )
     .map_err(|e| format!("seed kernel failed to execute: {e}"))?;
     let stream = recorder.finish();
+    let mode = ExecMode::Hierarchy(*cfg);
 
-    let seeds = case_seeds(base_seed, cases);
-    let outcomes = par_map(&seeds, |&seed| {
-        catch_unwind(AssertUnwindSafe(|| -> Result<CaseOutcome, String> {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut mutant = allocated.clone();
-            place::mutate_placements(&mut mutant, cfg.orf_entries, &mut rng);
-            if mutant == allocated {
-                return Ok(CaseOutcome::Unchanged);
-            }
-            let mode = ExecMode::Hierarchy(*cfg);
-            let mut mem = w.memory.clone();
-            let storage = rfh_oracle::exec::execute_with(
-                &mutant,
-                &w.launch,
-                &mut mem,
-                mode,
-                &machine,
-                &mut [],
-            )
+    run_cases("placement", jobs(), cases, base_seed, |rng| {
+        let mut mutant = allocated.clone();
+        place::mutate_placements(&mut mutant, cfg.orf_entries, rng);
+        if mutant == allocated {
+            return Ok(CaseOutcome::Unchanged);
+        }
+        // (1) Placement mutations never touch operand structure.
+        check_plan_sanity(&mutant)?;
+        let validated = validate_placements(&mutant, cfg).is_ok();
+        let shipped = run_engine(execute_with, &mutant, mode, w, &machine);
+        let mut replayed = AccessCounts::default();
+        let replayed_ok = replay(
+            &mutant,
+            &stream,
+            mode,
+            &machine,
+            SwCounter::default,
+            |c, warps| replayed += c.counts() * warps,
+        );
+        // (4) One tag model behind execution and replay.
+        let counted = shipped.result.is_err() || replayed == shipped.counts;
+        if shipped.result.is_ok() != replayed_ok.is_ok() || !counted {
+            return Err(format!(
+                "replay and execution disagree: replay {replayed_ok:?} counting {replayed:?}, \
+                 execution {:?} counting {:?}",
+                shipped.result, shipped.counts
+            ));
+        }
+        // (2) The validator vouches for execution and replay.
+        if let (true, Err(e)) = (validated, &shipped.result) {
+            return Err(format!(
+                "execution and replay rejected a mutant the placement validator accepts: {e}"
+            ));
+        }
+        if let Err(ExecError::BadPlacement { .. }) = shipped.result {
+            return Ok(CaseOutcome::Flagged);
+        }
+        let oracle = run_engine(rfh_oracle::exec::execute_with, &mutant, mode, w, &machine);
+        // (2) The validator vouches for the storage-faithful result.
+        if validated && (oracle.result.is_err() || oracle.mem.words() != ref_mem.words()) {
+            return Err(format!(
+                "the oracle missed the reference memory on a mutant the placement validator \
+                 accepts ({:?}) — validator unsoundness",
+                oracle.result
+            ));
+        }
+        // (3) Replay rejects whatever storage-faithful execution rejects.
+        let storage = oracle
+            .result
+            .as_ref()
             .map_err(|e| e.to_string())
-            .and_then(|_| (w.verify)(&w.memory, &mem));
-            let mut mem = w.memory.clone();
-            let mut executed = SwCounter::default();
-            let shipped = execute_with(
-                &mutant,
-                &w.launch,
-                &mut mem,
-                mode,
-                &machine,
-                &mut [&mut executed],
-            );
-            let mut replayed = AccessCounts::default();
-            let replay = replay(
-                &mutant,
-                &stream,
-                mode,
-                &machine,
-                SwCounter::default,
-                |c, warps| replayed += c.counts() * warps,
-            );
-            let validated = validate_placements(&mutant, cfg);
-            if shipped.is_ok() != replay.is_ok() {
-                return Err(format!(
-                    "replay and execution disagree: replay {replay:?}, execution {shipped:?}"
-                ));
-            }
-            match (storage, replay) {
-                (Err(e), Ok(())) => Err(format!(
-                    "replay accepted a mutant storage-faithful execution rejects: {e}"
-                )),
-                (_, Err(e)) if validated.is_ok() => Err(format!(
-                    "replay rejected a mutant the placement validator accepts: {e}"
-                )),
-                (Err(_), Err(_)) => Ok(CaseOutcome::Rejected),
-                (Ok(()), Err(_)) => Ok(CaseOutcome::Flagged),
-                (Ok(()), Ok(())) if replayed == executed.counts() => Ok(CaseOutcome::Identical),
-                (Ok(()), Ok(())) => Err(format!(
-                    "replayed counts {replayed:?} differ from executed {:?}",
-                    executed.counts()
-                )),
-            }
-        }))
-    });
-    fold_cases(&seeds, outcomes, "replay")
+            .and_then(|_| (w.verify)(&w.memory, &oracle.mem));
+        if let (Err(e), Ok(())) = (storage, &replayed_ok) {
+            return Err(format!(
+                "replay accepted a mutant storage-faithful execution rejects: {e}"
+            ));
+        }
+        // (5) Engine conformance.
+        engines_agree(&shipped, &oracle)?;
+        Ok(match shipped.result {
+            Err(_) => CaseOutcome::Structured,
+            Ok(_) if validated => CaseOutcome::Identical,
+            Ok(_) => CaseOutcome::Rejected,
+        })
+    })
 }
 
 /// Fuzzes the `rfhd` wire protocol against a **live in-process daemon**:
@@ -626,21 +574,17 @@ pub fn run_protocol_layer(cases: usize, base_seed: u64) -> Result<ChaosReport, S
     // Protocol cases are I/O-bound (socket timeouts, deliberate stalls),
     // not CPU-bound, so fan out wider than the core count; outcomes are
     // still folded in case order, so the report stays deterministic.
-    let seeds = case_seeds(base_seed, cases);
-    let outcomes = par_map_with_jobs(8, &seeds, |&seed| {
-        catch_unwind(AssertUnwindSafe(|| -> Result<CaseOutcome, String> {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let observed = wire::inject(&addr, IO_TIMEOUT_MS, &mut rng)?;
-            // Whatever the fault did, the daemon must still serve.
-            wire::probe(&endpoint, seed)?;
-            Ok(match observed {
-                wire::Observation::Succeeded => CaseOutcome::Identical,
-                wire::Observation::ErrorFrame => CaseOutcome::Structured,
-                wire::Observation::Closed => CaseOutcome::Rejected,
-            })
-        }))
+    const IO_JOBS: usize = 8;
+    let folded = run_cases("protocol", IO_JOBS, cases, base_seed, |rng| {
+        let observed = wire::inject(&addr, IO_TIMEOUT_MS, rng)?;
+        // Whatever the fault did, the daemon must still serve.
+        wire::probe(&endpoint, rng.next_u64())?;
+        Ok(match observed {
+            wire::Observation::Succeeded => CaseOutcome::Identical,
+            wire::Observation::ErrorFrame => CaseOutcome::Structured,
+            wire::Observation::Closed => CaseOutcome::Rejected,
+        })
     });
-    let folded = fold_cases(&seeds, outcomes, "protocol");
     // Drain even on a violation so the listener thread never outlives
     // the layer; a drain failure is itself a violation.
     let drained = wire::drain(handle);
@@ -649,57 +593,35 @@ pub fn run_protocol_layer(cases: usize, base_seed: u64) -> Result<ChaosReport, S
     Ok(report)
 }
 
-/// Fuzzes the *executor pair* with structural IR corruptions (executed
-/// unallocated in baseline mode) and placement corruptions on an
-/// allocated clone (executed in hierarchy mode): every structurally valid
-/// mutant the SoA engine accepts, the frozen reference oracle accepts with
-/// bit-identical state (report, access counts, memory image), and every
-/// SoA rejection is the identical structured error on the oracle — except
-/// a run-time bad placement, which is **flagged** (see
-/// `engine_differential`).
+/// Fuzzes the *executor pair* with structural IR corruptions, executed
+/// unallocated in baseline mode on the shipped SoA engine and the frozen
+/// reference oracle: every structurally valid mutant must satisfy
+/// `engines_agree` — the oracle accepts whatever the SoA engine accepts
+/// with bit-identical state (report, access counts, memory image), and
+/// every SoA rejection is the identical structured error on the oracle.
+/// Placement mutants are [`run_placement_layer`]'s.
 ///
 /// # Errors
 ///
 /// Returns a replayable description of the first engine asymmetry: a
-/// panic, a mutant one engine accepts and the other rejects (other than a
-/// flagged placement), or an accepted mutant whose observable state
-/// differs between engines.
+/// panic, a mutant one engine accepts and the other rejects, or an
+/// accepted mutant whose observable state differs between engines.
 pub fn run_exec_differential_layer(
     w: &Workload,
-    cfg: &AllocConfig,
     cases: usize,
     base_seed: u64,
 ) -> Result<ChaosReport, String> {
-    let mut allocated = w.kernel.clone();
-    allocate(&mut allocated, cfg, &EnergyModel::paper())
-        .map_err(|e| format!("seed kernel failed to allocate: {e}"))?;
     let machine = bounded_machine();
-    let seeds = case_seeds(base_seed, cases);
-    let outcomes = par_map(&seeds, |&seed| {
-        catch_unwind(AssertUnwindSafe(|| -> Result<CaseOutcome, String> {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            // Alternate mutant flavors so both engine frontends get
-            // exercised: raw IR damage on the unallocated kernel, and
-            // placement damage on the allocated one.
-            let (mutant, mode, pristine) = if rng.gen() {
-                let mut m = w.kernel.clone();
-                ir::mutate_kernel(&mut m, &mut rng);
-                (m, ExecMode::Baseline, &w.kernel)
-            } else {
-                let mut m = allocated.clone();
-                place::mutate_placements(&mut m, cfg.orf_entries, &mut rng);
-                (m, ExecMode::Hierarchy(*cfg), &allocated)
-            };
-            if mutant == *pristine {
-                return Ok(CaseOutcome::Unchanged);
-            }
-            if rfh_isa::validate(&mutant).is_err() {
-                return Ok(CaseOutcome::Rejected);
-            }
-            engine_differential(&mutant, mode, w, &machine)
-        }))
-    });
-    fold_cases(&seeds, outcomes, "exec-differential")
+    run_ir_cases("exec-differential", w, cases, base_seed, |mutant| {
+        let run = |engine| run_engine(engine, &mutant, ExecMode::Baseline, w, &machine);
+        let soa = run(execute_with);
+        engines_agree(&soa, &run(rfh_oracle::exec::execute_with))?;
+        Ok(if soa.result.is_ok() {
+            CaseOutcome::Identical
+        } else {
+            CaseOutcome::Structured
+        })
+    })
 }
 
 /// A [`TraceSink`] that checks every claim of the abstract interpreter
@@ -949,69 +871,21 @@ pub fn run_absint_layer(
         ctas: Some(w.launch.ctas as u32),
     };
     let warps_per_cta = w.launch.threads_per_cta.div_ceil(machine.warp_width);
-    let seeds = case_seeds(base_seed, cases);
-    let outcomes = par_map(&seeds, |&seed| {
-        catch_unwind(AssertUnwindSafe(|| -> Result<CaseOutcome, String> {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut mutant = w.kernel.clone();
-            ir::mutate_kernel(&mut mutant, &mut rng);
-            if mutant == w.kernel {
-                return Ok(CaseOutcome::Unchanged);
-            }
-            if rfh_isa::validate(&mutant).is_err() {
-                return Ok(CaseOutcome::Rejected);
-            }
-            // The analyses must be panic-free and sound on any kernel that
-            // passed validation — mutants included.
-            let mut marked = mutant.clone();
-            mark_strands(&mut marked);
-            let res = absint::analyze(&marked, ctx);
-            let hints = last_use::analyze(&marked);
-            let mut sink = CheckSink::new(&marked, &res, &hints, warps_per_cta, machine.warp_width);
-            let mut base_mem = w.memory.clone();
-            let base = execute_with(
-                &marked,
-                &w.launch,
-                &mut base_mem,
-                ExecMode::Baseline,
-                &machine,
-                &mut [&mut sink],
-            );
-            // Claims checked before a structured abort are still claims.
-            if let Some(v) = sink.violation {
-                return Err(v);
-            }
-            // Hint-guided allocation must preserve the mutant's semantics.
-            let mut hinted = mutant.clone();
-            if allocate_with_hints(&mut hinted, cfg, &EnergyModel::paper(), true).is_err() {
-                return Ok(CaseOutcome::Rejected);
-            }
-            let mut hier_mem = w.memory.clone();
-            let hier = execute_with(
-                &hinted,
-                &w.launch,
-                &mut hier_mem,
-                ExecMode::Hierarchy(*cfg),
-                &machine,
-                &mut [],
-            );
-            match (base, hier) {
-                (Ok(_), Ok(_)) => {
-                    if base_mem.words() == hier_mem.words() {
-                        Ok(CaseOutcome::Identical)
-                    } else {
-                        Err("hint-allocated mutant diverged from its own baseline execution".into())
-                    }
-                }
-                (Err(_), Err(_)) => Ok(CaseOutcome::Structured),
-                (Ok(_), Err(e)) => Err(format!(
-                    "hierarchy-only failure on a hint-allocated mutant: {e}"
-                )),
-                (Err(e), Ok(_)) => Err(format!("baseline-only failure on a validated mutant: {e}")),
-            }
-        }))
-    });
-    fold_cases(&seeds, outcomes, "absint")
+    run_ir_cases("absint", w, cases, base_seed, |mut mutant| {
+        // The analyses must be panic-free and sound on any kernel that
+        // passed validation — mutants included.
+        mark_strands(&mut mutant);
+        let res = absint::analyze(&mutant, ctx);
+        let hints = last_use::analyze(&mutant);
+        let mut sink = CheckSink::new(&mutant, &res, &hints, warps_per_cta, machine.warp_width);
+        // Hint-guided allocation must preserve the mutant's semantics.
+        let outcome = differential(&mutant, cfg, true, w, &mut [&mut sink]);
+        // Claims checked before a structured abort are still claims.
+        match sink.violation {
+            Some(v) => Err(v),
+            None => outcome,
+        }
+    })
 }
 
 /// Fuzzes the *timing-engine pair* with seeded corruptions of a captured
@@ -1048,52 +922,25 @@ pub fn run_timing_layer(w: &Workload, cases: usize, base_seed: u64) -> Result<Ch
     .map_err(|e| format!("timing layer: trace capture failed for {}: {e}", w.name))?;
     let base_config = TimingConfig::two_level(8);
 
-    let seeds = case_seeds(base_seed, cases);
-    let outcomes = par_map(&seeds, |&seed| {
-        catch_unwind(AssertUnwindSafe(|| -> Result<CaseOutcome, String> {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut traces = cap.traces.clone();
-            let mut config = base_config.clone();
-            trace::mutate_timing(&mut traces, &mut config, &mut rng);
-            if traces == cap.traces && config == base_config {
-                return Ok(CaseOutcome::Unchanged);
+    run_cases("timing", jobs(), cases, base_seed, |rng| {
+        let mut traces = cap.traces.clone();
+        let mut config = base_config.clone();
+        trace::mutate_timing(&mut traces, &mut config, rng);
+        if traces == cap.traces && config == base_config {
+            return Ok(CaseOutcome::Unchanged);
+        }
+        let cta_of = |wi: usize| cap.cta_of(wi);
+        let flat = simulate_timing(&traces, &cta_of, &config);
+        let oracle = rfh_oracle::timing::simulate(&traces, &cta_of, &config);
+        match (flat, oracle) {
+            (Ok(f), Ok(r)) if f == r => Ok(CaseOutcome::Identical),
+            (Err(a), Err(b)) if a == b && matches!(a, TimingError::Config(_)) => {
+                Ok(CaseOutcome::Rejected)
             }
-            let cta_of = |wi: usize| cap.cta_of(wi);
-            let flat = simulate_timing(&traces, &cta_of, &config);
-            let oracle = rfh_oracle::timing::simulate(&traces, &cta_of, &config);
-            match (flat, oracle) {
-                (Ok(f), Ok(r)) => {
-                    if f == r {
-                        Ok(CaseOutcome::Identical)
-                    } else {
-                        Err(format!(
-                            "engines accepted the mutant with different results: \
-                             flat {f:?} vs reference {r:?}"
-                        ))
-                    }
-                }
-                (Err(a), Err(b)) => {
-                    if a != b {
-                        Err(format!(
-                            "engines rejected the mutant with different errors: \
-                             flat `{a}` vs reference `{b}`"
-                        ))
-                    } else if matches!(a, TimingError::Config(_)) {
-                        Ok(CaseOutcome::Rejected)
-                    } else {
-                        Ok(CaseOutcome::Structured)
-                    }
-                }
-                (Ok(f), Err(e)) => Err(format!(
-                    "reference-only failure on a mutant the flat engine \
-                     accepted ({f:?}): {e}"
-                )),
-                (Err(e), Ok(r)) => Err(format!(
-                    "flat-only failure on a mutant the reference engine \
-                     accepted ({r:?}): {e}"
-                )),
-            }
-        }))
-    });
-    fold_cases(&seeds, outcomes, "timing")
+            (Err(a), Err(b)) if a == b => Ok(CaseOutcome::Structured),
+            (flat, oracle) => Err(format!(
+                "engines disagree on the mutant: flat {flat:?} vs reference {oracle:?}"
+            )),
+        }
+    })
 }

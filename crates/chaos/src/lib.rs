@@ -17,63 +17,66 @@
 //!   validator and allocator;
 //! * [`place`] — placement-annotation corruption on an allocated kernel
 //!   (flip `ReadLoc`/`WriteLoc`, drop `also_mrf`, shift ORF indices) fed
-//!   to `rfh_alloc::validate_placements`.
+//!   to every placement judge.
 //!
 //! [`harness`] runs thousands of seeded mutants per layer and asserts the
 //! **trichotomy**: every mutant is either *rejected with a structured
 //! error*, or *validated and architecturally identical* (differential
-//! execution against the baseline agrees exactly), or — placements only —
-//! *flagged by the placement validator*. A panic or a hang anywhere is a
-//! bug; so is an unflagged placement corruption that changes results
-//! (validator unsoundness) or a validated mutant whose baseline and
-//! hierarchy executions disagree.
+//! execution against the baseline agrees exactly), or *flagged* by a
+//! check stricter than execution. A panic or a hang anywhere is a bug; so
+//! is an unflagged placement corruption that changes results (validator
+//! unsoundness) or a validated mutant whose baseline and hierarchy
+//! executions disagree.
 //!
-//! A fourth layer ([`harness::run_lint_layer`]) turns the same IR mutants
-//! on the `rfh-lint` static analyzer and asserts its one-directional
-//! soundness: every mutant lint does **not** flag with an error must
-//! execute and validate cleanly under the differential contract.
+//! The layers, by driver:
 //!
-//! A fifth layer ([`harness::run_exec_differential_layer`]) points the
-//! same IR and placement mutants at the *executor pair*: the warp-batched
-//! SoA engine and the frozen reference interpreter must land every
-//! structurally valid mutant in the same accept/reject class, with
-//! bit-identical state on acceptance and the identical structured error
-//! on rejection — so engine conformance is fuzzed with hostile inputs,
-//! not just well-formed programs.
-//!
-//! A sixth layer ([`harness::run_protocol_layer`]) aims seeded
-//! *wire-protocol* faults ([`wire`]) — truncated frames, garbage bytes,
-//! oversized length prefixes, mid-request disconnects, stalled slow
-//! writers — at a live in-process `rfhd` daemon and asserts the service
-//! trichotomy: well-formed requests succeed, malformed traffic draws a
-//! structured error frame or a clean teardown, and the daemon keeps
-//! serving throughout — no deaths, no poisoned workers, no leaked queue
-//! slots.
-//!
-//! A seventh layer ([`harness::run_absint_layer`]) turns the IR mutants
-//! on the *abstract interpreter* (`rfh_analysis::absint`) and its
-//! last-use hint pass: on every surviving mutant, the analyses must be
-//! panic-free, every derived claim must hold on the concrete execution —
-//! written values inside predicted intervals, affine forms bit-exact,
-//! uniform-marked registers never divergent across a warp, predicate
-//! knowledge and reachability respected, and no read ever following a
-//! read the analysis proved final — and hint-guided allocation must be
-//! semantics-preserving under the differential contract.
-//!
-//! An eighth layer ([`harness::run_timing_layer`]) corrupts *captured
-//! timing traces* and their scheduler configs ([`trace`]) — reordered
-//! ops, perturbed latency classes, scrambled dependences, truncated warp
-//! streams, unbalanced barriers, degenerate configs — and replays every
-//! mutant through both timing engines (the flat per-cycle loop and
-//! the frozen reference oracle): surviving traces must agree exactly on
-//! the `TimingResult`, malformed ones must produce field-for-field
-//! identical structured errors, deadlock snapshots included.
-//!
-//! A ninth layer ([`harness::run_replay_layer`]) turns the placement
-//! mutants on *replay*, which counts allocated kernels from one recorded
-//! baseline stream and checks every operand read with a value-free tag
-//! model: replay must reject every mutant hierarchy execution rejects,
-//! and must accept every mutant the placement validator accepts.
+//! * [`harness::run_byte_layer`] and [`harness::run_ir_layer`] feed byte
+//!   and IR mutants through parse, validate and allocate, then execute
+//!   the survivors in baseline and hierarchy mode.
+//! * [`harness::run_lint_layer`] turns the IR mutants on the `rfh-lint`
+//!   static analyzer and asserts its one-directional soundness: every
+//!   mutant lint does **not** flag with an error must execute and
+//!   validate cleanly under the differential contract.
+//! * [`harness::run_placement_layer`] asks every placement judge about
+//!   each placement mutant once — `validate_placements`, the shipped
+//!   executor's tag model, tag-checked replay from one recorded baseline
+//!   stream, and the storage-faithful reference interpreter — and checks
+//!   the relations between their verdicts: whatever the validator accepts
+//!   computes the reference memory on the oracle and passes execution and
+//!   replay; replay rejects whatever the oracle computes wrongly;
+//!   execution and replay accept the same mutants and count them equally;
+//!   and whatever execution accepts, the oracle accepts identically.
+//! * [`harness::run_exec_differential_layer`] points the IR mutants at
+//!   the *executor pair*: the warp-batched SoA engine and the frozen
+//!   reference interpreter must land every structurally valid mutant in
+//!   the same accept/reject class, with bit-identical state on acceptance
+//!   and the identical structured error on rejection — so engine
+//!   conformance is fuzzed with hostile inputs, not just well-formed
+//!   programs.
+//! * [`harness::run_protocol_layer`] aims seeded *wire-protocol* faults
+//!   ([`wire`]) — truncated frames, garbage bytes, oversized length
+//!   prefixes, mid-request disconnects, stalled slow writers — at a live
+//!   in-process `rfhd` daemon and asserts the service trichotomy:
+//!   well-formed requests succeed, malformed traffic draws a structured
+//!   error frame or a clean teardown, and the daemon keeps serving
+//!   throughout — no deaths, no poisoned workers, no leaked queue slots.
+//! * [`harness::run_absint_layer`] turns the IR mutants on the *abstract
+//!   interpreter* (`rfh_analysis::absint`) and its last-use hint pass: on
+//!   every surviving mutant, the analyses must be panic-free, every
+//!   derived claim must hold on the concrete execution — written values
+//!   inside predicted intervals, affine forms bit-exact, uniform-marked
+//!   registers never divergent across a warp, predicate knowledge and
+//!   reachability respected, and no read ever following a read the
+//!   analysis proved final — and hint-guided allocation must be
+//!   semantics-preserving under the differential contract.
+//! * [`harness::run_timing_layer`] corrupts *captured timing traces* and
+//!   their scheduler configs ([`trace`]) — reordered ops, perturbed
+//!   latency classes, scrambled dependences, truncated warp streams,
+//!   unbalanced barriers, degenerate configs — and replays every mutant
+//!   through both timing engines (the flat per-cycle loop and the frozen
+//!   reference oracle): surviving traces must agree exactly on the
+//!   `TimingResult`, malformed ones must produce field-for-field
+//!   identical structured errors, deadlock snapshots included.
 //!
 //! Every case derives its RNG seed from a base seed via SplitMix64, so a
 //! failure report pinpoints one replayable case. Set `RFH_TESTKIT_SEED`
@@ -90,6 +93,6 @@ pub mod wire;
 
 pub use harness::{
     cases_from_env, run_absint_layer, run_byte_layer, run_exec_differential_layer, run_ir_layer,
-    run_lint_layer, run_place_layer, run_protocol_layer, run_replay_layer, run_timing_layer,
-    seed_from_env, ChaosReport,
+    run_lint_layer, run_placement_layer, run_protocol_layer, run_timing_layer, seed_from_env,
+    ChaosReport,
 };

@@ -1,8 +1,9 @@
 //! The headline robustness property: over ≥1000 seeded mutants per
 //! corruption layer, every case lands in the trichotomy — *rejected with
 //! a structured error*, *validated and architecturally identical*, or
-//! *flagged by the placement validator* — with zero panics and zero
-//! hangs. Unflagged placement corruptions are executed differentially to
+//! *flagged by a check stricter than execution* — with zero panics and
+//! zero hangs. Placement corruptions are judged by the validator, the
+//! shipped executor, replay and the storage-faithful oracle at once, to
 //! prove the validator catches everything that changes results.
 //!
 //! `RFH_CHAOS_CASES` scales the per-layer budget (CI smoke uses a small
@@ -11,7 +12,7 @@
 use rfh_alloc::AllocConfig;
 use rfh_chaos::{
     cases_from_env, run_absint_layer, run_byte_layer, run_exec_differential_layer, run_ir_layer,
-    run_lint_layer, run_place_layer, run_replay_layer, seed_from_env,
+    run_lint_layer, run_placement_layer, seed_from_env, ChaosReport,
 };
 use rfh_workloads::Workload;
 
@@ -69,36 +70,55 @@ fn ir_layer_trichotomy_holds() {
 }
 
 #[test]
-fn placement_layer_trichotomy_holds() {
-    let cases = cases_from_env(1000);
-    let report = run_place_layer(
-        &workload("vectoradd"),
-        &cfg(),
-        cases,
-        seed_from_env(0x97AC_0003),
-    )
-    .expect("placement validator failed to catch a result-changing corruption");
-    assert_eq!(report.cases, cases, "{report}");
+fn placement_layer_judges_agree_on_every_mutant() {
+    // Every placement judge on one mutant population per cell: the
+    // validator, shipped execution, replay and the storage-faithful
+    // oracle. Loops (scalarprod: backedges are where cross-strand
+    // staleness lives), divergence (mandelbrot), a barrier kernel
+    // (reduction) and every hierarchy shape. At the default budget each
+    // cell judges more mutants than the separate placement, replay and
+    // exec-differential layers this one replaced judged there together.
+    let budget = cases_from_env(1000);
+    let cells = [
+        ("vectoradd", cfg(), 3 * budget),
+        ("scalarprod", AllocConfig::two_level(3), budget),
+        ("mandelbrot", AllocConfig::three_level(2, false), budget / 2),
+        ("mandelbrot", AllocConfig::two_level(3), budget / 2),
+        ("reduction", AllocConfig::three_level(4, true), budget / 2),
+    ];
+    let mut total = ChaosReport::default();
+    for (k, (name, cfg, cases)) in cells.into_iter().enumerate() {
+        let report = run_placement_layer(
+            &workload(name),
+            &cfg,
+            cases,
+            seed_from_env(0x97AC_0003 + k as u64),
+        )
+        .unwrap_or_else(|e| panic!("{name} at {cfg}: placement judges disagree: {e}"));
+        assert_eq!(report.cases, cases, "{name} at {cfg}: {report}");
+        assert!(
+            report.identical + report.rejected > 0,
+            "{name} at {cfg}: some mutants should pass every executing judge: {report}"
+        );
+        total.cases += report.cases;
+        total.rejected += report.rejected;
+        total.identical += report.identical;
+        total.structured += report.structured;
+        total.flagged += report.flagged;
+        total.unchanged += report.unchanged;
+    }
     assert!(
-        report.flagged > cases / 10,
-        "placement corruption should usually be flagged: {report}"
+        total.identical > 0,
+        "some mutants the validator accepts should pass every judge with equal counts: {total}"
     );
-}
-
-#[test]
-fn placement_layer_holds_under_a_two_level_config_with_loops() {
-    // A second hierarchy shape and a loop-heavy kernel: backedges are
-    // where cross-strand staleness lives.
-    let cases = cases_from_env(1000).min(500);
-    let report = run_place_layer(
-        &workload("scalarprod"),
-        &AllocConfig::two_level(3),
-        cases,
-        seed_from_env(0x97AC_0004),
-    )
-    .expect("placement validator failed on the two-level config");
-    assert_eq!(report.cases, cases, "{report}");
-    assert!(report.flagged > 0, "{report}");
+    assert!(
+        total.flagged > total.cases / 10,
+        "placement corruption should often trip the tag model: {total}"
+    );
+    assert!(
+        total.rejected > 0,
+        "some mutants only the conservative validator rejects: {total}"
+    );
 }
 
 #[test]
@@ -141,13 +161,9 @@ fn lint_layer_soundness_holds_on_a_barrier_kernel() {
 #[test]
 fn exec_differential_layer_holds() {
     let cases = cases_from_env(1000);
-    let report = run_exec_differential_layer(
-        &workload("vectoradd"),
-        &cfg(),
-        cases,
-        seed_from_env(0xE7EC_0007),
-    )
-    .expect("executor engines diverged on a mutant");
+    let report =
+        run_exec_differential_layer(&workload("vectoradd"), cases, seed_from_env(0xE7EC_0007))
+            .expect("executor engines diverged on a mutant");
     assert_eq!(report.cases, cases, "{report}");
     assert!(
         report.identical > 0,
@@ -157,10 +173,6 @@ fn exec_differential_layer_holds() {
         report.rejected > 0,
         "structural damage should trip the shared validator: {report}"
     );
-    assert!(
-        report.flagged > 0,
-        "placement damage should trip the executor's tag check: {report}"
-    );
 }
 
 #[test]
@@ -168,45 +180,11 @@ fn exec_differential_layer_holds_on_a_divergent_kernel() {
     // Mandelbrot's data-dependent loop exit is the hardest control-flow
     // shape: mutants perturb reconvergence and guard structure directly.
     let cases = cases_from_env(1000).min(500);
-    let report = run_exec_differential_layer(
-        &workload("mandelbrot"),
-        &AllocConfig::two_level(3),
-        cases,
-        seed_from_env(0xE7EC_0008),
-    )
-    .expect("executor engines diverged on a divergent-kernel mutant");
+    let report =
+        run_exec_differential_layer(&workload("mandelbrot"), cases, seed_from_env(0xE7EC_0008))
+            .expect("executor engines diverged on a divergent-kernel mutant");
     assert_eq!(report.cases, cases, "{report}");
     assert!(report.identical + report.structured > 0, "{report}");
-    assert!(report.flagged > 0, "{report}");
-}
-
-#[test]
-fn replay_layer_is_as_strict_as_execution_and_as_lenient_as_the_validator() {
-    // Loops, divergence, a barrier kernel and every hierarchy shape:
-    // replay must reject whatever storage-faithful execution rejects,
-    // accept whatever the placement validator accepts, and agree with the
-    // shipped executor on every mutant.
-    let cells = [
-        ("vectoradd", cfg()),
-        ("scalarprod", AllocConfig::two_level(3)),
-        ("mandelbrot", AllocConfig::three_level(2, false)),
-        ("reduction", AllocConfig::three_level(4, true)),
-    ];
-    let cases = cases_from_env(1000).div_ceil(cells.len());
-    let mut rejected = 0;
-    for (k, (name, cfg)) in cells.into_iter().enumerate() {
-        let report = run_replay_layer(
-            &workload(name),
-            &cfg,
-            cases,
-            seed_from_env(0x2E91_0010 + k as u64),
-        )
-        .unwrap_or_else(|e| panic!("{name}: replay layer violated: {e}"));
-        assert_eq!(report.cases, cases, "{name}: {report}");
-        assert!(report.identical > 0, "{name}: {report}");
-        rejected += report.rejected;
-    }
-    assert!(rejected > 0, "placement damage should often be rejected");
 }
 
 #[test]
@@ -329,10 +307,22 @@ fn timing_layer_holds_on_a_barrier_kernel() {
 
 #[test]
 fn chaos_runs_are_deterministic_per_seed() {
+    // The placement layer runs the oracle on only some mutants; that must
+    // not make its classification depend on case order.
+    type Layer = fn(&Workload, &AllocConfig, usize, u64) -> Result<ChaosReport, String>;
+    let layers: [(&str, Layer); 2] = [("byte", run_byte_layer), ("placement", run_placement_layer)];
     let w = workload("vectoradd");
-    let a = run_byte_layer(&w, &cfg(), 50, 7).expect("run a");
-    let b = run_byte_layer(&w, &cfg(), 50, 7).expect("run b");
-    assert_eq!(a, b, "same seed must reproduce the same classification");
-    let c = run_byte_layer(&w, &cfg(), 50, 8).expect("run c");
-    assert_ne!(a, c, "different seeds should explore different mutants");
+    for (name, layer) in layers {
+        let a = layer(&w, &cfg(), 50, 7).expect("run a");
+        let b = layer(&w, &cfg(), 50, 7).expect("run b");
+        assert_eq!(
+            a, b,
+            "{name}: same seed must reproduce the same classification"
+        );
+        let c = layer(&w, &cfg(), 50, 8).expect("run c");
+        assert_ne!(
+            a, c,
+            "{name}: different seeds should explore different mutants"
+        );
+    }
 }

@@ -7,7 +7,7 @@
 //! hardened by years of chaos/property testing, so it serves as the
 //! ground truth the SoA engine is differentially checked against
 //! (`tests/exec_differential.rs` and the chaos
-//! `run_exec_differential_layer`).
+//! `run_exec_differential_layer` and `run_placement_layer`).
 //!
 //! Do not "improve" this module: its value is that it does not change.
 //! Behavioral fixes must land in both engines, with the differential

@@ -13,7 +13,8 @@
 //!
 //! * [`exec`] — the per-thread reference interpreter, against which the
 //!   warp-batched SoA executor is checked by `tests/exec_differential.rs`
-//!   and the chaos `run_exec_differential_layer`. It is also the one
+//!   and the chaos `run_exec_differential_layer` (IR mutants) and
+//!   `run_placement_layer` (placement mutants). It is also the one
 //!   storage-faithful model of the hierarchy: its values really move
 //!   through ORF entries and LRF banks, which the shipped executor only
 //!   checks with a value-free tag model;

@@ -30,7 +30,7 @@
 //! `rfh-oracle` crate, and still routes values through modeled ORF/LRF
 //! storage. The two agree exactly on valid placements; on corrupted ones
 //! the SoA engine agrees or rejects with `BadPlacement`
-//! (`tests/exec_differential.rs`, the chaos `run_exec_differential_layer`).
+//! (`tests/exec_differential.rs`, the chaos `run_placement_layer`).
 //! The oracle reuses [`check_launchable`], [`eval_alu`], [`eval_cmp`],
 //! [`POISON`] and the error taxonomy.
 

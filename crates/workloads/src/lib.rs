@@ -39,5 +39,5 @@ pub mod registry;
 pub mod spec;
 pub mod suites;
 
-pub use registry::{all, by_name, suite_of};
+pub use registry::{all, by_name};
 pub use spec::{Suite, Workload};

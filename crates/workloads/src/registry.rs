@@ -1,6 +1,6 @@
 //! Workload registry.
 
-use crate::spec::{Suite, Workload, WorkloadEntry};
+use crate::spec::{Workload, WorkloadEntry};
 use crate::suites;
 
 /// Every workload's name and constructor, across the three suites in
@@ -17,11 +17,6 @@ pub fn all() -> Vec<Workload> {
     table().map(|(_, build)| build()).collect()
 }
 
-/// The workloads of one suite.
-pub fn suite_of(suite: Suite) -> Vec<Workload> {
-    all().into_iter().filter(|w| w.suite == suite).collect()
-}
-
 /// Looks up a workload by its lower-case name, building only that one.
 pub fn by_name(name: &str) -> Option<Workload> {
     table().find(|(n, _)| *n == name).map(|(_, build)| build())
@@ -30,6 +25,7 @@ pub fn by_name(name: &str) -> Option<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Suite;
 
     #[test]
     fn registry_is_complete_and_unique() {
@@ -44,8 +40,16 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(names.len(), before, "duplicate workload names");
-        for s in Suite::ALL {
-            assert!(!suite_of(s).is_empty(), "{s} suite is empty");
+        let suites = [
+            (Suite::CudaSdk, suites::sdk::WORKLOADS),
+            (Suite::Parboil, suites::parboil::WORKLOADS),
+            (Suite::Rodinia, suites::rodinia::WORKLOADS),
+        ];
+        for (suite, entries) in suites {
+            assert!(!entries.is_empty(), "{suite} suite is empty");
+            for (name, build) in entries {
+                assert_eq!(build().suite, suite, "{name} is listed under {suite}");
+            }
         }
     }
 

@@ -49,24 +49,19 @@ RFH_JOBS=1 RFH_EXEC_DIFF_CASES=100 cargo test -q --offline --test exec_different
 RFH_JOBS=8 RFH_EXEC_DIFF_CASES=100 cargo test -q --offline --test exec_differential
 echo "exec differential suite green under RFH_JOBS=1 and RFH_JOBS=8"
 
-echo "==> replay smoke (tag-checked replay vs execution and the storage oracle)"
-# Replay and hierarchy execution step one tag model, so they must accept
-# and reject the same placement mutants. Replay must also reject every
-# mutant the storage-faithful oracle (rfh-oracle) computes wrongly, and
-# accept every mutant the placement validator accepts, serially and with
-# 8 workers; the full budget runs in `cargo test` above.
-RFH_JOBS=1 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy replay_layer
-RFH_JOBS=8 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy replay_layer
-echo "replay layer green under RFH_JOBS=1 and RFH_JOBS=8"
-
-echo "==> placement + lint chaos smoke (soundness oracles of the placement walk)"
-# `validate_placements` and lint's RFH-L006/L007 report the findings of
-# one static placement model (`rfh_alloc::validate::placement_findings`).
-# The placement layer runs every mutant it accepts on the storage-faithful
-# oracle, which must compute the reference image, and on the shipped
-# executor, which must accept it; the lint layer is lint's soundness
-# oracle. Bounded runs, serially and with 8 workers; the full budget runs
-# in `cargo test` above.
+echo "==> placement + lint chaos smoke (every placement judge, and lint's soundness oracle)"
+# The placement layer asks four judges about each placement mutant once:
+# `validate_placements`, hierarchy execution's tag model, replay from one
+# recorded baseline stream, and the storage-faithful oracle (rfh-oracle).
+# What the validator accepts must compute the reference image on the
+# oracle and pass execution and replay; replay must reject what the
+# oracle computes wrongly; execution and replay accept the same mutants
+# with equal counts; and what execution accepts, the oracle accepts
+# identically. `validate_placements` and lint's RFH-L006/L007 report the
+# findings of one static placement model
+# (`rfh_alloc::validate::placement_findings`), and the lint layer is
+# lint's soundness oracle. Bounded runs, serially and with 8 workers; the
+# full budget runs in `cargo test` above.
 RFH_JOBS=1 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy -- placement_layer lint_layer
 RFH_JOBS=8 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy -- placement_layer lint_layer
 echo "placement and lint layers green under RFH_JOBS=1 and RFH_JOBS=8"
