@@ -69,32 +69,15 @@ fn ir_layer_trichotomy_holds() {
     );
 }
 
-#[test]
-fn placement_layer_judges_agree_on_every_mutant() {
-    // Every placement judge on one mutant population per cell: the
-    // validator, shipped execution, replay and the storage-faithful
-    // oracle. Loops (scalarprod: backedges are where cross-strand
-    // staleness lives), divergence (mandelbrot), a barrier kernel
-    // (reduction) and every hierarchy shape. At the default budget each
-    // cell judges more mutants than the separate placement, replay and
-    // exec-differential layers this one replaced judged there together.
-    let budget = cases_from_env(1000);
-    let cells = [
-        ("vectoradd", cfg(), 3 * budget),
-        ("scalarprod", AllocConfig::two_level(3), budget),
-        ("mandelbrot", AllocConfig::three_level(2, false), budget / 2),
-        ("mandelbrot", AllocConfig::two_level(3), budget / 2),
-        ("reduction", AllocConfig::three_level(4, true), budget / 2),
-    ];
+/// Runs the placement layer — every placement judge on one mutant
+/// population: the validator, shipped execution, replay and the
+/// storage-faithful oracle — over `cells` of `(workload, config, cases,
+/// seed)`, checks each cell, and checks the summed report.
+fn judge_placement_cells(cells: Vec<(&str, AllocConfig, usize, u64)>) -> ChaosReport {
     let mut total = ChaosReport::default();
-    for (k, (name, cfg, cases)) in cells.into_iter().enumerate() {
-        let report = run_placement_layer(
-            &workload(name),
-            &cfg,
-            cases,
-            seed_from_env(0x97AC_0003 + k as u64),
-        )
-        .unwrap_or_else(|e| panic!("{name} at {cfg}: placement judges disagree: {e}"));
+    for (name, cfg, cases, seed) in cells {
+        let report = run_placement_layer(&workload(name), &cfg, cases, seed_from_env(seed))
+            .unwrap_or_else(|e| panic!("{name} at {cfg}: placement judges disagree: {e}"));
         assert_eq!(report.cases, cases, "{name} at {cfg}: {report}");
         assert!(
             report.identical + report.rejected > 0,
@@ -119,6 +102,57 @@ fn placement_layer_judges_agree_on_every_mutant() {
         total.rejected > 0,
         "some mutants only the conservative validator rejects: {total}"
     );
+    total
+}
+
+#[test]
+fn placement_layer_trichotomy_holds() {
+    // At the default budget the vectoradd cell judges more mutants than
+    // the separate placement, replay and exec-differential layers that
+    // the placement layer replaced judged there together.
+    judge_placement_cells(vec![(
+        "vectoradd",
+        cfg(),
+        3 * cases_from_env(1000),
+        0x97AC_0003,
+    )]);
+}
+
+#[test]
+fn placement_layer_holds_under_a_two_level_config_with_loops() {
+    // A second hierarchy shape and a loop-heavy kernel: backedges are
+    // where cross-strand staleness lives.
+    judge_placement_cells(vec![(
+        "scalarprod",
+        AllocConfig::two_level(3),
+        cases_from_env(1000),
+        0x97AC_0004,
+    )]);
+}
+
+#[test]
+fn replay_layer_is_as_strict_as_execution_and_as_lenient_as_the_validator() {
+    // Divergence (mandelbrot) under two hierarchy shapes and a barrier
+    // kernel (reduction): on every mutant the placement layer checks that
+    // replay rejects whatever storage-faithful execution rejects, accepts
+    // whatever the placement validator accepts, and agrees with the
+    // shipped executor.
+    let half = cases_from_env(1000) / 2;
+    judge_placement_cells(vec![
+        (
+            "mandelbrot",
+            AllocConfig::three_level(2, false),
+            half,
+            0x97AC_0005,
+        ),
+        ("mandelbrot", AllocConfig::two_level(3), half, 0x97AC_0006),
+        (
+            "reduction",
+            AllocConfig::three_level(4, true),
+            half,
+            0x97AC_0007,
+        ),
+    ]);
 }
 
 #[test]

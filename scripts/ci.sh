@@ -62,8 +62,8 @@ echo "==> placement + lint chaos smoke (every placement judge, and lint's soundn
 # (`rfh_alloc::validate::placement_findings`), and the lint layer is
 # lint's soundness oracle. Bounded runs, serially and with 8 workers; the
 # full budget runs in `cargo test` above.
-RFH_JOBS=1 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy -- placement_layer lint_layer
-RFH_JOBS=8 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy -- placement_layer lint_layer
+RFH_JOBS=1 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy -- placement_layer replay_layer lint_layer
+RFH_JOBS=8 RFH_CHAOS_CASES=100 cargo test -q --offline -p rfh-chaos --test trichotomy -- placement_layer replay_layer lint_layer
 echo "placement and lint layers green under RFH_JOBS=1 and RFH_JOBS=8"
 
 echo "==> timing differential smoke (flat engine vs frozen reference)"
