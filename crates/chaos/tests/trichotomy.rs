@@ -83,6 +83,13 @@ fn judge_placement_cells(cells: Vec<(&str, AllocConfig, usize, u64)>) -> ChaosRe
             report.identical + report.rejected > 0,
             "{name} at {cfg}: some mutants should pass every executing judge: {report}"
         );
+        // Placement mutants change only annotations, and hierarchy mode
+        // computes baseline values, so once the seed kernel has run no
+        // mutant can reach an execution error other than `BadPlacement`.
+        assert_eq!(
+            report.structured, 0,
+            "{name} at {cfg}: a placement mutant changed what execution computes: {report}"
+        );
         total.cases += report.cases;
         total.rejected += report.rejected;
         total.identical += report.identical;
@@ -206,6 +213,12 @@ fn exec_differential_layer_holds() {
     assert!(
         report.rejected > 0,
         "structural damage should trip the shared validator: {report}"
+    );
+    // The layer where "an SoA error is the identical oracle error" binds:
+    // the placement layer's mutants never reach a runtime error.
+    assert!(
+        report.structured > 0,
+        "some mutants should fail at run time on both engines alike: {report}"
     );
 }
 

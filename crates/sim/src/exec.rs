@@ -23,8 +23,9 @@
 //! The engine is a warp-batched structure-of-arrays executor: a one-time
 //! decode pass lowers each instruction into a flat op table with
 //! pre-resolved [`AccessPlan`]s, slab offsets, and pre-normalized flat
-//! branch targets, and the hot loop dispatches over that table with
-//! contiguous lane-major register storage.
+//! branch targets, and the hot loop dispatches once per warp instruction
+//! over that table, running opcode-specialized lane loops on contiguous
+//! lane-major register storage.
 //!
 //! The original per-thread interpreter is frozen in the test-only
 //! `rfh-oracle` crate, and still routes values through modeled ORF/LRF

@@ -18,10 +18,24 @@
 //!
 //! Warp state is lane-major: one contiguous `u32` slab holds the register
 //! rows (register `r`, lane `l` lives at `r * width + l`), and predicates
-//! are per-register 32-bit lane masks. The hot loop is then a dispatch
-//! over `ops[pc]` running short contiguous lane loops — no per-lane
-//! operand matching, no per-step block scans, no per-instruction
-//! allocation.
+//! are per-register 32-bit lane masks. The hot loop dispatches once per
+//! warp instruction, never per lane, in three steps:
+//!
+//! 1. **gather** — each source operand is read into a 32-lane array once:
+//!    a slab row copy, a broadcast constant, or one special-register loop;
+//! 2. **per-opcode loop** — the opcode is matched outside the lane loop,
+//!    and each arm runs a loop over the gathered arrays that calls
+//!    [`eval_alu`] (or [`eval_cmp`]) with a constant opcode, so the match
+//!    folds away and the loop can vectorize; `setp`/`fsetp` yields a lane
+//!    mask from one comparison loop, `sel` blends by the predicate mask;
+//! 3. **masked commit** — the result lands in the destination row under
+//!    the exec mask: a row copy for a full mask, a masked blend otherwise.
+//!
+//! Memory ops take their addresses and values from the gathered arrays
+//! but access memory lane by lane in lane order, so the first failing lane
+//! raises the error with earlier lanes' effects in place. There is no
+//! per-lane operand matching, no per-step block scan and no
+//! per-instruction allocation.
 //!
 //! Both execution modes compute the same values. In hierarchy mode each
 //! warp also steps a [`Tags`] state before each instruction executes,
@@ -67,14 +81,10 @@ pub(super) struct DstPlan {
 /// The dispatch class of a decoded instruction.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum OpKind {
-    /// Default-datapath ALU op, evaluated by [`eval_alu`]. `ok` is
-    /// pre-classified at decode ([`eval_alu`] returns `None` purely by
-    /// opcode), so the lane loop never tests the `Option` — the
-    /// unsupported-opcode error is raised once, and only when at least
-    /// one lane actually executes (the reference interpreter's rule).
-    Alu {
-        ok: bool,
-    },
+    /// Default-datapath ALU op, evaluated by [`alu_lanes`]. An opcode
+    /// without ALU semantics is an error raised once, and only when at
+    /// least one lane actually executes (the reference interpreter's rule).
+    Alu,
     /// An ALU-class op with a 64-bit destination: rejected at issue, even
     /// fully predicated off (matching the reference interpreter).
     AluWide,
@@ -187,9 +197,7 @@ pub(super) fn decode<'k>(
                 if instr.dst.is_some_and(|d| d.width == Width::W64) {
                     OpKind::AluWide
                 } else {
-                    OpKind::Alu {
-                        ok: eval_alu(instr.op, 0, 0, 0).is_some(),
-                    }
+                    OpKind::Alu
                 }
             }
         };
@@ -258,14 +266,157 @@ impl LaneCtx<'_> {
     }
 }
 
+/// Lanes per gathered operand array. Lane masks are `u32`, so a warp has
+/// at most 32 lanes.
+const WARP: usize = 32;
+
+/// One operand or result value per lane of a warp instruction.
+type Lanes = [u32; WARP];
+
+/// Reads source operands for every lane, slot by slot into `out`: a slab
+/// row copy, a broadcast constant, or one special-register loop. Entries
+/// at and past `lanes` of a row copy keep whatever they held; no commit
+/// reads them.
 #[inline]
-fn fetch(src: SrcOp, data: &[u32], ctx: &LaneCtx<'_>, lane: usize) -> u32 {
-    match src {
-        SrcOp::Zero => 0,
-        SrcOp::Const(v) => v,
-        SrcOp::Special(s) => ctx.special(s, lane),
-        SrcOp::Slab(base) => data[base as usize + lane],
+fn gather(srcs: &[SrcOp], data: &[u32], ctx: &LaneCtx<'_>, lanes: usize, out: &mut [Lanes; 3]) {
+    for (&src, out) in srcs.iter().zip(out) {
+        match src {
+            SrcOp::Zero => *out = [0; WARP],
+            SrcOp::Const(v) => *out = [v; WARP],
+            SrcOp::Special(s) => {
+                for (lane, v) in out.iter_mut().enumerate() {
+                    *v = ctx.special(s, lane);
+                }
+            }
+            SrcOp::Slab(base) => {
+                let base = base as usize;
+                out[..lanes].copy_from_slice(&data[base..base + lanes]);
+            }
+        }
     }
+}
+
+/// Runs `f` over every lane of the gathered sources.
+#[inline(always)]
+fn map_lanes(out: &mut Lanes, [a, b, c]: &[Lanes; 3], f: impl Fn(u32, u32, u32) -> u32) {
+    for lane in 0..WARP {
+        out[lane] = f(a[lane], b[lane], c[lane]);
+    }
+}
+
+/// Evaluates `op` on every lane of the gathered sources into `out`, or
+/// returns `None` when `op` has no ALU semantics (exactly where
+/// [`eval_alu`] returns `None`). The opcode is matched once here; each arm
+/// calls [`eval_alu`] with a constant opcode, so its match folds away
+/// inside the lane loop.
+fn alu_lanes(op: Opcode, srcs: &[Lanes; 3], out: &mut Lanes) -> Option<()> {
+    use rfh_isa::SfuOp;
+    macro_rules! arms {
+        ($([$($o:tt)+]),* $(,)?) => {
+            match op {
+                $($($o)+ => map_lanes(out, srcs, |a, b, c| {
+                    eval_alu($($o)+, a, b, c).unwrap_or(0)
+                }),)*
+                _ => return None,
+            }
+        };
+    }
+    arms!(
+        [Opcode::IAdd],
+        [Opcode::ISub],
+        [Opcode::IMul],
+        [Opcode::IMad],
+        [Opcode::IMin],
+        [Opcode::IMax],
+        [Opcode::And],
+        [Opcode::Or],
+        [Opcode::Xor],
+        [Opcode::Shl],
+        [Opcode::Shr],
+        [Opcode::FAdd],
+        [Opcode::FSub],
+        [Opcode::FMul],
+        [Opcode::FFma],
+        [Opcode::FMin],
+        [Opcode::FMax],
+        [Opcode::Mov],
+        [Opcode::I2F],
+        [Opcode::F2I],
+        [Opcode::Sfu(SfuOp::Rcp)],
+        [Opcode::Sfu(SfuOp::Rsqrt)],
+        [Opcode::Sfu(SfuOp::Sqrt)],
+        [Opcode::Sfu(SfuOp::Sin)],
+        [Opcode::Sfu(SfuOp::Cos)],
+        [Opcode::Sfu(SfuOp::Ex2)],
+        [Opcode::Sfu(SfuOp::Lg2)],
+    );
+    Some(())
+}
+
+/// The lane mask of `eval_cmp(cmp, float, a, b)` over every lane, from one
+/// comparison loop per `(cmp, float)` pair with both folded in.
+fn cmp_lanes(cmp: CmpOp, float: bool, a: &Lanes, b: &Lanes) -> u32 {
+    #[inline(always)]
+    fn mask(a: &Lanes, b: &Lanes, f: impl Fn(u32, u32) -> bool) -> u32 {
+        let mut m = 0u32;
+        for lane in 0..WARP {
+            m |= u32::from(f(a[lane], b[lane])) << lane;
+        }
+        m
+    }
+    macro_rules! arms {
+        ($($c:ident)*) => {
+            match (cmp, float) {
+                $(
+                    (CmpOp::$c, false) => mask(a, b, |x, y| eval_cmp(CmpOp::$c, false, x, y)),
+                    (CmpOp::$c, true) => mask(a, b, |x, y| eval_cmp(CmpOp::$c, true, x, y)),
+                )*
+            }
+        };
+    }
+    arms!(Eq Ne Lt Le Gt Ge)
+}
+
+/// Writes `vals` into a destination row under the exec mask (which has no
+/// bit at or past `row.len()`): a row copy when every lane executes, a
+/// masked blend otherwise.
+#[inline]
+fn commit(row: &mut [u32], vals: &Lanes, exec_mask: u32) {
+    if exec_mask.count_ones() as usize == row.len() {
+        row.copy_from_slice(&vals[..row.len()]);
+    } else {
+        for (lane, (d, &v)) in row.iter_mut().zip(vals).enumerate() {
+            *d = if exec_mask >> lane & 1 != 0 { v } else { *d };
+        }
+    }
+}
+
+/// Commits a one-word result to `d`'s rows: `vals` to the low row and, for
+/// a 64-bit destination, zero to the high row (the reference interpreter's
+/// rule for one-word results).
+#[inline]
+fn commit_dst(data: &mut [u32], d: &DstPlan, lanes: usize, vals: &Lanes, exec_mask: u32) {
+    if let Some(row) = d.lo {
+        let row = row as usize;
+        commit(&mut data[row..row + lanes], vals, exec_mask);
+    }
+    if let Some(row) = d.hi {
+        let row = row as usize;
+        commit(&mut data[row..row + lanes], &[0; WARP], exec_mask);
+    }
+}
+
+/// The executing lanes of `mask`, lowest first: the reference
+/// interpreter's lane order for memory accesses and their errors.
+#[inline]
+fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
 }
 
 #[inline]
@@ -382,11 +533,6 @@ fn step_warp(
     report: &mut ExecReport,
 ) -> Result<Phase, ExecError> {
     let lanes = w.lanes;
-    let full_mask: u32 = if lanes == 32 {
-        u32::MAX
-    } else {
-        (1u32 << lanes) - 1
-    };
     let SoaWarp {
         data,
         tags,
@@ -397,6 +543,9 @@ fn step_warp(
         ..
     } = w;
     let data = data.as_mut_slice();
+    // Gathered sources and the computed result of the current instruction.
+    let mut srcs: [Lanes; 3] = [[0; WARP]; 3];
+    let mut out: Lanes = [0; WARP];
 
     while let Some(tok) = stack.last_mut() {
         let mask = tok.mask & !*exited;
@@ -498,13 +647,44 @@ fn step_warp(
                 tok.pc += 1;
                 return Ok(Phase::Barrier);
             }
+            OpKind::AluWide => {
+                return Err(ExecError::Unsupported {
+                    what: format!("64-bit destination on `{}`", op.instr),
+                    at: op.at,
+                });
+            }
+            // With no executing lane, the ops below read and write nothing.
+            _ if exec_mask == 0 => {}
+            OpKind::Alu => {
+                gather(&op.srcs, data, ctx, lanes, &mut srcs);
+                alu_lanes(op.op, &srcs, &mut out).ok_or_else(|| ExecError::Unsupported {
+                    what: format!("`{}` has no ALU semantics", op.op),
+                    at: op.at,
+                })?;
+                commit_dst(data, &op.dst, lanes, &out, exec_mask);
+            }
+            OpKind::Setp { cmp, float, p } => {
+                gather(&op.srcs[..2], data, ctx, lanes, &mut srcs);
+                let m = cmp_lanes(cmp, float, &srcs[0], &srcs[1]);
+                preds[p] = (preds[p] & !exec_mask) | (m & exec_mask);
+            }
+            OpKind::Sel { p } => {
+                gather(&op.srcs[..2], data, ctx, lanes, &mut srcs);
+                let pm = preds[p];
+                let [a, b, _] = &srcs;
+                for lane in 0..WARP {
+                    out[lane] = if pm >> lane & 1 != 0 {
+                        a[lane]
+                    } else {
+                        b[lane]
+                    };
+                }
+                commit_dst(data, &op.dst, lanes, &out, exec_mask);
+            }
             OpKind::St(space) => {
-                for lane in 0..lanes {
-                    if exec_mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let addr = fetch(op.srcs[0], data, ctx, lane);
-                    let value = fetch(op.srcs[1], data, ctx, lane);
+                gather(&op.srcs[..2], data, ctx, lanes, &mut srcs);
+                for lane in lanes_of(exec_mask) {
+                    let (addr, value) = (srcs[0][lane], srcs[1][lane]);
                     let ok = match space {
                         Space::Global | Space::Local => memory.store(addr, value),
                         Space::Shared => shared.store(addr, value),
@@ -520,24 +700,22 @@ fn step_warp(
                 }
             }
             OpKind::Ld(space) => {
+                gather(&op.srcs[..1], data, ctx, lanes, &mut srcs);
                 let wide = op.dst.hi.is_some();
-                for lane in 0..lanes {
-                    if exec_mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let addr = fetch(op.srcs[0], data, ctx, lane);
-                    let load_one = |a: u32| -> Result<u32, ExecError> {
-                        let v = match space {
-                            Space::Global | Space::Local => memory.load(a),
-                            Space::Shared => shared.load(a),
-                            Space::Param => ctx.launch.params.get(a as usize).copied(),
-                        };
-                        v.ok_or(ExecError::OutOfBounds {
-                            space: space.mnemonic(),
-                            addr: a,
-                            at: op.at,
-                        })
+                let load_one = |a: u32| -> Result<u32, ExecError> {
+                    let v = match space {
+                        Space::Global | Space::Local => memory.load(a),
+                        Space::Shared => shared.load(a),
+                        Space::Param => ctx.launch.params.get(a as usize).copied(),
                     };
+                    v.ok_or(ExecError::OutOfBounds {
+                        space: space.mnemonic(),
+                        addr: a,
+                        at: op.at,
+                    })
+                };
+                for lane in lanes_of(exec_mask) {
+                    let addr = srcs[0][lane];
                     let lo = load_one(addr)?;
                     let hi = if wide {
                         load_one(addr.wrapping_add(1))?
@@ -548,83 +726,15 @@ fn step_warp(
                 }
             }
             OpKind::Tex => {
-                for lane in 0..lanes {
-                    if exec_mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let coord = fetch(op.srcs[0], data, ctx, lane);
+                gather(&op.srcs[..1], data, ctx, lanes, &mut srcs);
+                for lane in lanes_of(exec_mask) {
+                    let coord = srcs[0][lane];
                     let v = memory.load(coord).ok_or(ExecError::OutOfBounds {
                         space: "texture",
                         addr: coord,
                         at: op.at,
                     })?;
                     write_lane(data, &op.dst, lane, v, 0);
-                }
-            }
-            OpKind::Setp { cmp, float, p } => {
-                let mut pm = preds[p];
-                for lane in 0..lanes {
-                    let bit = 1u32 << lane;
-                    if exec_mask & bit == 0 {
-                        continue;
-                    }
-                    let a = fetch(op.srcs[0], data, ctx, lane);
-                    let b = fetch(op.srcs[1], data, ctx, lane);
-                    if eval_cmp(cmp, float, a, b) {
-                        pm |= bit;
-                    } else {
-                        pm &= !bit;
-                    }
-                }
-                preds[p] = pm;
-            }
-            OpKind::Sel { p } => {
-                let pm = preds[p];
-                for lane in 0..lanes {
-                    let bit = 1u32 << lane;
-                    if exec_mask & bit == 0 {
-                        continue;
-                    }
-                    let a = fetch(op.srcs[0], data, ctx, lane);
-                    let b = fetch(op.srcs[1], data, ctx, lane);
-                    let v = if pm & bit != 0 { a } else { b };
-                    write_lane(data, &op.dst, lane, v, 0);
-                }
-            }
-            OpKind::AluWide => {
-                return Err(ExecError::Unsupported {
-                    what: format!("64-bit destination on `{}`", op.instr),
-                    at: op.at,
-                });
-            }
-            OpKind::Alu { ok } => {
-                if exec_mask != 0 && !ok {
-                    return Err(ExecError::Unsupported {
-                        what: format!("`{}` has no ALU semantics", op.op),
-                        at: op.at,
-                    });
-                }
-                // Full-mask fast path: every lane executes, so the lane
-                // loop runs branch-free (`ok` guarantees `Some`).
-                if exec_mask == full_mask {
-                    for lane in 0..lanes {
-                        let a = fetch(op.srcs[0], data, ctx, lane);
-                        let b = fetch(op.srcs[1], data, ctx, lane);
-                        let c = fetch(op.srcs[2], data, ctx, lane);
-                        let v = eval_alu(op.op, a, b, c).unwrap_or(0);
-                        write_lane(data, &op.dst, lane, v, 0);
-                    }
-                } else {
-                    for lane in 0..lanes {
-                        if exec_mask & (1 << lane) == 0 {
-                            continue;
-                        }
-                        let a = fetch(op.srcs[0], data, ctx, lane);
-                        let b = fetch(op.srcs[1], data, ctx, lane);
-                        let c = fetch(op.srcs[2], data, ctx, lane);
-                        let v = eval_alu(op.op, a, b, c).unwrap_or(0);
-                        write_lane(data, &op.dst, lane, v, 0);
-                    }
                 }
             }
         }

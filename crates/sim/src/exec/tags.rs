@@ -79,7 +79,7 @@ impl<'k> TagPlan<'k> {
                     OpKind::Ld(_) | OpKind::Tex => (1, true),
                     OpKind::St(_) | OpKind::Setp { .. } => (2, false),
                     OpKind::Sel { .. } => (2, true),
-                    OpKind::Alu { .. } => (3, true),
+                    OpKind::Alu => (3, true),
                     OpKind::AluWide => (3, false),
                 };
                 let mut t = TagOp {

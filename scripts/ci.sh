@@ -47,7 +47,10 @@ echo "==> exec differential smoke (SoA engine vs frozen reference oracle)"
 # invariance with a bounded budget.
 RFH_JOBS=1 RFH_EXEC_DIFF_CASES=100 cargo test -q --offline --test exec_differential
 RFH_JOBS=8 RFH_EXEC_DIFF_CASES=100 cargo test -q --offline --test exec_differential
-echo "exec differential suite green under RFH_JOBS=1 and RFH_JOBS=8"
+# A deeper serial sweep of the generator: 5000 cases, about 6 s for the
+# whole test binary (the opcode table included) on 2 CPUs.
+RFH_JOBS=1 RFH_EXEC_DIFF_CASES=5000 cargo test -q --offline --test exec_differential
+echo "exec differential suite green under RFH_JOBS=1 and RFH_JOBS=8, and at 5000 cases"
 
 echo "==> placement + lint chaos smoke (every placement judge, and lint's soundness oracle)"
 # The placement layer asks four judges about each placement mutant once:
