@@ -78,34 +78,33 @@ impl Costs {
     /// Figure 6: energy saved by allocating a produced value to the ORF.
     ///
     /// `reads` are the covered reads (each is one 32-bit operand access, so
-    /// reads of 64-bit values appear once per half and are *not* scaled);
-    /// `writes` is the number of producing definitions (more than one for a
-    /// merge group, each paying an ORF write); `producer_shared` marks
-    /// values produced on the shared datapath; `live_out` values must also
-    /// be written to the MRF, so the MRF-write saving only applies to
-    /// values dying in the strand. `width_slots` scales the *write* costs:
-    /// a 64-bit value writes two entries.
+    /// reads of 64-bit values appear once per half and are *not* scaled).
+    /// `members` are the producing definitions as `(producer_shared,
+    /// width_slots)`: more than one for a merge group, each paying an ORF
+    /// write from its datapath per entry it writes (a 64-bit value writes
+    /// two). `live_out` values must also be written to the MRF, so the
+    /// MRF-write saving only applies to values dying in the strand.
     pub fn orf_write_savings(
         &self,
         reads: &[ReadRef],
-        writes: usize,
-        producer_shared: bool,
+        members: impl IntoIterator<Item = (bool, usize)>,
         live_out: bool,
-        width_slots: usize,
     ) -> f64 {
-        let w = width_slots as f64;
-        let read_gain: f64 = reads
+        let mut savings: f64 = reads
             .iter()
             .map(|r| self.mrf_read(r.unit) - self.orf_read(r.unit))
             .sum();
-        let unit = if producer_shared {
-            Unit::Mem
-        } else {
-            Unit::Alu
-        };
-        let mut savings = read_gain - writes as f64 * self.orf_write(unit) * w;
-        if !live_out {
-            savings += writes as f64 * self.mrf_write * w;
+        for (producer_shared, width_slots) in members {
+            let w = width_slots as f64;
+            let unit = if producer_shared {
+                Unit::Mem
+            } else {
+                Unit::Alu
+            };
+            savings -= self.orf_write(unit) * w;
+            if !live_out {
+                savings += self.mrf_write * w;
+            }
         }
         savings
     }
@@ -185,15 +184,15 @@ mod tests {
         // pays an ORF write — clearly profitable (the dominant GPU case).
         let c = costs();
         let r = [read(1, Unit::Alu)];
-        assert!(c.orf_write_savings(&r, 1, false, false, 1) > 0.0);
+        assert!(c.orf_write_savings(&r, [(false, 1)], false) > 0.0);
     }
 
     #[test]
     fn live_out_single_read_is_marginal() {
         let c = costs();
         let r = [read(1, Unit::Alu)];
-        let dying = c.orf_write_savings(&r, 1, false, false, 1);
-        let live = c.orf_write_savings(&r, 1, false, true, 1);
+        let dying = c.orf_write_savings(&r, [(false, 1)], false);
+        let live = c.orf_write_savings(&r, [(false, 1)], true);
         assert!(live < dying);
         assert!((dying - live - c.mrf_write).abs() < 1e-9);
     }
@@ -204,8 +203,8 @@ mod tests {
         let r1 = [read(1, Unit::Alu)];
         let r3 = [read(1, Unit::Alu), read(2, Unit::Alu), read(3, Unit::Alu)];
         assert!(
-            c.orf_write_savings(&r3, 1, false, true, 1)
-                > c.orf_write_savings(&r1, 1, false, true, 1)
+            c.orf_write_savings(&r3, [(false, 1)], true)
+                > c.orf_write_savings(&r1, [(false, 1)], true)
         );
     }
 
@@ -216,8 +215,8 @@ mod tests {
         // extra definition also elides an MRF write, so it helps.
         let c = costs();
         let r = [read(2, Unit::Alu)];
-        let one_live = c.orf_write_savings(&r, 1, false, true, 1);
-        let two_live = c.orf_write_savings(&r, 2, false, true, 1);
+        let one_live = c.orf_write_savings(&r, [(false, 1)], true);
+        let two_live = c.orf_write_savings(&r, [(false, 1); 2], true);
         assert!(
             two_live < one_live,
             "a second definition costs another ORF write"
@@ -229,8 +228,8 @@ mod tests {
     fn wide_values_scale_write_costs_only() {
         let c = costs();
         let r = [read(1, Unit::Alu)];
-        let narrow = c.orf_write_savings(&r, 1, false, false, 1);
-        let wide = c.orf_write_savings(&r, 1, false, false, 2);
+        let narrow = c.orf_write_savings(&r, [(false, 1)], false);
+        let wide = c.orf_write_savings(&r, [(false, 2)], false);
         let expected = narrow - c.orf_write_private + c.mrf_write;
         assert!(
             (wide - expected).abs() < 1e-9,
@@ -242,7 +241,7 @@ mod tests {
     fn lrf_beats_orf_for_private_reads() {
         let c = costs();
         let r = [read(1, Unit::Alu)];
-        assert!(c.lrf_write_savings(&r, 1, false) > c.orf_write_savings(&r, 1, false, false, 1));
+        assert!(c.lrf_write_savings(&r, 1, false) > c.orf_write_savings(&r, [(false, 1)], false));
     }
 
     #[test]

@@ -100,34 +100,6 @@ fn group_reads(sv: &StrandValues, group: &[usize]) -> Vec<ReadRef> {
     reads
 }
 
-fn group_write_savings(
-    sv: &StrandValues,
-    group: &[usize],
-    reads: &[ReadRef],
-    costs: &Costs,
-) -> f64 {
-    let read_gain: f64 = reads
-        .iter()
-        .map(|r| costs.mrf_read(r.unit) - costs.orf_read(r.unit))
-        .sum();
-    let live_out = sv.instances[group[0]].live_out;
-    let mut savings = read_gain;
-    for &m in group {
-        let inst = &sv.instances[m];
-        let w = inst.width.regs() as f64;
-        let unit = if inst.produced_on_shared {
-            Unit::Mem
-        } else {
-            Unit::Alu
-        };
-        savings -= costs.orf_write(unit) * w;
-        if !live_out {
-            savings += costs.mrf_write * w;
-        }
-    }
-    savings
-}
-
 fn priority_of_cfg(config: &AllocConfig, savings: f64, begin: usize, end: usize) -> f64 {
     if config.occupancy_priority {
         savings / (end.saturating_sub(begin)).max(1) as f64
@@ -322,7 +294,14 @@ fn allocate_strand(
         }
         let width_slots = sv.instances[members[0]].width.regs() as usize;
         let reads = group_reads(sv, members);
-        let savings = group_write_savings(sv, members, &reads, costs);
+        let savings = costs.orf_write_savings(
+            &reads,
+            members.iter().map(|&m| {
+                let inst = &sv.instances[m];
+                (inst.produced_on_shared, inst.width.regs() as usize)
+            }),
+            sv.instances[members[0]].live_out,
+        );
         if savings <= 0.0 {
             continue;
         }

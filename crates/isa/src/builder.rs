@@ -98,26 +98,11 @@ impl KernelBuilder {
         r
     }
 
-    /// Returns a fresh pair of registers for a 64-bit value, yielding the
-    /// root register.
-    pub fn reg_pair(&mut self) -> Reg {
-        let r = Reg::new(self.next_reg);
-        self.next_reg += 2;
-        r
-    }
-
     /// Returns a fresh, previously unused predicate register.
     pub fn pred(&mut self) -> PredReg {
         let p = PredReg::new(self.next_pred);
         self.next_pred += 1;
         p
-    }
-
-    /// Declares the number of kernel parameters explicitly (otherwise
-    /// inferred from the highest `ld.param` index seen).
-    pub fn set_num_params(&mut self, n: usize) -> &mut Self {
-        self.kernel.num_params = self.kernel.num_params.max(n);
-        self
     }
 
     /// Finishes the kernel.
@@ -193,9 +178,6 @@ mod tests {
         b.push(ops::mov(Reg::new(7), 1.into()));
         assert_eq!(b.reg(), Reg::new(8));
         assert_eq!(b.reg(), Reg::new(9));
-        let pair = b.reg_pair();
-        assert_eq!(pair, Reg::new(10));
-        assert_eq!(b.reg(), Reg::new(12));
     }
 
     #[test]
@@ -211,15 +193,6 @@ mod tests {
         b.push(ops::ld_param(Reg::new(0), 3));
         b.push(ops::exit());
         assert_eq!(b.finish().num_params, 4);
-    }
-
-    #[test]
-    fn explicit_param_count_wins_when_larger() {
-        let mut b = KernelBuilder::new("k");
-        b.set_num_params(6);
-        b.push(ops::ld_param(Reg::new(0), 1));
-        b.push(ops::exit());
-        assert_eq!(b.finish().num_params, 6);
     }
 
     #[test]

@@ -169,19 +169,6 @@ impl Instruction {
     pub fn def_regs(&self) -> impl Iterator<Item = Reg> + '_ {
         self.dst.into_iter().flat_map(|d| d.regs())
     }
-
-    /// Whether this instruction both has a destination and produces its
-    /// result on the shared datapath (which cannot write the LRF).
-    pub fn produces_on_shared(&self) -> bool {
-        self.dst.is_some() && self.op.unit().is_shared()
-    }
-
-    /// Number of register-file read accesses this instruction performs
-    /// (register source operands, counting 64-bit reads once: operands name
-    /// the value, not its words; the energy model scales by width).
-    pub fn num_reg_reads(&self) -> usize {
-        self.srcs.iter().filter(|s| s.is_reg()).count()
-    }
 }
 
 impl fmt::Display for Instruction {
@@ -239,7 +226,6 @@ mod tests {
         assert_eq!(i.srcs.len(), 2);
         assert_eq!(i.read_locs.len(), 2);
         assert_eq!(i.dead_after.len(), 2);
-        assert_eq!(i.num_reg_reads(), 1);
     }
 
     #[test]
@@ -260,23 +246,6 @@ mod tests {
             .with_src(Reg::new(0));
         let defs: Vec<_> = i.def_regs().collect();
         assert_eq!(defs, vec![Reg::new(4), Reg::new(5)]);
-    }
-
-    #[test]
-    fn shared_production_detection() {
-        let ld = Instruction::new(Opcode::Ld(Space::Global))
-            .with_dst(Reg::new(1))
-            .with_src(Reg::new(0));
-        assert!(ld.produces_on_shared());
-        let add = Instruction::new(Opcode::IAdd)
-            .with_dst(Reg::new(1))
-            .with_src(Reg::new(0))
-            .with_src(1);
-        assert!(!add.produces_on_shared());
-        let st = Instruction::new(Opcode::St(Space::Global))
-            .with_src(Reg::new(0))
-            .with_src(Reg::new(1));
-        assert!(!st.produces_on_shared());
     }
 
     #[test]

@@ -147,14 +147,6 @@ impl WriteLoc {
             _ => None,
         }
     }
-
-    /// The split-LRF bank written (`Some(None)` means the unified LRF).
-    pub const fn lrf_bank(self) -> Option<Option<Slot>> {
-        match self {
-            WriteLoc::Lrf { bank, .. } => Some(bank),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for WriteLoc {
@@ -230,13 +222,11 @@ mod tests {
         };
         assert_eq!(w.orf_entry(), Some(3));
         assert_eq!(w.upper_level(), Some(Level::Orf));
-        assert_eq!(w.lrf_bank(), None);
 
         let l = WriteLoc::Lrf {
             bank: Some(Slot::C),
             also_mrf: true,
         };
-        assert_eq!(l.lrf_bank(), Some(Some(Slot::C)));
         assert_eq!(l.upper_level(), Some(Level::Lrf));
         assert_eq!(WriteLoc::Mrf.upper_level(), None);
     }

@@ -17,36 +17,36 @@
 //! wins and every caller sees an identical value. Values are cloned out
 //! (wrap big payloads in `Arc`).
 //!
-//! The store also exposes [`fnv1a`], the content hash used to key daemon
-//! requests: stable across runs and platforms, so cache behavior is
+//! The store also exposes [`fnv1a`], the content hash behind [`Key::new`]'s
+//! pre-key: stable across runs and platforms, so cache behavior is
 //! replayable.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Mutex;
 
-/// A collision-proof cache key: the **full canonical string** is the key;
-/// the 64-bit [`fnv1a`] digest is retained only as a fast pre-key so that
-/// `HashMap` probing does not rehash the whole string on every lookup.
+/// A collision-proof cache key: the **full value** is the key; a 64-bit
+/// digest of it is retained only as a fast pre-key so that `HashMap`
+/// probing does not rehash the whole value on every lookup.
 ///
 /// Equality compares the pre-key first (cheap reject) and then the full
-/// canonical text, so two distinct requests whose digests collide map to
-/// *different* entries instead of silently sharing one — the bug this type
-/// replaces (`Store<u64, _>` keyed by the bare digest) served the first
-/// request's cached response to the second.
+/// value, so two distinct keys whose digests collide map to *different*
+/// entries instead of silently sharing one — the bug this type replaces
+/// (`Store<u64, _>` keyed by the bare digest) served the first request's
+/// cached response to the second.
 #[derive(Debug, Clone, Eq)]
-pub struct Key {
+pub struct Key<T = String> {
     hash: u64,
-    canon: String,
+    value: T,
 }
 
 impl Key {
-    /// Keys a canonical request string.
+    /// Keys a canonical string; the pre-key is the string's [`fnv1a`].
     pub fn new(canon: impl Into<String>) -> Key {
         let canon = canon.into();
         Key {
             hash: fnv1a(canon.as_bytes()),
-            canon,
+            value: canon,
         }
     }
 
@@ -57,7 +57,7 @@ impl Key {
     pub fn with_pre_key(hash: u64, canon: impl Into<String>) -> Key {
         Key {
             hash,
-            canon: canon.into(),
+            value: canon.into(),
         }
     }
 
@@ -68,19 +68,32 @@ impl Key {
 
     /// The full canonical string.
     pub fn canon(&self) -> &str {
-        &self.canon
+        &self.value
     }
 }
 
-impl PartialEq for Key {
+impl<T: Hash> Key<T> {
+    /// Keys a typed value: the pre-key is the value's [`Hash`] under the
+    /// fixed-key [`DefaultHasher`], so the value is read once.
+    pub fn of(value: T) -> Key<T> {
+        let mut h = DefaultHasher::new();
+        value.hash(&mut h);
+        Key {
+            hash: h.finish(),
+            value,
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for Key<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.canon == other.canon
+        self.hash == other.hash && self.value == other.value
     }
 }
 
-impl Hash for Key {
+impl<T> Hash for Key<T> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Only the pre-key feeds the table hash; full-string comparison
+        // Only the pre-key feeds the table hash; full-value comparison
         // happens in `eq`, where colliding keys are told apart.
         state.write_u64(self.hash);
     }
@@ -246,7 +259,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Store<K, V> {
 }
 
 /// FNV-1a over a byte stream: the stable content hash keying the daemon's
-/// request cache.
+/// strand cache.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

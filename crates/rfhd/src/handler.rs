@@ -7,13 +7,16 @@
 //! isolation, caching, and socket I/O live in [`crate::server`], which
 //! wraps these functions.
 //!
+//! Each [`Op`] holds exactly the fields its handler reads, so two
+//! requests that differ only in a field their op ignores decode to equal
+//! ops; the server keys its result cache on the op itself.
+//!
 //! Every pipeline error maps onto the wire taxonomy exactly as `rfhc`
 //! maps it onto exit codes: parse failures are [`ErrorKind::Parse`],
 //! structural invalidity is [`ErrorKind::InvalidKernel`], and so on, so a
 //! client scripting the daemon sees the same failure classes as a script
 //! driving the CLI.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use rfh_alloc::{
@@ -21,15 +24,16 @@ use rfh_alloc::{
     StrandAllocation, ORF_SIZES,
 };
 use rfh_energy::{AccessCounts, EnergyModel};
-use rfh_isa::{IsaError, Kernel};
+use rfh_isa::Kernel;
 use rfh_sim::counts::SwCounter;
 use rfh_sim::exec::{execute_with, ExecMode, ExecReport, Launch};
 use rfh_sim::machine::MachineConfig;
 use rfh_sim::mem::GlobalMemory;
 use rfh_sim::timing::{check_resident, simulate_timing, TimingConfig, TraceCapture};
 use rfh_sim::{TraceExporter, TraceSink};
+use rfh_workloads::Workload;
 
-use crate::cache::{fnv1a, Key, Store};
+use crate::cache::{Key, Store};
 use crate::json::Json;
 use crate::proto::{ErrorFrame, ErrorKind, SCHEMA};
 
@@ -37,187 +41,95 @@ use crate::proto::{ErrorFrame, ErrorKind, SCHEMA};
 /// words, matching `rfhc trace`).
 const TEXT_KERNEL_MEM_WORDS: usize = 1 << 16;
 
-/// The compute operations the daemon serves. `Stats` and `Shutdown` are
-/// control ops handled by the server itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a static op's kernel comes from.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum KernelSource {
+    /// Raw assembly text supplied in the request.
+    Text(String),
+    /// The name of a benchmark workload the daemon knows
+    /// (`rfh_workloads::by_name`).
+    Workload(String),
+}
+
+/// Where an executing op's kernel comes from, with its launch.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum RunSource {
+    /// Raw assembly text, launched as `ctas` CTAs of `threads` threads
+    /// over a zeroed memory image.
+    Text {
+        text: String,
+        ctas: usize,
+        threads: usize,
+    },
+    /// A benchmark workload, with its own launch geometry, input memory,
+    /// and host reference checker.
+    Workload(String),
+}
+
+/// A kernel to execute under a per-warp instruction budget.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Run {
+    /// The kernel and its launch.
+    pub source: RunSource,
+    /// Per-request instruction budget override (capped by the server).
+    pub budget_instructions: Option<u64>,
+}
+
+/// How a `simulate` places registers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Placement {
+    /// Execute unallocated; price the counts at `orf_entries` ORF
+    /// entries.
+    Baseline { orf_entries: usize },
+    /// Allocate under this configuration and execute the hierarchy.
+    Allocated(AllocConfig),
+}
+
+/// One decoded operation, holding exactly the fields its handler reads.
+/// `Stats` and `Shutdown` are control ops handled by the server itself.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Liveness probe.
     Ping,
     /// Parse (and validate) kernel text; return the canonical form.
-    Assemble,
-    /// Run the static analyzer.
-    Lint,
+    Assemble(KernelSource),
+    /// Run the static analyzer under an allocation configuration.
+    Lint(KernelSource, AllocConfig),
     /// Run the hierarchy allocator; return the annotated kernel.
-    Allocate,
+    Allocate(KernelSource, AllocConfig),
     /// Execute functionally; return the report, access counts, energy.
-    Simulate,
-    /// Execute the unallocated kernel in baseline mode, capture its
-    /// dynamic trace, and replay it through the two-level scheduler
-    /// timing model. Placement sets energy, not latency, so `config` and
-    /// `baseline` do not affect the answer; a launch with more warps than
-    /// the machine holds resident is a usage error.
-    Timing,
-    /// Execute and export the structured instruction trace.
-    Trace,
+    Simulate { run: Run, placement: Placement },
+    /// Execute the unallocated kernel, capture its dynamic trace, and
+    /// replay it through the two-level scheduler at `active_warps`.
+    /// Placement sets energy, not latency, so the op holds no
+    /// configuration; a launch with more warps than the machine holds
+    /// resident is a usage error.
+    Timing {
+        run: Run,
+        budget_cycles: Option<u64>,
+        active_warps: usize,
+    },
+    /// Execute and export the structured instruction trace, allocated
+    /// under `config` unless it is `None`.
+    Trace {
+        run: Run,
+        config: Option<AllocConfig>,
+    },
     /// Daemon statistics (server-handled).
     Stats,
     /// Graceful drain-then-exit (server-handled).
     Shutdown,
 }
 
-impl Op {
-    /// The wire name.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Op::Ping => "ping",
-            Op::Assemble => "assemble",
-            Op::Lint => "lint",
-            Op::Allocate => "allocate",
-            Op::Simulate => "simulate",
-            Op::Timing => "timing",
-            Op::Trace => "trace",
-            Op::Stats => "stats",
-            Op::Shutdown => "shutdown",
-        }
-    }
-
-    /// Parses the wire name.
-    pub fn from_name(name: &str) -> Option<Op> {
-        Some(match name {
-            "ping" => Op::Ping,
-            "assemble" => Op::Assemble,
-            "lint" => Op::Lint,
-            "allocate" => Op::Allocate,
-            "simulate" => Op::Simulate,
-            "timing" => Op::Timing,
-            "trace" => Op::Trace,
-            "stats" => Op::Stats,
-            "shutdown" => Op::Shutdown,
-            _ => return None,
-        })
-    }
-
-    /// Whether results of this op are deterministic functions of the
-    /// request and therefore cacheable.
-    pub const fn cacheable(self) -> bool {
-        matches!(
-            self,
-            Op::Assemble | Op::Lint | Op::Allocate | Op::Simulate | Op::Timing | Op::Trace
-        )
-    }
-
-    /// Whether this op needs a kernel (text or workload name).
-    pub const fn needs_kernel(self) -> bool {
-        !matches!(self, Op::Ping | Op::Stats | Op::Shutdown)
-    }
-}
-
-/// Where the kernel comes from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KernelSource {
-    /// Raw assembly text supplied in the request.
-    Text(String),
-    /// The name of a benchmark workload the daemon knows
-    /// (`rfh_workloads::by_name`), including its launch geometry, input
-    /// memory, and host reference checker.
-    Workload(String),
-}
-
 /// A decoded, validated `rfhd-v1` request.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Client-chosen request id, echoed in the response.
     pub id: u64,
-    /// The operation.
-    pub op: Op,
-    /// The kernel, for ops that need one.
-    pub source: Option<KernelSource>,
-    /// Allocation configuration (`timing` ignores it).
-    pub config: AllocConfig,
-    /// Execute unallocated in baseline mode (simulate/trace; `timing`
-    /// always does).
-    pub baseline: bool,
-    /// Launch geometry for [`KernelSource::Text`] kernels.
-    pub ctas: usize,
-    /// Threads per CTA for [`KernelSource::Text`] kernels.
-    pub threads: usize,
     /// Per-request wall-clock timeout override (capped by the server).
     pub timeout_ms: Option<u64>,
-    /// Per-request instruction budget override (capped by the server).
-    pub budget_instructions: Option<u64>,
-    /// Per-request timing cycle budget override (capped by the server).
-    pub budget_cycles: Option<u64>,
-    /// Active-warp count for the timing op's two-level scheduler.
-    pub active_warps: usize,
-}
-
-impl Request {
-    /// The canonical request string: the op, the kernel source, and the
-    /// fields the op's handler reads, serialized so that two requests
-    /// canonicalize equal exactly when their results must be equal. A
-    /// field an op ignores is left out, so requests that differ only there
-    /// share one cache entry. This full string keys the daemon's result
-    /// cache (its [`fnv1a`] digest is only a fast pre-key — see
-    /// [`crate::cache::Key`]), so a digest collision between two distinct
-    /// requests can never serve the wrong cached response.
-    pub fn canonical(&self) -> String {
-        let mut canon = String::new();
-        canon.push_str(self.op.name());
-        canon.push('\0');
-        match &self.source {
-            Some(KernelSource::Text(t)) => {
-                canon.push_str("text\0");
-                canon.push_str(t);
-            }
-            Some(KernelSource::Workload(w)) => {
-                canon.push_str("workload\0");
-                canon.push_str(w);
-            }
-            None => canon.push_str("none"),
-        }
-        canon.push('\0');
-        let executes = matches!(self.op, Op::Simulate | Op::Timing | Op::Trace);
-        // `simulate` prices even a baseline run at `config`'s ORF size;
-        // `trace` reads `config` only to allocate.
-        let reads_config = match self.op {
-            Op::Lint | Op::Allocate | Op::Simulate => true,
-            Op::Trace => !self.baseline,
-            _ => false,
-        };
-        if reads_config {
-            let c = &self.config;
-            let _ = write!(
-                canon,
-                "orf={} lrf={:?} partial={} readop={} ",
-                c.orf_entries, c.lrf, c.partial_ranges, c.read_operands
-            );
-        }
-        if matches!(self.op, Op::Simulate | Op::Trace) {
-            let _ = write!(canon, "base={} ", self.baseline);
-        }
-        // Only a text kernel takes its launch geometry from the request.
-        if executes && matches!(self.source, Some(KernelSource::Text(_))) {
-            let _ = write!(canon, "ctas={} threads={} ", self.ctas, self.threads);
-        }
-        if executes {
-            let _ = write!(canon, "binst={:?} ", self.budget_instructions);
-        }
-        if self.op == Op::Timing {
-            let _ = write!(
-                canon,
-                "bcyc={:?} active={}",
-                self.budget_cycles, self.active_warps
-            );
-        }
-        canon
-    }
-
-    /// The 64-bit content digest of [`Request::canonical`]. Kept for
-    /// reporting and as the cache pre-key; no longer used as a cache key
-    /// on its own.
-    pub fn content_hash(&self) -> u64 {
-        fnv1a(self.canonical().as_bytes())
-    }
+    /// The operation.
+    pub op: Op,
 }
 
 /// The per-strand allocation cache shared across requests: strand
@@ -256,7 +168,100 @@ fn usage(msg: impl Into<String>) -> ErrorFrame {
     ErrorFrame::new(ErrorKind::Usage, msg)
 }
 
+/// Every field a request may carry, validated: the record each op takes
+/// its own fields from.
+struct Fields {
+    config: AllocConfig,
+    baseline: bool,
+    ctas: usize,
+    threads: usize,
+    active_warps: usize,
+    budget_instructions: Option<u64>,
+    budget_cycles: Option<u64>,
+}
+
+impl Fields {
+    /// Validates every field, whether or not the op reads it: a request
+    /// is outside input.
+    fn decode(doc: &Json) -> Result<Fields, ErrorFrame> {
+        let mut config = AllocConfig::three_level(3, true);
+        if let Some(c) = doc.get("config") {
+            if let Some(orf) = c.get("orf").and_then(Json::as_u64) {
+                config.orf_entries = usize::try_from(orf)
+                    .ok()
+                    .filter(|n| ORF_SIZES.contains(n))
+                    .ok_or_else(|| {
+                        usage(format!(
+                            "config.orf must be in {}..={} (energy model bound)",
+                            ORF_SIZES.start(),
+                            ORF_SIZES.end()
+                        ))
+                    })?;
+            }
+            if let Some(lrf) = c.get("lrf").and_then(Json::as_str) {
+                config.lrf = LrfMode::parse(lrf)
+                    .ok_or_else(|| usage(format!("config.lrf `{lrf}` not none|unified|split")))?;
+            }
+            if let Some(p) = c.get("partial").and_then(Json::as_bool) {
+                config.partial_ranges = p;
+            }
+            if let Some(r) = c.get("readop").and_then(Json::as_bool) {
+                config.read_operands = r;
+            }
+        }
+        let geometry = |field: &str, default: usize| -> Result<usize, ErrorFrame> {
+            match doc.get(field) {
+                None => Ok(default),
+                Some(v) => v
+                    .as_u64()
+                    .map(|n| n as usize)
+                    .filter(|&n| (1..=4096).contains(&n))
+                    .ok_or_else(|| usage(format!("`{field}` must be an integer in 1..=4096"))),
+            }
+        };
+        Ok(Fields {
+            config,
+            baseline: doc.get("baseline").and_then(Json::as_bool).unwrap_or(false),
+            ctas: geometry("ctas", 1)?,
+            threads: geometry("threads", 64)?,
+            active_warps: geometry("active_warps", 8)?,
+            budget_instructions: doc.get("budget_instructions").and_then(Json::as_u64),
+            budget_cycles: doc.get("budget_cycles").and_then(Json::as_u64),
+        })
+    }
+
+    /// The run of `source`: a text kernel takes the request's geometry.
+    fn run(&self, source: KernelSource) -> Run {
+        Run {
+            source: match source {
+                KernelSource::Text(text) => RunSource::Text {
+                    text,
+                    ctas: self.ctas,
+                    threads: self.threads,
+                },
+                KernelSource::Workload(name) => RunSource::Workload(name),
+            },
+            budget_instructions: self.budget_instructions,
+        }
+    }
+}
+
+/// The kernel source a request names, if any.
+fn kernel_source(doc: &Json) -> Result<Option<KernelSource>, ErrorFrame> {
+    let kernel = doc.get("kernel").and_then(Json::as_str);
+    let workload = doc.get("workload").and_then(Json::as_str);
+    match (kernel, workload) {
+        (Some(_), Some(_)) => Err(usage("`kernel` and `workload` are mutually exclusive")),
+        (Some(text), None) => Ok(Some(KernelSource::Text(text.to_string()))),
+        (None, Some(name)) => Ok(Some(KernelSource::Workload(name.to_string()))),
+        (None, None) => Ok(None),
+    }
+}
+
 /// Decodes a parsed request document into a [`Request`].
+///
+/// Every field is validated on every op, in one order: `id`, `op`, the
+/// kernel source, `config`, then the launch geometry.
 ///
 /// # Errors
 ///
@@ -279,82 +284,53 @@ pub fn decode_request(doc: &Json) -> Result<Request, ErrorFrame> {
             .as_u64()
             .ok_or_else(|| usage("`id` must be an unsigned integer"))?,
     };
-    let op = doc
+    let name = doc
         .get("op")
         .and_then(Json::as_str)
-        .ok_or_else(|| usage("request is missing the `op` field"))
-        .and_then(|name| {
-            Op::from_name(name).ok_or_else(|| usage(format!("unknown op `{name}`")))
-        })?;
-
-    let kernel = doc.get("kernel").and_then(Json::as_str);
-    let workload = doc.get("workload").and_then(Json::as_str);
-    let source = match (kernel, workload) {
-        (Some(_), Some(_)) => return Err(usage("`kernel` and `workload` are mutually exclusive")),
-        (Some(text), None) => Some(KernelSource::Text(text.to_string())),
-        (None, Some(name)) => Some(KernelSource::Workload(name.to_string())),
-        (None, None) => None,
+        .ok_or_else(|| usage("request is missing the `op` field"))?;
+    let timeout_ms = doc.get("timeout_ms").and_then(Json::as_u64);
+    let control = |op| -> Result<Request, ErrorFrame> {
+        kernel_source(doc)?;
+        Fields::decode(doc)?;
+        Ok(Request { id, timeout_ms, op })
     };
-    if op.needs_kernel() && source.is_none() {
-        return Err(usage(format!(
-            "op `{}` needs a `kernel` or `workload` field",
-            op.name()
-        )));
-    }
-
-    let mut config = AllocConfig::three_level(3, true);
-    if let Some(c) = doc.get("config") {
-        if let Some(orf) = c.get("orf").and_then(Json::as_u64) {
-            config.orf_entries = usize::try_from(orf)
-                .ok()
-                .filter(|n| ORF_SIZES.contains(n))
-                .ok_or_else(|| {
-                    usage(format!(
-                        "config.orf must be in {}..={} (energy model bound)",
-                        ORF_SIZES.start(),
-                        ORF_SIZES.end()
-                    ))
-                })?;
-        }
-        if let Some(lrf) = c.get("lrf").and_then(Json::as_str) {
-            config.lrf = LrfMode::parse(lrf)
-                .ok_or_else(|| usage(format!("config.lrf `{lrf}` not none|unified|split")))?;
-        }
-        if let Some(p) = c.get("partial").and_then(Json::as_bool) {
-            config.partial_ranges = p;
-        }
-        if let Some(r) = c.get("readop").and_then(Json::as_bool) {
-            config.read_operands = r;
-        }
-    }
-
-    let geometry = |field: &str, default: usize| -> Result<usize, ErrorFrame> {
-        match doc.get(field) {
-            None => Ok(default),
-            Some(v) => v
-                .as_u64()
-                .map(|n| n as usize)
-                .filter(|&n| (1..=4096).contains(&n))
-                .ok_or_else(|| usage(format!("`{field}` must be an integer in 1..=4096"))),
-        }
+    let build: fn(KernelSource, Fields) -> Op = match name {
+        "ping" => return control(Op::Ping),
+        "stats" => return control(Op::Stats),
+        "shutdown" => return control(Op::Shutdown),
+        "assemble" => |source, _| Op::Assemble(source),
+        "lint" => |source, f| Op::Lint(source, f.config),
+        "allocate" => |source, f| Op::Allocate(source, f.config),
+        "simulate" => |source, f| Op::Simulate {
+            placement: if f.baseline {
+                Placement::Baseline {
+                    orf_entries: f.config.orf_entries,
+                }
+            } else {
+                Placement::Allocated(f.config)
+            },
+            run: f.run(source),
+        },
+        "timing" => |source, f| Op::Timing {
+            run: f.run(source),
+            budget_cycles: f.budget_cycles,
+            active_warps: f.active_warps,
+        },
+        "trace" => |source, f| Op::Trace {
+            config: (!f.baseline).then_some(f.config),
+            run: f.run(source),
+        },
+        _ => return Err(usage(format!("unknown op `{name}`"))),
     };
-    Ok(Request {
-        id,
-        op,
-        source,
-        config,
-        baseline: doc.get("baseline").and_then(Json::as_bool).unwrap_or(false),
-        ctas: geometry("ctas", 1)?,
-        threads: geometry("threads", 64)?,
-        timeout_ms: doc.get("timeout_ms").and_then(Json::as_u64),
-        budget_instructions: doc.get("budget_instructions").and_then(Json::as_u64),
-        budget_cycles: doc.get("budget_cycles").and_then(Json::as_u64),
-        active_warps: geometry("active_warps", 8)?,
-    })
+    let source = kernel_source(doc)?
+        .ok_or_else(|| usage(format!("op `{name}` needs a `kernel` or `workload` field")))?;
+    let op = build(source, Fields::decode(doc)?);
+    Ok(Request { id, timeout_ms, op })
 }
 
-/// Caps actually applied to one request: the server clamps client
-/// overrides to its configured maxima before calling [`handle_with`].
+/// Budget ceilings for one request. Each executing op clamps its own
+/// client overrides (`budget_instructions`, `budget_cycles`) into
+/// `1..=` these.
 #[derive(Debug, Clone, Copy)]
 pub struct Budgets {
     /// Instruction budget per warp for functional execution.
@@ -363,49 +339,52 @@ pub struct Budgets {
     pub max_cycles: u64,
 }
 
-fn isa_error(e: IsaError) -> ErrorFrame {
-    match e {
-        IsaError::Parse { .. } => ErrorFrame::new(ErrorKind::Parse, e.to_string()),
-        IsaError::Validate { .. } => ErrorFrame::new(ErrorKind::InvalidKernel, e.to_string()),
+/// A client override clamped to its ceiling; no override runs at the
+/// ceiling.
+fn clamp_budget(requested: Option<u64>, max: u64) -> u64 {
+    requested.unwrap_or(max).min(max).max(1)
+}
+
+fn workload(name: &str) -> Result<Workload, ErrorFrame> {
+    rfh_workloads::by_name(name).ok_or_else(|| {
+        usage(format!(
+            "unknown workload `{name}` (see `rfh_workloads::all`)"
+        ))
+    })
+}
+
+/// The kernel a static op's source names.
+fn kernel_of(source: &KernelSource) -> Result<Kernel, ErrorFrame> {
+    match source {
+        KernelSource::Text(text) => Ok(rfh_isa::parse_kernel(text)?),
+        KernelSource::Workload(name) => Ok(workload(name)?.kernel),
     }
 }
 
-fn alloc_error(e: AllocError) -> ErrorFrame {
-    match e {
-        AllocError::InvalidKernel(inner) => {
-            ErrorFrame::new(ErrorKind::InvalidKernel, inner.to_string())
-        }
-        AllocError::Config(_) => ErrorFrame::new(ErrorKind::Config, e.to_string()),
-    }
-}
-
-/// The kernel, launch, and memory a request resolves to.
+/// The kernel, launch, and memory a run resolves to.
 struct Resolved {
     kernel: Kernel,
     launch: Launch,
     memory: GlobalMemory,
     /// Set for workload sources: the full workload, for its host
     /// reference checker and pristine input image.
-    workload: Option<rfh_workloads::Workload>,
+    workload: Option<Workload>,
 }
 
-fn resolve(req: &Request) -> Result<Resolved, ErrorFrame> {
-    match req.source.as_ref() {
-        Some(KernelSource::Text(text)) => {
-            let kernel = rfh_isa::parse_kernel(text).map_err(isa_error)?;
-            Ok(Resolved {
-                kernel,
-                launch: Launch::new(req.ctas, req.threads),
-                memory: GlobalMemory::new(TEXT_KERNEL_MEM_WORDS),
-                workload: None,
-            })
-        }
-        Some(KernelSource::Workload(name)) => {
-            let w = rfh_workloads::by_name(name).ok_or_else(|| {
-                usage(format!(
-                    "unknown workload `{name}` (see `rfh_workloads::all`)"
-                ))
-            })?;
+fn resolve(source: &RunSource) -> Result<Resolved, ErrorFrame> {
+    match source {
+        RunSource::Text {
+            text,
+            ctas,
+            threads,
+        } => Ok(Resolved {
+            kernel: rfh_isa::parse_kernel(text)?,
+            launch: Launch::new(*ctas, *threads),
+            memory: GlobalMemory::new(TEXT_KERNEL_MEM_WORDS),
+            workload: None,
+        }),
+        RunSource::Workload(name) => {
+            let w = workload(name)?;
             Ok(Resolved {
                 kernel: w.kernel.clone(),
                 launch: w.launch.clone(),
@@ -413,7 +392,6 @@ fn resolve(req: &Request) -> Result<Resolved, ErrorFrame> {
                 workload: Some(w),
             })
         }
-        None => Err(usage(format!("op `{}` needs a kernel", req.op.name()))),
     }
 }
 
@@ -423,16 +401,17 @@ struct Executed<S> {
     report: ExecReport,
     /// The memory image after execution.
     memory: GlobalMemory,
-    workload: Option<rfh_workloads::Workload>,
+    workload: Option<Workload>,
 }
 
 /// The one execute step of `simulate`, `timing` and `trace`: resolves
-/// the source, prepares the kernel (allocates it, or validates it in
-/// baseline mode; `timing` always runs the baseline), builds the
-/// budgeted machine, runs the kernel over the sink `sink_for` builds, and
-/// maps an execution failure to the `exec` frame.
+/// the run's source, prepares the kernel (allocates it under `config`, or
+/// validates it for a baseline run), builds the budgeted machine, runs
+/// the kernel over the sink `sink_for` builds, and maps an execution
+/// failure to the `exec` frame.
 fn execute<S: TraceSink>(
-    req: &Request,
+    run: &Run,
+    config: Option<&AllocConfig>,
     budgets: &Budgets,
     strands: Option<&StrandStore>,
     sink_for: impl FnOnce(&Kernel, &Launch, &MachineConfig) -> Result<S, ErrorFrame>,
@@ -442,16 +421,20 @@ fn execute<S: TraceSink>(
         launch,
         mut memory,
         workload,
-    } = resolve(req)?;
-    let mode = if req.baseline || req.op == Op::Timing {
-        rfh_isa::validate(&kernel).map_err(isa_error)?;
-        ExecMode::Baseline
-    } else {
-        allocate_via(&mut kernel, &req.config, strands).map_err(alloc_error)?;
-        ExecMode::Hierarchy(req.config)
+    } = resolve(&run.source)?;
+    let mode = match config {
+        None => {
+            rfh_isa::validate(&kernel)?;
+            ExecMode::Baseline
+        }
+        Some(config) => {
+            allocate_via(&mut kernel, config, strands)?;
+            ExecMode::Hierarchy(*config)
+        }
     };
     let mut machine = MachineConfig::paper();
-    machine.max_warp_instructions = budgets.max_warp_instructions;
+    machine.max_warp_instructions =
+        clamp_budget(run.budget_instructions, budgets.max_warp_instructions);
     let mut sink = sink_for(&kernel, &launch, &machine)?;
     let report = execute_with(
         &kernel,
@@ -490,8 +473,8 @@ fn counts_json(c: &AccessCounts) -> Json {
 /// Runs one compute op. Infallible ops (`ping`) aside, every failure is a
 /// structured error frame; the server adds `catch_unwind` and the
 /// wall-clock timeout around this call. With a per-strand allocation
-/// cache, ops that allocate (`allocate`, and `simulate` and `trace` unless
-/// `baseline`) splice unchanged strands' placements from the store
+/// cache, ops that allocate (`allocate`, and `simulate` and `trace`
+/// unless baseline) splice unchanged strands' placements from the store
 /// instead of recomputing them; without one, allocation runs
 /// monolithically.
 ///
@@ -503,37 +486,37 @@ pub fn handle_with(
     budgets: &Budgets,
     strands: Option<&StrandStore>,
 ) -> Result<Json, ErrorFrame> {
-    match req.op {
+    match &req.op {
         Op::Ping => Ok(Json::Obj(vec![("pong".into(), Json::Bool(true))])),
-        Op::Assemble => {
-            let r = resolve(req)?;
-            rfh_isa::validate(&r.kernel).map_err(isa_error)?;
+        Op::Assemble(source) => {
+            let kernel = kernel_of(source)?;
+            rfh_isa::validate(&kernel)?;
             Ok(Json::Obj(vec![
                 (
                     "text".into(),
-                    Json::str(rfh_isa::printer::print_kernel(&r.kernel)),
+                    Json::str(rfh_isa::printer::print_kernel(&kernel)),
                 ),
                 (
                     "instructions".into(),
-                    Json::u64(r.kernel.instr_count() as u64),
+                    Json::u64(kernel.instr_count() as u64),
                 ),
             ]))
         }
-        Op::Lint => {
-            let r = resolve(req)?;
-            rfh_isa::validate(&r.kernel).map_err(isa_error)?;
+        Op::Lint(source, config) => {
+            let kernel = kernel_of(source)?;
+            rfh_isa::validate(&kernel)?;
             let options = rfh_lint::LintOptions {
-                alloc: req.config,
+                alloc: *config,
                 ..Default::default()
             };
-            let diags = rfh_lint::lint_kernel(&r.kernel, &options);
+            let diags = rfh_lint::lint_kernel(&kernel, &options);
             let errors = diags
                 .iter()
                 .filter(|d| d.severity() == rfh_lint::Severity::Error)
                 .count();
-            let name = match &req.source {
-                Some(KernelSource::Workload(n)) => n.as_str(),
-                _ => "<request>",
+            let name = match source {
+                KernelSource::Workload(n) => n.as_str(),
+                KernelSource::Text(_) => "<request>",
             };
             let lines: Vec<Json> = diags
                 .iter()
@@ -552,11 +535,9 @@ pub fn handle_with(
                 ("diagnostics".into(), Json::Arr(lines)),
             ]))
         }
-        Op::Allocate => {
-            let r = resolve(req)?;
-            let mut kernel = r.kernel;
-            let (stats, inc) =
-                allocate_via(&mut kernel, &req.config, strands).map_err(alloc_error)?;
+        Op::Allocate(source, config) => {
+            let mut kernel = kernel_of(source)?;
+            let (stats, inc) = allocate_via(&mut kernel, config, strands)?;
             let mut stats_fields = vec![
                 ("strands".into(), Json::u64(stats.strands as u64)),
                 ("lrf_values".into(), Json::u64(stats.lrf_values as u64)),
@@ -580,13 +561,19 @@ pub fn handle_with(
                 ("stats".into(), Json::Obj(stats_fields)),
             ]))
         }
-        Op::Simulate => {
+        Op::Simulate { run, placement } => {
+            let (config, orf_entries) = match placement {
+                Placement::Baseline { orf_entries } => (None, *orf_entries),
+                Placement::Allocated(config) => (Some(config), config.orf_entries),
+            };
             let Executed {
                 sink: counter,
                 report,
                 memory,
                 workload,
-            } = execute(req, budgets, strands, |_, _, _| Ok(SwCounter::default()))?;
+            } = execute(run, config, budgets, strands, |_, _, _| {
+                Ok(SwCounter::default())
+            })?;
             let verified = match &workload {
                 Some(w) => {
                     (w.verify)(&w.memory, &memory)
@@ -596,9 +583,7 @@ pub fn handle_with(
                 None => Json::Null,
             };
             let counts = counter.counts();
-            let energy = EnergyModel::paper()
-                .energy(&counts, req.config.orf_entries)
-                .total();
+            let energy = EnergyModel::paper().energy(&counts, orf_entries).total();
             Ok(Json::Obj(vec![
                 (
                     "report".into(),
@@ -619,14 +604,18 @@ pub fn handle_with(
                 ("verified".into(), verified),
             ]))
         }
-        Op::Timing => {
-            let cap = execute(req, budgets, strands, |_, launch, machine| {
+        Op::Timing {
+            run,
+            budget_cycles,
+            active_warps,
+        } => {
+            let cap = execute(run, None, budgets, strands, |_, launch, machine| {
                 check_resident(launch, machine).map_err(|e| usage(e.to_string()))?;
                 Ok(TraceCapture::new(machine.clone(), launch.threads_per_cta))
             })?
             .sink;
-            let config =
-                TimingConfig::two_level(req.active_warps).with_max_cycles(budgets.max_cycles);
+            let config = TimingConfig::two_level(*active_warps)
+                .with_max_cycles(clamp_budget(*budget_cycles, budgets.max_cycles));
             let t = simulate_timing(&cap.traces, &|w| cap.cta_of(w), &config)
                 .map_err(|e| ErrorFrame::new(ErrorKind::Timing, e.to_string()))?;
             Ok(Json::Obj(vec![
@@ -636,8 +625,8 @@ pub fn handle_with(
                 ("ipc".into(), Json::Num((t.ipc() * 1e6).round() / 1e6)),
             ]))
         }
-        Op::Trace => {
-            let exporter = execute(req, budgets, strands, |kernel, _, _| {
+        Op::Trace { run, config } => {
+            let exporter = execute(run, config.as_ref(), budgets, strands, |kernel, _, _| {
                 Ok(TraceExporter::new(kernel))
             })?
             .sink;
@@ -647,10 +636,8 @@ pub fn handle_with(
             ]))
         }
         // Control ops never reach the compute path.
-        Op::Stats | Op::Shutdown => Err(usage(format!(
-            "op `{}` is handled by the server",
-            req.op.name()
-        ))),
+        Op::Stats => Err(usage("op `stats` is handled by the server")),
+        Op::Shutdown => Err(usage("op `shutdown` is handled by the server")),
     }
 }
 
@@ -724,6 +711,61 @@ BB0:
         for (text, kind) in cases {
             let e = req(text).expect_err(text);
             assert_eq!(e.kind, kind, "{text}");
+        }
+    }
+
+    /// Pins the decoder's answer to each malformed field on every op,
+    /// the ops that never read that field included: a request is outside
+    /// input, so every field it carries is validated whatever the op.
+    #[test]
+    fn every_op_rejects_every_malformed_field() {
+        let orf = "config.orf must be in 1..=8 (energy model bound)";
+        let cases = [
+            ("\"config\":{\"orf\":0}", orf),
+            ("\"config\":{\"orf\":9}", orf),
+            (
+                "\"config\":{\"lrf\":\"wat\"}",
+                "config.lrf `wat` not none|unified|split",
+            ),
+            ("\"ctas\":0", "`ctas` must be an integer in 1..=4096"),
+            ("\"ctas\":4097", "`ctas` must be an integer in 1..=4096"),
+            ("\"threads\":0", "`threads` must be an integer in 1..=4096"),
+            (
+                "\"threads\":4097",
+                "`threads` must be an integer in 1..=4096",
+            ),
+            (
+                "\"active_warps\":0",
+                "`active_warps` must be an integer in 1..=4096",
+            ),
+            (
+                "\"active_warps\":4097",
+                "`active_warps` must be an integer in 1..=4096",
+            ),
+            ("\"id\":\"7\"", "`id` must be an unsigned integer"),
+            (
+                "\"workload\":\"vectoradd\"",
+                "`kernel` and `workload` are mutually exclusive",
+            ),
+        ];
+        for op in [
+            "ping", "assemble", "lint", "allocate", "simulate", "timing", "trace", "stats",
+            "shutdown",
+        ] {
+            for (field, message) in cases {
+                let text =
+                    format!("{{\"schema\":\"rfhd-v1\",\"op\":\"{op}\",\"kernel\":\"x\",{field}}}");
+                let e = req(&text).expect_err(&text);
+                assert_eq!((e.kind, e.message.as_str()), (ErrorKind::Usage, message));
+            }
+            let bare = format!("{{\"schema\":\"rfhd-v1\",\"op\":\"{op}\"}}");
+            if matches!(op, "ping" | "stats" | "shutdown") {
+                req(&bare).expect(&bare);
+            } else {
+                let e = req(&bare).expect_err(&bare);
+                let message = format!("op `{op}` needs a `kernel` or `workload` field");
+                assert_eq!((e.kind, e.message), (ErrorKind::Usage, message));
+            }
         }
     }
 
@@ -808,63 +850,71 @@ BB0:
         );
     }
 
+    /// Whether `op` (in baseline mode or not) keys two requests that
+    /// differ by the JSON member `field` equal.
+    fn same_key(op: &str, baseline: bool, field: &str) -> bool {
+        let mut base = format!("{{\"schema\":\"rfhd-v1\",\"op\":\"{op}\",\"kernel\":\"x\"");
+        if baseline {
+            base.push_str(",\"baseline\":true");
+        }
+        let a = req(&format!("{base}}}")).expect("decodes");
+        let b = req(&format!("{base},{field}}}")).expect("decodes");
+        Key::of(a.op) == Key::of(b.op)
+    }
+
     #[test]
     fn content_hash_separates_semantic_fields_only() {
-        let a = kernel_req("simulate");
-        let mut b = a.clone();
-        assert_eq!(a.content_hash(), b.content_hash());
-        b.id = 99; // id is not semantic
-        b.timeout_ms = Some(123); // neither is the wall-clock timeout
-        assert_eq!(a.content_hash(), b.content_hash());
-        let mut c = a.clone();
-        c.config.orf_entries = 5;
-        assert_ne!(a.content_hash(), c.content_hash());
-        let mut d = a.clone();
-        d.baseline = true;
-        assert_ne!(a.content_hash(), d.content_hash());
+        // `id` and the wall-clock timeout key no op.
+        for op in [
+            "assemble", "lint", "allocate", "simulate", "timing", "trace",
+        ] {
+            assert!(same_key(op, false, "\"id\":99"), "{op}");
+            assert!(same_key(op, false, "\"timeout_ms\":123"), "{op}");
+        }
+        // A simulate's configuration and placement do.
+        assert!(!same_key("simulate", false, "\"config\":{\"orf\":5}"));
+        assert!(!same_key("simulate", false, "\"baseline\":true"));
     }
 
     #[test]
     fn each_op_is_keyed_on_the_fields_it_reads() {
-        // Whether `op` (in baseline mode or not) keys two requests that
-        // differ by `edit` equal.
-        let same_key = |op: &str, baseline: bool, edit: &dyn Fn(&mut Request)| {
-            let mut a = kernel_req(op);
-            a.baseline = baseline;
-            let mut b = a.clone();
-            edit(&mut b);
-            a.canonical() == b.canonical()
-        };
-        let config = |r: &mut Request| r.config.orf_entries = 5;
-        let baseline = |r: &mut Request| r.baseline = true;
-        let active = |r: &mut Request| r.active_warps = 4;
-        let ctas = |r: &mut Request| r.ctas = 2;
-        let cycles = |r: &mut Request| r.budget_cycles = Some(10);
+        let config = "\"config\":{\"orf\":5}";
+        let lrf = "\"config\":{\"lrf\":\"none\"}";
+        let baseline = "\"baseline\":true";
+        let active = "\"active_warps\":4";
+        let ctas = "\"ctas\":2";
+        let cycles = "\"budget_cycles\":10";
         // `timing` replays the baseline trace: placement fields are not
         // part of its key, its geometry, scheduler and cycle budget are.
-        assert!(same_key("timing", false, &config));
-        assert!(same_key("timing", false, &baseline));
-        assert!(!same_key("timing", false, &active));
-        assert!(!same_key("timing", false, &ctas));
-        assert!(!same_key("timing", false, &cycles));
+        assert!(same_key("timing", false, config));
+        assert!(same_key("timing", false, baseline));
+        assert!(!same_key("timing", false, active));
+        assert!(!same_key("timing", false, ctas));
+        assert!(!same_key("timing", false, cycles));
         // Only `timing` reads the scheduler fields.
         for op in ["assemble", "lint", "allocate", "simulate", "trace"] {
-            assert!(same_key(op, false, &active), "{op}");
-            assert!(same_key(op, false, &cycles), "{op}");
+            assert!(same_key(op, false, active), "{op}");
+            assert!(same_key(op, false, cycles), "{op}");
         }
         // Static ops read no launch geometry; `assemble` no config.
         for op in ["assemble", "lint", "allocate"] {
-            assert!(same_key(op, false, &ctas), "{op}");
-            assert!(same_key(op, false, &baseline), "{op}");
+            assert!(same_key(op, false, ctas), "{op}");
+            assert!(same_key(op, false, baseline), "{op}");
         }
-        assert!(same_key("assemble", false, &config));
-        assert!(!same_key("lint", false, &config));
-        assert!(!same_key("allocate", false, &config));
+        assert!(same_key("assemble", false, config));
+        assert!(!same_key("lint", false, config));
+        assert!(!same_key("allocate", false, config));
+        // `simulate` reads its placement.
+        assert!(!same_key("simulate", false, config));
+        assert!(!same_key("simulate", false, baseline));
         // A baseline trace allocates nothing; a baseline simulate still
-        // prices its counts at the configured ORF size.
-        assert!(!same_key("trace", false, &config));
-        assert!(same_key("trace", true, &config));
-        assert!(!same_key("simulate", true, &config));
+        // prices its counts at the configured ORF size, and at nothing
+        // else of the configuration.
+        assert!(!same_key("trace", false, config));
+        assert!(same_key("trace", true, config));
+        assert!(!same_key("simulate", true, config));
+        assert!(!same_key("simulate", false, lrf));
+        assert!(same_key("simulate", true, lrf));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   same stable codes `rfhc` uses as exit codes.
 //! * [`handler`] — pure request decoding and op dispatch; every pipeline
 //!   failure becomes a structured error frame.
-//! * [`cache`] — the content-hash-keyed LRU result store (also reused by
+//! * [`cache`] — the hash-pre-keyed LRU result store (also reused by
 //!   `rfh_experiments` for its memoization).
 //! * [`server`] — listeners, the bounded worker pool, per-request panic
 //!   isolation and wall-clock timeouts, load shedding with retry hints,

@@ -42,6 +42,9 @@
 
 use std::io::{Read, Write};
 
+use rfh_alloc::AllocError;
+use rfh_isa::IsaError;
+
 use crate::json::Json;
 
 /// The protocol schema tag every frame carries.
@@ -262,6 +265,29 @@ impl ErrorFrame {
     pub fn with_detail(mut self, detail: Json) -> Self {
         self.detail = Some(detail);
         self
+    }
+}
+
+impl From<IsaError> for ErrorFrame {
+    fn from(e: IsaError) -> Self {
+        let kind = match e {
+            IsaError::Parse { .. } => ErrorKind::Parse,
+            IsaError::Validate { .. } => ErrorKind::InvalidKernel,
+        };
+        ErrorFrame::new(kind, e.to_string())
+    }
+}
+
+impl From<AllocError> for ErrorFrame {
+    fn from(e: AllocError) -> Self {
+        match e {
+            // An invalid kernel is the same failure whether the caller or
+            // the allocator noticed it first.
+            AllocError::InvalidKernel(inner) => {
+                ErrorFrame::new(ErrorKind::InvalidKernel, inner.to_string())
+            }
+            AllocError::Config(_) => ErrorFrame::new(ErrorKind::Config, e.to_string()),
+        }
     }
 }
 

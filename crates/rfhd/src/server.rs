@@ -167,13 +167,11 @@ struct Shared {
     /// The endpoint after binding (real port for TCP port 0) — the
     /// shutdown wake connects here.
     resolved: Endpoint,
-    /// Whole-response result cache, keyed by the full canonical request
-    /// string (the 64-bit digest is only a pre-key — see
-    /// [`crate::cache::Key`]).
-    cache: Store<Key, Json>,
+    /// Whole-response result cache, keyed by the typed op (its 64-bit
+    /// digest is only a pre-key — see [`crate::cache::Key`]).
+    cache: Store<Key<Op>, Json>,
     /// Per-strand allocation cache shared by every compute thread.
     strand_cache: Arc<StrandStore>,
-    budget_caps: Budgets,
     shutdown: AtomicBool,
     counters: Counters,
     started: Instant,
@@ -273,15 +271,10 @@ impl Server {
                 (Listener::Unix(l), Endpoint::Unix(path.clone()))
             }
         };
-        let budget_caps = Budgets {
-            max_warp_instructions: cfg.max_warp_instructions,
-            max_cycles: cfg.max_cycles,
-        };
         let shared = Arc::new(Shared {
             resolved: endpoint.clone(),
             cache: Store::with_capacity(cfg.cache_entries),
             strand_cache: Arc::new(Store::with_capacity(cfg.strand_cache_entries)),
-            budget_caps,
             shutdown: AtomicBool::new(false),
             counters: Counters {
                 served: AtomicU64::new(0),
@@ -380,13 +373,8 @@ impl Server {
     pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         let server = Server::bind(cfg)?;
         let endpoint = server.endpoint.clone();
-        let shared = Arc::clone(&server.shared);
         let thread = std::thread::spawn(move || server.run());
-        Ok(ServerHandle {
-            endpoint,
-            shared,
-            thread,
-        })
+        Ok(ServerHandle { endpoint, thread })
     }
 }
 
@@ -394,16 +382,10 @@ impl Server {
 pub struct ServerHandle {
     /// The resolved endpoint to connect to.
     pub endpoint: Endpoint,
-    shared: Arc<Shared>,
     thread: std::thread::JoinHandle<std::io::Result<ServerReport>>,
 }
 
 impl ServerHandle {
-    /// Connections currently admitted and not yet finished.
-    pub fn in_flight(&self) -> usize {
-        self.shared.counters.in_flight.load(Ordering::Relaxed)
-    }
-
     /// Waits for the daemon to exit (send a `shutdown` request first).
     ///
     /// # Errors
@@ -512,21 +494,16 @@ fn serve_conn(mut conn: Conn, shared: &Shared) {
 /// Runs one compute request under the full isolation stack: cache →
 /// spawned thread → `catch_unwind` → wall-clock timeout.
 fn compute(shared: &Shared, req: &Request) -> Result<(Json, bool), ErrorFrame> {
-    let key = Key::new(req.canonical());
-    if req.op.cacheable() {
-        if let Some(result) = shared.cache.get(&key) {
-            return Ok((result, true));
-        }
+    // Every compute op but `ping` is a deterministic function of its
+    // typed op, which keys the result cache; `id` and `timeout_ms` sit
+    // outside it.
+    let key = (req.op != Op::Ping).then(|| Key::of(req.op.clone()));
+    if let Some(result) = key.as_ref().and_then(|k| shared.cache.get(k)) {
+        return Ok((result, true));
     }
     let budgets = Budgets {
-        max_warp_instructions: req
-            .budget_instructions
-            .unwrap_or(shared.budget_caps.max_warp_instructions)
-            .clamp(1, shared.budget_caps.max_warp_instructions),
-        max_cycles: req
-            .budget_cycles
-            .unwrap_or(shared.budget_caps.max_cycles)
-            .clamp(1, shared.budget_caps.max_cycles),
+        max_warp_instructions: shared.cfg.max_warp_instructions,
+        max_cycles: shared.cfg.max_cycles,
     };
     let timeout = Duration::from_millis(
         req.timeout_ms
@@ -545,14 +522,10 @@ fn compute(shared: &Shared, req: &Request) -> Result<(Json, bool), ErrorFrame> {
         let _ = tx.send(outcome);
     });
     match rx.recv_timeout(timeout) {
-        Ok(Ok(Ok(result))) => {
-            let result = if req.op.cacheable() {
-                shared.cache.insert(key, result)
-            } else {
-                result
-            };
-            Ok((result, false))
-        }
+        Ok(Ok(Ok(result))) => match key {
+            Some(key) => Ok((shared.cache.insert(key, result), false)),
+            None => Ok((result, false)),
+        },
         Ok(Ok(Err(frame))) => Err(frame),
         Ok(Err(panic)) => {
             shared

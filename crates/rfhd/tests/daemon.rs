@@ -574,3 +574,34 @@ fn simulate_splices_every_strand_an_allocate_cached() {
     assert_eq!(sim, cold);
     shutdown_and_join(fresh);
 }
+
+#[test]
+fn baseline_simulates_differing_only_in_lrf_share_a_cache_entry() {
+    // A baseline `simulate` allocates nothing and prices its counts at the
+    // configured ORF size only, so the LRF mode is not part of its key.
+    let handle = spawn_tcp(|_| {});
+    let mut c = client(&handle.endpoint);
+    let simulate = |lrf: &str| {
+        vec![
+            ("op".to_string(), Json::str("simulate")),
+            ("workload".to_string(), Json::str("vectoradd")),
+            ("baseline".to_string(), Json::Bool(true)),
+            (
+                "config".to_string(),
+                Json::Obj(vec![("lrf".to_string(), Json::str(lrf))]),
+            ),
+        ]
+    };
+    let (first, cached) = c.request(simulate("split")).expect("simulate");
+    assert!(!cached, "first run computes");
+    let (before, _) = c.simple("stats").expect("stats");
+    let (second, cached) = c.request(simulate("none")).expect("simulate, other lrf");
+    assert!(cached, "an lrf-only difference hits the cached result");
+    assert_eq!(second, first);
+    let (after, _) = c.simple("stats").expect("stats");
+    assert_eq!(
+        stat(&after, "cache", "entries"),
+        stat(&before, "cache", "entries")
+    );
+    shutdown_and_join(handle);
+}

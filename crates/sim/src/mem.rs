@@ -62,19 +62,9 @@ impl GlobalMemory {
         }
     }
 
-    /// Stores an f32 (bit-cast) at `addr`.
-    pub fn store_f32(&mut self, addr: u32, value: f32) -> bool {
-        self.store(addr, value.to_bits())
-    }
-
     /// The raw words, for result comparison.
     pub fn words(&self) -> &[u32] {
         &self.words
-    }
-
-    /// The contents reinterpreted as f32s.
-    pub fn as_f32(&self) -> Vec<f32> {
-        self.words.iter().map(|w| f32::from_bits(*w)).collect()
     }
 }
 
@@ -143,9 +133,6 @@ mod tests {
         let m = GlobalMemory::from_f32(&[1.5, -2.0]);
         assert_eq!(m.load_f32(0), Some(1.5));
         assert_eq!(m.load_f32(1), Some(-2.0));
-        let mut m2 = GlobalMemory::new(1);
-        m2.store_f32(0, 0.25);
-        assert_eq!(m2.as_f32(), vec![0.25]);
     }
 
     #[test]

@@ -29,13 +29,6 @@ pub struct InstrEvent<'a> {
     pub plan: &'a AccessPlan,
 }
 
-impl InstrEvent<'_> {
-    /// Number of threads that executed the instruction.
-    pub fn exec_threads(&self) -> u32 {
-        self.exec_mask.count_ones()
-    }
-}
-
 /// An observer of the executed instruction stream.
 pub trait TraceSink {
     /// Called for every warp instruction issued (even fully predicated-off
@@ -79,31 +72,4 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn on_instr(&mut self, _event: &InstrEvent<'_>) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rfh_isa::{ops, BlockId, Reg};
-
-    #[test]
-    fn exec_threads_counts_bits() {
-        let i = ops::mov(Reg::new(0), 1.into());
-        let plan = AccessPlan::resolve(&i);
-        let ev = InstrEvent {
-            warp: 0,
-            at: InstrRef {
-                block: BlockId::new(0),
-                index: 0,
-            },
-            instr: &i,
-            active_mask: 0xFFFF_FFFF,
-            exec_mask: 0x0000_00FF,
-            plan: &plan,
-        };
-        assert_eq!(ev.exec_threads(), 8);
-        let mut sink = NullSink;
-        sink.on_instr(&ev);
-        sink.on_warp_done(0);
-    }
 }

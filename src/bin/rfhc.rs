@@ -10,12 +10,12 @@
 //!
 //! ```text
 //! rfhc [--orf N] [--lrf none|unified|split] [--no-partial] [--no-readop]
-//!      [--hints] [--plain] [--stats] [--jobs N] <kernel.rfasm | ->
+//!      [--hints] [--plain] [--stats] <kernel.rfasm | ->
 //! rfhc lint [--orf N] [--lrf none|unified|split] [--json]
-//!      [--deny-warnings] [--jobs N] <kernel.rfasm | ->
+//!      [--deny-warnings] <kernel.rfasm | ->
 //! rfhc trace [--orf N] [--lrf none|unified|split] [--no-partial]
 //!      [--no-readop] [--hints] [--baseline] [--json | --chrome | --profile]
-//!      [--ctas N] [--threads N] [--jobs N] <kernel.rfasm | ->
+//!      [--ctas N] [--threads N] <kernel.rfasm | ->
 //! ```
 //!
 //! `--hints` feeds the allocator compiler-assisted last-use hints from the
@@ -49,12 +49,12 @@ use rfh::energy::EnergyModel;
 use rfh::{RfhError, EXIT_INTERNAL_PANIC};
 
 const USAGE: &str = "usage: rfhc [--orf N] [--lrf none|unified|split] [--no-partial] \
-     [--no-readop] [--hints] [--plain] [--stats] [--jobs N] <kernel.rfasm | ->\n\
+     [--no-readop] [--hints] [--plain] [--stats] <kernel.rfasm | ->\n\
        rfhc lint [--orf N] [--lrf none|unified|split] [--json] [--deny-warnings] \
-     [--jobs N] <kernel.rfasm | ->\n\
+     <kernel.rfasm | ->\n\
        rfhc trace [--orf N] [--lrf none|unified|split] [--no-partial] [--no-readop] \
      [--hints] [--baseline]\n\
-             [--json | --chrome | --profile] [--ctas N] [--threads N] [--jobs N]\n\
+             [--json | --chrome | --profile] [--ctas N] [--threads N]\n\
              <kernel.rfasm | ->\n\
        rfhc timing [--active N | --single-level] [--greedy]\n\
              (--workload NAME | [--ctas N] [--threads N] <kernel.rfasm | ->)\n\
@@ -99,16 +99,6 @@ fn positive_flag(value: Option<String>, flag: &str) -> Result<usize, RfhError> {
         .and_then(|n| n.parse().ok())
         .filter(|&n: &usize| n >= 1)
         .ok_or_else(|| usage(&format!("{flag} needs a positive integer")))
-}
-
-/// Applies `--jobs N`: overrides the `RFH_JOBS` pool knob for the rest of
-/// the process. Parsed through the shared knob grammar, so a malformed
-/// value warns loudly on stderr and falls back (exactly like a malformed
-/// `RFH_JOBS` env var) instead of inventing a third behavior.
-fn set_jobs(raw: &str) {
-    if let Some(n) = rfh_testkit::env::parse_positive_usize("--jobs", raw) {
-        std::env::set_var("RFH_JOBS", n.to_string());
-    }
 }
 
 fn main() {
@@ -167,7 +157,6 @@ fn real_main() -> Result<(), RfhError> {
             "--hints" => hints = true,
             "--plain" => plain = true,
             "--stats" => stats_only = true,
-            "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
             "--help" | "-h" => return Err(usage("")),
             "-" if input.is_none() => input = Some("-".into()),
             other if input.is_none() && !other.starts_with('-') => input = Some(other.into()),
@@ -227,7 +216,6 @@ fn lint_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Res
             "--lrf" => options.alloc.lrf = lrf_flag(args.next())?,
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
-            "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
             "--help" | "-h" => return Err(usage("")),
             "-" if input.is_none() => input = Some("-".into()),
             other if input.is_none() && !other.starts_with('-') => input = Some(other.into()),
@@ -311,7 +299,6 @@ fn trace_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Re
             "--profile" => format = TraceFormat::Profile,
             "--ctas" => ctas = positive_flag(args.next(), "--ctas")?,
             "--threads" => threads = positive_flag(args.next(), "--threads")?,
-            "--jobs" => set_jobs(&args.next().ok_or_else(|| usage("--jobs needs a value"))?),
             "--help" | "-h" => return Err(usage("")),
             "-" if input.is_none() => input = Some("-".into()),
             other if input.is_none() && !other.starts_with('-') => input = Some(other.into()),

@@ -7,7 +7,8 @@
 //! report" uniformly and map each class to a stable process exit code.
 //!
 //! The exit-code contract (documented in `docs/ROBUSTNESS.md` and relied
-//! on by `tests/cli.rs`):
+//! on by `tests/cli.rs`); every code but 0 and 1 is
+//! [`ErrorKind::exit_code`]'s:
 //!
 //! | code | meaning                                     |
 //! |------|---------------------------------------------|
@@ -33,12 +34,13 @@ use std::fmt;
 
 use rfh_alloc::AllocError;
 use rfh_isa::IsaError;
+use rfh_rfhd::{ErrorFrame, ErrorKind};
 use rfh_sim::{ExecError, TimingError};
 
 /// Exit code used when the driver's `catch_unwind` boundary traps a panic
 /// that escaped the library (a bug, by definition — the libraries are
 /// panic-free by contract).
-pub const EXIT_INTERNAL_PANIC: i32 = 70;
+pub const EXIT_INTERNAL_PANIC: i32 = ErrorKind::Internal.exit_code();
 
 /// Any error the rfh pipeline can report.
 #[derive(Debug)]
@@ -81,22 +83,20 @@ pub enum RfhError {
 
 impl RfhError {
     /// The stable process exit code for this error class (see the module
-    /// docs for the full table).
+    /// docs for the full table). Pipeline classes take the code of the
+    /// daemon's matching [`ErrorKind`], so the two tables cannot drift.
     pub fn exit_code(&self) -> i32 {
-        match self {
-            RfhError::Io { .. } => 1,
-            RfhError::Usage(_) => 2,
-            RfhError::Isa(IsaError::Parse { .. }) => 3,
-            RfhError::Isa(IsaError::Validate { .. }) => 4,
-            // An invalid kernel is the same failure whether the caller or
-            // the allocator noticed it first.
-            RfhError::Alloc(AllocError::InvalidKernel(_)) => 4,
-            RfhError::Alloc(AllocError::Config(_)) => 5,
-            RfhError::Exec(_) => 6,
-            RfhError::Timing(_) => 7,
-            RfhError::Lint { .. } => 8,
-            RfhError::Daemon { code, .. } => *code,
-        }
+        let kind = match self {
+            RfhError::Io { .. } => return 1,
+            RfhError::Daemon { code, .. } => return *code,
+            RfhError::Usage(_) => ErrorKind::Usage,
+            RfhError::Isa(e) => ErrorFrame::from(e.clone()).kind,
+            RfhError::Alloc(e) => ErrorFrame::from(e.clone()).kind,
+            RfhError::Exec(_) => ErrorKind::Exec,
+            RfhError::Timing(_) => ErrorKind::Timing,
+            RfhError::Lint { .. } => ErrorKind::Lint,
+        };
+        kind.exit_code()
     }
 }
 

@@ -322,35 +322,21 @@ fn trace_json_is_byte_identical_at_any_job_count() {
 }
 
 #[test]
-fn jobs_flag_overrides_the_env_knob() {
-    // A valid --jobs wins over a malformed RFH_JOBS: no warning, clean run.
-    let out = rfhc_stdin_env(
-        &["trace", "--jobs", "2", "-"],
-        TRACE_KERNEL,
-        &[("RFH_JOBS", "not-a-number")],
-    );
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("warning:"), "{stderr}");
-}
-
-#[test]
-fn malformed_jobs_flag_warns_like_the_env_knob() {
-    let out = rfhc_stdin(&["--jobs", "nope", "--stats", "-"], TRACE_KERNEL);
-    assert_eq!(out.status.code(), Some(0), "malformed --jobs falls back");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("warning: --jobs=\"nope\" is not a valid integer"),
-        "knob-grammar warning on stderr: {stderr}"
-    );
-}
-
-#[test]
-fn jobs_flag_without_a_value_is_a_usage_error() {
-    // The process exits before reading stdin, so none is supplied.
-    let out = rfhc(&["--stats", "-", "--jobs"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs needs a value"));
+fn removed_jobs_flag_is_a_usage_error() {
+    // Nothing `rfhc`, `rfhc lint` or `rfhc trace` runs uses the worker
+    // pool, so none of them takes a pool-size flag (`RFH_JOBS` still sets
+    // the pool of `repro` and `lint_report`). Arg parsing fails before any
+    // input is read, so no stdin is piped.
+    for cmd in ["--jobs 2 -", "lint --jobs 2 -", "trace --jobs 2 -"] {
+        let args: Vec<&str> = cmd.split_whitespace().collect();
+        let out = rfhc(&args);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: usage errors exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unrecognized argument `--jobs`"),
+            "{cmd}: {stderr}"
+        );
+    }
 }
 
 #[test]
