@@ -557,9 +557,9 @@ pub fn run_protocol_layer(cases: usize, base_seed: u64) -> Result<ChaosReport, S
     use rfh_rfhd::server::{Endpoint, Server, ServerConfig};
 
     // Small socket read timeout so the slow-writer flavor resolves
-    // quickly; enough workers and queue depth that concurrent chaos
-    // cases mostly ride out each other's stalls via the queue, with the
-    // occasional shed absorbed by probe retries.
+    // quickly. A stall holds a connection thread, not a worker, and the
+    // connection cap (workers + queue depth) is well above what the
+    // concurrent cases open; a rare shed is absorbed by probe retries.
     const IO_TIMEOUT_MS: u64 = 100;
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
     cfg.workers = 4;

@@ -55,7 +55,8 @@
 //!   programs.
 //! * [`harness::run_protocol_layer`] aims seeded *wire-protocol* faults
 //!   ([`wire`]) — truncated frames, garbage bytes, oversized length
-//!   prefixes, mid-request disconnects, stalled slow writers — at a live
+//!   prefixes, mid-request disconnects, stalled slow writers, ill-typed
+//!   request fields — at a live
 //!   in-process `rfhd` daemon and asserts the service trichotomy:
 //!   well-formed requests succeed, malformed traffic draws a structured
 //!   error frame or a clean teardown, and the daemon keeps serving

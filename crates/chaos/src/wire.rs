@@ -11,6 +11,11 @@
 //! * **garbage JSON** — a correctly framed payload that is not a valid
 //!   request; must draw a structured `protocol`/`usage` frame *and leave
 //!   the connection usable* (the framing layer resynchronizes);
+//! * **ill-typed field** — a valid request carrying one optional field
+//!   (`timeout_ms`, a budget, `baseline`, `config.partial` or
+//!   `config.readop`) with a value of the wrong type; must draw a `usage`
+//!   frame naming that field, never the field's default, and leave the
+//!   connection usable;
 //! * **truncated frame** — a length prefix promising more bytes than are
 //!   ever sent, then a half-close;
 //! * **garbage bytes** — raw junk where a frame should be, so the length
@@ -21,7 +26,7 @@
 //!   close, modelling a client that dies mid-write;
 //! * **slow writer** — a frame stalled mid-payload past the daemon's
 //!   socket read timeout, modelling a wedged client that would otherwise
-//!   pin a worker forever;
+//!   hold its connection thread forever;
 //! * **edit storm** — repeated re-submissions of one kernel with seeded
 //!   single-immediate edits, interleaved with the pristine original: the
 //!   daemon's incremental strand cache must never change an answer (zero
@@ -91,7 +96,7 @@ pub fn inject(addr: &str, io_timeout_ms: u64, rng: &mut SmallRng) -> Result<Obse
     let guard = Duration::from_millis(HARNESS_GUARD_MS);
     conn.set_read_timeout(Some(guard)).ok();
     conn.set_write_timeout(Some(guard)).ok();
-    match rng.gen_range(0u32..8) {
+    match rng.gen_range(0u32..9) {
         0 => well_formed(conn, rng),
         1 => garbage_json(conn, rng),
         2 => truncated_frame(conn, rng),
@@ -99,6 +104,7 @@ pub fn inject(addr: &str, io_timeout_ms: u64, rng: &mut SmallRng) -> Result<Obse
         4 => oversized_prefix(conn, rng),
         5 => mid_request_disconnect(conn, rng),
         6 => slow_writer(conn, io_timeout_ms, rng),
+        7 => ill_typed_field(conn, rng),
         _ => edit_storm(conn, rng),
     }
 }
@@ -168,7 +174,7 @@ pub fn drain(handle: ServerHandle) -> Result<(), String> {
 /// One decoded response (or its absence) from the faulty connection.
 enum Reply {
     Ok,
-    Frame(ErrorKind),
+    Frame(ErrorKind, String),
     Closed,
 }
 
@@ -179,7 +185,7 @@ fn read_one(conn: &mut TcpStream) -> Result<Reply, String> {
                 .map_err(|e| format!("daemon sent an undecodable frame: {e}"))?;
             Ok(match outcome {
                 Ok(_) => Reply::Ok,
-                Err(f) => Reply::Frame(f.kind),
+                Err(f) => Reply::Frame(f.kind, f.message),
             })
         }
         Ok(None) => Ok(Reply::Closed),
@@ -201,6 +207,11 @@ fn read_one(conn: &mut TcpStream) -> Result<Reply, String> {
 /// Renders a valid `rfhd-v1` request (seeded choice of a trivial op or a
 /// kernel-carrying one, so both dispatch paths see chaos-adjacent load).
 fn render_request(rng: &mut SmallRng) -> String {
+    Json::Obj(request_fields(rng)).render()
+}
+
+/// The members of [`render_request`]'s request.
+fn request_fields(rng: &mut SmallRng) -> Vec<(String, Json)> {
     let id = rng.gen_range(1u64..1_000_000);
     let mut fields = vec![
         ("schema".to_string(), Json::str(proto::SCHEMA)),
@@ -212,7 +223,7 @@ fn render_request(rng: &mut SmallRng) -> String {
         fields.push(("op".to_string(), Json::str("assemble")));
         fields.push(("kernel".to_string(), Json::str(AXPY)));
     }
-    Json::Obj(fields).render()
+    fields
 }
 
 fn well_formed(mut conn: TcpStream, rng: &mut SmallRng) -> Result<Observation, String> {
@@ -221,8 +232,8 @@ fn well_formed(mut conn: TcpStream, rng: &mut SmallRng) -> Result<Observation, S
     match read_one(&mut conn)? {
         Reply::Ok => Ok(Observation::Succeeded),
         // Being shed under concurrent chaos load is the one legal error.
-        Reply::Frame(ErrorKind::Overloaded) => Ok(Observation::ErrorFrame),
-        Reply::Frame(kind) => Err(format!("well-formed request drew a {} frame", kind.name())),
+        Reply::Frame(ErrorKind::Overloaded, _) => Ok(Observation::ErrorFrame),
+        Reply::Frame(kind, _) => Err(format!("well-formed request drew a {} frame", kind.name())),
         Reply::Closed => Err("well-formed request: closed without a response".into()),
     }
 }
@@ -237,26 +248,71 @@ fn garbage_json(mut conn: TcpStream, rng: &mut SmallRng) -> Result<Observation, 
         .collect();
     proto::write_frame(&mut conn, &junk).map_err(|e| format!("garbage-json write: {e}"))?;
     match read_one(&mut conn)? {
-        Reply::Frame(ErrorKind::Overloaded) => Ok(Observation::ErrorFrame),
-        Reply::Frame(_) => {
-            // The framing layer resynchronized: a well-formed request on
-            // the SAME connection must still succeed.
-            let payload = render_request(rng);
-            proto::write_frame(&mut conn, &payload)
-                .map_err(|e| format!("follow-up write after garbage JSON: {e}"))?;
-            match read_one(&mut conn)? {
-                Reply::Ok => Ok(Observation::ErrorFrame),
-                Reply::Frame(kind) => Err(format!(
-                    "connection poisoned: follow-up after garbage JSON drew a {} frame",
-                    kind.name()
-                )),
-                Reply::Closed => {
-                    Err("connection poisoned: closed after a framed-garbage error".into())
-                }
-            }
-        }
+        Reply::Frame(ErrorKind::Overloaded, _) => Ok(Observation::ErrorFrame),
+        Reply::Frame(..) => follow_up(conn, rng, "garbage JSON"),
         Reply::Ok => Err("garbage JSON produced a success response".into()),
         Reply::Closed => Err("garbage JSON answered with a bare close, not a frame".into()),
+    }
+}
+
+/// After a structured error frame the framing layer resynchronized: a
+/// well-formed request on the SAME connection must still succeed.
+fn follow_up(mut conn: TcpStream, rng: &mut SmallRng, fault: &str) -> Result<Observation, String> {
+    let payload = render_request(rng);
+    proto::write_frame(&mut conn, &payload)
+        .map_err(|e| format!("follow-up write after {fault}: {e}"))?;
+    match read_one(&mut conn)? {
+        Reply::Ok => Ok(Observation::ErrorFrame),
+        Reply::Frame(kind, _) => Err(format!(
+            "connection poisoned: follow-up after {fault} drew a {} frame",
+            kind.name()
+        )),
+        Reply::Closed => Err(format!("connection poisoned: closed after {fault}")),
+    }
+}
+
+fn ill_typed_field(mut conn: TcpStream, rng: &mut SmallRng) -> Result<Observation, String> {
+    // Each optional field with its wire name, whether it is a boolean
+    // (else an unsigned integer), and whether it sits inside `config`.
+    const FIELDS: [(&str, bool, bool); 6] = [
+        ("timeout_ms", false, false),
+        ("budget_instructions", false, false),
+        ("budget_cycles", false, false),
+        ("baseline", true, false),
+        ("partial", true, true),
+        ("readop", true, true),
+    ];
+    let (name, boolean, in_config) = FIELDS[rng.gen_range(0..FIELDS.len())];
+    let bad = match rng.gen_range(0u32..5) {
+        0 => Json::Null,
+        1 => Json::str("1"),
+        2 => Json::Arr(vec![]),
+        3 if boolean => Json::u64(1),
+        3 => Json::Bool(true),
+        _ if boolean => Json::Obj(vec![]),
+        _ => Json::Num(if rng.gen() { -1.0 } else { 1.5 }),
+    };
+    let mut fields = request_fields(rng);
+    let (field, named) = if in_config {
+        let config = Json::Obj(vec![(name.to_string(), bad)]);
+        (("config".to_string(), config), format!("config.{name}"))
+    } else {
+        ((name.to_string(), bad), format!("`{name}`"))
+    };
+    fields.push(field);
+    let payload = Json::Obj(fields).render();
+    proto::write_frame(&mut conn, &payload).map_err(|e| format!("ill-typed write: {e}"))?;
+    match read_one(&mut conn)? {
+        Reply::Frame(ErrorKind::Overloaded, _) => Ok(Observation::ErrorFrame),
+        Reply::Frame(ErrorKind::Usage, message) if message.starts_with(&named) => {
+            follow_up(conn, rng, "an ill-typed field")
+        }
+        Reply::Frame(kind, message) => Err(format!(
+            "ill-typed {named} drew a {} frame: {message}",
+            kind.name()
+        )),
+        Reply::Ok => Err(format!("ill-typed {named} was served as its default")),
+        Reply::Closed => Err(format!("ill-typed {named} answered with a bare close")),
     }
 }
 
@@ -268,7 +324,7 @@ fn truncated_frame(mut conn: TcpStream, rng: &mut SmallRng) -> Result<Observatio
     let _ = conn.write_all(&bytes[..keep]);
     let _ = conn.shutdown(Shutdown::Write);
     match read_one(&mut conn)? {
-        Reply::Frame(_) => Ok(Observation::ErrorFrame),
+        Reply::Frame(..) => Ok(Observation::ErrorFrame),
         Reply::Closed => Ok(Observation::Closed),
         Reply::Ok => Err("truncated frame produced a success response".into()),
     }
@@ -282,7 +338,7 @@ fn garbage_bytes(mut conn: TcpStream, rng: &mut SmallRng) -> Result<Observation,
     let _ = conn.write_all(&junk);
     let _ = conn.shutdown(Shutdown::Write);
     match read_one(&mut conn)? {
-        Reply::Frame(_) => Ok(Observation::ErrorFrame),
+        Reply::Frame(..) => Ok(Observation::ErrorFrame),
         Reply::Closed => Ok(Observation::Closed),
         Reply::Ok => Err("garbage bytes produced a success response".into()),
     }
@@ -296,7 +352,7 @@ fn oversized_prefix(mut conn: TcpStream, rng: &mut SmallRng) -> Result<Observati
     // alone instead of trying to buffer the advertised length.
     let _ = conn.write_all(b"{}");
     match read_one(&mut conn)? {
-        Reply::Frame(_) => Ok(Observation::ErrorFrame),
+        Reply::Frame(..) => Ok(Observation::ErrorFrame),
         Reply::Closed => Ok(Observation::Closed),
         Reply::Ok => Err("oversized length prefix produced a success response".into()),
     }
@@ -321,7 +377,7 @@ fn slow_writer(
 ) -> Result<Observation, String> {
     // Stall mid-payload past the daemon's socket read timeout: the daemon
     // must disconnect the wedged writer (timeout frame or teardown)
-    // rather than pin a worker forever.
+    // rather than hold its connection thread forever.
     let payload = render_request(rng);
     let bytes = payload.as_bytes();
     let keep = rng.gen_range(1..bytes.len());
@@ -333,10 +389,10 @@ fn slow_writer(
     // legal for these bytes.
     let _ = conn.write_all(&bytes[keep..]);
     match read_one(&mut conn)? {
-        Reply::Frame(_) => Ok(Observation::ErrorFrame),
+        Reply::Frame(..) => Ok(Observation::ErrorFrame),
         Reply::Closed => Ok(Observation::Closed),
-        // The connection sat queued through the stall and a worker got
-        // the complete frame — a legal outcome, not a violation.
+        // The daemon read the late remainder before its read timeout
+        // fired — a legal outcome, not a violation.
         Reply::Ok => Ok(Observation::Succeeded),
     }
 }

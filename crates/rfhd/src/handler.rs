@@ -168,6 +168,27 @@ fn usage(msg: impl Into<String>) -> ErrorFrame {
     ErrorFrame::new(ErrorKind::Usage, msg)
 }
 
+/// The optional member `field` of `obj`: absent is `None`, and present
+/// but not an unsigned integer is a usage error, never the default.
+fn unsigned(obj: &Json, field: &str) -> Result<Option<u64>, ErrorFrame> {
+    obj.get(field)
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| usage(format!("`{field}` must be an unsigned integer")))
+        })
+        .transpose()
+}
+
+/// As [`unsigned`], for a boolean member the frame calls `name`.
+fn boolean(obj: &Json, field: &str, name: &str) -> Result<Option<bool>, ErrorFrame> {
+    obj.get(field)
+        .map(|v| {
+            v.as_bool()
+                .ok_or_else(|| usage(format!("{name} must be a boolean")))
+        })
+        .transpose()
+}
+
 /// Every field a request may carry, validated: the record each op takes
 /// its own fields from.
 struct Fields {
@@ -202,10 +223,10 @@ impl Fields {
                 config.lrf = LrfMode::parse(lrf)
                     .ok_or_else(|| usage(format!("config.lrf `{lrf}` not none|unified|split")))?;
             }
-            if let Some(p) = c.get("partial").and_then(Json::as_bool) {
+            if let Some(p) = boolean(c, "partial", "config.partial")? {
                 config.partial_ranges = p;
             }
-            if let Some(r) = c.get("readop").and_then(Json::as_bool) {
+            if let Some(r) = boolean(c, "readop", "config.readop")? {
                 config.read_operands = r;
             }
         }
@@ -221,12 +242,12 @@ impl Fields {
         };
         Ok(Fields {
             config,
-            baseline: doc.get("baseline").and_then(Json::as_bool).unwrap_or(false),
+            baseline: boolean(doc, "baseline", "`baseline`")?.unwrap_or(false),
             ctas: geometry("ctas", 1)?,
             threads: geometry("threads", 64)?,
             active_warps: geometry("active_warps", 8)?,
-            budget_instructions: doc.get("budget_instructions").and_then(Json::as_u64),
-            budget_cycles: doc.get("budget_cycles").and_then(Json::as_u64),
+            budget_instructions: unsigned(doc, "budget_instructions")?,
+            budget_cycles: unsigned(doc, "budget_cycles")?,
         })
     }
 
@@ -260,14 +281,16 @@ fn kernel_source(doc: &Json) -> Result<Option<KernelSource>, ErrorFrame> {
 
 /// Decodes a parsed request document into a [`Request`].
 ///
-/// Every field is validated on every op, in one order: `id`, `op`, the
-/// kernel source, `config`, then the launch geometry.
+/// Every field is validated on every op, in one order: `id`, `op`,
+/// `timeout_ms`, the kernel source, `config`, `baseline`, the launch
+/// geometry, then the budgets. A present field of the wrong type is
+/// refused, never read as its default.
 ///
 /// # Errors
 ///
 /// A [`ErrorKind::Protocol`] frame for a missing/wrong schema tag, and a
 /// [`ErrorKind::Usage`] frame for bad fields (unknown op, missing or
-/// conflicting kernel source, out-of-range geometry).
+/// conflicting kernel source, out-of-range geometry, ill-typed fields).
 pub fn decode_request(doc: &Json) -> Result<Request, ErrorFrame> {
     if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(ErrorFrame::new(
@@ -288,7 +311,7 @@ pub fn decode_request(doc: &Json) -> Result<Request, ErrorFrame> {
         .get("op")
         .and_then(Json::as_str)
         .ok_or_else(|| usage("request is missing the `op` field"))?;
-    let timeout_ms = doc.get("timeout_ms").and_then(Json::as_u64);
+    let timeout_ms = unsigned(doc, "timeout_ms")?;
     let control = |op| -> Result<Request, ErrorFrame> {
         kernel_source(doc)?;
         Fields::decode(doc)?;
@@ -743,6 +766,27 @@ BB0:
                 "`active_warps` must be an integer in 1..=4096",
             ),
             ("\"id\":\"7\"", "`id` must be an unsigned integer"),
+            (
+                "\"timeout_ms\":\"5\"",
+                "`timeout_ms` must be an unsigned integer",
+            ),
+            (
+                "\"budget_instructions\":-1",
+                "`budget_instructions` must be an unsigned integer",
+            ),
+            (
+                "\"budget_cycles\":\"x\"",
+                "`budget_cycles` must be an unsigned integer",
+            ),
+            ("\"baseline\":\"yes\"", "`baseline` must be a boolean"),
+            (
+                "\"config\":{\"partial\":1}",
+                "config.partial must be a boolean",
+            ),
+            (
+                "\"config\":{\"readop\":null}",
+                "config.readop must be a boolean",
+            ),
             (
                 "\"workload\":\"vectoradd\"",
                 "`kernel` and `workload` are mutually exclusive",

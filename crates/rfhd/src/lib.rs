@@ -22,9 +22,10 @@
 //!   failure becomes a structured error frame.
 //! * [`cache`] — the hash-pre-keyed LRU result store (also reused by
 //!   `rfh_experiments` for its memoization).
-//! * [`server`] — listeners, the bounded worker pool, per-request panic
-//!   isolation and wall-clock timeouts, load shedding with retry hints,
-//!   and drain-then-exit shutdown.
+//! * [`server`] — listeners, a reader thread per connection, the bounded
+//!   worker pool that runs requests under panic isolation and wall-clock
+//!   timeouts, load shedding with retry hints, and drain-then-exit
+//!   shutdown.
 //! * [`client`] — one request per call, with capped exponential backoff
 //!   and seeded jitter. The daemon's load generator is rfhbench's
 //!   `daemon_edit` workload, built on this client.
@@ -32,9 +33,9 @@
 //! The protocol chaos layer in `rfh_chaos` drives a live in-process
 //! daemon through seeded fault injection (truncated frames, garbage
 //! bytes, oversized length prefixes, mid-request disconnects, stalled
-//! writers) and asserts the robustness trichotomy: well-formed requests
-//! succeed, malformed ones get structured error frames, and neither
-//! poisons the requests that follow.
+//! writers, ill-typed fields) and asserts the robustness trichotomy:
+//! well-formed requests succeed, malformed ones get structured error
+//! frames, and neither poisons the requests that follow.
 
 pub mod cache;
 pub mod client;

@@ -133,7 +133,9 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<String>, Frame
         .map_err(|_| FrameError::Encoding)
 }
 
-/// Writes one frame.
+/// Writes one frame, prefix and payload in one buffer: written apart,
+/// the payload's TCP segment would wait for the prefix's ACK (Nagle's
+/// algorithm against the peer's delayed ACK).
 ///
 /// # Errors
 ///
@@ -144,8 +146,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), FrameError> 
         len: payload.len() as u64,
         max: u32::MAX as usize,
     })?;
-    w.write_all(&len.to_be_bytes()).map_err(FrameError::Io)?;
-    w.write_all(payload.as_bytes()).map_err(FrameError::Io)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame).map_err(FrameError::Io)?;
     w.flush().map_err(FrameError::Io)
 }
 
@@ -397,6 +401,25 @@ mod tests {
             Some("[]".to_string())
         );
         assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).expect("eof"), None);
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        /// Accepts every byte and counts the `write` calls.
+        struct Counting(usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(0);
+        write_frame(&mut w, "{\"a\":1}").expect("write");
+        write_frame(&mut w, "[]").expect("write");
+        assert_eq!(w.0, 2, "one write per frame");
     }
 
     #[test]

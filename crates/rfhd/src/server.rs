@@ -3,29 +3,35 @@
 //!
 //! ## Fault domains
 //!
-//! Every connection is one task on a bounded [`TaskPool`]; the pool's
-//! queue **is** the accept queue, so admission control is explicit: when
-//! the queue is full the acceptor writes an `overloaded` error frame with
-//! a `retry_after_ms` hint and closes — load is shed at the edge instead
-//! of queueing without bound.
+//! Every connection has its own thread, which reads and decodes frames
+//! and answers them in order; a connection costs a thread, never a
+//! worker. Each decoded compute request is one task on a bounded
+//! [`TaskPool`] of `workers` threads and `queue_depth` queue slots, so a
+//! request costs a worker. Load is shed at two points, each with an
+//! `overloaded` error frame carrying a `retry_after_ms` hint: the
+//! acceptor admits at most `workers + queue_depth` open connections and
+//! answers the next one before closing it, and a request that finds the
+//! pool's queue full is answered on its own connection, which stays open.
 //!
-//! Within a connection, each compute request runs on its own thread under
-//! `catch_unwind`, with the response collected through a channel under a
-//! wall-clock timeout. A panic becomes an `internal` error frame; a
-//! timeout becomes a `timeout` frame and the abandoned thread is bounded
-//! by the instruction/cycle budgets threaded into the executor and timing
-//! model, so stragglers cannot accumulate forever. Neither event kills
-//! the worker, the connection, or the daemon.
+//! The pool worker is the isolation boundary: it runs the request under
+//! `catch_unwind` and sends the outcome back through a channel, on which
+//! the connection thread waits under the request's wall-clock timeout
+//! (queue wait included). A panic becomes an `internal` error frame; a
+//! timeout becomes a `timeout` frame, and the abandoned request keeps its
+//! worker until the instruction/cycle budgets threaded into the executor
+//! and timing model stop it, so stragglers are bounded by `workers`.
+//! Neither event kills the worker, the connection, or the daemon.
 //!
 //! Socket reads carry an idle timeout, so a stalled slow-writer client
-//! occupies its pool slot only for the configured window before being
-//! disconnected.
+//! holds its connection thread only for the configured window before
+//! being disconnected.
 //!
 //! ## Shutdown
 //!
 //! A `shutdown` request flips the accept flag and wakes the acceptor; the
-//! daemon then stops admitting connections, drains the pool (every
-//! admitted connection finishes), and reports end-of-life counters.
+//! daemon then stops admitting connections, joins the connection threads
+//! (every admitted connection finishes), drains the pool, and reports
+//! end-of-life counters.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -72,10 +78,13 @@ impl std::fmt::Display for Endpoint {
 pub struct ServerConfig {
     /// Where to listen.
     pub endpoint: Endpoint,
-    /// Worker threads (connections served concurrently).
+    /// Worker threads: compute requests run concurrently. Connections
+    /// have their own threads and hold no worker while idle.
     pub workers: usize,
-    /// Accept-queue depth beyond the workers; connections arriving with
-    /// the queue full are shed with an `overloaded` frame.
+    /// Request-queue depth beyond the workers; a request arriving with the
+    /// queue full is shed with an `overloaded` frame. At most `workers +
+    /// queue_depth` connections are open at once, and the next one is
+    /// shed the same way.
     pub queue_depth: usize,
     /// Result-cache capacity in entries.
     pub cache_entries: usize,
@@ -140,17 +149,17 @@ impl ServerConfig {
 pub struct ServerReport {
     /// Requests answered (including error frames).
     pub served: u64,
-    /// Connections shed with an `overloaded` frame.
+    /// Connections and requests shed with an `overloaded` frame.
     pub shed: u64,
     /// Requests that hit the wall-clock timeout.
     pub timeouts: u64,
     /// Panics caught inside request isolation.
     pub compute_panics: u64,
-    /// Panics that escaped a connection task (should stay 0; compute
-    /// panics are caught one level deeper).
+    /// Panics that escaped a connection thread or a pool task (should
+    /// stay 0; compute panics are caught one level deeper).
     pub pool_panics: u64,
-    /// Connections still being handled when the drain finished (must be
-    /// 0 — drain waits for every admitted connection).
+    /// Connections still open when the drain finished (must be 0 — drain
+    /// joins every admitted connection).
     pub in_flight_at_exit: usize,
 }
 
@@ -170,12 +179,11 @@ struct Shared {
     /// Whole-response result cache, keyed by the typed op (its 64-bit
     /// digest is only a pre-key — see [`crate::cache::Key`]).
     cache: Store<Key<Op>, Json>,
-    /// Per-strand allocation cache shared by every compute thread.
+    /// Per-strand allocation cache shared by every request.
     strand_cache: Arc<StrandStore>,
     shutdown: AtomicBool,
     counters: Counters,
     started: Instant,
-    workers: usize,
 }
 
 enum Listener {
@@ -242,7 +250,7 @@ impl Write for Conn {
 /// A bound daemon, ready to [`run`](Server::run).
 pub struct Server {
     listener: Listener,
-    shared: Arc<Shared>,
+    shared: Shared,
     /// The endpoint after binding — for TCP port 0 this carries the
     /// actual port, so tests and the chaos harness can connect.
     endpoint: Endpoint,
@@ -271,7 +279,7 @@ impl Server {
                 (Listener::Unix(l), Endpoint::Unix(path.clone()))
             }
         };
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             resolved: endpoint.clone(),
             cache: Store::with_capacity(cfg.cache_entries),
             strand_cache: Arc::new(Store::with_capacity(cfg.strand_cache_entries)),
@@ -284,9 +292,8 @@ impl Server {
                 in_flight: AtomicUsize::new(0),
             },
             started: Instant::now(),
-            workers: cfg.workers,
             cfg,
-        });
+        };
         Ok(Server {
             listener,
             shared,
@@ -306,53 +313,43 @@ impl Server {
     /// Only fatal accept-loop failures; per-connection errors are
     /// contained and answered in-band.
     pub fn run(self) -> std::io::Result<ServerReport> {
-        let pool = TaskPool::new(self.shared.cfg.workers, self.shared.cfg.queue_depth);
-        loop {
+        let shared = &self.shared;
+        let pool = TaskPool::new(shared.cfg.workers, shared.cfg.queue_depth);
+        // A connection waits on at most one request at a time, so this many
+        // open connections fit the pool's workers and queue slots.
+        let max_conns = shared.cfg.workers.max(1) + shared.cfg.queue_depth.max(1);
+        let conn_panics = AtomicU64::new(0);
+        std::thread::scope(|scope| loop {
             let conn = match &self.listener {
                 Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
                 Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
             };
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if shared.shutdown.load(Ordering::SeqCst) {
                 break; // the wake connection is dropped unanswered
             }
-            let conn = match conn {
-                Ok(c) => c,
-                // A failed accept (peer vanished between SYN and accept)
-                // must not kill the daemon.
-                Err(_) => continue,
-            };
-            // The connection rides in a shared slot so that on shedding
-            // (the closure is handed back unexecuted) the acceptor can
-            // take it back and answer in-band before closing.
-            let slot = Arc::new(std::sync::Mutex::new(Some(conn)));
-            let task_slot = Arc::clone(&slot);
-            let shared = Arc::clone(&self.shared);
-            let admitted = pool.try_execute(Box::new(move || {
-                let conn = lock_slot(&task_slot).take();
-                if let Some(conn) = conn {
-                    serve_conn(conn, &shared);
-                }
-            }));
-            if let Err(rfh_testkit::pool::PoolBusy(task)) = admitted {
-                drop(task);
-                self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-                if let Some(mut conn) = lock_slot(&slot).take() {
-                    // Queue full: shed at the edge, telling the client
-                    // when to retry (a fraction of the request window —
-                    // a slot frees up at latest when one request ends).
-                    let hint = (self.shared.cfg.timeout_ms / 10).clamp(10, 1_000);
-                    let mut frame = ErrorFrame::new(ErrorKind::Overloaded, "accept queue is full");
-                    frame.retry_after_ms = Some(hint);
-                    let _ = conn.set_write_timeout(Some(Duration::from_millis(1_000)));
-                    let _ = write_frame(&mut conn, &render_response(0, &Err(frame)));
-                }
+            // A failed accept (peer vanished between SYN and accept) must
+            // not kill the daemon.
+            let Ok(mut conn) = conn else { continue };
+            if shared.counters.in_flight.load(Ordering::SeqCst) >= max_conns {
+                let frame = overloaded(shared, "too many open connections");
+                let _ = conn.set_write_timeout(Some(Duration::from_millis(1_000)));
+                let _ = write_frame(&mut conn, &render_response(0, &Err(frame)));
+                continue;
             }
-        }
-        let pool_panics = pool.drain() as u64;
+            // Counted here, not in the thread, so the next accept sees it.
+            shared.counters.in_flight.fetch_add(1, Ordering::SeqCst);
+            let (pool, conn_panics) = (&pool, &conn_panics);
+            scope.spawn(move || {
+                if catch_unwind(AssertUnwindSafe(|| serve_conn(conn, shared, pool))).is_err() {
+                    conn_panics.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        });
+        let pool_panics = conn_panics.into_inner() + pool.drain() as u64;
         if let Endpoint::Unix(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
         }
-        let c = &self.shared.counters;
+        let c = &shared.counters;
         Ok(ServerReport {
             served: c.served.load(Ordering::Relaxed),
             shed: c.shed.load(Ordering::Relaxed),
@@ -400,10 +397,10 @@ impl ServerHandle {
 }
 
 /// Serves one connection to completion: a sequence of frames, each
-/// answered in order on the same socket.
-fn serve_conn(mut conn: Conn, shared: &Shared) {
-    shared.counters.in_flight.fetch_add(1, Ordering::SeqCst);
-    // Decrement even if this function panics (the pool contains it).
+/// answered in order on the same socket. The acceptor counted the
+/// connection in `in_flight`.
+fn serve_conn(mut conn: Conn, shared: &Shared, pool: &TaskPool) {
+    // Decrement even if this function panics (the caller contains it).
     struct InFlightGuard<'a>(&'a Counters);
     impl Drop for InFlightGuard<'_> {
         fn drop(&mut self) {
@@ -484,16 +481,17 @@ fn serve_conn(mut conn: Conn, shared: &Shared) {
                 respond(&mut conn, shared, req.id, &outcome);
             }
             _ => {
-                let outcome = compute(shared, &req);
-                respond(&mut conn, shared, req.id, &outcome);
+                let id = req.id;
+                let outcome = compute(shared, pool, req);
+                respond(&mut conn, shared, id, &outcome);
             }
         }
     }
 }
 
 /// Runs one compute request under the full isolation stack: cache →
-/// spawned thread → `catch_unwind` → wall-clock timeout.
-fn compute(shared: &Shared, req: &Request) -> Result<(Json, bool), ErrorFrame> {
+/// pool worker → `catch_unwind` → wall-clock timeout.
+fn compute(shared: &Shared, pool: &TaskPool, req: Request) -> Result<(Json, bool), ErrorFrame> {
     // Every compute op but `ping` is a deterministic function of its
     // typed op, which keys the result cache; `id` and `timeout_ms` sit
     // outside it.
@@ -511,16 +509,22 @@ fn compute(shared: &Shared, req: &Request) -> Result<(Json, bool), ErrorFrame> {
             .clamp(1, shared.cfg.timeout_ms),
     );
     let (tx, rx) = mpsc::channel();
-    let thread_req = req.clone();
     let strand_cache = Arc::clone(&shared.strand_cache);
-    std::thread::spawn(move || {
+    let deadline = Instant::now() + timeout;
+    let admitted = pool.try_execute(Box::new(move || {
+        if Instant::now() >= deadline {
+            return; // timed out in the queue: nobody waits for it
+        }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_with(&thread_req, &budgets, Some(&strand_cache))
+            handle_with(&req, &budgets, Some(&strand_cache))
         }));
         // A send failure means the request timed out and the receiver is
         // gone; the result is simply dropped.
         let _ = tx.send(outcome);
-    });
+    }));
+    if admitted.is_err() {
+        return Err(overloaded(shared, "request queue is full"));
+    }
     match rx.recv_timeout(timeout) {
         Ok(Ok(Ok(result))) => match key {
             Some(key) => Ok((shared.cache.insert(key, result), false)),
@@ -544,7 +548,7 @@ fn compute(shared: &Shared, req: &Request) -> Result<(Json, bool), ErrorFrame> {
         }
         Err(_) => {
             shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-            // The straggler thread keeps running until its instruction or
+            // The straggler keeps its worker until its instruction or
             // cycle budget halts it; its late result is dropped.
             Err(ErrorFrame::new(
                 ErrorKind::Timeout,
@@ -552,6 +556,16 @@ fn compute(shared: &Shared, req: &Request) -> Result<(Json, bool), ErrorFrame> {
             ))
         }
     }
+}
+
+/// Counts a shed and builds its `overloaded` frame, telling the client
+/// when to retry: a fraction of the request window, since a worker frees
+/// up at latest when one request ends.
+fn overloaded(shared: &Shared, what: &str) -> ErrorFrame {
+    shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+    let mut frame = ErrorFrame::new(ErrorKind::Overloaded, what);
+    frame.retry_after_ms = Some((shared.cfg.timeout_ms / 10).clamp(10, 1_000));
+    frame
 }
 
 fn respond(conn: &mut Conn, shared: &Shared, id: u64, outcome: &Result<(Json, bool), ErrorFrame>) {
@@ -597,7 +611,7 @@ fn stats_json(shared: &Shared) -> Json {
             "in_flight".into(),
             Json::u64(c.in_flight.load(Ordering::Relaxed) as u64),
         ),
-        ("workers".into(), Json::u64(shared.workers as u64)),
+        ("workers".into(), Json::u64(shared.cfg.workers as u64)),
         (
             "queue_depth".into(),
             Json::u64(shared.cfg.queue_depth as u64),
@@ -616,18 +630,6 @@ fn wake_acceptor(shared: &Shared) {
     match &shared.resolved {
         Endpoint::Tcp(addr) => drop(TcpStream::connect(addr.as_str())),
         Endpoint::Unix(path) => drop(UnixStream::connect(path)),
-    }
-}
-
-/// Locks a connection slot, recovering from poisoning (a panic in a
-/// connection task is already contained by the pool; the slot's `Option`
-/// stays consistent either way).
-fn lock_slot<'a>(
-    slot: &'a Arc<std::sync::Mutex<Option<Conn>>>,
-) -> std::sync::MutexGuard<'a, Option<Conn>> {
-    match slot.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 

@@ -20,13 +20,7 @@ BB0:
 
 /// Runs forever (until an instruction budget or wall-clock timeout stops
 /// it): the final unconditional backward branch is a legal terminator.
-const SPIN: &str = "
-.kernel spin
-BB0:
-  mov r0, %tid.x
-  iadd r0 r0, 1
-  bra BB0
-";
+const SPIN: &str = include_str!("../../../examples/spin.rfasm");
 
 fn spawn_tcp(mut cfg_mut: impl FnMut(&mut ServerConfig)) -> ServerHandle {
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
@@ -240,15 +234,16 @@ fn full_queue_sheds_with_retry_hint_and_client_backoff_recovers() {
         panic!("tcp endpoint")
     };
 
-    // Two idle connections: one occupies the only worker, one fills the
-    // only queue slot. Stagger them so admission order is deterministic.
+    // Two idle connections fill the connection cap of `workers +
+    // queue_depth` = 2; neither holds the worker, which stays idle.
+    // Stagger them so admission order is deterministic.
     let hold_a = std::net::TcpStream::connect(&addr).expect("occupier A");
     std::thread::sleep(std::time::Duration::from_millis(50));
     let hold_b = std::net::TcpStream::connect(&addr).expect("occupier B");
     std::thread::sleep(std::time::Duration::from_millis(50));
 
     // A third connection must be shed in-band, not silently dropped.
-    // The shed frame is written at accept time, before the request is
+    // The shed frame is written at accept time, before any request is
     // ever read, so the victim must not send first: a write racing with
     // the server's close draws an RST that can both fail the send and
     // discard the buffered response. Just read.
@@ -262,7 +257,7 @@ fn full_queue_sheds_with_retry_hint_and_client_backoff_recovers() {
     assert!(err.retry_after_ms.is_some(), "shed carries a retry hint");
 
     // A retrying client gets through once the idle occupiers are
-    // disconnected by the io timeout.
+    // disconnected by the io timeout and their connection threads end.
     let mut c = Client::new(
         handle.endpoint.clone(),
         RetryPolicy {
@@ -278,6 +273,87 @@ fn full_queue_sheds_with_retry_hint_and_client_backoff_recovers() {
 
     let report = shutdown_and_join(handle);
     assert!(report.shed >= 1, "the shed connection is counted");
+}
+
+/// Sends one raw frame on `conn` and decodes the answer.
+fn raw_roundtrip(
+    conn: &mut std::net::TcpStream,
+    payload: &str,
+) -> Result<(Json, bool), proto::ErrorFrame> {
+    proto::write_frame(conn, payload).expect("send");
+    let frame = proto::read_frame(conn, proto::DEFAULT_MAX_FRAME)
+        .expect("read")
+        .expect("response");
+    proto::decode_response(&frame).expect("decodes").1
+}
+
+#[test]
+fn a_full_request_queue_sheds_the_request_and_keeps_the_connection() {
+    let handle = spawn_tcp(|cfg| {
+        cfg.workers = 1;
+        cfg.queue_depth = 1;
+    });
+    let Endpoint::Tcp(addr) = handle.endpoint.clone() else {
+        panic!("tcp endpoint")
+    };
+    let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
+    let spin = Json::Obj(vec![
+        ("schema".to_string(), Json::str(proto::SCHEMA)),
+        ("op".to_string(), Json::str("simulate")),
+        ("kernel".to_string(), Json::str(SPIN)),
+        ("timeout_ms".to_string(), Json::u64(50)),
+    ])
+    .render();
+    // The first spin starts on the idle worker and times out, but keeps
+    // the worker until its instruction budget stops it (about a second
+    // at the default budget). The second finds the worker busy and times
+    // out in the only queue slot, which it holds until the worker frees.
+    for _ in 0..2 {
+        let err = raw_roundtrip(&mut conn, &spin).expect_err("timeout frame");
+        assert_eq!(err.kind, ErrorKind::Timeout, "{err}");
+    }
+    // A third compute request on the same open connection is shed.
+    let ping = "{\"schema\":\"rfhd-v1\",\"id\":3,\"op\":\"ping\"}";
+    let err = raw_roundtrip(&mut conn, ping).expect_err("overloaded frame");
+    assert_eq!(err.kind, ErrorKind::Overloaded, "{err}");
+    assert!(err.retry_after_ms.is_some(), "shed carries a retry hint");
+    // The connection stays open and answers `stats`, served inline.
+    let stats = "{\"schema\":\"rfhd-v1\",\"id\":4,\"op\":\"stats\"}";
+    let (stats, _) = raw_roundtrip(&mut conn, stats).expect("stats");
+    assert_eq!(stats.get("shed").and_then(Json::as_u64), Some(1));
+    drop(conn);
+    let report = shutdown_and_join(handle);
+    assert_eq!((report.shed, report.timeouts), (1, 2));
+}
+
+#[test]
+fn idle_and_stalled_connections_hold_no_worker() {
+    use std::io::Write;
+    let handle = spawn_tcp(|cfg| cfg.io_timeout_ms = 10_000);
+    let Endpoint::Tcp(addr) = handle.endpoint.clone() else {
+        panic!("tcp endpoint")
+    };
+    // `workers` idle connections and `workers` slow writers stalled
+    // mid-frame: each holds a connection thread, none a worker.
+    let mut held = Vec::new();
+    for _ in 0..2 {
+        held.push(std::net::TcpStream::connect(&addr).expect("idle"));
+        let mut slow = std::net::TcpStream::connect(&addr).expect("slow writer");
+        slow.write_all(&[0, 0, 0, 40, b'{']).expect("partial frame");
+        held.push(slow);
+    }
+    // The listener accepts in arrival order, so all four are admitted
+    // before the ping's connection.
+    let start = std::time::Instant::now();
+    let (pong, _) = client(&handle.endpoint).simple("ping").expect("ping");
+    let elapsed = start.elapsed();
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    assert!(
+        elapsed < std::time::Duration::from_millis(100),
+        "ping took {elapsed:?} behind idle and stalled connections"
+    );
+    drop(held);
+    shutdown_and_join(handle);
 }
 
 #[test]

@@ -15,10 +15,10 @@
 //! `.map()` even under failure, and a test can observe the panic with its
 //! own `catch_unwind`).
 //!
-//! For open-ended work streams (daemons serving connections rather than
-//! sweeps over a known slice) there is [`TaskPool`]: the same worker
-//! discipline as a persistent pool with a **bounded** admission queue,
-//! per-task panic containment, and drain-then-join shutdown.
+//! For open-ended work streams (a daemon's requests rather than sweeps
+//! over a known slice) there is [`TaskPool`]: the same worker discipline
+//! as a persistent pool with a **bounded** admission queue, per-task
+//! panic containment, and drain-then-join shutdown.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -122,31 +122,26 @@ where
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// Error returned by [`TaskPool::try_execute`] when the bounded queue is
-/// full (every worker busy and every queue slot taken). The task is handed
-/// back so the caller can shed load explicitly instead of blocking.
-pub struct PoolBusy(pub Task);
-
-impl std::fmt::Debug for PoolBusy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PoolBusy(..)")
-    }
-}
+/// full (every worker busy and every queue slot taken): the task was
+/// dropped unrun, so the caller sheds load instead of blocking.
+#[derive(Debug)]
+pub struct PoolBusy;
 
 /// A persistent bounded worker pool, the long-running counterpart of
 /// [`par_map`]: `workers` threads pull [`Task`]s off a bounded queue of
 /// depth `queue_depth`.
 ///
 /// Unlike `par_map`, which fans a known slice out and joins, a `TaskPool`
-/// serves an open-ended stream of work (e.g. connections accepted by a
+/// serves an open-ended stream of work (e.g. requests decoded by a
 /// daemon). Three properties are load-bearing for that use:
 ///
 /// * **bounded admission** — [`try_execute`](Self::try_execute) never
 ///   blocks and never queues beyond `queue_depth`; a full queue returns
-///   [`PoolBusy`] with the task handed back, so callers shed load
-///   explicitly instead of growing memory without bound;
+///   [`PoolBusy`], so callers shed load explicitly instead of growing
+///   memory without bound;
 /// * **panic isolation** — every task runs under `catch_unwind`; a
-///   panicking task increments [`panics`](Self::panics) and the worker
-///   keeps serving (no poisoned workers);
+///   panicking task is counted (see [`drain`](Self::drain)) and the
+///   worker keeps serving (no poisoned workers);
 /// * **graceful drain** — [`drain`](Self::drain) closes the queue, lets
 ///   the workers finish everything already admitted, and joins them.
 pub struct TaskPool {
@@ -191,24 +186,14 @@ impl TaskPool {
         }
     }
 
-    /// Submits a task without blocking. Returns [`PoolBusy`] (task handed
-    /// back) when the queue is full.
+    /// Submits a task without blocking.
     ///
     /// # Errors
     ///
-    /// [`PoolBusy`] when every queue slot is taken.
+    /// [`PoolBusy`] when every queue slot is taken; the task is dropped.
     pub fn try_execute(&self, task: Task) -> Result<(), PoolBusy> {
         let tx = self.tx.as_ref().expect("queue open until drain");
-        match tx.try_send(task) {
-            Ok(()) => Ok(()),
-            Err(std::sync::mpsc::TrySendError::Full(t))
-            | Err(std::sync::mpsc::TrySendError::Disconnected(t)) => Err(PoolBusy(t)),
-        }
-    }
-
-    /// Number of tasks that panicked (and were contained) so far.
-    pub fn panics(&self) -> usize {
-        self.panics.load(Ordering::Relaxed)
+        tx.try_send(task).map_err(|_| PoolBusy)
     }
 
     /// Closes the queue, lets workers finish every admitted task, and
@@ -233,6 +218,14 @@ impl Drop for TaskPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Submits `task`, re-boxing a fresh copy while the queue is full:
+    /// for tests about execution, not shedding.
+    fn submit(pool: &TaskPool, task: impl FnOnce() + Clone + Send + 'static) {
+        while pool.try_execute(Box::new(task.clone())).is_err() {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -290,15 +283,10 @@ mod tests {
         for _ in 0..8 {
             let c = std::sync::Arc::clone(&counter);
             // A full queue is possible with 8 submissions racing 4
-            // workers; block-retry here because this test is about
-            // execution, not shedding.
-            let mut task: Task = Box::new(move || {
+            // workers.
+            submit(&pool, move || {
                 c.fetch_add(1, Ordering::Relaxed);
             });
-            while let Err(PoolBusy(t)) = pool.try_execute(task) {
-                task = t;
-                std::thread::yield_now();
-            }
         }
         assert_eq!(pool.drain(), 0);
         assert_eq!(counter.load(Ordering::Relaxed), 8);
@@ -354,13 +342,9 @@ mod tests {
         let d = std::sync::Arc::clone(&done);
         // Submitted after the panicking task on the same single worker:
         // running at all proves the worker survived.
-        let mut task: Task = Box::new(move || {
+        submit(&pool, move || {
             d.fetch_add(1, Ordering::Relaxed);
         });
-        while let Err(PoolBusy(t)) = pool.try_execute(task) {
-            task = t;
-            std::thread::yield_now();
-        }
         assert_eq!(pool.drain(), 1);
         assert_eq!(done.load(Ordering::Relaxed), 1);
     }
@@ -371,14 +355,10 @@ mod tests {
         let counter = std::sync::Arc::new(AtomicUsize::new(0));
         for _ in 0..10 {
             let c = std::sync::Arc::clone(&counter);
-            let mut task: Task = Box::new(move || {
+            submit(&pool, move || {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 c.fetch_add(1, Ordering::Relaxed);
             });
-            while let Err(PoolBusy(t)) = pool.try_execute(task) {
-                task = t;
-                std::thread::yield_now();
-            }
         }
         pool.drain();
         assert_eq!(counter.load(Ordering::Relaxed), 10);

@@ -256,6 +256,12 @@ for jobs in 1 8; do
     [ -n "$strands" ] && [ "$strands" -gt 0 ] \
         && [ "$((hits_after - hits_before))" -eq "$strands" ] \
         || { echo "strand-cache hits rose ${hits_before:-?} -> ${hits_after:-?}, want +${strands:-?}"; exit 1; }
+    # Nothing was shed: the smoke never opens more connections or queues
+    # more requests than `--workers 2` plus the default queue of 16, so
+    # a shed here means admission misfires.
+    stats=$(./target/release/rfhc client --unix "$sock" --op stats)
+    printf '%s' "$stats" | grep -q '"shed":0,' \
+        || { echo "the daemon shed load it had room for: $stats"; exit 1; }
     # Drain: shutdown is acknowledged, the serve process exits 0, and the
     # socket file is cleaned up.
     ./target/release/rfhc client --unix "$sock" --op shutdown > /dev/null
