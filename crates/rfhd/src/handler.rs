@@ -207,9 +207,13 @@ impl Fields {
     fn decode(doc: &Json) -> Result<Fields, ErrorFrame> {
         let mut config = AllocConfig::three_level(3, true);
         if let Some(c) = doc.get("config") {
-            if let Some(orf) = c.get("orf").and_then(Json::as_u64) {
-                config.orf_entries = usize::try_from(orf)
-                    .ok()
+            if !matches!(c, Json::Obj(_)) {
+                return Err(usage("`config` must be an object"));
+            }
+            if let Some(orf) = c.get("orf") {
+                config.orf_entries = orf
+                    .as_u64()
+                    .and_then(|n| usize::try_from(n).ok())
                     .filter(|n| ORF_SIZES.contains(n))
                     .ok_or_else(|| {
                         usage(format!(
@@ -219,7 +223,10 @@ impl Fields {
                         ))
                     })?;
             }
-            if let Some(lrf) = c.get("lrf").and_then(Json::as_str) {
+            if let Some(lrf) = c.get("lrf") {
+                let lrf = lrf
+                    .as_str()
+                    .ok_or_else(|| usage("config.lrf must be a string: none|unified|split"))?;
                 config.lrf = LrfMode::parse(lrf)
                     .ok_or_else(|| usage(format!("config.lrf `{lrf}` not none|unified|split")))?;
             }
@@ -746,6 +753,12 @@ BB0:
         let cases = [
             ("\"config\":{\"orf\":0}", orf),
             ("\"config\":{\"orf\":9}", orf),
+            ("\"config\":{\"orf\":\"1\"}", orf),
+            (
+                "\"config\":{\"lrf\":5}",
+                "config.lrf must be a string: none|unified|split",
+            ),
+            ("\"config\":7", "`config` must be an object"),
             (
                 "\"config\":{\"lrf\":\"wat\"}",
                 "config.lrf `wat` not none|unified|split",

@@ -17,7 +17,10 @@
 //!   make rendering deterministic, which the cache keys rely on.
 //! * [`proto`] — framing, the request/response schema, and the
 //!   [`ErrorKind`](proto::ErrorKind) taxonomy whose classes carry the
-//!   same stable codes `rfhc` uses as exit codes.
+//!   same stable codes `rfhc` uses as exit codes. Decoding a frame takes
+//!   time linear in its length, so the frame cap
+//!   ([`proto::DEFAULT_MAX_FRAME`], 4 MiB) bounds one request's parse
+//!   work as well as its memory.
 //! * [`handler`] — pure request decoding and op dispatch; every pipeline
 //!   failure becomes a structured error frame.
 //! * [`cache`] — the hash-pre-keyed LRU result store (also reused by

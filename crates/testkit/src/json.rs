@@ -183,19 +183,32 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
+/// The bytes a JSON string cannot carry raw: the quote, the backslash and
+/// the control bytes. All are ASCII, so a run of other bytes in a `&str`
+/// starts and ends on character boundaries.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => out.push_str(&format!("\\u{c:04x}")),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -206,7 +219,11 @@ fn write_str(s: &str, out: &mut String) {
 /// A [`JsonError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text: input,
+        bytes,
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -217,6 +234,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -329,6 +347,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next byte that needs escaping as one
+            // slice; it ends on a character boundary (see `needs_escape`).
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| needs_escape(b))
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -355,16 +382,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control byte in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // boundaries are valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control byte in string")),
             }
         }
     }
@@ -446,6 +464,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collection;
 
     fn roundtrip(text: &str) -> String {
         parse(text).expect("parses").render()
@@ -491,6 +510,74 @@ mod tests {
         );
         assert!(parse("\"\\ud83d\"").is_err(), "lone high surrogate");
         assert!(parse("\"\\ude00\"").is_err(), "lone low surrogate");
+    }
+
+    /// Characters of every UTF-8 width, the escaped ASCII, `/` and DEL
+    /// (both passed through raw), then the 32 control bytes.
+    fn piece(i: usize) -> String {
+        const WIDE: [&str; 8] = [
+            "a",
+            "\u{e9}",
+            "\u{20ac}",
+            "\u{1F600}",
+            "\"",
+            "\\",
+            "/",
+            "\u{7f}",
+        ];
+        WIDE.get(i).map_or_else(
+            || char::from((i - WIDE.len()) as u8).to_string(),
+            |p| p.to_string(),
+        )
+    }
+
+    crate::prop! {
+        /// Any string renders byte for byte as the per-character escape
+        /// table has it, and parses back to itself. Pieces repeat up to
+        /// 300 times, so runs are long and cross every character width.
+        fn strings_roundtrip(pieces in collection::vec((0usize..40, 1usize..300), 0..16)) {
+            let s: String = pieces.iter().map(|&(i, n)| piece(i).repeat(n)).collect();
+            let mut want = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => want.push_str("\\\""),
+                    '\\' => want.push_str("\\\\"),
+                    '\n' => want.push_str("\\n"),
+                    '\r' => want.push_str("\\r"),
+                    '\t' => want.push_str("\\t"),
+                    c if (c as u32) < 0x20 => want.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => want.push(c),
+                }
+            }
+            want.push('"');
+            let text = Json::Str(s.clone()).render();
+            crate::prop_assert_eq!(&text, &want);
+            crate::prop_assert_eq!(parse(&text), Ok(Json::Str(s)));
+        }
+    }
+
+    #[test]
+    fn raw_control_byte_after_a_multibyte_run_keeps_its_offset() {
+        let text = format!("\"{}\u{1}\"", "\u{e9}\u{20ac}".repeat(1000));
+        let err = parse(&text).expect_err("raw control byte");
+        assert_eq!(
+            (err.offset, err.msg.as_str()),
+            (1 + 5000, "raw control byte in string")
+        );
+    }
+
+    #[test]
+    fn a_mebibyte_string_parses_and_renders_in_linear_time() {
+        // Kernel text as a request carries it: multibyte comments and an
+        // escaped newline per line. A decoder that re-scans the rest of
+        // the input per character takes minutes here.
+        let line = "  iadd r0, r0, 1 // \u{e9}t\u{e9} \u{20ac}\n";
+        let s = line.repeat((1 << 20) / line.len());
+        let start = std::time::Instant::now();
+        let text = Json::str(s.as_str()).render();
+        assert_eq!(parse(&text), Ok(Json::Str(s)));
+        let took = start.elapsed();
+        assert!(took.as_secs() < 5, "1 MiB string round trip took {took:?}");
     }
 
     #[test]

@@ -199,6 +199,14 @@ for jobs in 1 8; do
         --op simulate --workload vectoradd > /dev/null
     ./target/release/rfhc client --unix "$sock" \
         --op assemble examples/trace_golden.rfasm > /dev/null
+    # A 1 MiB kernel (64k `iadd` lines) round-trips in well under the
+    # limit because the daemon and the client decode JSON strings in time
+    # linear in the frame length; a quadratic decoder took 49 s here.
+    awk 'BEGIN { print ".kernel big"; print "BB0:"; print "  mov r0, 0";
+        for (i = 0; i < 65536; i++) print "  iadd r0 r0, 1"; print "  exit" }' \
+        | timeout 10 ./target/release/rfhc client --unix "$sock" --op assemble - \
+        > /dev/null \
+        || { echo "1 MiB assemble request failed or took over 10 s"; exit 1; }
     # An unparseable kernel comes back as a structured parse error frame,
     # which the client maps to the local parse exit code (3).
     set +e
