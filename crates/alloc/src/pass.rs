@@ -3,12 +3,12 @@
 use std::collections::HashSet;
 
 use rfh_analysis::absint::last_use;
-use rfh_analysis::defuse::{all_strand_values_opts, strand_values, StrandValues};
+use rfh_analysis::defuse::{strand_values_opts, StrandValues};
 use rfh_analysis::liveness::{annotate_dead, Liveness};
 use rfh_analysis::strand::{mark_strands_opts, strand_canonical, StrandOpts};
 use rfh_analysis::{DomTree, ReadRef};
 use rfh_energy::EnergyModel;
-use rfh_isa::{Kernel, ReadLoc, Unit, Width, WriteLoc};
+use rfh_isa::{InstrRef, Kernel, ReadLoc, Unit, Width, WriteLoc};
 
 use crate::config::{AllocConfig, LrfMode};
 use crate::costs::Costs;
@@ -35,6 +35,16 @@ pub struct AllocStats {
     /// needs no annotations), never optimal; a nonzero count indicates an
     /// allocator bug worth reporting.
     pub demoted: usize,
+}
+
+impl AllocStats {
+    /// Adds one strand's value counts.
+    fn add_strand(&mut self, strand: &AllocStats) {
+        self.lrf_values += strand.lrf_values;
+        self.orf_values += strand.orf_values;
+        self.orf_partial += strand.orf_partial;
+        self.read_operands += strand.read_operands;
+    }
 }
 
 /// Number of LRF banks for an enabled LRF mode.
@@ -189,15 +199,16 @@ fn dominated_coverage(reads: &[ReadRef], dom: &DomTree) -> Vec<ReadRef> {
 }
 
 /// Allocates one strand: LRF pass (§4.6), then ORF pass (Figure 7) with the
-/// partial-range and read-operand extensions.
+/// partial-range and read-operand extensions. Returns the strand's value
+/// counts (`strands` and `demoted` stay 0).
 fn allocate_strand(
     kernel: &mut Kernel,
     sv: &StrandValues,
     config: &AllocConfig,
     costs: &Costs,
     dom: &DomTree,
-    stats: &mut AllocStats,
-) -> Result<(), AllocError> {
+) -> Result<AllocStats, AllocError> {
+    let mut stats = AllocStats::default();
     let mut lrf_allocated: HashSet<usize> = HashSet::new();
 
     // ---------------- LRF pass ----------------
@@ -275,7 +286,7 @@ fn allocate_strand(
 
     // ---------------- ORF pass ----------------
     if config.orf_entries == 0 {
-        return Ok(());
+        return Ok(stats);
     }
     let mut occ = Occupancy::new(config.orf_entries);
     let mut cands: Vec<Cand> = Vec::new();
@@ -424,7 +435,7 @@ fn allocate_strand(
             }
         }
     }
-    Ok(())
+    Ok(stats)
 }
 
 /// Runs the full allocation pipeline on a kernel:
@@ -478,6 +489,99 @@ pub fn allocate_with_hints(
     model: &EnergyModel,
     use_hints: bool,
 ) -> Result<AllocStats, AllocError> {
+    run(kernel, config, model, use_hints, None)
+}
+
+/// The allocation of one strand, detached from any particular kernel:
+/// placement annotations per strand-relative instruction plus that
+/// strand's contribution to [`AllocStats`]. Cached under the strand's
+/// [fingerprint](strand_fingerprint) by [`allocate_incremental`] and
+/// spliced back instead of re-running analysis + allocation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StrandAllocation {
+    /// `(write_loc, read_locs)` per instruction, in strand layout order.
+    pub placements: Vec<(WriteLoc, Vec<ReadLoc>)>,
+    /// The strand's value counts; `strands` and `demoted` are 0.
+    pub stats: AllocStats,
+}
+
+/// Incremental-allocation counters: how much work the cache saved.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IncrementalStats {
+    /// Strands in the kernel.
+    pub strands: usize,
+    /// Strands spliced from cache (analysis + allocation skipped).
+    pub hits: usize,
+    /// Strands analyzed and allocated from scratch.
+    pub misses: usize,
+}
+
+/// The cache key for one strand's allocation: the strand-relative
+/// canonical text ([`rfh_analysis::strand::strand_canonical`]) salted with
+/// everything else that determines placement — the allocation
+/// configuration and the energy model's cost surface.
+pub fn strand_fingerprint(canonical: &str, config: &AllocConfig, model: &EnergyModel) -> String {
+    format!("{canonical}\0cfg={config:?}\0model={model:?}")
+}
+
+/// Incremental [`allocate`]: identical output, but each strand's
+/// allocation is looked up in an external cache by content fingerprint
+/// before being recomputed.
+///
+/// For every strand the fingerprint ([`strand_fingerprint`] over
+/// [`strand_canonical`]) is offered to `lookup`; a hit splices the cached
+/// placements onto the strand's instructions, a miss runs the per-strand
+/// pipeline (def-use analysis + LRF/ORF allocation) and offers the result
+/// to `publish`. Because [`strand_canonical`] captures every input the
+/// per-strand allocator reads — and the per-strand allocator only ever
+/// writes its own strand's placement annotations — the recombined kernel
+/// and [`AllocStats`] are **byte-identical** to an [`allocate`] run,
+/// whatever mixture of hits and misses occurs. A cached entry whose shape
+/// does not match the strand (placement count or per-instruction operand
+/// count) is ignored and recomputed, so a corrupted cache degrades to a
+/// slower run, never a wrong one.
+///
+/// # Errors
+///
+/// Exactly as [`allocate`]: [`AllocError::InvalidKernel`] for structurally
+/// invalid input, [`AllocError::Config`] for inconsistent configuration.
+pub fn allocate_incremental(
+    kernel: &mut Kernel,
+    config: &AllocConfig,
+    model: &EnergyModel,
+    lookup: &mut dyn FnMut(&str) -> Option<StrandAllocation>,
+    publish: &mut dyn FnMut(&str, &StrandAllocation),
+) -> Result<(AllocStats, IncrementalStats), AllocError> {
+    let mut memo = Memo {
+        lookup,
+        publish,
+        inc: IncrementalStats::default(),
+    };
+    let stats = run(kernel, config, model, false, Some(&mut memo))?;
+    memo.inc.strands = stats.strands;
+    Ok((stats, memo.inc))
+}
+
+/// The strand memo of [`allocate_incremental`]: its `lookup`/`publish`
+/// pair and the hits and misses seen so far.
+struct Memo<'a> {
+    lookup: &'a mut dyn FnMut(&str) -> Option<StrandAllocation>,
+    publish: &'a mut dyn FnMut(&str, &StrandAllocation),
+    inc: IncrementalStats,
+}
+
+/// The pipeline [`allocate`] documents, behind [`allocate_with_hints`] and
+/// [`allocate_incremental`]. Under a `memo` each strand is first looked up
+/// by fingerprint and spliced on a hit, and a miss is published; without
+/// one no fingerprint is built. Fingerprints do not cover hints, so
+/// [`allocate_incremental`] passes none.
+fn run(
+    kernel: &mut Kernel,
+    config: &AllocConfig,
+    model: &EnergyModel,
+    use_hints: bool,
+    mut memo: Option<&mut Memo<'_>>,
+) -> Result<AllocStats, AllocError> {
     rfh_isa::validate(kernel)?;
     // Reset all placements to the single-level baseline.
     reset_placements(kernel);
@@ -510,9 +614,44 @@ pub fn allocate_with_hints(
 
     let costs = Costs::from_model(model, config.orf_entries);
     let dom = DomTree::dominators(kernel);
-    let values = all_strand_values_opts(kernel, &info, &liveness, hints.as_ref());
-    for sv in &values {
-        allocate_strand(kernel, sv, config, &costs, &dom, &mut stats)?;
+    for strand in &info.strands {
+        let instrs = &strand.instrs;
+        let fp = memo.as_ref().map(|_| {
+            let canonical = strand_canonical(kernel, &info, &liveness, &dom, strand.id);
+            strand_fingerprint(&canonical, config, model)
+        });
+        if let (Some(memo), Some(fp)) = (memo.as_deref_mut(), &fp) {
+            if let Some(hit) = (memo.lookup)(fp).filter(|c| splice_fits(kernel, instrs, c)) {
+                for (at, (write_loc, read_locs)) in instrs.iter().zip(&hit.placements) {
+                    let instr = kernel.instr_mut(*at);
+                    instr.write_loc = *write_loc;
+                    instr.read_locs.clone_from(read_locs);
+                }
+                stats.add_strand(&hit.stats);
+                memo.inc.hits += 1;
+                continue;
+            }
+        }
+        let sv = strand_values_opts(kernel, &info, &liveness, strand.id, hints.as_ref());
+        let local = allocate_strand(kernel, &sv, config, &costs, &dom)?;
+        stats.add_strand(&local);
+        if let (Some(memo), Some(fp)) = (memo.as_deref_mut(), &fp) {
+            memo.inc.misses += 1;
+            let placements = instrs
+                .iter()
+                .map(|at| {
+                    let i = kernel.instr(*at);
+                    (i.write_loc, i.read_locs.clone())
+                })
+                .collect();
+            (memo.publish)(
+                fp,
+                &StrandAllocation {
+                    placements,
+                    stats: local,
+                },
+            );
+        }
     }
 
     if validate_placements(kernel, config).is_err() {
@@ -521,151 +660,10 @@ pub fn allocate_with_hints(
     Ok(stats)
 }
 
-/// The allocation of one strand, detached from any particular kernel:
-/// placement annotations per strand-relative instruction plus that
-/// strand's contribution to [`AllocStats`]. Cached under the strand's
-/// [fingerprint](strand_fingerprint) by [`allocate_incremental`] and
-/// spliced back instead of re-running analysis + allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrandAllocation {
-    /// `(write_loc, read_locs)` per instruction, in strand layout order.
-    pub placements: Vec<(WriteLoc, Vec<ReadLoc>)>,
-    /// Value instances this strand placed in the LRF.
-    pub lrf_values: usize,
-    /// Value instances this strand placed fully in the ORF.
-    pub orf_values: usize,
-    /// Partial ranges this strand allocated (§4.3).
-    pub orf_partial: usize,
-    /// Read-operand ranges this strand allocated (§4.4).
-    pub read_operands: usize,
-}
-
-/// Incremental-allocation counters: how much work the cache saved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IncrementalStats {
-    /// Strands in the kernel.
-    pub strands: usize,
-    /// Strands spliced from cache (analysis + allocation skipped).
-    pub hits: usize,
-    /// Strands analyzed and allocated from scratch.
-    pub misses: usize,
-}
-
-/// The cache key for one strand's allocation: the strand-relative
-/// canonical text ([`rfh_analysis::strand::strand_canonical`]) salted with
-/// everything else that determines placement — the allocation
-/// configuration and the energy model's cost surface.
-pub fn strand_fingerprint(canonical: &str, config: &AllocConfig, model: &EnergyModel) -> String {
-    format!("{canonical}\0cfg={config:?}\0model={model:?}")
-}
-
-/// Incremental [`allocate`]: identical output, but each strand's
-/// allocation is looked up in an external cache by content fingerprint
-/// before being recomputed.
-///
-/// For every strand the fingerprint ([`strand_fingerprint`] over
-/// [`strand_canonical`]) is offered to `lookup`; a hit splices the cached
-/// placements onto the strand's instructions, a miss runs the monolithic
-/// per-strand pipeline (def-use analysis + LRF/ORF allocation) and offers
-/// the result to `publish`. Because [`strand_canonical`] captures every
-/// input the per-strand allocator reads — and the per-strand allocator
-/// only ever writes its own strand's placement annotations — the
-/// recombined kernel and [`AllocStats`] are **byte-identical** to a
-/// monolithic [`allocate`] run, whatever mixture of hits and misses
-/// occurs. A cached entry whose shape does not match the strand (placement
-/// count or per-instruction operand count) is ignored and recomputed, so a
-/// corrupted cache degrades to a slower run, never a wrong one.
-///
-/// # Errors
-///
-/// Exactly as [`allocate`]: [`AllocError::InvalidKernel`] for structurally
-/// invalid input, [`AllocError::Config`] for inconsistent configuration.
-pub fn allocate_incremental(
-    kernel: &mut Kernel,
-    config: &AllocConfig,
-    model: &EnergyModel,
-    lookup: &mut dyn FnMut(&str) -> Option<StrandAllocation>,
-    publish: &mut dyn FnMut(&str, &StrandAllocation),
-) -> Result<(AllocStats, IncrementalStats), AllocError> {
-    rfh_isa::validate(kernel)?;
-    reset_placements(kernel);
-
-    let info = mark_strands_opts(
-        kernel,
-        StrandOpts {
-            split_on_deschedule: !config.ideal_no_deschedule_split,
-        },
-    );
-    let liveness = Liveness::compute(kernel);
-    annotate_dead(kernel, &liveness);
-
-    let mut stats = AllocStats {
-        strands: info.strands.len(),
-        ..Default::default()
-    };
-    let mut inc = IncrementalStats {
-        strands: info.strands.len(),
-        ..Default::default()
-    };
-    if config.is_baseline() {
-        return Ok((stats, inc));
-    }
-
-    let costs = Costs::from_model(model, config.orf_entries);
-    let dom = DomTree::dominators(kernel);
-    for sid in info.strands.iter().map(|s| s.id) {
-        let canonical = strand_canonical(kernel, &info, &liveness, &dom, sid);
-        let fp = strand_fingerprint(&canonical, config, model);
-        let instrs = &info.strand(sid).instrs;
-        if let Some(cached) = lookup(&fp).filter(|c| splice_fits(kernel, instrs, c)) {
-            for (at, (write_loc, read_locs)) in instrs.iter().zip(&cached.placements) {
-                let instr = kernel.instr_mut(*at);
-                instr.write_loc = *write_loc;
-                instr.read_locs.clone_from(read_locs);
-            }
-            stats.lrf_values += cached.lrf_values;
-            stats.orf_values += cached.orf_values;
-            stats.orf_partial += cached.orf_partial;
-            stats.read_operands += cached.read_operands;
-            inc.hits += 1;
-            continue;
-        }
-        let sv = strand_values(kernel, &info, &liveness, sid);
-        let mut local = AllocStats::default();
-        allocate_strand(kernel, &sv, config, &costs, &dom, &mut local)?;
-        stats.lrf_values += local.lrf_values;
-        stats.orf_values += local.orf_values;
-        stats.orf_partial += local.orf_partial;
-        stats.read_operands += local.read_operands;
-        inc.misses += 1;
-        publish(
-            &fp,
-            &StrandAllocation {
-                placements: instrs
-                    .iter()
-                    .map(|at| {
-                        let i = kernel.instr(*at);
-                        (i.write_loc, i.read_locs.clone())
-                    })
-                    .collect(),
-                lrf_values: local.lrf_values,
-                orf_values: local.orf_values,
-                orf_partial: local.orf_partial,
-                read_operands: local.read_operands,
-            },
-        );
-    }
-
-    if validate_placements(kernel, config).is_err() {
-        stats = demote_to_mrf(kernel, stats);
-    }
-    Ok((stats, inc))
-}
-
 /// Whether a cached strand allocation structurally fits the strand it is
 /// about to be spliced onto (defense against a corrupted or colliding
 /// cache entry — a mismatch falls back to recomputation).
-fn splice_fits(kernel: &Kernel, instrs: &[rfh_isa::InstrRef], cached: &StrandAllocation) -> bool {
+fn splice_fits(kernel: &Kernel, instrs: &[InstrRef], cached: &StrandAllocation) -> bool {
     cached.placements.len() == instrs.len()
         && instrs
             .iter()
@@ -680,11 +678,8 @@ fn demote_to_mrf(kernel: &mut Kernel, stats: AllocStats) -> AllocStats {
     reset_placements(kernel);
     AllocStats {
         strands: stats.strands,
-        lrf_values: 0,
-        orf_values: 0,
-        orf_partial: 0,
-        read_operands: 0,
         demoted: stats.demoted + 1,
+        ..AllocStats::default()
     }
 }
 
@@ -1248,21 +1243,43 @@ BB0:
         assert_eq!(stats, mono_stats);
     }
 
-    #[test]
-    fn misshapen_cache_entry_is_recomputed_not_spliced() {
+    /// Warms a memo, corrupts every entry with `corrupt`, and checks that
+    /// the next run splices nothing and matches the no-memo result.
+    fn misshapen_entries_are_recomputed(corrupt: impl Fn(&mut StrandAllocation)) {
         let config = AllocConfig::two_level(3);
         let mut cache = HashMap::new();
         let (_, _, _) = run_incremental(KERNEL, &config, &mut cache);
-        // Corrupt every entry's shape.
         for sa in cache.values_mut() {
-            sa.placements.pop();
+            corrupt(sa);
         }
         let (k, stats, inc) = run_incremental(KERNEL, &config, &mut cache);
         assert_eq!(inc.hits, 0, "misshapen entries must not splice");
+        assert_eq!(inc.misses, inc.strands);
         let mut mono = parse_kernel(KERNEL).unwrap();
         let mono_stats = allocate(&mut mono, &config, &EnergyModel::paper()).unwrap();
         assert_eq!(k, mono);
         assert_eq!(stats, mono_stats);
+    }
+
+    #[test]
+    fn misshapen_cache_entry_is_recomputed_not_spliced() {
+        misshapen_entries_are_recomputed(|sa| {
+            sa.placements.pop();
+        });
+    }
+
+    #[test]
+    fn cache_entry_with_a_wrong_operand_count_is_recomputed() {
+        // One instruction's `read_locs` gains a slot: the placement count
+        // still fits, the operand count does not.
+        misshapen_entries_are_recomputed(|sa| {
+            let (_, read_locs) = sa
+                .placements
+                .iter_mut()
+                .find(|(_, r)| !r.is_empty())
+                .expect("every strand reads a register");
+            read_locs.push(ReadLoc::Mrf);
+        });
     }
 
     #[test]

@@ -119,8 +119,9 @@ fn reachable_from(kernel: &Kernel, start: InstrRef) -> Vec<InstrRef> {
     out
 }
 
-/// Runs the check, appending RFH-L004 findings to `diags`.
-pub(crate) fn check(kernel: &Kernel, dom: &DomTree, diags: &mut Vec<Diagnostic>) {
+/// Runs the check over the kernel's uniformity taint `u`, appending
+/// RFH-L004 findings to `diags`.
+pub(crate) fn check(kernel: &Kernel, dom: &DomTree, u: &Uniformity, diags: &mut Vec<Diagnostic>) {
     let bars: Vec<InstrRef> = kernel
         .iter_instrs()
         .filter(|(at, i)| i.op.is_barrier() && dom.is_reachable(at.block))
@@ -129,7 +130,6 @@ pub(crate) fn check(kernel: &Kernel, dom: &DomTree, diags: &mut Vec<Diagnostic>)
     if bars.is_empty() {
         return;
     }
-    let u = uniformity(kernel);
     let postdom = DomTree::post_dominators(kernel);
 
     // (1) Barriers under a non-uniform guard.

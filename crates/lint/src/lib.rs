@@ -107,9 +107,11 @@ pub fn lint_kernel(kernel: &Kernel, options: &LintOptions) -> Vec<Diagnostic> {
     // Liveness ignores the `ends_strand` bits, so one run serves both the
     // dead-def check on `kernel` and the pressure check on `marked`.
     let liveness = Liveness::compute(kernel);
+    // One warp-uniformity taint serves the barrier and value checks.
+    let uniformity = barrier::uniformity(kernel);
     undef::check(kernel, &dom, &mut diags);
     dead::check(kernel, &dom, &liveness, &mut diags);
-    barrier::check(kernel, &dom, &mut diags);
+    barrier::check(kernel, &dom, &uniformity, &mut diags);
     race::check(kernel, &dom, &absres, &mut diags);
     place::check(kernel, &options.alloc, &mut diags);
     pressure::check(
@@ -120,7 +122,13 @@ pub fn lint_kernel(kernel: &Kernel, options: &LintOptions) -> Vec<Diagnostic> {
         &absres,
         &mut diags,
     );
-    value::check(kernel, &absres, options.shared_words, &mut diags);
+    value::check(
+        kernel,
+        &absres,
+        &uniformity,
+        options.shared_words,
+        &mut diags,
+    );
     diags.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     diags.dedup();
     diags

@@ -23,7 +23,7 @@
 use rfh_analysis::absint::AbsResults;
 use rfh_isa::{Kernel, Opcode, Space};
 
-use crate::barrier::uniformity;
+use crate::barrier::Uniformity;
 use crate::diag::{Code, Diagnostic};
 
 /// Whether this opcode is a default-datapath ALU operation for RFH-L011
@@ -44,14 +44,15 @@ fn is_foldable_alu(op: Opcode) -> bool {
     )
 }
 
-/// Runs the three checks, appending findings to `diags`.
+/// Runs the three checks over the kernel's uniformity taint, appending
+/// findings to `diags`.
 pub(crate) fn check(
     kernel: &Kernel,
     res: &AbsResults,
+    taint: &Uniformity,
     shared_words: usize,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let taint = uniformity(kernel);
     for (at, instr) in kernel.iter_instrs() {
         let f = res.fact(at);
         if !f.reachable {

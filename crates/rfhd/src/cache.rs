@@ -17,87 +17,12 @@
 //! wins and every caller sees an identical value. Values are cloned out
 //! (wrap big payloads in `Arc`).
 //!
-//! The store also exposes [`fnv1a`], the content hash behind [`Key::new`]'s
-//! pre-key: stable across runs and platforms, so cache behavior is
-//! replayable.
+//! Keys are compared by value, so keys whose hashes collide never share
+//! an entry. [`fnv1a`] is a content hash stable across runs and platforms.
 
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Mutex;
-
-/// A collision-proof cache key: the **full value** is the key; a 64-bit
-/// digest of it is retained only as a fast pre-key so that `HashMap`
-/// probing does not rehash the whole value on every lookup.
-///
-/// Equality compares the pre-key first (cheap reject) and then the full
-/// value, so two distinct keys whose digests collide map to *different*
-/// entries instead of silently sharing one — the bug this type replaces
-/// (`Store<u64, _>` keyed by the bare digest) served the first request's
-/// cached response to the second.
-#[derive(Debug, Clone, Eq)]
-pub struct Key<T = String> {
-    hash: u64,
-    value: T,
-}
-
-impl Key {
-    /// Keys a canonical string; the pre-key is the string's [`fnv1a`].
-    pub fn new(canon: impl Into<String>) -> Key {
-        let canon = canon.into();
-        Key {
-            hash: fnv1a(canon.as_bytes()),
-            value: canon,
-        }
-    }
-
-    /// A key with a caller-chosen pre-key. Real 64-bit FNV-1a collisions
-    /// take ~2³² birthday work to find, so collision regression tests use
-    /// this constructor to force two distinct canonical strings onto one
-    /// pre-key.
-    pub fn with_pre_key(hash: u64, canon: impl Into<String>) -> Key {
-        Key {
-            hash,
-            value: canon.into(),
-        }
-    }
-
-    /// The 64-bit pre-key (the FNV-1a digest for [`Key::new`] keys).
-    pub fn pre_key(&self) -> u64 {
-        self.hash
-    }
-
-    /// The full canonical string.
-    pub fn canon(&self) -> &str {
-        &self.value
-    }
-}
-
-impl<T: Hash> Key<T> {
-    /// Keys a typed value: the pre-key is the value's [`Hash`] under the
-    /// fixed-key [`DefaultHasher`], so the value is read once.
-    pub fn of(value: T) -> Key<T> {
-        let mut h = DefaultHasher::new();
-        value.hash(&mut h);
-        Key {
-            hash: h.finish(),
-            value,
-        }
-    }
-}
-
-impl<T: PartialEq> PartialEq for Key<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.value == other.value
-    }
-}
-
-impl<T> Hash for Key<T> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Only the pre-key feeds the table hash; full-value comparison
-        // happens in `eq`, where colliding keys are told apart.
-        state.write_u64(self.hash);
-    }
-}
 
 /// Counters describing a store's effectiveness. All counts are since
 /// construction; `entries`/`capacity` describe the current shape.
@@ -258,8 +183,8 @@ impl<K: Eq + Hash + Clone, V: Clone> Store<K, V> {
     }
 }
 
-/// FNV-1a over a byte stream: the stable content hash keying the daemon's
-/// strand cache.
+/// FNV-1a over a byte stream: a content hash that is stable across runs
+/// and platforms.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -338,16 +263,25 @@ mod tests {
         assert_eq!(store.stats().entries, 1);
     }
 
-    /// Satellite regression: two distinct canonical strings forced onto
-    /// one 64-bit pre-key must get separate entries and correct values —
-    /// a bare-u64-keyed store would serve the first value for both.
+    /// A key whose hash is the same for every value.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Colliding(&'static str);
+
+    impl Hash for Colliding {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            state.write_u64(0xDEAD_BEEF);
+        }
+    }
+
+    /// Two distinct keys with one hash must get separate entries and
+    /// their own values: a store keyed by the bare hash would serve the
+    /// first value for both.
     #[test]
-    fn colliding_pre_keys_get_distinct_entries() {
-        let store: Store<Key, String> = Store::unbounded();
-        let a = Key::with_pre_key(0xDEAD_BEEF, "allocate\0kernel-a");
-        let b = Key::with_pre_key(0xDEAD_BEEF, "allocate\0kernel-b");
-        assert_eq!(a.pre_key(), b.pre_key(), "precondition: pre-keys collide");
-        assert_ne!(a, b, "full keys must still differ");
+    fn colliding_hashes_get_distinct_entries() {
+        let store: Store<Colliding, String> = Store::unbounded();
+        let a = Colliding("allocate\0kernel-a");
+        let b = Colliding("allocate\0kernel-b");
+        assert_ne!(a, b, "precondition: the keys differ");
         store.insert(a.clone(), "result-a".into());
         store.insert(b.clone(), "result-b".into());
         assert_eq!(store.get(&a).as_deref(), Some("result-a"));
@@ -355,16 +289,6 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.entries, 2, "colliding keys must not share an entry");
         assert_eq!(s.races, 0, "distinct keys are not duplicate inserts");
-    }
-
-    /// Real (unforced) keys behave like plain values.
-    #[test]
-    fn key_hashes_its_canonical_string() {
-        let k = Key::new("simulate\0workload\0fft");
-        assert_eq!(k.pre_key(), fnv1a(b"simulate\0workload\0fft"));
-        assert_eq!(k.canon(), "simulate\0workload\0fft");
-        assert_eq!(k, Key::new("simulate\0workload\0fft"));
-        assert_ne!(k, Key::new("simulate\0workload\0ffs"));
     }
 
     /// Satellite regression: an insert that loses the first-writer race

@@ -20,8 +20,8 @@
 use std::sync::Arc;
 
 use rfh_alloc::{
-    allocate, allocate_incremental, AllocConfig, AllocError, IncrementalStats, LrfMode,
-    StrandAllocation, ORF_SIZES,
+    allocate_incremental, AllocConfig, AllocError, IncrementalStats, LrfMode, StrandAllocation,
+    ORF_SIZES,
 };
 use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::Kernel;
@@ -33,7 +33,7 @@ use rfh_sim::timing::{check_resident, simulate_timing, TimingConfig, TraceCaptur
 use rfh_sim::{TraceExporter, TraceSink};
 use rfh_workloads::Workload;
 
-use crate::cache::{Key, Store};
+use crate::cache::Store;
 use crate::json::Json;
 use crate::proto::{ErrorFrame, ErrorKind, SCHEMA};
 
@@ -136,32 +136,27 @@ pub struct Request {
 /// fingerprints ([`rfh_alloc::strand_fingerprint`]) map to cached
 /// [`StrandAllocation`]s, so an edited kernel re-runs analysis +
 /// allocation only for the strands whose content changed.
-pub type StrandStore = Store<Key, Arc<StrandAllocation>>;
+pub type StrandStore = Store<String, Arc<StrandAllocation>>;
 
-/// Runs hierarchy allocation, incrementally when a strand cache is
-/// supplied, monolithically otherwise. Both paths produce byte-identical
-/// kernels and stats (proven by `tests/incremental.rs`).
+/// Runs hierarchy allocation through `strands`; without a store every
+/// strand misses and nothing is kept. Either way the kernel and stats
+/// equal a plain [`rfh_alloc::allocate`] run.
 fn allocate_via(
     kernel: &mut Kernel,
     config: &AllocConfig,
     strands: Option<&StrandStore>,
-) -> Result<(rfh_alloc::AllocStats, Option<IncrementalStats>), AllocError> {
-    let model = EnergyModel::paper();
-    match strands {
-        None => Ok((allocate(kernel, config, &model)?, None)),
-        Some(store) => {
-            let (stats, inc) = allocate_incremental(
-                kernel,
-                config,
-                &model,
-                &mut |fp| store.get(&Key::new(fp)).map(|a| (*a).clone()),
-                &mut |fp, sa| {
-                    store.insert(Key::new(fp), Arc::new(sa.clone()));
-                },
-            )?;
-            Ok((stats, Some(inc)))
-        }
-    }
+) -> Result<(rfh_alloc::AllocStats, IncrementalStats), AllocError> {
+    allocate_incremental(
+        kernel,
+        config,
+        &EnergyModel::paper(),
+        &mut |fp| strands?.get(&fp.to_owned()).map(|a| (*a).clone()),
+        &mut |fp, sa| {
+            if let Some(store) = strands {
+                store.insert(fp.to_owned(), Arc::new(sa.clone()));
+            }
+        },
+    )
 }
 
 fn usage(msg: impl Into<String>) -> ErrorFrame {
@@ -505,8 +500,8 @@ fn counts_json(c: &AccessCounts) -> Json {
 /// wall-clock timeout around this call. With a per-strand allocation
 /// cache, ops that allocate (`allocate`, and `simulate` and `trace`
 /// unless baseline) splice unchanged strands' placements from the store
-/// instead of recomputing them; without one, allocation runs
-/// monolithically.
+/// instead of recomputing them; without one, every strand is computed
+/// and `allocate` answers carry no strand counters.
 ///
 /// # Errors
 ///
@@ -579,7 +574,7 @@ pub fn handle_with(
                 ),
                 ("demoted".into(), Json::u64(stats.demoted as u64)),
             ];
-            if let Some(inc) = inc {
+            if strands.is_some() {
                 stats_fields.push(("strand_hits".into(), Json::u64(inc.hits as u64)));
                 stats_fields.push(("strand_misses".into(), Json::u64(inc.misses as u64)));
             }
@@ -916,7 +911,7 @@ BB0:
         }
         let a = req(&format!("{base}}}")).expect("decodes");
         let b = req(&format!("{base},{field}}}")).expect("decodes");
-        Key::of(a.op) == Key::of(b.op)
+        a.op == b.op
     }
 
     #[test]

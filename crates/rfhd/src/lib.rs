@@ -23,8 +23,9 @@
 //!   work as well as its memory.
 //! * [`handler`] — pure request decoding and op dispatch; every pipeline
 //!   failure becomes a structured error frame.
-//! * [`cache`] — the hash-pre-keyed LRU result store (also reused by
-//!   `rfh_experiments` for its memoization).
+//! * [`cache`] — the LRU store behind the result cache (keyed by the
+//!   typed op) and the strand cache (keyed by the strand fingerprint);
+//!   keys compare by value, so colliding hashes never share an entry.
 //! * [`server`] — listeners, a reader thread per connection, the bounded
 //!   worker pool that runs requests under panic isolation and wall-clock
 //!   timeouts, load shedding with retry hints, and drain-then-exit
@@ -46,7 +47,7 @@ pub mod handler;
 pub mod proto;
 pub mod server;
 
-pub use cache::{fnv1a, CacheStats, Key, Store};
+pub use cache::{fnv1a, CacheStats, Store};
 pub use client::{malformed_probe, Client, ClientError, RetryPolicy};
 pub use handler::{decode_request, handle_with, Budgets, Op, Request, StrandStore};
 pub use proto::{ErrorFrame, ErrorKind, SCHEMA};

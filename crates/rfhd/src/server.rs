@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use rfh_testkit::env;
 use rfh_testkit::pool::TaskPool;
 
-use crate::cache::{Key, Store};
+use crate::cache::Store;
 use crate::handler::{decode_request, handle_with, Budgets, Op, Request, StrandStore};
 use crate::json::Json;
 use crate::proto::{
@@ -176,9 +176,8 @@ struct Shared {
     /// The endpoint after binding (real port for TCP port 0) — the
     /// shutdown wake connects here.
     resolved: Endpoint,
-    /// Whole-response result cache, keyed by the typed op (its 64-bit
-    /// digest is only a pre-key — see [`crate::cache::Key`]).
-    cache: Store<Key<Op>, Json>,
+    /// Whole-response result cache, keyed by the typed op.
+    cache: Store<Op, Json>,
     /// Per-strand allocation cache shared by every request.
     strand_cache: Arc<StrandStore>,
     shutdown: AtomicBool,
@@ -495,7 +494,7 @@ fn compute(shared: &Shared, pool: &TaskPool, req: Request) -> Result<(Json, bool
     // Every compute op but `ping` is a deterministic function of its
     // typed op, which keys the result cache; `id` and `timeout_ms` sit
     // outside it.
-    let key = (req.op != Op::Ping).then(|| Key::of(req.op.clone()));
+    let key = (req.op != Op::Ping).then(|| req.op.clone());
     if let Some(result) = key.as_ref().and_then(|k| shared.cache.get(k)) {
         return Ok((result, true));
     }

@@ -35,7 +35,27 @@ for pkg in rfh rfh-rfhd; do
 done
 
 echo "==> cargo test"
-cargo test -q --offline
+mkdir -p target
+test_log=target/ci-test.log
+if ! cargo test -q --offline > "$test_log" 2>&1; then
+    cat "$test_log"
+    exit 1
+fi
+cat "$test_log"
+
+echo "==> documented test counts match the suite"
+# README, DESIGN, TESTING and the verify notes each state how many tests
+# a bare `cargo test` runs: the sum of its `N passed` counts.
+total=$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' "$test_log" |
+    awk '{ s += $1 } END { print s }')
+for doc in README.md DESIGN.md docs/TESTING.md .claude/skills/verify/SKILL.md; do
+    stated=$(grep -o '[0-9][0-9]* tests' "$doc" | awk '{ print $1 }' | sort -u)
+    if [ "$stated" != "$total" ]; then
+        echo "$doc states $(echo $stated) tests; cargo test passed $total"
+        exit 1
+    fi
+done
+echo "every doc states the suite's $total tests"
 
 echo "==> chaos smoke (bounded fault-injection run)"
 RFH_CHAOS_CASES=200 cargo test -p rfh-chaos -q --offline

@@ -493,9 +493,11 @@ fn parse_endpoint_flag(
 /// The `rfhc serve` subcommand: run the compile-service daemon in the
 /// foreground until a `shutdown` request drains it.
 ///
-/// The `RFHD_TIMEOUT_MS`, `RFHD_QUEUE_DEPTH`, and `RFHD_CACHE_ENTRIES`
-/// environment knobs configure the per-request wall-clock timeout, the
-/// accept-queue depth, and the result-cache capacity; all three follow
+/// Four environment knobs configure it: `RFHD_TIMEOUT_MS` the
+/// per-request wall-clock timeout, `RFHD_QUEUE_DEPTH` the request-queue
+/// slots beyond the workers (with `--workers` it also bounds the open
+/// connections), `RFHD_CACHE_ENTRIES` the result-cache capacity, and
+/// `RFHD_STRAND_CACHE_ENTRIES` the strand-cache capacity. All four follow
 /// the shared knob grammar (decimal or `0x`-hex, loud warning and
 /// fallback on a malformed value).
 fn serve_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> Result<(), RfhError> {
