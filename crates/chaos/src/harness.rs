@@ -32,7 +32,7 @@ use rfh_analysis::absint::{self, last_use};
 use rfh_analysis::strand::mark_strands;
 use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::{InstrRef, Kernel, Operand};
-use rfh_sim::counts::SwCounter;
+use rfh_sim::counts::{price_strands, SwCounter};
 use rfh_sim::exec::{execute_with, replay, ExecError, ExecMode, ExecReport, StreamRecorder};
 use rfh_sim::machine::MachineConfig;
 use rfh_sim::mem::GlobalMemory;
@@ -426,10 +426,13 @@ pub fn run_lint_layer(
 /// 5. **engine conformance**: a mutant shipped execution accepts, the
 ///    oracle accepts with an identical report, counts and memory image,
 ///    and a shipped error other than `BadPlacement` is the identical
-///    oracle error.
+///    oracle error;
+/// 6. **pricing**: a mutant shipped execution accepts,
+///    [`price_strands`] prices from the stream's issue counts (computed
+///    once per layer) to execution's counts.
 ///
 /// The oracle runs only where a relation reads its verdict: on a mutant
-/// the shipped run rejected with `BadPlacement`, relations 2–5 hold
+/// the shipped run rejected with `BadPlacement`, relations 2–6 hold
 /// whatever the oracle returns, so it is skipped there.
 ///
 /// The report's `identical` counts mutants every judge accepts,
@@ -467,6 +470,7 @@ pub fn run_placement_layer(
     )
     .map_err(|e| format!("seed kernel failed to execute: {e}"))?;
     let stream = recorder.finish();
+    let issues = stream.issue_counts();
     let mode = ExecMode::Hierarchy(*cfg);
 
     run_cases("placement", jobs(), cases, base_seed, |rng| {
@@ -496,6 +500,19 @@ pub fn run_placement_layer(
                  execution {:?} counting {:?}",
                 shipped.result, shipped.counts
             ));
+        }
+        // (6) What execution accepts, the issue counts price exactly.
+        if shipped.result.is_ok() {
+            let priced = price_strands(&mutant, &stream, &issues)
+                .map_err(|e| format!("pricing refused a mutant execution accepts: {e}"))?
+                .into_iter()
+                .fold(AccessCounts::default(), |a, b| a + b);
+            if priced != shipped.counts {
+                return Err(format!(
+                    "pricing and execution disagree: priced {priced:?}, execution counting {:?}",
+                    shipped.counts
+                ));
+            }
         }
         // (2) The validator vouches for execution and replay.
         if let (true, Err(e)) = (validated, &shipped.result) {

@@ -45,7 +45,9 @@
 //!   computes the reference memory on the oracle and passes execution and
 //!   replay; replay rejects whatever the oracle computes wrongly;
 //!   execution and replay accept the same mutants and count them equally;
-//!   and whatever execution accepts, the oracle accepts identically.
+//!   whatever execution accepts, the oracle accepts identically; and
+//!   whatever execution accepts, pricing from the stream's issue counts
+//!   counts as execution does.
 //! * [`harness::run_exec_differential_layer`] points the IR mutants at
 //!   the *executor pair*: the warp-batched SoA engine and the frozen
 //!   reference interpreter must land every structurally valid mutant in

@@ -7,12 +7,12 @@
 //! `AllocConfig::three_level(k, true)` cells, and every experiment needs
 //! each workload's single-level baseline. [`ExperimentCtx`] caches
 //!
-//! * per workload, the baseline access counts and the recorded baseline
-//!   instruction [`Stream`],
-//! * SW access counts per (workload, [`AllocConfig`]), kept per strand (a
-//!   [`StrandCounter`] replay, whose sum is what a `SwCounter` counts) so
-//!   the §7 per-strand oracle reads the same cell as every other SW
-//!   experiment,
+//! * per workload, the baseline access counts, the recorded baseline
+//!   instruction [`Stream`], and that stream's issue counts
+//!   ([`Stream::issue_counts`]),
+//! * SW access counts per (workload, [`AllocConfig`]), kept per strand
+//!   (whose sum is what a `SwCounter` counts) so the §7 per-strand oracle
+//!   reads the same cell as every other SW experiment,
 //! * HW cache access counts per (workload, [`RfcConfig`]),
 //!
 //! in unbounded [`rfh_rfhd::cache::Store`]s — the same memoization
@@ -24,23 +24,32 @@
 //! baseline cell is one baseline-mode run, verified against the host
 //! reference, that also records the run's distinct per-warp traces.
 //! Allocation only annotates instructions, so every other cell issues the
-//! same dynamic stream and is counted by [`replay`]ing it:
+//! same dynamic stream:
 //!
-//! * a SW cell allocates a copy of the kernel, replays it in hierarchy
-//!   mode, where the tag model checks that every operand read sees its
-//!   register's current definition, and then drops the kernel;
-//! * an [`ExperimentCtx::hw_counts_many`] batch replays the
+//! * a SW cell allocates a copy of the kernel, requires the allocation
+//!   not to have been demoted (the allocator has validated its
+//!   placements), and is **priced** from the workload's one issue-count
+//!   vector ([`price_strands`]): each static instruction's access plan
+//!   times how often it issued, grouped by strand. Limit's 6-warp cells
+//!   and the `on` side of `hints` are priced the same way, unmemoized;
+//! * an [`ExperimentCtx::hw_counts_many`] batch [`replay`]s the
 //!   dead-annotated kernel once with one [`HwCounter`] per
-//!   not-yet-cached configuration;
-//! * `characterize` and `hints` replay it too, and `perf` expands its
-//!   timing traces from it ([`Stream::timing_traces`]).
+//!   not-yet-cached configuration (the cache has state, so it cannot be
+//!   priced);
+//! * `characterize` replays it too (its mix reads the active masks), and
+//!   `perf` expands its timing traces from it
+//!   ([`Stream::timing_traces`]).
 //!
-//! [`ExperimentCtx::executions`] counts the real executions; `fig2`,
-//! which takes no context, is the one `repro` arm that executes on its
-//! own. All cached quantities are deterministic functions of their
-//! key; concurrent computation of the same key is benign (first writer
-//! wins, results are identical) but does the work twice, so the
-//! experiments request each cell from one pool item.
+//! The tag-checked hierarchy-mode replay is the test oracle of pricing:
+//! the context's tests compare the two on every SW cell `repro all` and
+//! `hints` fill. [`ExperimentCtx::executions`] counts the real
+//! executions and [`ExperimentCtx::hierarchy_replays`] the tag-checked
+//! replays (none outside those tests); `fig2`, which takes no context, is
+//! the one `repro` arm that executes on its own. All cached quantities
+//! are deterministic functions of their key; concurrent computation of
+//! the same key is benign (first writer wins, results are identical) but
+//! does the work twice, so the experiments request each cell from one
+//! pool item.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -49,7 +58,7 @@ use rfh_alloc::AllocConfig;
 use rfh_energy::{AccessCounts, EnergyModel};
 use rfh_isa::Kernel;
 use rfh_rfhd::cache::{CacheStats, Store};
-use rfh_sim::counts::{StrandCounter, SwCounter};
+use rfh_sim::counts::{price_strands, SwCounter};
 use rfh_sim::exec::{replay, ExecMode, Stream, StreamRecorder};
 use rfh_sim::machine::MachineConfig;
 use rfh_sim::rfc::{HwCounter, RfcConfig};
@@ -63,13 +72,23 @@ use crate::runner;
 pub struct ExperimentCtx<'w> {
     workloads: &'w [Workload],
     model: EnergyModel,
-    baselines: Vec<OnceLock<(AccessCounts, Stream)>>,
+    baselines: Vec<OnceLock<Baseline>>,
     sw: Store<(usize, AllocConfig), SwCell>,
     hw: Store<(usize, RfcConfig), AccessCounts>,
     executions: AtomicU64,
+    hierarchy_replays: AtomicU64,
 }
 
-/// One SW cell: the per-strand counts of one replay and their sum.
+/// One workload's baseline cell: the counts and recorded stream of its one
+/// verified run, and the stream's issue counts every SW cell is priced
+/// from.
+struct Baseline {
+    counts: AccessCounts,
+    stream: Stream,
+    issues: Vec<u64>,
+}
+
+/// One SW cell: the priced per-strand counts and their sum.
 #[derive(Clone)]
 struct SwCell {
     total: AccessCounts,
@@ -104,6 +123,7 @@ impl<'w> ExperimentCtx<'w> {
             sw: Store::unbounded(),
             hw: Store::unbounded(),
             executions: AtomicU64::new(0),
+            hierarchy_replays: AtomicU64::new(0),
         }
     }
 
@@ -120,7 +140,7 @@ impl<'w> ExperimentCtx<'w> {
     /// The baseline cell of workload `i`: one verified baseline-mode run,
     /// counted and recorded on first use and shared by every subsequent
     /// caller (and thread).
-    fn baseline_cell(&self, i: usize) -> &(AccessCounts, Stream) {
+    fn baseline_cell(&self, i: usize) -> &Baseline {
         self.baselines[i].get_or_init(|| {
             self.executions.fetch_add(1, Ordering::Relaxed);
             let w = &self.workloads[i];
@@ -132,17 +152,24 @@ impl<'w> ExperimentCtx<'w> {
                 &mut [&mut counter, &mut recorder],
             )
             .unwrap_or_else(|e| panic!("baseline run failed: {e}"));
-            (counter.counts(), recorder.finish())
+            let stream = recorder.finish();
+            Baseline {
+                counts: counter.counts(),
+                issues: stream.issue_counts(),
+                stream,
+            }
         })
     }
 
     /// The recorded baseline stream of workload `i`.
     pub(crate) fn stream(&self, i: usize) -> &Stream {
-        &self.baseline_cell(i).1
+        &self.baseline_cell(i).stream
     }
 
     /// [`replay`]s workload `i`'s recorded stream against `kernel` on the
-    /// paper's machine: every replay of the context goes through here.
+    /// paper's machine: every replay of the context goes through here, and
+    /// each one in hierarchy mode counts toward
+    /// [`Self::hierarchy_replays`].
     ///
     /// # Panics
     ///
@@ -155,6 +182,9 @@ impl<'w> ExperimentCtx<'w> {
         mk_sink: impl FnMut() -> S,
         fold: impl FnMut(S, u64),
     ) {
+        if let ExecMode::Hierarchy(_) = mode {
+            self.hierarchy_replays.fetch_add(1, Ordering::Relaxed);
+        }
         replay(
             kernel,
             self.stream(i),
@@ -173,7 +203,7 @@ impl<'w> ExperimentCtx<'w> {
     ///
     /// As for [`runner::baseline_counts`]; also if `i` is out of range.
     pub fn baseline(&self, i: usize) -> AccessCounts {
-        self.baseline_cell(i).0
+        self.baseline_cell(i).counts
     }
 
     /// SW access counts of workload `i` under `cfg`, memoized per
@@ -182,14 +212,13 @@ impl<'w> ExperimentCtx<'w> {
     ///
     /// # Panics
     ///
-    /// If allocation fails, or if the replay rejects a placement — both
-    /// toolchain bugs.
+    /// As for [`Self::allocated`] — toolchain bugs.
     pub fn sw_counts(&self, i: usize, cfg: &AllocConfig) -> AccessCounts {
         self.sw_cell(i, cfg).total
     }
 
     /// The per-strand counts behind [`Self::sw_counts`] (indexed by strand
-    /// of the allocated kernel), from the same memoized replay.
+    /// of the allocated kernel), from the same memoized pricing.
     ///
     /// # Panics
     ///
@@ -200,7 +229,7 @@ impl<'w> ExperimentCtx<'w> {
 
     fn sw_cell(&self, i: usize, cfg: &AllocConfig) -> SwCell {
         self.sw.get_or_insert_with((i, *cfg), || {
-            let per_strand = self.replay_strand_counts(i, cfg, &self.model);
+            let per_strand = self.priced_strand_counts(i, cfg, &self.model);
             SwCell {
                 total: per_strand
                     .iter()
@@ -211,36 +240,62 @@ impl<'w> ExperimentCtx<'w> {
     }
 
     /// Per-strand SW counts of workload `i` allocated under `cfg` with
-    /// `model`, by a tag-checked hierarchy-mode replay of the recorded
-    /// baseline stream. Not memoized: the allocated kernel is dropped on
-    /// return.
+    /// `model`, priced from the workload's issue counts. Not memoized: the
+    /// allocated kernel is dropped on return.
     ///
     /// # Panics
     ///
-    /// As for [`Self::sw_counts`].
-    pub(crate) fn replay_strand_counts(
+    /// As for [`Self::allocated`].
+    pub(crate) fn priced_strand_counts(
         &self,
         i: usize,
         cfg: &AllocConfig,
         model: &EnergyModel,
     ) -> Vec<AccessCounts> {
+        self.price(i, &self.allocated(i, cfg, model, false))
+    }
+
+    /// A copy of workload `i`'s kernel allocated under `cfg` with `model`,
+    /// with the abstract-interpreter last-use hints when `hints` is set.
+    /// [`rfh_alloc::allocate`] has validated the placements it returns, so
+    /// the one failure left to check is a demotion: the allocator's own
+    /// output failed validation and it fell back to MRF-only placement,
+    /// whose counts would silently stand in for the configuration's.
+    ///
+    /// # Panics
+    ///
+    /// If allocation fails or demotes the kernel (allocator bugs), naming
+    /// the workload and configuration.
+    pub(crate) fn allocated(
+        &self,
+        i: usize,
+        cfg: &AllocConfig,
+        model: &EnergyModel,
+        hints: bool,
+    ) -> Kernel {
+        let name = &self.workloads[i].name;
         let mut kernel = self.workloads[i].kernel.clone();
-        rfh_alloc::allocate(&mut kernel, cfg, model)
-            .unwrap_or_else(|e| panic!("allocation failed: {e}"));
-        let counter = StrandCounter::new(&kernel);
-        let mut per_strand = vec![AccessCounts::default(); counter.per_strand().len()];
-        self.replay(
-            i,
-            &kernel,
-            ExecMode::Hierarchy(*cfg),
-            || counter.clone(),
-            |c, warps| {
-                for (sum, s) in per_strand.iter_mut().zip(c.per_strand()) {
-                    *sum += *s * warps;
-                }
-            },
+        let stats = rfh_alloc::allocate_with_hints(&mut kernel, cfg, model, hints)
+            .unwrap_or_else(|e| panic!("{name}: allocation under {cfg} failed: {e}"));
+        assert!(
+            stats.demoted == 0,
+            "{name}: allocation under {cfg} demoted to MRF-only placement"
         );
-        per_strand
+        kernel
+    }
+
+    /// Per-strand SW counts of `kernel`, an allocated copy of workload
+    /// `i`'s kernel, priced from the workload's issue counts
+    /// ([`price_strands`]).
+    ///
+    /// # Panics
+    ///
+    /// If `kernel` is not of the workload kernel's shape, naming the
+    /// workload.
+    pub(crate) fn price(&self, i: usize, kernel: &Kernel) -> Vec<AccessCounts> {
+        let base = self.baseline_cell(i);
+        price_strands(kernel, &base.stream, &base.issues)
+            .unwrap_or_else(|e| panic!("{}: pricing failed: {e}", self.workloads[i].name))
     }
 
     /// Hardware-cache access counts of workload `i` under `cfg`, memoized
@@ -336,11 +391,18 @@ impl<'w> ExperimentCtx<'w> {
     }
 
     /// Verified executions this context has performed: one baseline run
-    /// per workload touched, however many cells were replayed from it. An
-    /// observation of how much work the sweeps shared, like
+    /// per workload touched, however many cells were priced or replayed
+    /// from it. An observation of how much work the sweeps shared, like
     /// [`Self::cache_stats`].
     pub fn executions(&self) -> u64 {
         self.executions.load(Ordering::Relaxed)
+    }
+
+    /// Tag-checked hierarchy-mode replays this context has performed: none
+    /// on the experiments' path, which prices its SW cells. An observation,
+    /// like [`Self::executions`].
+    pub fn hierarchy_replays(&self) -> u64 {
+        self.hierarchy_replays.load(Ordering::Relaxed)
     }
 
     /// Per-benchmark normalized energy of SW counts against the memoized
@@ -370,6 +432,7 @@ impl<'w> ExperimentCtx<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfh_sim::counts::StrandCounter;
 
     fn workloads() -> Vec<Workload> {
         by_names(&["vectoradd", "scalarprod"])
@@ -438,18 +501,135 @@ mod tests {
         cfgs
     }
 
-    /// 18 SW configurations: two-level and split three-level at 1–8
-    /// entries, unified three-level at 3, and ideal-no-deschedule.
+    /// The 22 SW configurations `repro all` memoizes: two-level and split
+    /// three-level at 1–8 entries, unified three-level at 3,
+    /// ideal-no-deschedule, and ablation's four variants of the best
+    /// design. `repro_sweeps_execute_each_cell_once` pins that these are
+    /// exactly the cells the arms fill.
     fn figure_alloc_configs() -> Vec<AllocConfig> {
+        let best = AllocConfig::three_level(3, true);
         let mut cfgs: Vec<AllocConfig> = (1..=8)
             .flat_map(|e| [AllocConfig::two_level(e), AllocConfig::three_level(e, true)])
             .collect();
         cfgs.push(AllocConfig::three_level(3, false));
-        cfgs.push(AllocConfig {
-            ideal_no_deschedule_split: true,
-            ..AllocConfig::three_level(3, true)
-        });
+        cfgs.extend([
+            AllocConfig {
+                ideal_no_deschedule_split: true,
+                ..best
+            },
+            AllocConfig {
+                partial_ranges: false,
+                ..best
+            },
+            AllocConfig {
+                read_operands: false,
+                ..best
+            },
+            AllocConfig {
+                partial_ranges: false,
+                read_operands: false,
+                ..best
+            },
+            AllocConfig {
+                occupancy_priority: false,
+                ..best
+            },
+        ]);
         cfgs
+    }
+
+    /// Per-strand counts of `kernel`, an allocated copy of workload `i`'s
+    /// kernel, by a tag-checked hierarchy-mode [`StrandCounter`] replay
+    /// of the recorded baseline stream: the oracle pricing is checked
+    /// against.
+    fn replayed_strand_counts(
+        ctx: &ExperimentCtx,
+        i: usize,
+        kernel: &Kernel,
+        cfg: &AllocConfig,
+    ) -> Vec<AccessCounts> {
+        let counter = StrandCounter::new(kernel);
+        let mut per_strand = vec![AccessCounts::default(); counter.per_strand().len()];
+        ctx.replay(
+            i,
+            kernel,
+            ExecMode::Hierarchy(*cfg),
+            || counter.clone(),
+            |c, warps| {
+                for (sum, s) in per_strand.iter_mut().zip(c.per_strand()) {
+                    *sum += *s * warps;
+                }
+            },
+        );
+        per_strand
+    }
+
+    #[test]
+    fn priced_sw_cells_equal_tag_checked_replays() {
+        // Every SW cell `repro all` and `hints` fill, on every workload:
+        // the 22 memoized configurations, limit's eight split three-level
+        // cells under the 6-warp model, and hints' `on` kernel.
+        let ws = rfh_workloads::all();
+        let ctx = ExperimentCtx::new(&ws);
+        let model6 = crate::limit::six_warp_model(ctx.model());
+        let best = AllocConfig::three_level(3, true);
+        let mut cells: Vec<(AllocConfig, &EnergyModel, bool)> = figure_alloc_configs()
+            .into_iter()
+            .map(|cfg| (cfg, ctx.model(), false))
+            .collect();
+        cells.extend((1..=8).map(|k| (AllocConfig::three_level(k, true), &model6, false)));
+        cells.push((best, ctx.model(), true));
+        assert_eq!(cells.len(), 31);
+        let idx: Vec<usize> = (0..ws.len()).collect();
+        par_map(&idx, |&i| {
+            for &(cfg, model, hints) in &cells {
+                let kernel = ctx.allocated(i, &cfg, model, hints);
+                let replayed = replayed_strand_counts(&ctx, i, &kernel, &cfg);
+                let priced = ctx.price(i, &kernel);
+                let cell = format!(
+                    "{} {cfg} hints={hints} 6-warp={}",
+                    ws[i].name,
+                    model == &model6
+                );
+                assert_eq!(priced, replayed, "{cell}");
+                if model == ctx.model() && !hints {
+                    assert_eq!(*ctx.sw_strand_counts(i, &cfg), *priced, "{cell}");
+                }
+            }
+        });
+        assert_eq!(ctx.executions(), 35);
+        assert_eq!(ctx.hierarchy_replays(), 35 * 31);
+    }
+
+    #[test]
+    fn issue_counts_equal_a_pc_counting_sink() {
+        /// Counts the warp instructions issued at each flat pc.
+        struct PcCounter {
+            block_start: Vec<usize>,
+            counts: Vec<u64>,
+        }
+        impl TraceSink for PcCounter {
+            fn on_instr(&mut self, event: &InstrEvent<'_>) {
+                self.counts[self.block_start[event.at.block.index()] + event.at.index] += 1;
+            }
+        }
+        let ws = divergent();
+        let ctx = ExperimentCtx::new(&ws);
+        for (i, w) in ws.iter().enumerate() {
+            let mut pcs = PcCounter {
+                block_start: w.kernel.block_starts(),
+                counts: vec![0; w.kernel.iter_instrs().count()],
+            };
+            w.run_and_verify(ExecMode::Baseline, &w.kernel, &mut [&mut pcs])
+                .unwrap();
+            let issues = &ctx.baseline_cell(i).issues;
+            assert_eq!(*issues, pcs.counts, "{}", w.name);
+            assert!(
+                ctx.stream(i).distinct_traces() > 1,
+                "{}: divergent warps issue distinct traces",
+                w.name
+            );
+        }
     }
 
     #[test]
@@ -506,9 +686,11 @@ mod tests {
                 .map_or(1, |&(_, n)| n);
             assert_eq!(stream.distinct_traces(), want, "{}", w.name);
             assert_eq!(stream.warps(), 32, "{}", w.name);
+            let priced: u64 = ctx.baseline_cell(i).issues.iter().sum();
+            assert_eq!(priced, stream.warp_instructions(), "{}", w.name);
             traces += stream.distinct_traces();
             warps += stream.warps();
-            issued += stream.warp_instructions();
+            issued += priced;
             replayed += stream.replayed_instructions();
         }
         assert_eq!((ws.len(), warps, traces), (35, 1120, 107));
@@ -544,9 +726,10 @@ mod tests {
         let ws = by_names(&["vectoradd", "scalarprod", "mandelbrot", "needle"]);
         let ctx = ExperimentCtx::new(&ws);
         crate::fig11::run(&ctx);
-        // One baseline run per workload; the HW batch and the eight SW
-        // cells replay it.
+        // One baseline run per workload: the HW batch replays it, and the
+        // eight SW cells are priced from its issue counts.
         assert_eq!(ctx.executions(), 4);
+        assert_eq!(ctx.hierarchy_replays(), 0);
     }
 
     #[test]
@@ -564,13 +747,24 @@ mod tests {
         crate::characterize::run(&ctx);
         crate::perf::run(&ctx, &[2, 8]);
         crate::hints::run(&ctx);
-        // Per workload: 1 baseline run. Its 22 SW cells, 4 HW batches
-        // (fig11, fig12, limit's flush variant, ablation's read-miss
-        // variant), limit's 8 cells under the 6-warp model, characterize,
-        // hints and perf's timing traces replay it.
+        // Per workload: 1 baseline run. Its 4 HW batches (fig11, fig12,
+        // limit's flush variant, ablation's read-miss variant) and
+        // characterize replay it, perf expands its timing traces, and its
+        // 22 SW cells, limit's 8 cells under the 6-warp model and hints'
+        // `on` kernel are priced from its issue counts: no tag-checked
+        // replay.
         assert_eq!(ctx.executions(), ws.len() as u64);
+        assert_eq!(ctx.hierarchy_replays(), 0);
         let [sw, hw] = ctx.cache_stats();
         assert_eq!(sw.entries, 22 * ws.len());
         assert_eq!(hw.entries, 18 * ws.len());
+        // The filled SW cells are exactly the oracle test's 22 configs.
+        for i in 0..ws.len() {
+            for cfg in figure_alloc_configs() {
+                ctx.sw_counts(i, &cfg);
+            }
+        }
+        let [after, _] = ctx.cache_stats();
+        assert_eq!((after.entries, after.misses), (sw.entries, sw.misses));
     }
 }

@@ -11,12 +11,11 @@
 //! stay byte-identical to the committed goldens, and this arm exists
 //! precisely to measure the non-default `--hints` path against it.
 //! No kernel runs here: hints off is the context's memoized SW cell, and
-//! hints on a tag-checked replay of the hint-allocated kernel.
+//! hints on the hint-allocated kernel priced from the context's issue
+//! counts.
 
 use rfh_alloc::AllocConfig;
 use rfh_energy::AccessCounts;
-use rfh_sim::counts::SwCounter;
-use rfh_sim::exec::ExecMode;
 use rfh_testkit::pool::par_map;
 
 use crate::ctx::ExperimentCtx;
@@ -57,8 +56,8 @@ impl HintsRow {
 /// # Panics
 ///
 /// Panics if a baseline run fails to verify, or if either allocation
-/// fails or is rejected by the tag model; the hinted pipeline is held to
-/// the same bar as the default one.
+/// fails or is demoted; the hinted pipeline is held to the same bar as
+/// the default one.
 pub fn run(ctx: &ExperimentCtx) -> Vec<HintsRow> {
     let cfg = AllocConfig::three_level(3, true);
     let model = ctx.model();
@@ -67,17 +66,11 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<HintsRow> {
         let w = &ctx.workloads()[i];
         let base = ctx.baseline(i);
         let off = ctx.sw_counts(i, &cfg);
-        let mut kernel = w.kernel.clone();
-        rfh_alloc::allocate_with_hints(&mut kernel, &cfg, model, true)
-            .unwrap_or_else(|e| panic!("{}: allocation failed: {e}", w.name));
-        let mut on = AccessCounts::default();
-        ctx.replay(
-            i,
-            &kernel,
-            ExecMode::Hierarchy(cfg),
-            SwCounter::default,
-            |c, warps| on += c.counts() * warps,
-        );
+        let kernel = ctx.allocated(i, &cfg, model, true);
+        let on = ctx
+            .price(i, &kernel)
+            .into_iter()
+            .fold(AccessCounts::default(), |a, b| a + b);
         HintsRow {
             name: w.name.clone(),
             energy_off: normalized_energy(&off, &base, model, cfg.orf_entries),

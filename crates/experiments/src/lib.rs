@@ -33,11 +33,13 @@
 //! cells per (workload, config), and fans the remaining independent sweep
 //! cells out over `rfh_testkit::pool::par_map` (`RFH_JOBS` controls the
 //! worker count). Each workload executes once: its verified baseline run
-//! also records its distinct per-warp instruction traces, and every HW
-//! batch, SW cell, instruction mix, hinted kernel and timing trace comes
-//! from that record (`rfh_sim::exec::replay`), with every operand read of
-//! an allocated kernel checked by a value-free tag model; only [`fig2`]
-//! executes on its own. The SW cells' per-strand counts also feed the §7
+//! also records its distinct per-warp instruction traces. Every HW batch
+//! and instruction mix replays that record (`rfh_sim::exec::replay`),
+//! every timing trace is expanded from it, and every SW cell and hinted
+//! kernel is priced from its issue counts
+//! (`rfh_sim::counts::price_strands`), which the tests check against a
+//! replay in which a value-free tag model checks every operand read; only
+//! [`fig2`] executes on its own. The SW cells' per-strand counts also feed the §7
 //! oracle. Results are folded in input order, so output is byte-identical
 //! for any `RFH_JOBS` value.
 

@@ -38,8 +38,8 @@ use crate::runner::{mean, normalized_energy};
 ///
 /// Allocation decisions depend on the energy model, so only the context's
 /// own model reads the shared per-strand SW cells; the 6-warp variant
-/// allocates its own kernels and replays the context's recorded baseline
-/// stream against them.
+/// allocates its own kernels and prices them from the context's issue
+/// counts.
 fn per_strand_oracle(
     ctx: &ExperimentCtx,
     i: usize,
@@ -52,7 +52,7 @@ fn per_strand_oracle(
             if model == ctx.model() {
                 ctx.sw_strand_counts(i, &cfg)
             } else {
-                ctx.replay_strand_counts(i, &cfg, model).into()
+                ctx.priced_strand_counts(i, &cfg, model).into()
             }
         })
         .collect();
@@ -124,6 +124,19 @@ fn charged_at_3(ctx: &ExperimentCtx, i: usize, base: &AccessCounts, k: usize) ->
     normalized_energy(&c, base, ctx.model(), 3)
 }
 
+/// A 6-active-warp model: the upper-level structures shrink to 6/8 of
+/// their size; scale their access energies accordingly (idealized).
+pub(crate) fn six_warp_model(model: &EnergyModel) -> EnergyModel {
+    let mut m = model.clone();
+    for row in m.orf_table.iter_mut() {
+        row.read_pj *= 0.75;
+        row.write_pj *= 0.75;
+    }
+    m.lrf_read_pj *= 0.75;
+    m.lrf_write_pj *= 0.75;
+    m
+}
+
 /// Runs the limit study. Workloads fan out over the `RFH_JOBS` pool; the
 /// realistic design, the charged-at-3 bounds, and the HW backedge
 /// variants all come from the shared context cache.
@@ -134,18 +147,7 @@ fn charged_at_3(ctx: &ExperimentCtx, i: usize, base: &AccessCounts, k: usize) ->
 pub fn run(ctx: &ExperimentCtx) -> LimitStudy {
     let model = ctx.model();
 
-    // A 6-active-warp model: the upper-level structures shrink to 6/8 of
-    // their size; scale their access energies accordingly (idealized).
-    let model6 = {
-        let mut m = model.clone();
-        for row in m.orf_table.iter_mut() {
-            row.read_pj *= 0.75;
-            row.write_pj *= 0.75;
-        }
-        m.lrf_read_pj *= 0.75;
-        m.lrf_write_pj *= 0.75;
-        m
-    };
+    let model6 = six_warp_model(model);
 
     let idx: Vec<usize> = (0..ctx.workloads().len()).collect();
     let rows: Vec<[f64; 10]> = par_map(&idx, |&i| {

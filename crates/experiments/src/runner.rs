@@ -26,8 +26,8 @@ pub fn baseline_counts(w: &Workload) -> AccessCounts {
 /// hierarchy-mode execution (every read is checked against its placement
 /// and the run is verified end-to-end).
 ///
-/// [`ExperimentCtx`](crate::ExperimentCtx) replays its SW cells instead
-/// of executing them; this is the execution oracle those replays are
+/// [`ExperimentCtx`](crate::ExperimentCtx) prices its SW cells instead
+/// of executing them; this is the execution oracle those prices are
 /// tested against.
 ///
 /// # Panics

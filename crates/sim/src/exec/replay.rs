@@ -18,11 +18,18 @@
 //!   folds each distinct trace's sink with its warp count.
 //! * [`Stream::timing_traces`] expands the warp-to-trace map into the
 //!   per-warp traces the timing model replays.
+//! * [`Stream::issue_counts`] collapses the traces one step further, to
+//!   how often each static instruction issued. Access counts need no
+//!   more than that: the counting sinks fold one access plan per warp
+//!   instruction whatever its masks, so the SW counts of any allocated
+//!   variant are *priced* from one issue-count vector
+//!   ([`crate::counts::price_strands`]) instead of replayed.
 //!
 //! In hierarchy mode the replay checks placements with the tag model
 //! hierarchy-mode execution runs inline (`super::tags`), one tag state per
 //! distinct trace, so replay and execution accept and reject the same
-//! placements.
+//! placements. Pricing checks none: it is exact only for placements the
+//! tag model accepts, which the tag-checked replay is the test oracle for.
 
 use rfh_analysis::DomTree;
 use rfh_isa::{InstrRef, Instruction, Kernel};
@@ -74,6 +81,51 @@ impl Stream {
     /// Warp instructions one replay walks: the distinct traces' total.
     pub fn replayed_instructions(&self) -> u64 {
         self.traces.iter().map(|(t, _)| t.len() as u64).sum()
+    }
+
+    /// How often each static instruction issued, indexed by flat pc (the
+    /// instruction's index in `Kernel::iter_instrs` order): the sum over
+    /// the distinct traces of each pc's occurrences times the trace's warp
+    /// count. The entries sum to [`Self::warp_instructions`].
+    pub fn issue_counts(&self) -> Vec<u64> {
+        let mut counts = vec![0; self.shape.iter().map(Vec::len).sum()];
+        for (trace, warps) in &self.traces {
+            for step in trace {
+                counts[step.pc as usize] += warps;
+            }
+        }
+        counts
+    }
+
+    /// Checks that `kernel` has the recorded kernel's shape: it may differ
+    /// only in its annotations (`read_locs`, `write_loc`, `ends_strand`,
+    /// `dead_after`), as an allocated or dead-annotated copy does.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Unsupported`] naming the first difference.
+    pub(crate) fn check_shape(&self, kernel: &Kernel) -> Result<(), ExecError> {
+        let mismatch = |what: &str, block: usize, index: usize| ExecError::Unsupported {
+            what: format!("kernel differs from the recorded one: {what}"),
+            at: InstrRef {
+                block: rfh_isa::BlockId::new(block as u32),
+                index,
+            },
+        };
+        if kernel.blocks.len() != self.shape.len() {
+            return Err(mismatch("block count", 0, 0));
+        }
+        for (b, (block, recorded)) in kernel.blocks.iter().zip(&self.shape).enumerate() {
+            if block.instrs.len() != recorded.len() {
+                return Err(mismatch("block length", b, 0));
+            }
+            if let Some(i) =
+                (0..recorded.len()).find(|&i| !same_shape(&block.instrs[i], &recorded[i]))
+            {
+                return Err(mismatch("instruction", b, i));
+            }
+        }
+        Ok(())
     }
 
     /// The per-warp timing traces of the recorded run, by global warp, as a
@@ -173,29 +225,6 @@ fn same_shape(a: &Instruction, b: &Instruction) -> bool {
         && a.target == b.target
 }
 
-fn check_shape(kernel: &Kernel, stream: &Stream) -> Result<(), ExecError> {
-    let mismatch = |what: &str, block: usize, index: usize| ExecError::Unsupported {
-        what: format!("replayed kernel differs from the recorded one: {what}"),
-        at: InstrRef {
-            block: rfh_isa::BlockId::new(block as u32),
-            index,
-        },
-    };
-    if kernel.blocks.len() != stream.shape.len() {
-        return Err(mismatch("block count", 0, 0));
-    }
-    for (b, (block, recorded)) in kernel.blocks.iter().zip(&stream.shape).enumerate() {
-        if block.instrs.len() != recorded.len() {
-            return Err(mismatch("block length", b, 0));
-        }
-        if let Some(i) = (0..recorded.len()).find(|&i| !same_shape(&block.instrs[i], &recorded[i]))
-        {
-            return Err(mismatch("instruction", b, i));
-        }
-    }
-    Ok(())
-}
-
 /// Replays `stream` against `kernel` under `mode`, counting each distinct
 /// warp trace with a fresh sink: `mk_sink()` builds it, the trace is fed
 /// to it as warp 0 followed by `on_warp_done(0)`, and `fold(sink, warps)`
@@ -235,7 +264,7 @@ where
     F: FnMut(S, u64),
 {
     check_launchable(kernel, &mode)?;
-    check_shape(kernel, stream)?;
+    stream.check_shape(kernel)?;
     let ipdom = DomTree::post_dominators(kernel);
     let dk = soa::decode(kernel, &ipdom, machine);
     let plan = match &mode {

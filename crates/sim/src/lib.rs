@@ -22,7 +22,9 @@
 //!   model;
 //! * [`sink`] — the instruction-trace observer interface (the executor
 //!   takes a slice of sinks, so observers stack without a combinator);
-//! * [`counts`] — access counting for software-managed hierarchies;
+//! * [`counts`] — access counting for software-managed hierarchies, by
+//!   observing a run or by pricing a kernel from a recorded stream's
+//!   issue counts;
 //! * [`profile`] — per-strand energy attribution (accesses × energy
 //!   model, bucketed by strand);
 //! * [`trace`] — structured trace export (JSON lines / Chrome trace);

@@ -79,8 +79,10 @@ echo "==> placement + lint chaos smoke (every placement judge, and lint's soundn
 # What the validator accepts must compute the reference image on the
 # oracle and pass execution and replay; replay must reject what the
 # oracle computes wrongly; execution and replay accept the same mutants
-# with equal counts; and what execution accepts, the oracle accepts
-# identically. `validate_placements` and lint's RFH-L006/L007 report the
+# with equal counts; what execution accepts, the oracle accepts
+# identically; and what execution accepts, pricing from the stream's
+# issue counts counts as execution does (the experiments price their SW
+# cells that way). `validate_placements` and lint's RFH-L006/L007 report the
 # findings of one static placement model
 # (`rfh_alloc::validate::placement_findings`), and the lint layer is
 # lint's soundness oracle. Bounded runs, serially and with 8 workers; the
@@ -131,6 +133,15 @@ for f in results/*.csv; do
 done
 cmp "$artifacts/repro.txt" "$artifacts/repro.jobs1.txt"
 echo "repro goldens byte-identical under RFH_JOBS=1 and RFH_JOBS=2"
+# The context prices its SW cells from one issue-count vector per
+# workload instead of replaying them. The pricing oracle test compares
+# every SW cell `repro all` and `hints` fill, on all 35 workloads, with a
+# tag-checked replay, serially and with 8 workers.
+for jobs in 1 8; do
+    RFH_JOBS=$jobs cargo test -q --offline -p rfh-experiments --lib \
+        priced_sw_cells_equal_tag_checked_replays > /dev/null
+done
+echo "priced SW cells equal tag-checked replays under RFH_JOBS=1 and RFH_JOBS=8"
 # The arms that read the context's recorded baseline stream, run alone:
 # each fills a fresh context itself instead of after fig11's sweep, so
 # this pins that their output does not depend on arm order. `hints` is the
