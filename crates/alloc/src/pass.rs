@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use rfh_analysis::absint::last_use;
 use rfh_analysis::defuse::{strand_values_opts, StrandValues};
-use rfh_analysis::liveness::{annotate_dead, Liveness};
+use rfh_analysis::liveness::Liveness;
 use rfh_analysis::strand::{mark_strands_opts, strand_canonical, StrandOpts};
 use rfh_analysis::{DomTree, ReadRef};
 use rfh_energy::EnergyModel;
@@ -441,11 +441,17 @@ fn allocate_strand(
 /// Runs the full allocation pipeline on a kernel:
 ///
 /// 1. validates the input kernel ([`rfh_isa::validate`]),
-/// 2. clears existing placements (idempotent),
-/// 3. marks strands and annotates static liveness,
+/// 2. partitions it into strands and computes liveness, reading the kernel
+///    only,
+/// 3. writes every instruction's `ends_strand` bit and resets its
+///    placements to the MRF (idempotent),
 /// 4. allocates every strand (LRF pass, then ORF pass),
 /// 5. proves the resulting placements consistent with
 ///    [`validate_placements`].
+///
+/// It is the one pass that writes the compiler's annotations (§4.1–4.6);
+/// the `dead_after` bits belong to the HW cache baseline and are left as
+/// they are.
 ///
 /// If step 5 ever fails — an allocator bug, not a caller error — the kernel
 /// is *demoted*: all placements are reset to the single-level MRF baseline
@@ -470,9 +476,8 @@ pub fn allocate(
 /// set, the abstract-interpretation last-use pass
 /// ([`rfh_analysis::absint::last_use`]) runs first, and
 ///
-/// * static `dead_after` flags are computed under the refined
-///   (covered-read-excluding) liveness, releasing ORF/LRF entries at the
-///   provable last read instead of region end;
+/// * the refined (covered-read-excluding) liveness decides which values
+///   live out of their strand and so keep an MRF copy;
 /// * covered reads attach to their covering in-strand guarded definition,
 ///   so values whose reads are all covered skip the MRF copy entirely.
 ///
@@ -583,26 +588,22 @@ fn run(
     mut memo: Option<&mut Memo<'_>>,
 ) -> Result<AllocStats, AllocError> {
     rfh_isa::validate(kernel)?;
-    // Reset all placements to the single-level baseline.
-    reset_placements(kernel);
-
     let info = mark_strands_opts(
         kernel,
         StrandOpts {
             split_on_deschedule: !config.ideal_no_deschedule_split,
         },
     );
-    // The hint pass requires `ends_strand` bits, so it runs after strand
-    // marking.
-    let hints = use_hints.then(|| last_use::analyze(kernel));
+    let hints = use_hints.then(|| last_use::analyze(kernel, &info));
     let liveness = match &hints {
         Some(h) => h.liveness.clone(),
         None => Liveness::compute(kernel),
     };
-    match &hints {
-        Some(h) => h.apply_dead_flags(kernel),
-        None => annotate_dead(kernel, &liveness),
+    let instrs = kernel.blocks.iter_mut().flat_map(|b| b.instrs.iter_mut());
+    for (instr, end) in instrs.zip(info.end_bits()) {
+        instr.ends_strand = *end;
     }
+    reset_placements(kernel);
 
     let mut stats = AllocStats {
         strands: info.strands.len(),

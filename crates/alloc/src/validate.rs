@@ -565,8 +565,9 @@ BB0:
 ",
         )
         .unwrap();
-        // Re-mark strands: the consumer of r2 starts a new strand.
-        rfh_analysis::strand::mark_strands(&mut k);
+        // Mark strands: the consumer of r2 starts a new strand.
+        let model = rfh_energy::EnergyModel::paper();
+        crate::allocate(&mut k, &AllocConfig::baseline(), &model).unwrap();
         k.instr_mut(at(0, 0)).write_loc = WriteLoc::Orf {
             entry: 0,
             also_mrf: false,
@@ -724,7 +725,8 @@ BB2:
 ",
         )
         .unwrap();
-        rfh_analysis::strand::mark_strands(&mut k);
+        let model = rfh_energy::EnergyModel::paper();
+        crate::allocate(&mut k, &AllocConfig::baseline(), &model).unwrap();
         let cfg = AllocConfig::two_level(3);
         // fadd r5 written only to the ORF: the next iteration's MRF read
         // of r5 observes the stale init value.

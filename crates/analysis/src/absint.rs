@@ -1208,17 +1208,21 @@ pub mod last_use {
     //! the allocator can keep the value out of the MRF entirely.
     //!
     //! Coverage is deliberately strand-local (the map resets at every
-    //! `ends_strand` instruction): the allocator's per-strand value
-    //! machinery may only attach a covered read to a definition in the
-    //! *same* strand, since inter-strand communication must go through the
-    //! MRF (paper §4.1). Callers must therefore run strand marking before
-    //! [`analyze`].
+    //! strand end): the allocator's per-strand value machinery may only
+    //! attach a covered read to a definition in the *same* strand, since
+    //! inter-strand communication must go through the MRF (paper §4.1).
+    //! [`analyze`] therefore takes the strand partition
+    //! ([`crate::strand::mark_strands`]) and reads the strand ends from it,
+    //! never from the kernel's `ends_strand` bits. The hints are a value:
+    //! the allocator consumes them, and the HW dead bits under the refined
+    //! liveness are [`crate::liveness::annotate_dead_excluding`]'s.
 
     use std::collections::HashMap;
 
     use rfh_isa::{InstrRef, Kernel, PredReg, Reg};
 
-    use crate::liveness::{annotate_dead_excluding, ExcludedReads, Liveness};
+    use crate::liveness::{ExcludedReads, Liveness};
+    use crate::strand::StrandInfo;
 
     /// Last-use hints for one kernel: the covered reads, the matching
     /// excluded-read set, and the refined liveness built with it.
@@ -1233,21 +1237,11 @@ pub mod last_use {
         pub liveness: Liveness,
     }
 
-    impl LastUseHints {
-        /// Rewrites the kernel's `dead_after` flags under the refined
-        /// liveness: covered reads no longer keep their register live, so
-        /// strictly more reads are marked as last uses.
-        pub fn apply_dead_flags(&self, kernel: &mut Kernel) {
-            annotate_dead_excluding(kernel, &self.liveness, &self.excluded);
-        }
-    }
-
-    /// Computes last-use hints. Requires `ends_strand` bits to be present
-    /// (run `strand::mark_strands` first); without them, coverage would
-    /// leak across strand boundaries and the hints would be unsound for
-    /// the allocator.
-    pub fn analyze(kernel: &Kernel) -> LastUseHints {
+    /// Computes last-use hints for `kernel`, partitioned into strands by
+    /// `info` (its [`crate::strand::mark_strands`] result).
+    pub fn analyze(kernel: &Kernel, info: &StrandInfo) -> LastUseHints {
         let mut covered: HashMap<(InstrRef, usize), InstrRef> = HashMap::new();
+        let mut ends = info.end_bits().iter();
         for b in &kernel.blocks {
             // Registers whose current value was written by a guarded def
             // in this block and strand, keyed by the exact guard.
@@ -1281,7 +1275,7 @@ pub mod last_use {
                 }
                 // Inter-strand values go through the MRF: never cover
                 // across a strand endpoint.
-                if ins.ends_strand {
+                if ends.next() == Some(&true) {
                     cover.clear();
                 }
             }
@@ -1686,7 +1680,7 @@ BB0:
 
     #[test]
     fn last_use_covers_same_guard_chain() {
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel lu
 BB0:
@@ -1699,8 +1693,7 @@ BB0:
 ",
         )
         .unwrap();
-        crate::strand::mark_strands(&mut k);
-        let hints = last_use::analyze(&k);
+        let hints = last_use::analyze(&k, &crate::strand::mark_strands(&k));
         // The @p0 reads of r6 and r8 observe the in-strand @p0 defs.
         assert_eq!(hints.covered.get(&(at(0, 3), 0)), Some(&at(0, 2)));
         assert_eq!(hints.covered.get(&(at(0, 3), 1)), Some(&at(0, 2)));
@@ -1714,7 +1707,7 @@ BB0:
 
     #[test]
     fn last_use_respects_strand_and_pred_boundaries() {
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel lb
 BB0:
@@ -1729,8 +1722,7 @@ BB0:
 ",
         )
         .unwrap();
-        crate::strand::mark_strands(&mut k);
-        let hints = last_use::analyze(&k);
+        let hints = last_use::analyze(&k, &crate::strand::mark_strands(&k));
         // The read of r1 at index 3 follows a redefinition of p0: the
         // guard equivalence is broken, no coverage.
         assert!(!hints.covered.contains_key(&(at(0, 3), 0)));

@@ -774,8 +774,8 @@ mod tests {
     use rfh_isa::parse_kernel;
 
     fn analyze(text: &str) -> (Kernel, StrandInfo, Vec<StrandValues>) {
-        let mut k = parse_kernel(text).unwrap();
-        let info = mark_strands(&mut k);
+        let k = parse_kernel(text).unwrap();
+        let info = mark_strands(&k);
         let lv = Liveness::compute(&k);
         let values = all_strand_values(&k, &info, &lv);
         (k, info, values)
@@ -1003,7 +1003,7 @@ mod guarded_live_in_tests {
     /// after it are tainted and stay on the MRF.
     #[test]
     fn guarded_def_of_fresh_register_keeps_live_in() {
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel g
 BB0:
@@ -1014,7 +1014,7 @@ BB0:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
+        let info = mark_strands(&k);
         let lv = Liveness::compute(&k);
         let values = all_strand_values(&k, &info, &lv);
         let def = values[0]
@@ -1031,7 +1031,7 @@ BB0:
     /// instance and the MRF copy is elided.
     #[test]
     fn covered_reads_attach_with_hints() {
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel h
 BB0:
@@ -1042,8 +1042,8 @@ BB0:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
-        let hints = crate::absint::last_use::analyze(&k);
+        let info = mark_strands(&k);
+        let hints = crate::absint::last_use::analyze(&k, &info);
         let values = all_strand_values_opts(&k, &info, &hints.liveness, Some(&hints));
         let find = |r: u16| {
             values[0]
@@ -1073,17 +1073,16 @@ mod dense_tests {
 
     /// Compares both implementations on every strand of `kernel`, field by
     /// field, with last-use hints off or on.
-    fn compare(kernel: &Kernel, hinted: bool) -> Result<(), String> {
-        let mut k = kernel.clone();
-        let info = mark_strands(&mut k);
-        let hints = hinted.then(|| crate::absint::last_use::analyze(&k));
+    fn compare(k: &Kernel, hinted: bool) -> Result<(), String> {
+        let info = mark_strands(k);
+        let hints = hinted.then(|| crate::absint::last_use::analyze(k, &info));
         let liveness = match &hints {
             Some(h) => h.liveness.clone(),
-            None => Liveness::compute(&k),
+            None => Liveness::compute(k),
         };
         for s in &info.strands {
-            let new = strand_values_opts(&k, &info, &liveness, s.id, hints.as_ref());
-            let old = oracle::strand_values_opts(&k, &info, &liveness, s.id, hints.as_ref());
+            let new = strand_values_opts(k, &info, &liveness, s.id, hints.as_ref());
+            let old = oracle::strand_values_opts(k, &info, &liveness, s.id, hints.as_ref());
             let at = format!("{} strand {} (hints {hinted})", k.name, s.id.0);
             prop_assert_eq!(new.instances.len(), old.instances.len(), "{at}: instances");
             for (a, b) in new.instances.iter().zip(&old.instances) {
@@ -1134,8 +1133,7 @@ mod dense_tests {
     fn values(text: &str) -> Vec<StrandValues> {
         let k = parse_kernel(text).unwrap();
         compare(&k, false).unwrap();
-        let mut k = k;
-        let info = mark_strands(&mut k);
+        let info = mark_strands(&k);
         all_strand_values(&k, &info, &Liveness::compute(&k))
     }
 

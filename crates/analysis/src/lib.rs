@@ -16,8 +16,8 @@
 //! * [`liveness`] — block-level register liveness, the `dead_after`
 //!   annotation pass (static liveness encoded in the binary, used by the HW
 //!   RFC to elide writebacks of dead values, §2.2), and live-range queries;
-//! * [`strand`] — partitions a kernel into strands and sets the
-//!   `ends_strand` instruction bit: a strand ends at a dependence on a
+//! * [`strand`] — partitions a kernel into strands and computes the
+//!   `ends_strand` instruction bits: a strand ends at a dependence on a
 //!   long-latency operation issued in the same strand, at a backward
 //!   branch, at a block targeted by a backward branch, at a barrier, and at
 //!   control-flow joins where the set of pending long-latency events is
@@ -30,6 +30,11 @@
 //!   [`absint::last_use`] hint pass (covered reads under matching guards)
 //!   that powers compiler-assisted early release in `rfh-alloc`.
 //!
+//! The analyses read the kernel and return their facts as values. The one
+//! exception is the HW baseline's dead-bit encoder,
+//! [`liveness::annotate_dead`] (and [`liveness::annotate_dead_excluding`]),
+//! which writes `dead_after`. The compiler's own annotations, the strand
+//! ends and the placements, are written by `rfh_alloc::allocate` alone.
 //! The output of [`strand::mark_strands`] + [`defuse::strand_values`] is
 //! exactly the input the allocation algorithms in `rfh-alloc` consume.
 

@@ -106,6 +106,9 @@ pub struct StrandInfo {
     pub strands: Vec<Strand>,
     /// Strand id per instruction, indexed by flat layout position.
     instr_map: Vec<u32>,
+    /// The `ends_strand` bit per instruction, indexed by flat layout
+    /// position.
+    ends: Vec<bool>,
     /// Flat layout position of each block's first instruction (see
     /// [`Kernel::block_starts`]).
     block_start: Vec<usize>,
@@ -135,6 +138,14 @@ impl StrandInfo {
     /// Panics if `at.block` is out of range.
     fn flat(&self, at: InstrRef) -> usize {
         self.block_start[at.block.index()] + at.index
+    }
+
+    /// The `ends_strand` bit of every instruction, indexed by flat layout
+    /// position (the instruction's index in [`Kernel::iter_instrs`] order):
+    /// set on the last instruction of every strand except a trailing run
+    /// that falls off the kernel's end.
+    pub fn end_bits(&self) -> &[bool] {
+        &self.ends
     }
 
     /// The position of `at` within strand `sid` (0-based, layout order),
@@ -171,6 +182,16 @@ impl StrandInfo {
     }
 }
 
+/// Writes `info`'s end bits onto `kernel`, as `rfh_alloc::allocate` does
+/// for the readers of the encoded bits ([`segment_ids`], [`walk_segments`]).
+#[cfg(test)]
+pub(crate) fn encode(kernel: &mut Kernel, info: &StrandInfo) {
+    let instrs = kernel.blocks.iter_mut().flat_map(|b| b.instrs.iter_mut());
+    for (instr, end) in instrs.zip(info.end_bits()) {
+        instr.ends_strand = *end;
+    }
+}
+
 /// Options for strand partitioning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrandOpts {
@@ -190,26 +211,26 @@ impl Default for StrandOpts {
     }
 }
 
-/// Partitions `kernel` into strands, setting the `ends_strand` bit on the
-/// last instruction of each strand, and returns the strand structure.
+/// Partitions `kernel` into strands and returns the strand structure,
+/// including the `ends_strand` bit of every instruction
+/// ([`StrandInfo::end_bits`]).
 ///
-/// The pass is idempotent: all existing `ends_strand` bits are cleared
-/// first.
-pub fn mark_strands(kernel: &mut Kernel) -> StrandInfo {
+/// The kernel is only read: the `ends_strand` bits it already carries are
+/// ignored, and the returned bits are encoded onto an allocated kernel by
+/// `rfh_alloc::allocate`.
+pub fn mark_strands(kernel: &Kernel) -> StrandInfo {
     mark_strands_opts(kernel, StrandOpts::default())
 }
 
 /// [`mark_strands`] with explicit [`StrandOpts`].
-pub fn mark_strands_opts(kernel: &mut Kernel, opts: StrandOpts) -> StrandInfo {
+pub fn mark_strands_opts(kernel: &Kernel, opts: StrandOpts) -> StrandInfo {
     let n = kernel.blocks.len();
     let num_regs = kernel.num_regs();
     let dom = DomTree::dominators(kernel);
-
-    for b in kernel.blocks.iter_mut() {
-        for i in b.instrs.iter_mut() {
-            i.ends_strand = false;
-        }
-    }
+    let block_start = kernel.block_starts();
+    // Why each strand-ending instruction ends its strand, by flat layout
+    // position; `None` where the `ends_strand` bit stays clear.
+    let mut ends: Vec<Option<EndReason>> = vec![None; kernel.instr_count()];
 
     // Blocks targeted by a backward branch begin new strands.
     let mut loop_header = vec![false; n];
@@ -222,14 +243,12 @@ pub fn mark_strands_opts(kernel: &mut Kernel, opts: StrandOpts) -> StrandInfo {
     }
 
     let preds = kernel.predecessors();
-    let mut reasons: HashMap<InstrRef, EndReason> = HashMap::new();
     let mut entry_boundary = vec![false; n];
     let mut entry_reason = vec![EndReason::UncertainJoin; n];
     let mut pending_out: Vec<Option<RegSet>> = vec![None; n];
 
-    for bi in 0..n {
-        let id = BlockId::new(bi as u32);
-        if !dom.is_reachable(id) {
+    for (bi, block) in kernel.blocks.iter().enumerate() {
+        if !dom.is_reachable(block.id) {
             continue;
         }
         let mut pending = if loop_header[bi] {
@@ -257,62 +276,45 @@ pub fn mark_strands_opts(kernel: &mut Kernel, opts: StrandOpts) -> StrandInfo {
             }
         };
 
-        let block = &mut kernel.blocks[bi];
-        let block_len = block.instrs.len();
-        for i in 0..block_len {
-            let reads_pending = opts.split_on_deschedule
-                && block.instrs[i].reg_srcs().any(|(_, r)| pending.contains(r));
+        let start = block_start[bi];
+        for (i, instr) in block.instrs.iter().enumerate() {
+            let reads_pending =
+                opts.split_on_deschedule && instr.reg_srcs().any(|(_, r)| pending.contains(r));
             if reads_pending {
                 if i == 0 {
                     entry_boundary[bi] = true;
                     entry_reason[bi] = EndReason::LongLatencyDep;
                 } else {
-                    block.instrs[i - 1].ends_strand = true;
-                    reasons.insert(
-                        InstrRef {
-                            block: id,
-                            index: i - 1,
-                        },
-                        EndReason::LongLatencyDep,
-                    );
+                    ends[start + i - 1] = Some(EndReason::LongLatencyDep);
                 }
                 pending.clear();
             }
 
-            let at = InstrRef {
-                block: id,
-                index: i,
-            };
-            let instr = &mut block.instrs[i];
+            let end = &mut ends[start + i];
             if instr.op.is_barrier() && opts.split_on_deschedule {
-                instr.ends_strand = true;
-                reasons.insert(at, EndReason::Barrier);
+                *end = Some(EndReason::Barrier);
                 pending.clear();
             }
             if instr.op.is_branch() {
                 let target = instr.target.expect("validated branch");
-                if target <= id {
-                    instr.ends_strand = true;
-                    reasons.insert(at, EndReason::BackwardBranch);
+                if target <= block.id {
+                    *end = Some(EndReason::BackwardBranch);
                     pending.clear();
                 }
             }
             if instr.op.is_exit() && instr.guard.is_none() {
-                instr.ends_strand = true;
-                reasons.insert(at, EndReason::KernelEnd);
+                *end = Some(EndReason::KernelEnd);
                 pending.clear();
             }
             // Strong defs retire the old pending value; long-latency defs
             // begin new pending events.
             if instr.guard.is_none() {
-                let defs: Vec<_> = instr.def_regs().collect();
-                for r in defs {
+                for r in instr.def_regs() {
                     pending.remove(r);
                 }
             }
             if instr.op.is_long_latency() {
-                let defs: Vec<_> = instr.def_regs().collect();
-                for r in defs {
+                for r in instr.def_regs() {
                     pending.insert(r);
                 }
             }
@@ -337,18 +339,9 @@ pub fn mark_strands_opts(kernel: &mut Kernel, opts: StrandOpts) -> StrandInfo {
             marks.push(BlockId::new(bi as u32 - 1));
         }
         for p in marks {
-            let pb = &mut kernel.blocks[p.index()];
-            let last = pb.instrs.len().checked_sub(1).expect("blocks are nonempty");
-            if !pb.instrs[last].ends_strand {
-                pb.instrs[last].ends_strand = true;
-                reasons.insert(
-                    InstrRef {
-                        block: p,
-                        index: last,
-                    },
-                    entry_reason[bi],
-                );
-            }
+            let len = kernel.block(p).instrs.len();
+            let last = len.checked_sub(1).expect("blocks are nonempty");
+            ends[block_start[p.index()] + last].get_or_insert(entry_reason[bi]);
         }
     }
 
@@ -366,20 +359,10 @@ pub fn mark_strands_opts(kernel: &mut Kernel, opts: StrandOpts) -> StrandInfo {
             end_reason: reason,
         });
     };
-    for b in &kernel.blocks {
-        for (i, instr) in b.instrs.iter().enumerate() {
-            let at = InstrRef {
-                block: b.id,
-                index: i,
-            };
-            current.push(at);
-            if instr.ends_strand {
-                let reason = reasons
-                    .get(&at)
-                    .copied()
-                    .unwrap_or(EndReason::UncertainJoin);
-                close(&mut current, &mut strands, reason);
-            }
+    for ((at, _), end) in kernel.iter_instrs().zip(&ends) {
+        current.push(at);
+        if let Some(reason) = end {
+            close(&mut current, &mut strands, *reason);
         }
     }
     close(&mut current, &mut strands, EndReason::KernelEnd);
@@ -391,7 +374,8 @@ pub fn mark_strands_opts(kernel: &mut Kernel, opts: StrandOpts) -> StrandInfo {
     StrandInfo {
         strands,
         instr_map,
-        block_start: kernel.block_starts(),
+        ends: ends.iter().map(Option::is_some).collect(),
+        block_start,
         preds,
     }
 }
@@ -408,10 +392,15 @@ mod tests {
         }
     }
 
+    /// The end bit marking gives the instruction at `(b, i)`.
+    fn ends(info: &StrandInfo, b: u32, i: usize) -> bool {
+        info.end_bits()[info.flat(at(b, i))]
+    }
+
     #[test]
     fn long_latency_dependence_splits_strand() {
         // Figure 5a, Strand 1: ld.global then a consumer.
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel f5a
 BB0:
@@ -422,10 +411,10 @@ BB0:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
+        let info = mark_strands(&k);
         // Independent iadd stays in strand 1; the consumer of r1 starts
         // strand 2.
-        assert!(k.blocks[0].instrs[1].ends_strand);
+        assert!(ends(&info, 0, 1));
         assert_eq!(info.strands.len(), 2);
         assert_eq!(info.strands[0].end_reason, EndReason::LongLatencyDep);
         assert!(info.strands[0].end_reason.deschedules());
@@ -434,7 +423,7 @@ BB0:
 
     #[test]
     fn backward_branch_ends_strand_and_header_starts_one() {
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel lp
 BB0:
@@ -448,11 +437,11 @@ BB2:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
+        let info = mark_strands(&k);
         // BB0's terminator marked (BB1 is a loop header); the backward
         // branch marked.
-        assert!(k.blocks[0].instrs[0].ends_strand);
-        assert!(k.blocks[1].instrs[2].ends_strand);
+        assert!(ends(&info, 0, 0));
+        assert!(ends(&info, 1, 2));
         assert_eq!(info.strands.len(), 3);
         assert_eq!(info.strands[0].end_reason, EndReason::LoopHeader);
         assert_eq!(info.strands[1].end_reason, EndReason::BackwardBranch);
@@ -465,7 +454,7 @@ BB2:
     fn uncertain_join_inserts_endpoint() {
         // Figure 5b: a long-latency load on only one side of a hammock;
         // the merge block gets an endpoint.
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel f5b
 BB0:
@@ -479,10 +468,10 @@ BB2:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
+        let info = mark_strands(&k);
         // Both predecessors of BB2 end a strand.
-        assert!(k.blocks[0].instrs[1].ends_strand, "branch side marked");
-        assert!(k.blocks[1].instrs[0].ends_strand, "load side marked");
+        assert!(ends(&info, 0, 1), "branch side marked");
+        assert!(ends(&info, 1, 0), "load side marked");
         // BB2 begins a new strand.
         let s2 = info.strand_of(at(2, 0));
         assert_ne!(info.strand_of(at(0, 0)), s2);
@@ -498,7 +487,7 @@ BB2:
         // Both sides issue the same long-latency load into r1: the join's
         // pending sets agree, so no uncertain endpoint is inserted; the
         // strand ends only at the consumer of r1.
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel sym
 BB0:
@@ -516,10 +505,10 @@ BB3:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
+        let info = mark_strands(&k);
         // BB3's first instruction continues the strand; the endpoint falls
         // before the consumer of r1.
-        assert!(k.blocks[3].instrs[0].ends_strand);
+        assert!(ends(&info, 3, 0));
         assert_eq!(
             info.strand_of(at(3, 0)),
             info.strand_of(at(1, 0)),
@@ -533,7 +522,7 @@ BB3:
 
     #[test]
     fn barrier_ends_strand() {
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel b
 BB0:
@@ -544,8 +533,8 @@ BB0:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
-        assert!(k.blocks[0].instrs[1].ends_strand);
+        let info = mark_strands(&k);
+        assert!(ends(&info, 0, 1));
         assert_eq!(info.strands[0].end_reason, EndReason::Barrier);
         assert!(info.strands[0].end_reason.deschedules());
     }
@@ -554,7 +543,7 @@ BB0:
     fn overwritten_pending_value_is_retired() {
         // The long-latency result in r1 is overwritten by a short op before
         // any read: no strand split.
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel ow
 BB0:
@@ -565,13 +554,13 @@ BB0:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
+        let info = mark_strands(&k);
         assert_eq!(info.strands.len(), 1);
     }
 
     #[test]
     fn strands_are_idempotent() {
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel i
 BB0:
@@ -581,16 +570,18 @@ BB0:
 ",
         )
         .unwrap();
-        let a = mark_strands(&mut k);
-        let snapshot = k.clone();
-        let b = mark_strands(&mut k);
-        assert_eq!(k, snapshot);
+        // Marking ignores the bits the kernel already carries.
+        let a = mark_strands(&k);
+        let mut marked = k.clone();
+        encode(&mut marked, &a);
+        let b = mark_strands(&marked);
+        assert_eq!(a.end_bits(), b.end_bits());
         assert_eq!(a.strands.len(), b.strands.len());
     }
 
     #[test]
     fn strand_blocks_listing() {
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel sb
 BB0:
@@ -601,7 +592,7 @@ BB1:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
+        let info = mark_strands(&k);
         assert_eq!(info.strands.len(), 1);
         assert_eq!(
             info.strands[0].blocks(),
@@ -611,8 +602,8 @@ BB1:
 
     #[test]
     fn exit_closes_final_strand() {
-        let mut k = parse_kernel(".kernel e\nBB0:\n  exit\n").unwrap();
-        let info = mark_strands(&mut k);
+        let k = parse_kernel(".kernel e\nBB0:\n  exit\n").unwrap();
+        let info = mark_strands(&k);
         assert_eq!(info.strands.len(), 1);
         assert_eq!(info.strands[0].end_reason, EndReason::KernelEnd);
     }
@@ -884,8 +875,8 @@ mod canonical_tests {
     use rfh_isa::parse_kernel;
 
     fn canon_all(text: &str) -> Vec<String> {
-        let mut k = parse_kernel(text).unwrap();
-        let info = mark_strands(&mut k);
+        let k = parse_kernel(text).unwrap();
+        let info = mark_strands(&k);
         let lv = Liveness::compute(&k);
         let dom = DomTree::dominators(&k);
         info.strands
@@ -992,7 +983,7 @@ mod segment_tests {
 
     #[test]
     fn segment_ids_match_strand_info() {
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel s
 BB0:
@@ -1003,7 +994,9 @@ BB0:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
+        let info = mark_strands(&k);
+        let mut k = k;
+        encode(&mut k, &info);
         let ids = segment_ids(&k);
         for (at, _) in k.iter_instrs() {
             assert_eq!(
@@ -1023,7 +1016,7 @@ mod nested_loop_tests {
 
     #[test]
     fn nested_loops_partition_cleanly() {
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel nested
 BB0:
@@ -1045,24 +1038,13 @@ BB4:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
+        let info = mark_strands(&k);
         // Both headers (BB1, BB2) start strands; both latches end them.
-        assert!(
-            k.blocks[0].instrs.last().unwrap().ends_strand,
-            "entry→outer header"
-        );
-        assert!(
-            k.blocks[1].instrs.last().unwrap().ends_strand,
-            "outer body→inner header"
-        );
-        assert!(
-            k.blocks[2].instrs.last().unwrap().ends_strand,
-            "inner latch"
-        );
-        assert!(
-            k.blocks[3].instrs.last().unwrap().ends_strand,
-            "outer latch"
-        );
+        let terminator_ends = |b: usize| info.end_bits()[k.block_starts()[b + 1] - 1];
+        assert!(terminator_ends(0), "entry→outer header");
+        assert!(terminator_ends(1), "outer body→inner header");
+        assert!(terminator_ends(2), "inner latch");
+        assert!(terminator_ends(3), "outer latch");
         // The inner body is one strand; no strand spans either backedge.
         let inner = info.strand_of(rfh_isa::InstrRef {
             block: BlockId::new(2),
@@ -1092,7 +1074,7 @@ mod disconnected_header_tests {
     /// branch) must still begin its own strand.
     #[test]
     fn loop_header_after_disconnected_block_starts_new_strand() {
-        let mut k = parse_kernel(
+        let k = parse_kernel(
             "
 .kernel dh
 BB0:
@@ -1111,7 +1093,7 @@ BB3:
 ",
         )
         .unwrap();
-        let info = mark_strands(&mut k);
+        let info = mark_strands(&k);
         // BB1 (reachable only as dead-ish side path? here BB1 is actually
         // unreachable from entry, but it is layout-previous to BB2).
         let header_strand = info.strand_of(InstrRef {
@@ -1126,8 +1108,10 @@ BB3:
             header_strand, prev_strand,
             "header must not be glued to BB1"
         );
-        assert!(k.blocks[1].instrs.last().unwrap().ends_strand);
-        // Segmentation from bits agrees with StrandInfo.
+        assert!(info.end_bits()[k.block_starts()[2] - 1]);
+        // Segmentation from the encoded bits agrees with StrandInfo.
+        let mut k = k;
+        encode(&mut k, &info);
         let ids = segment_ids(&k);
         for (at, _) in k.iter_instrs() {
             assert_eq!(

@@ -1,6 +1,6 @@
 #[test]
 fn loop_header_after_nonpred_block() {
-    let mut k = rfh_isa::parse_kernel(
+    let k = rfh_isa::parse_kernel(
         "
 .kernel gap
 BB0:
@@ -18,7 +18,7 @@ BB3:
 ",
     )
     .unwrap();
-    let info = rfh_analysis::strand::mark_strands(&mut k);
+    let info = rfh_analysis::strand::mark_strands(&k);
     for (si, s) in info.strands.iter().enumerate() {
         eprintln!("strand {si}: {:?} reason {:?}", s.blocks(), s.end_reason);
     }

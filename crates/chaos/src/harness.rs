@@ -890,12 +890,11 @@ pub fn run_absint_layer(
         ctas: Some(w.launch.ctas as u32),
     };
     let warps_per_cta = w.launch.threads_per_cta.div_ceil(machine.warp_width);
-    run_ir_cases("absint", w, cases, base_seed, |mut mutant| {
+    run_ir_cases("absint", w, cases, base_seed, |mutant| {
         // The analyses must be panic-free and sound on any kernel that
         // passed validation — mutants included.
-        mark_strands(&mut mutant);
         let res = absint::analyze(&mutant, ctx);
-        let hints = last_use::analyze(&mutant);
+        let hints = last_use::analyze(&mutant, &mark_strands(&mutant));
         let mut sink = CheckSink::new(&mutant, &res, &hints, warps_per_cta, machine.warp_width);
         // Hint-guided allocation must preserve the mutant's semantics.
         let outcome = differential(&mutant, cfg, true, w, &mut [&mut sink]);

@@ -1,12 +1,12 @@
 //! Workload characterization: the benchmark-property table papers print
 //! next to Table 1 — dynamic instruction counts, instruction mix, register
 //! demand, strand structure, and divergence.
-//! Every count is a per-warp sum, folded from the context's recorded
-//! baseline stream replayed against the strand-marked kernel.
+//! Every count is a per-warp sum over the context's recorded baseline
+//! stream: the mix and the strand ends weigh each static instruction by
+//! how often it issued, and divergence counts the stream's partial-mask
+//! steps. Nothing is replayed.
 
 use rfh_isa::Unit;
-use rfh_sim::exec::ExecMode;
-use rfh_sim::sink::{InstrEvent, TraceSink};
 use rfh_testkit::pool::par_map;
 
 use crate::ctx::ExperimentCtx;
@@ -40,49 +40,6 @@ pub struct Character {
     pub mean_strand_len: f64,
 }
 
-#[derive(Default)]
-struct MixSink {
-    total: u64,
-    alu: u64,
-    mem: u64,
-    sfu: u64,
-    tex: u64,
-    divergent: u64,
-    strand_ends: u64,
-}
-
-impl TraceSink for MixSink {
-    fn on_instr(&mut self, ev: &InstrEvent<'_>) {
-        self.total += 1;
-        match ev.instr.op.unit() {
-            Unit::Alu => self.alu += 1,
-            Unit::Mem => self.mem += 1,
-            Unit::Sfu => self.sfu += 1,
-            Unit::Tex => self.tex += 1,
-            Unit::Control => {}
-        }
-        if ev.active_mask.count_ones() < 32 {
-            self.divergent += 1;
-        }
-        if ev.instr.ends_strand {
-            self.strand_ends += 1;
-        }
-    }
-}
-
-impl MixSink {
-    /// Adds `warps` copies of one replayed trace's counts.
-    fn add(&mut self, trace: &MixSink, warps: u64) {
-        self.total += trace.total * warps;
-        self.alu += trace.alu * warps;
-        self.mem += trace.mem * warps;
-        self.sfu += trace.sfu * warps;
-        self.tex += trace.tex * warps;
-        self.divergent += trace.divergent * warps;
-        self.strand_ends += trace.strand_ends * warps;
-    }
-}
-
 /// Characterizes every workload, fanning the workloads out over the
 /// `RFH_JOBS` pool.
 ///
@@ -94,29 +51,36 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Character> {
     let idx: Vec<usize> = (0..ctx.workloads().len()).collect();
     par_map(&idx, |&i| {
         let w = &ctx.workloads()[i];
-        let mut kernel = w.kernel.clone();
-        let info = rfh_analysis::strand::mark_strands(&mut kernel);
-        let mut sink = MixSink::default();
-        ctx.replay(
-            i,
-            &kernel,
-            ExecMode::Baseline,
-            MixSink::default,
-            |t, warps| sink.add(&t, warps),
-        );
-        let t = sink.total.max(1) as f64;
+        let info = rfh_analysis::strand::mark_strands(&w.kernel);
+        let issues = ctx.issue_counts(i);
+        let [mut alu, mut mem, mut sfu, mut tex, mut strand_ends] = [0u64; 5];
+        let static_instrs = w.kernel.iter_instrs().zip(issues).zip(info.end_bits());
+        for (((_, instr), &n), &ends) in static_instrs {
+            match instr.op.unit() {
+                Unit::Alu => alu += n,
+                Unit::Mem => mem += n,
+                Unit::Sfu => sfu += n,
+                Unit::Tex => tex += n,
+                Unit::Control => {}
+            }
+            if ends {
+                strand_ends += n;
+            }
+        }
+        let total: u64 = issues.iter().sum();
+        let t = total.max(1) as f64;
         Character {
             name: w.name.clone(),
             suite: w.suite.to_string(),
-            warp_instructions: sink.total,
-            alu_frac: sink.alu as f64 / t,
-            mem_frac: sink.mem as f64 / t,
-            sfu_frac: sink.sfu as f64 / t,
-            tex_frac: sink.tex as f64 / t,
-            divergent_frac: sink.divergent as f64 / t,
-            registers: kernel.num_regs(),
+            warp_instructions: total,
+            alu_frac: alu as f64 / t,
+            mem_frac: mem as f64 / t,
+            sfu_frac: sfu as f64 / t,
+            tex_frac: tex as f64 / t,
+            divergent_frac: ctx.stream(i).divergent_instructions() as f64 / t,
+            registers: w.kernel.num_regs(),
             strands: info.strands.len(),
-            mean_strand_len: sink.total as f64 / sink.strand_ends.max(1) as f64,
+            mean_strand_len: total as f64 / strand_ends.max(1) as f64,
         }
     })
 }

@@ -36,20 +36,20 @@
 //!   dead-annotated kernel once with one [`HwCounter`] per
 //!   not-yet-cached configuration (the cache has state, so it cannot be
 //!   priced);
-//! * `characterize` replays it too (its mix reads the active masks), and
-//!   `perf` expands its timing traces from it
+//! * `characterize` sums its mix and strand ends from the issue counts and
+//!   its divergence from the stream ([`Stream::divergent_instructions`]),
+//!   and `perf` expands its timing traces from it
 //!   ([`Stream::timing_traces`]).
 //!
-//! The tag-checked hierarchy-mode replay is the test oracle of pricing:
-//! the context's tests compare the two on every SW cell `repro all` and
-//! `hints` fill. [`ExperimentCtx::executions`] counts the real
-//! executions and [`ExperimentCtx::hierarchy_replays`] the tag-checked
-//! replays (none outside those tests); `fig2`, which takes no context, is
-//! the one `repro` arm that executes on its own. All cached quantities
-//! are deterministic functions of their key; concurrent computation of
-//! the same key is benign (first writer wins, results are identical) but
-//! does the work twice, so the experiments request each cell from one
-//! pool item.
+//! The HW batches are the context's only replays. The tag-checked
+//! hierarchy-mode replay is the test oracle of pricing: the context's
+//! tests compare the two on every SW cell `repro all` and `hints` fill.
+//! [`ExperimentCtx::executions`] counts the real executions; `fig2`, which
+//! takes no context, is the one `repro` arm that executes on its own. All
+//! cached quantities are deterministic functions of their key; concurrent
+//! computation of the same key is benign (first writer wins, results are
+//! identical) but does the work twice, so the experiments request each
+//! cell from one pool item.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -76,7 +76,6 @@ pub struct ExperimentCtx<'w> {
     sw: Store<(usize, AllocConfig), SwCell>,
     hw: Store<(usize, RfcConfig), AccessCounts>,
     executions: AtomicU64,
-    hierarchy_replays: AtomicU64,
 }
 
 /// One workload's baseline cell: the counts and recorded stream of its one
@@ -123,7 +122,6 @@ impl<'w> ExperimentCtx<'w> {
             sw: Store::unbounded(),
             hw: Store::unbounded(),
             executions: AtomicU64::new(0),
-            hierarchy_replays: AtomicU64::new(0),
         }
     }
 
@@ -166,34 +164,10 @@ impl<'w> ExperimentCtx<'w> {
         &self.baseline_cell(i).stream
     }
 
-    /// [`replay`]s workload `i`'s recorded stream against `kernel` on the
-    /// paper's machine: every replay of the context goes through here, and
-    /// each one in hierarchy mode counts toward
-    /// [`Self::hierarchy_replays`].
-    ///
-    /// # Panics
-    ///
-    /// If the replay fails (a toolchain bug), naming the workload.
-    pub(crate) fn replay<S: TraceSink>(
-        &self,
-        i: usize,
-        kernel: &Kernel,
-        mode: ExecMode,
-        mk_sink: impl FnMut() -> S,
-        fold: impl FnMut(S, u64),
-    ) {
-        if let ExecMode::Hierarchy(_) = mode {
-            self.hierarchy_replays.fetch_add(1, Ordering::Relaxed);
-        }
-        replay(
-            kernel,
-            self.stream(i),
-            mode,
-            &MachineConfig::paper(),
-            mk_sink,
-            fold,
-        )
-        .unwrap_or_else(|e| panic!("{}: replay failed: {e}", self.workloads[i].name));
+    /// How often each static instruction of workload `i` issued in its
+    /// baseline run, indexed by flat pc ([`Stream::issue_counts`]).
+    pub(crate) fn issue_counts(&self, i: usize) -> &[u64] {
+        &self.baseline_cell(i).issues
     }
 
     /// Single-level baseline access counts of workload `i`, equal to
@@ -376,17 +350,19 @@ impl<'w> ExperimentCtx<'w> {
         let kernel = runner::dead_annotated(&self.workloads[i].kernel);
         let batch = HwBatch(cfgs.iter().map(|c| HwCounter::new(*c, &kernel)).collect());
         let mut totals = vec![AccessCounts::default(); cfgs.len()];
-        self.replay(
-            i,
+        replay(
             &kernel,
+            self.stream(i),
             ExecMode::Baseline,
+            &MachineConfig::paper(),
             || batch.clone(),
             |b, warps| {
                 for (sum, c) in totals.iter_mut().zip(&b.0) {
                     *sum += c.counts() * warps;
                 }
             },
-        );
+        )
+        .unwrap_or_else(|e| panic!("{}: replay failed: {e}", self.workloads[i].name));
         totals
     }
 
@@ -396,13 +372,6 @@ impl<'w> ExperimentCtx<'w> {
     /// [`Self::cache_stats`].
     pub fn executions(&self) -> u64 {
         self.executions.load(Ordering::Relaxed)
-    }
-
-    /// Tag-checked hierarchy-mode replays this context has performed: none
-    /// on the experiments' path, which prices its SW cells. An observation,
-    /// like [`Self::executions`].
-    pub fn hierarchy_replays(&self) -> u64 {
-        self.hierarchy_replays.load(Ordering::Relaxed)
     }
 
     /// Per-benchmark normalized energy of SW counts against the memoized
@@ -550,17 +519,19 @@ mod tests {
     ) -> Vec<AccessCounts> {
         let counter = StrandCounter::new(kernel);
         let mut per_strand = vec![AccessCounts::default(); counter.per_strand().len()];
-        ctx.replay(
-            i,
+        replay(
             kernel,
+            ctx.stream(i),
             ExecMode::Hierarchy(*cfg),
+            &MachineConfig::paper(),
             || counter.clone(),
             |c, warps| {
                 for (sum, s) in per_strand.iter_mut().zip(c.per_strand()) {
                     *sum += *s * warps;
                 }
             },
-        );
+        )
+        .unwrap_or_else(|e| panic!("{}: replay failed: {e}", ctx.workloads()[i].name));
         per_strand
     }
 
@@ -598,7 +569,6 @@ mod tests {
             }
         });
         assert_eq!(ctx.executions(), 35);
-        assert_eq!(ctx.hierarchy_replays(), 35 * 31);
     }
 
     #[test]
@@ -622,8 +592,7 @@ mod tests {
             };
             w.run_and_verify(ExecMode::Baseline, &w.kernel, &mut [&mut pcs])
                 .unwrap();
-            let issues = &ctx.baseline_cell(i).issues;
-            assert_eq!(*issues, pcs.counts, "{}", w.name);
+            assert_eq!(ctx.issue_counts(i), pcs.counts, "{}", w.name);
             assert!(
                 ctx.stream(i).distinct_traces() > 1,
                 "{}: divergent warps issue distinct traces",
@@ -686,7 +655,7 @@ mod tests {
                 .map_or(1, |&(_, n)| n);
             assert_eq!(stream.distinct_traces(), want, "{}", w.name);
             assert_eq!(stream.warps(), 32, "{}", w.name);
-            let priced: u64 = ctx.baseline_cell(i).issues.iter().sum();
+            let priced: u64 = ctx.issue_counts(i).iter().sum();
             assert_eq!(priced, stream.warp_instructions(), "{}", w.name);
             traces += stream.distinct_traces();
             warps += stream.warps();
@@ -729,7 +698,6 @@ mod tests {
         // One baseline run per workload: the HW batch replays it, and the
         // eight SW cells are priced from its issue counts.
         assert_eq!(ctx.executions(), 4);
-        assert_eq!(ctx.hierarchy_replays(), 0);
     }
 
     #[test]
@@ -748,13 +716,11 @@ mod tests {
         crate::perf::run(&ctx, &[2, 8]);
         crate::hints::run(&ctx);
         // Per workload: 1 baseline run. Its 4 HW batches (fig11, fig12,
-        // limit's flush variant, ablation's read-miss variant) and
-        // characterize replay it, perf expands its timing traces, and its
-        // 22 SW cells, limit's 8 cells under the 6-warp model and hints'
-        // `on` kernel are priced from its issue counts: no tag-checked
-        // replay.
+        // limit's flush variant, ablation's read-miss variant) replay it,
+        // perf expands its timing traces, and characterize, its 22 SW
+        // cells, limit's 8 cells under the 6-warp model and hints' `on`
+        // kernel read its issue counts.
         assert_eq!(ctx.executions(), ws.len() as u64);
-        assert_eq!(ctx.hierarchy_replays(), 0);
         let [sw, hw] = ctx.cache_stats();
         assert_eq!(sw.entries, 22 * ws.len());
         assert_eq!(hw.entries, 18 * ws.len());

@@ -55,8 +55,8 @@ pub struct PredGuard {
 /// Instructions carry the two kinds of compiler annotations central to the
 /// paper:
 ///
-/// * `ends_strand` — the extra bit (§4.1) marking strand endpoints, set by
-///   `rfh-analysis::strand`;
+/// * `ends_strand` — the extra bit (§4.1) marking strand endpoints,
+///   computed by `rfh-analysis::strand` and set by `rfh-alloc`;
 /// * `write_loc` / `read_locs` — the hierarchy placements (§4.2–4.6), set by
 ///   `rfh-alloc` (all-MRF by default, which is the single-level baseline);
 /// * `dead_after` — static liveness flags (one per source operand) marking

@@ -98,14 +98,9 @@ pub fn lint_kernel(kernel: &Kernel, options: &LintOptions) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let dom = DomTree::dominators(kernel);
     // One abstract-interpretation run feeds the L005 sharpening, the L008
-    // dead-strand pruning, and the L009–L011 checks. Strand marking
-    // mutates `ends_strand` bits, so it runs on a clone; instruction
-    // positions are unchanged, so the facts map back to `kernel`.
-    let mut marked = kernel.clone();
-    let info = mark_strands(&mut marked);
-    let absres = absint::analyze(&marked, AbsCtx::default());
-    // Liveness ignores the `ends_strand` bits, so one run serves both the
-    // dead-def check on `kernel` and the pressure check on `marked`.
+    // dead-strand pruning, and the L009–L011 checks.
+    let info = mark_strands(kernel);
+    let absres = absint::analyze(kernel, AbsCtx::default());
     let liveness = Liveness::compute(kernel);
     // One warp-uniformity taint serves the barrier and value checks.
     let uniformity = barrier::uniformity(kernel);
@@ -115,7 +110,7 @@ pub fn lint_kernel(kernel: &Kernel, options: &LintOptions) -> Vec<Diagnostic> {
     race::check(kernel, &dom, &absres, &mut diags);
     place::check(kernel, &options.alloc, &mut diags);
     pressure::check(
-        &marked,
+        kernel,
         &info,
         &liveness,
         &options.alloc,

@@ -99,14 +99,14 @@ fn peak_demand(intervals: &[Interval]) -> usize {
 
 /// Runs the check, appending RFH-L008 findings to `diags`.
 ///
-/// `marked` is the strand-marked clone (and `info`/`liveness`/`res` its
-/// strand map, liveness and abstract-interpretation results) that
-/// [`crate::lint_kernel`] prepares once and shares across the checks. Strands
+/// `info`, `liveness` and `res` are `kernel`'s strand partition, liveness
+/// and abstract-interpretation results, which [`crate::lint_kernel`]
+/// computes once and shares across the checks. Strands
 /// whose code the abstract interpreter proves unreachable — blocks only
 /// enterable over dead edges — never execute, so their demand cannot
 /// oversubscribe anything and they are skipped.
 pub(crate) fn check(
-    marked: &Kernel,
+    kernel: &Kernel,
     info: &StrandInfo,
     liveness: &Liveness,
     config: &AllocConfig,
@@ -117,7 +117,7 @@ pub(crate) fn check(
     if capacity == 0 {
         return; // the MRF baseline has nothing to oversubscribe
     }
-    for sv in all_strand_values(marked, info, liveness) {
+    for sv in all_strand_values(kernel, info, liveness) {
         let first = info.strand(sv.strand).instrs[0];
         if !res.block_reachable[first.block.index()] {
             continue; // proven-dead code exerts no pressure

@@ -25,7 +25,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use rfh_analysis::absint::{self, AbsCtx};
-use rfh_analysis::strand::mark_strands;
 use rfh_isa::{ops, InstrRef, Kernel, Opcode, Operand, Space};
 use rfh_lint::{lint_kernel, Code, LintOptions, Severity};
 use rfh_testkit::rng::{Rng, SeedableRng, SmallRng};
@@ -84,9 +83,7 @@ fn interval(kernel: &Kernel, start: InstrRef) -> BTreeSet<InstrRef> {
 /// of colliding pairs found in more than one interval.
 fn reference(kernel: &Kernel) -> (Vec<Finding>, usize) {
     let reachable = reachable_blocks(kernel);
-    let mut marked = kernel.clone();
-    mark_strands(&mut marked);
-    let facts = absint::analyze(&marked, AbsCtx::default());
+    let facts = absint::analyze(kernel, AbsCtx::default());
 
     let mut accesses = BTreeMap::new();
     for (at, i) in kernel.iter_instrs() {

@@ -649,11 +649,11 @@ mod tests {
         // and the budget stops it. (The shipped executor's tag model
         // rejects the first poisoned read instead.)
         let mut kernel = rfh_isa::parse_kernel(
-            ".kernel loopy\nBB0:\n  mov r0, %tid.x\n  mov r1, 0\n  bra BB1\nBB1:\n  \
-             iadd r1 r1, 1\n  setp.lt p0 r1, 4\n  @p0 bra BB1\nBB2:\n  st.global r0, r1\n  exit\n",
+            ".kernel loopy\nBB0:\n  mov r0, %tid.x\n  mov r1, 0\n  bra BB1 ;end\nBB1:\n  \
+             iadd r1 r1, 1\n  setp.lt p0 r1, 4\n  @p0 bra BB1 ;end\nBB2:\n  st.global r0, r1\n  \
+             exit ;end\n",
         )
         .unwrap();
-        rfh_analysis::strand::mark_strands(&mut kernel);
         let orf0 = WriteLoc::Orf {
             entry: 0,
             also_mrf: true,

@@ -435,7 +435,8 @@ mod tests {
              iadd r1 r1, 1\n  setp.lt p0 r1, 4\n  @p0 bra BB1\nBB2:\n  st.global r0, r1\n  exit\n",
         )
         .unwrap();
-        rfh_analysis::strand::mark_strands(&mut kernel);
+        let model = rfh_energy::EnergyModel::paper();
+        rfh_alloc::allocate(&mut kernel, &AllocConfig::baseline(), &model).unwrap();
         let at = |block: u32, index: usize| InstrRef {
             block: rfh_isa::BlockId::new(block),
             index,

@@ -97,6 +97,14 @@ impl Stream {
         counts
     }
 
+    /// Warp instructions the recorded run issued with a partial active
+    /// mask (fewer than 32 active lanes), weighted by warp count like
+    /// [`Self::warp_instructions`].
+    pub fn divergent_instructions(&self) -> u64 {
+        let partial = |t: &[Step]| t.iter().filter(|s| s.active.count_ones() < 32).count();
+        self.traces.iter().map(|(t, n)| partial(t) as u64 * n).sum()
+    }
+
     /// Checks that `kernel` has the recorded kernel's shape: it may differ
     /// only in its annotations (`read_locs`, `write_loc`, `ends_strand`,
     /// `dead_after`), as an allocated or dead-annotated copy does.
@@ -442,7 +450,12 @@ BB2:
         );
         // Annotations alone are not a different shape.
         let mut annotated = kernel.clone();
-        rfh_analysis::strand::mark_strands(&mut annotated);
+        rfh_alloc::allocate(
+            &mut annotated,
+            &AllocConfig::baseline(),
+            &EnergyModel::paper(),
+        )
+        .unwrap();
         annotated.blocks[1].instrs[1].dead_after[0] = true;
         assert!(replay_sw(&annotated, &stream, ExecMode::Baseline).is_ok());
     }

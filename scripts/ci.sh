@@ -19,6 +19,21 @@ echo "==> cargo clippy (-D warnings)"
 # review gate.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> analyses read the kernel (no public rfh-analysis fn takes &mut Kernel)"
+# Strand marking, liveness, def-use, absint and the last-use hints return
+# their facts as values; `rfh_alloc::allocate` alone writes the strand ends
+# and placements. The one exception is the HW baseline's dead-bit encoder,
+# `liveness::annotate_dead` and `annotate_dead_excluding`. A signature is
+# read from `pub fn` up to its opening brace, so multi-line ones count.
+writers=$(awk '/^[[:space:]]*pub fn / { sig = ""; on = 1 }
+    on { sig = sig $0; if ($0 ~ /\{/) { on = 0; if (sig ~ /&mut Kernel/) print FILENAME ": " sig } }' \
+    crates/analysis/src/*.rs | grep -v -E 'pub fn annotate_dead(_excluding)?\(' || true)
+if [ -n "$writers" ]; then
+    echo "public rfh-analysis functions that write the kernel:"
+    echo "$writers"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 # The smokes below run member binaries (e.g. `repro`), so every member
 # must be built; `--workspace` says so explicitly, on top of the root

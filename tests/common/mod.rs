@@ -109,9 +109,9 @@ pub fn check_dead_after_flags(seed: u64, shape: GenConfig) {
 /// [`check_dead_after_flags`].
 pub fn check_refined_dead_flags(seed: u64, shape: GenConfig) {
     let (mut kernel, launch, mut mem) = random_program(seed, shape);
-    rfh::analysis::strand::mark_strands(&mut kernel);
-    let hints = rfh::analysis::absint::last_use::analyze(&kernel);
-    hints.apply_dead_flags(&mut kernel);
+    let info = rfh::analysis::strand::mark_strands(&kernel);
+    let hints = rfh::analysis::absint::last_use::analyze(&kernel, &info);
+    rfh::analysis::liveness::annotate_dead_excluding(&mut kernel, &hints.liveness, &hints.excluded);
     run_dead_checker(&kernel, &launch, &mut mem);
 }
 
@@ -240,8 +240,7 @@ pub fn check_absint_sound(seed: u64, shape: GenConfig) {
         }
     }
 
-    let (mut kernel, launch, mut mem) = random_program(seed, shape);
-    rfh::analysis::strand::mark_strands(&mut kernel);
+    let (kernel, launch, mut mem) = random_program(seed, shape);
     let res = absint::analyze(
         &kernel,
         AbsCtx {
@@ -303,21 +302,20 @@ pub fn check_hinted_allocation(seed: u64, cfg: AllocConfig, shape: GenConfig) {
 /// layout-contiguous, exactly the last one carries the end bit, and every
 /// instruction belongs to exactly one strand.
 pub fn check_strand_partition(seed: u64, shape: GenConfig) {
-    let (mut kernel, _, _) = random_program(seed, shape);
-    let info = rfh::analysis::strand::mark_strands(&mut kernel);
+    let (kernel, _, _) = random_program(seed, shape);
+    let info = rfh::analysis::strand::mark_strands(&kernel);
     let mut covered = 0usize;
     for s in &info.strands {
-        covered += s.instrs.len();
         for (i, at) in s.instrs.iter().enumerate() {
-            let instr = kernel.instr(*at);
             let last = i + 1 == s.instrs.len();
             assert!(
-                !instr.ends_strand || last,
+                !info.end_bits()[covered + i] || last,
                 "interior instruction with end bit in strand {:?}",
                 s.id
             );
             assert_eq!(info.strand_of(*at), s.id);
         }
+        covered += s.instrs.len();
         // Layout contiguity.
         for w in s.instrs.windows(2) {
             let a = (w[0].block.index(), w[0].index);

@@ -122,11 +122,53 @@ fn more_orf_entries_never_reduce_upper_level_reads() {
 fn strand_markings_survive_round_trip_through_text() {
     for w in rfh::workloads::all() {
         let mut kernel = w.kernel.clone();
-        rfh::analysis::strand::mark_strands(&mut kernel);
+        allocate(&mut kernel, &AllocConfig::baseline(), &EnergyModel::paper()).unwrap();
         let text = rfh::isa::printer::print_kernel(&kernel);
         let parsed = rfh::isa::parse_kernel(&text).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert_eq!(parsed, kernel, "{}", w.name);
     }
+}
+
+/// Strand marking and the last-use hints read the kernel, not the
+/// `ends_strand` bits it carries: on every suite kernel allocated under the
+/// idealized no-deschedule split (fewer end bits), and on a copy with every
+/// end bit set, they give exactly what the clean kernel gives.
+#[test]
+fn analyses_ignore_the_annotations_they_are_given() {
+    use rfh::analysis::absint::last_use;
+    use rfh::analysis::strand::mark_strands;
+
+    let facts = |k: &rfh::isa::Kernel| {
+        let info = mark_strands(k);
+        let strands = info.strands.iter();
+        let strands: Vec<_> = strands.map(|s| (s.instrs.clone(), s.end_reason)).collect();
+        let covered = last_use::analyze(k, &info).covered;
+        (strands, info.end_bits().to_vec(), covered)
+    };
+    let ideal = AllocConfig {
+        ideal_no_deschedule_split: true,
+        ..AllocConfig::default()
+    };
+    let (mut fewer_bits, mut covering) = (0, 0);
+    for w in rfh::workloads::all() {
+        let clean = facts(&w.kernel);
+        let mut allocated = w.kernel.clone();
+        allocate(&mut allocated, &ideal, &EnergyModel::paper()).unwrap();
+        let mut all_set = w.kernel.clone();
+        for i in all_set.blocks.iter_mut().flat_map(|b| b.instrs.iter_mut()) {
+            i.ends_strand = true;
+        }
+        assert_eq!(facts(&allocated), clean, "{}: ideal-allocated", w.name);
+        assert_eq!(facts(&all_set), clean, "{}: every end bit set", w.name);
+        let allocated_bits = allocated.iter_instrs().filter(|(_, i)| i.ends_strand);
+        let clean_bits = clean.1.iter().filter(|e| **e);
+        fewer_bits += usize::from(allocated_bits.count() < clean_bits.count());
+        covering += usize::from(!clean.2.is_empty());
+    }
+    // Both annotated copies differ from the clean kernel where it matters:
+    // 30 kernels lose end bits, and one has covered reads that the extra
+    // bits would cut.
+    assert_eq!((fewer_bits, covering), (30, 1));
 }
 
 #[test]

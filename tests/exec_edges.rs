@@ -17,7 +17,8 @@
 //! * trailing-lane masking at every `threads_per_cta % warp_width`
 //!   residue.
 
-use rfh::alloc::AllocConfig;
+use rfh::alloc::{allocate, AllocConfig};
+use rfh::energy::EnergyModel;
 use rfh::isa::{BlockId, InstrRef, ReadLoc, WriteLoc};
 use rfh::sim::counts::SwCounter;
 use rfh::sim::exec::{execute, replay, ExecError, ExecMode, Launch, StreamRecorder};
@@ -234,7 +235,7 @@ fn a_stale_but_equal_read_fails_execution_and_replay_but_not_the_oracle() {
     execute(&kernel, &launch, &mut base, baseline, &mut [&mut recorder]).unwrap();
     let stream = recorder.finish();
 
-    rfh::analysis::strand::mark_strands(&mut kernel);
+    allocate(&mut kernel, &AllocConfig::baseline(), &EnergyModel::paper()).unwrap();
     kernel.instr_mut(at(0, 1)).write_loc = WriteLoc::Orf {
         entry: 0,
         also_mrf: true,
